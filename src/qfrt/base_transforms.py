@@ -101,6 +101,21 @@ class BaseTransform:
     def order(self) -> int:
         return 1 << self.order_exponent
 
+    def powers(self) -> tuple[np.ndarray, ...]:
+        """The power table (U**0, ..., U**(order-1)) by repeated products,
+        rebuilt on each call. Raises :class:`NotDyadicOrderError` unless the
+        product that closes the cycle, U**order, equals I within ORDER_TOL."""
+        table = [linalg.identity(self.dense.shape[0])]
+        power = self.dense
+        while len(table) < self.order:
+            table.append(power)
+            power = power @ self.dense
+        if linalg.max_norm_diff(power, table[0]) > ORDER_TOL:
+            raise NotDyadicOrderError(
+                f"base {self.id!r} does not satisfy U**{self.order} = I within {ORDER_TOL}"
+            )
+        return tuple(table)
+
 
 def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4, with its circuit."""
@@ -151,6 +166,14 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
     return builders[transform_id](size)
 
 
+def eigen_residue(dense: np.ndarray, exponent: int) -> float:
+    """Largest distance from an eigenvalue of ``dense`` to the nearest
+    2**exponent-th root of unity."""
+    eigs = np.linalg.eigvals(dense)
+    roots = np.exp(2j * np.pi * np.arange(1 << exponent) / (1 << exponent))
+    return float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
+
+
 def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
     """Smallest e with dense**(2**e) = I within 1e-8.
 
@@ -173,9 +196,7 @@ def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
         raise NotDyadicOrderError(
             f"{t.id}: no exponent e <= {max_exponent} with U**(2**e) = I"
         )
-    eigs = np.linalg.eigvals(t.dense)
-    roots = np.exp(2j * np.pi * np.arange(1 << found) / (1 << found))
-    residue = float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
+    residue = eigen_residue(t.dense, found)
     if residue > EIGEN_RESIDUE_TOL:
         raise NotDyadicOrderError(
             f"{t.id}: eigenvalue residue {residue:.3e} off the 2**{found}-th roots"

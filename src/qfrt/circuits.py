@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotDyadicOrderError, QubitBudgetError
+from .errors import QubitBudgetError
 
 #: Unitarity tolerance for gate payloads.
 GATE_TOL = 1e-10
-
-#: Tolerance for the dyadic-order check U**(2**n) = I.
-ORDER_TOL = 1e-8
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -214,33 +211,28 @@ def controlled(gate, num_controls: int = 1) -> np.ndarray:
     return out
 
 
-def multiplexed_powers(u, n: int) -> Circuit:
-    """Circuit for the multiplexed powers diag(I, u, u**2, ..., u**(2**n - 1)).
+def multiplexed_powers(powers) -> Circuit:
+    """Circuit for the multiplexed powers diag(u**0, u**1, ..., u**(2**n - 1)).
 
-    The data register sits on qubits 0..q-1 and the n selector qubits above
-    it; selector bit j (qubit q+j) controls u**(2**j), so selector value m
-    applies u**m. Requires u**(2**n) = I within 1e-8 for n >= 1.
+    ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
+    u**(2**j) become gates. The data register sits on qubits 0..q-1 and the n
+    selector qubits above it; selector bit j (qubit q+j) controls u**(2**j),
+    so selector value m applies u**m whatever the order of u.
     """
-    u = linalg.as_matrix(u)
-    dim = u.shape[0]
-    q = dim.bit_length() - 1
-    if u.shape[0] != u.shape[1] or dim != 1 << q:
-        raise ValueError(f"operator size {u.shape} is not a power-of-two square")
-    if n < 0:
-        raise ValueError("ancilla count must be >= 0")
-    if n == 0:
-        return Circuit(q)
-    if linalg.max_norm_diff(linalg.matrix_power(u, 1 << n), linalg.identity(dim)) > ORDER_TOL:
-        raise NotDyadicOrderError(
-            f"operator does not satisfy U**(2**{n}) = I within {ORDER_TOL}"
-        )
+    size = len(powers)
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"power table has {size} entries, not a power of two")
+    n = size.bit_length() - 1
+    shape = linalg.as_matrix(powers[0]).shape
+    q = shape[0].bit_length() - 1
+    if shape != (1 << q, 1 << q):
+        raise ValueError(f"operator size {shape} is not a power-of-two square")
     data = tuple(range(q))
-    ops = []
-    power = u
-    for j in range(n):
-        ops.append(GateOp("unitary", targets=data, controls=(q + j,), matrix=power))
-        power = power @ power
-    return Circuit(n + q, tuple(ops))
+    ops = tuple(
+        GateOp("unitary", targets=data, controls=(q + j,), matrix=powers[1 << j])
+        for j in range(n)
+    )
+    return Circuit(n + q, ops)
 
 
 def phase_block(n: int, alpha: float, theta0: float) -> Circuit:

@@ -25,10 +25,12 @@ import numpy as np
 
 from . import linalg, qasm, simulator
 from .base_transforms import (
+    ORDER_TOL,
     BaseTransform,
     TRANSFORM_IDS,
     dct4_matrix,
     dst4_matrix,
+    eigen_residue,
     make_transform,
     verify_order,
 )
@@ -186,10 +188,8 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             linalg.matrix_power(transform.dense, order),
             linalg.identity(transform.dense.shape[0]),
         )
-        eigs = np.linalg.eigvals(transform.dense)
-        roots = np.exp(2j * np.pi * np.arange(1 << exponent) / (1 << exponent))
-        residue = float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
-        dev = residue if declared <= 1e-8 else max(residue, declared)
+        residue = eigen_residue(transform.dense, exponent)
+        dev = residue if declared <= ORDER_TOL else max(residue, declared)
         rows.append(ReportRow(f"exponent{exponent}", None, None, dev, tol))
     elif suite == "coefficients":
         for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):

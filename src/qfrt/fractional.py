@@ -23,10 +23,15 @@ import numpy as np
 from . import linalg
 from .base_transforms import BaseTransform
 from .circuits import Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
-from .errors import DimensionError, NotDyadicOrderError, QubitBudgetError
+from .errors import DimensionError, QubitBudgetError
 
-#: Tolerance for the base operator's order check.
-ORDER_TOL = 1e-8
+
+def _reduce_alpha(alpha: float, order: int) -> float:
+    """alpha mod order, exactly (``math.fmod``), so that the phases keep full
+    precision at large |alpha|; rejects a non-finite alpha."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    return math.fmod(alpha, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,9 +51,10 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
     """
     if order < 2 or order & (order - 1):
         raise ValueError(f"order must be a power of two >= 2, got {order}")
+    reduced = _reduce_alpha(alpha, order)
     m = np.arange(order)
     k = np.arange(order)
-    terms = np.exp(-2j * np.pi * np.outer(alpha - k, m) / order)
+    terms = np.exp(-2j * np.pi * np.outer(reduced - k, m) / order)
     return ShihCoefficients(order, float(alpha), terms.mean(axis=1))
 
 
@@ -60,6 +66,7 @@ class FractionalSpec:
     alpha: float
 
     def __post_init__(self):
+        _reduce_alpha(self.alpha, self.order)  # rejects a non-finite alpha
         total = self.num_ancillas + self.data_qubits
         if total > linalg.max_qubits():
             raise QubitBudgetError(
@@ -85,19 +92,13 @@ class FractionalSpec:
 
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
-    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k."""
-    u = spec.base.dense
-    dim = u.shape[0]
+    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k over
+    :meth:`BaseTransform.powers`, which raises if U**order != I."""
     weights = shih_coefficients(spec.order, spec.alpha).weights
-    out = np.zeros((dim, dim), dtype=complex)
-    power = linalg.identity(dim)
-    for k in range(spec.order):
-        out += weights[k] * power
-        power = power @ u
-    if linalg.max_norm_diff(power, linalg.identity(dim)) > ORDER_TOL:
-        raise NotDyadicOrderError(
-            f"base {spec.base.id!r} does not satisfy U**{spec.order} = I"
-        )
+    powers = spec.base.powers()
+    out = np.zeros(powers[0].shape, dtype=complex)
+    for weight, power in zip(weights, powers):
+        out += weight * power
     return out
 
 
@@ -121,12 +122,14 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
 
     Stages, in execution order: Hadamard layer on the ancillas, multiplexed
     powers of U, inverse ancilla Fourier transform, diagonal phase block,
-    ancilla Fourier transform, multiplexed powers of U**-1, closing Hadamard
-    layer. Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the
-    stage boundaries are marked psi0..psi7 for tracing.
+    ancilla Fourier transform, multiplexed powers of U**-1 = U**(order-1),
+    closing Hadamard layer; both multiplexed stages read one power table.
+    Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the stage
+    boundaries are marked psi0..psi7 for tracing.
     """
     n, q = spec.num_ancillas, spec.data_qubits
-    u = spec.base.dense
+    powers = spec.base.powers()
+    alpha = _reduce_alpha(spec.alpha, spec.order)
     ops: list[GateOp] = []
     marks = [("psi0", 0)]
 
@@ -135,15 +138,15 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
 
     ops += [GateOp("h", targets=(q + a,)) for a in range(n)]
     mark("psi1")
-    ops += multiplexed_powers(u, n).ops
+    ops += multiplexed_powers(powers).ops
     mark("psi2")
     ops += _shifted(qft_circuit(n, inverse=True).ops, q)
     mark("psi3")
-    ops += _shifted(phase_block(n, spec.alpha, spec.theta0).ops, q)
+    ops += _shifted(phase_block(n, alpha, spec.theta0).ops, q)
     mark("psi4")
     ops += _shifted(qft_circuit(n).ops, q)
     mark("psi5")
-    ops += multiplexed_powers(linalg.adjoint(u), n).ops
+    ops += multiplexed_powers(tuple(powers[-m] for m in range(spec.order))).ops
     mark("psi6")
     ops += [GateOp("h", targets=(q + a,)) for a in range(n)]
     mark("psi7")
@@ -162,6 +165,7 @@ def build_qfrin_circuit(base: BaseTransform, alpha: float) -> Circuit:
         raise ValueError(
             f"{base.id!r} is not an involution (order exponent {base.order_exponent})"
         )
+    alpha = _reduce_alpha(alpha, 2)
     q = base.data_qubits
     if q + 1 > linalg.max_qubits():
         raise QubitBudgetError(

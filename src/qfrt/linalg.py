@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError, QubitBudgetError
+from .errors import DimensionError
 
 #: Default tolerance for equality and unitarity checks.
 DEFAULT_TOL = 1e-10
@@ -45,25 +45,6 @@ def as_matrix(m) -> np.ndarray:
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product: block structure a[i, j] * b."""
-    a, b = as_matrix(a), as_matrix(b)
-    limit = 1 << max_qubits()
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    if rows > limit or cols > limit:
-        raise QubitBudgetError(
-            f"kron result {rows}x{cols} exceeds the {max_qubits()}-qubit budget"
-        )
-    return np.kron(a, b)
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
 
 
 def adjoint(m) -> np.ndarray:

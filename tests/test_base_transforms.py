@@ -181,6 +181,31 @@ class TestVerifyOrder:
             verify_order(hartley_transform(1), max_exponent=7)
 
 
+class TestPowers:
+    @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_numpy_matrix_power(self, transform_id, size):
+        t = make_transform(transform_id, size)
+        table = t.powers()
+        assert len(table) == t.order
+        for k, power in enumerate(table):
+            expected = np.linalg.matrix_power(t.dense, k)
+            assert linalg.max_norm_diff(power, expected) <= 1e-12
+
+    def test_order_eight_operator(self):
+        from helpers import random_dyadic_unitary
+
+        u = random_dyadic_unitary(4, 3, np.random.default_rng(404))
+        table = BaseTransform("custom", 2, 3, u).powers()
+        assert len(table) == 8
+        for k, power in enumerate(table):
+            assert linalg.max_norm_diff(power, np.linalg.matrix_power(u, k)) <= 1e-12
+
+    def test_wrong_order_names_the_transform(self):
+        with pytest.raises(NotDyadicOrderError, match="'odd'"):
+            BaseTransform("odd", 1, 1, phase(0.3)).powers()
+
+
 class TestMakeTransform:
     def test_dispatch(self):
         assert make_transform("fourier", 2).id == "fourier"

@@ -30,7 +30,7 @@ from qfrt.circuits import (
     qft_circuit,
     standard_gate,
 )
-from qfrt.errors import NotDyadicOrderError, QubitBudgetError
+from qfrt.errors import QubitBudgetError
 
 # The 4-point Fourier matrix with kernel w = exp(-i 2 pi / 4) = -i.
 F2_EXPECTED = 0.5 * np.array(
@@ -181,19 +181,24 @@ def direct_multiplexed(u, n):
     return out
 
 
+def power_table(u, n):
+    """(u**0, ..., u**(2**n - 1)) from numpy's matrix_power, independent of qfrt."""
+    return tuple(np.linalg.matrix_power(u, k) for k in range(1 << n))
+
+
 class TestMultiplexedPowers:
     def test_fourier_powers(self):
         f = dft_matrix(4)
-        got = circuit_unitary(multiplexed_powers(f, 2))
+        got = circuit_unitary(multiplexed_powers(power_table(f, 2)))
         assert linalg.max_norm_diff(got, direct_multiplexed(f, 2)) <= 1e-10
 
     def test_hartley_single_selector(self):
         dht = hartley_matrix(4)
-        got = circuit_unitary(multiplexed_powers(dht, 1))
+        got = circuit_unitary(multiplexed_powers(power_table(dht, 1)))
         assert linalg.max_norm_diff(got, direct_multiplexed(dht, 1)) <= 1e-10
 
     def test_zero_selectors_is_empty(self):
-        c = multiplexed_powers(dft_matrix(4), 0)
+        c = multiplexed_powers(power_table(dft_matrix(4), 0))
         assert c.ops == ()
         assert c.num_qubits == 2
 
@@ -201,12 +206,13 @@ class TestMultiplexedPowers:
     def test_random_dyadic_operators(self, n):
         rng = np.random.default_rng(100 + n)
         u = random_dyadic_unitary(2, n, rng)
-        got = circuit_unitary(multiplexed_powers(u, n))
+        got = circuit_unitary(multiplexed_powers(power_table(u, n)))
         assert linalg.max_norm_diff(got, direct_multiplexed(u, n)) <= 1e-10
 
-    def test_order_check(self):
-        with pytest.raises(NotDyadicOrderError):
-            multiplexed_powers(phase(0.3), 2)
+    def test_table_length_must_be_power_of_two(self):
+        for bad in ((), power_table(dft_matrix(2), 2)[:3]):
+            with pytest.raises(ValueError, match="power of two"):
+                multiplexed_powers(bad)
 
 
 class TestPhaseBlock:
@@ -326,8 +332,8 @@ class TestCircuitUnitary:
             qft_circuit(4, inverse=True),
             increment_circuit(3),
             phase_block(3, 1.3, -2 * math.pi / 8),
-            multiplexed_powers(hartley_matrix(4), 1),
-            multiplexed_powers(dft_matrix(2), 2),
+            multiplexed_powers(power_table(hartley_matrix(4), 1)),
+            multiplexed_powers(power_table(dft_matrix(2), 2)),
         ],
     )
     def test_builders_produce_unitaries(self, circuit):

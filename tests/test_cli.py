@@ -94,6 +94,27 @@ class TestDump:
         assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "unitarity", "--transform", "fourier", "--qubits", "2",
+         "--alpha", "nan"],
+        ["dump", "--transform", "hartley", "--qubits", "1", "--alpha", "inf"],
+        ["export", "--transform", "hartley", "--qubits", "1", "--alpha=-inf",
+         "--kind", "qfrin"],
+    ],
+    ids=["verify_nan", "dump_inf", "export_qfrin_neg_inf"],
+)
+def test_non_finite_alpha_is_one_error_line(argv, capsys, recwarn):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: alpha must be finite")
+    assert len(recwarn) == 0
+
+
 class TestVerify:
     def test_equivalence_passes(self, tmp_path):
         out = tmp_path / "eq.csv"

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,48 @@ def test_oracle_rejects_operator_of_wrong_order():
     liar = BaseTransform("odd", 1, 1, phase(0.3))
     with pytest.raises(NotDyadicOrderError):
         fractional_oracle(FractionalSpec(liar, 0.5))
+
+
+def test_qfru_circuit_rejects_operator_of_wrong_order():
+    from qfrt.base_transforms import BaseTransform
+    from qfrt.circuits import phase
+    from qfrt.errors import NotDyadicOrderError
+
+    liar = BaseTransform("odd", 1, 1, phase(0.3))
+    with pytest.raises(NotDyadicOrderError, match="'odd'"):
+        build_qfru_circuit(FractionalSpec(liar, 0.5))
+
+
+@pytest.mark.parametrize("shift", [4e6, 4e12, 4e15, -4e12])
+def test_periodic_at_large_alpha(shift):
+    # shift is a multiple of every order used here, so alpha = shift + 0.5
+    # names the same operator as alpha = 0.5
+    fourier = fourier_transform(2)
+    near, far = FractionalSpec(fourier, 0.5), FractionalSpec(fourier, shift + 0.5)
+    assert linalg.max_norm_diff(fractional_oracle(far), fractional_oracle(near)) <= 1e-12
+    blocks = [
+        extract_data_block(circuit_unitary(build_qfru_circuit(spec)), 2, 2)[0]
+        for spec in (near, far)
+    ]
+    assert linalg.max_norm_diff(*blocks) <= 1e-10
+    hartley = hartley_transform(2)
+    blocks = [
+        extract_data_block(circuit_unitary(build_qfrin_circuit(hartley, a)), 1, 2)[0]
+        for a in (0.5, shift + 0.5)
+    ]
+    assert linalg.max_norm_diff(*blocks) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_non_finite_alpha_rejected(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha"):
+            FractionalSpec(fourier_transform(1), alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            shih_coefficients(4, alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            build_qfrin_circuit(hartley_transform(1), alpha)
 
 
 class TestFractionalOracle:

@@ -4,75 +4,10 @@ import pytest
 from helpers import random_unitary
 from qfrt import linalg
 from qfrt.base_transforms import dft_matrix, hartley_matrix
-from qfrt.circuits import B, BDAG, H, R, S, X, phase
-from qfrt.errors import DimensionError, QubitBudgetError
+from qfrt.circuits import B, BDAG, H, S, phase
+from qfrt.errors import DimensionError
 
 I2 = np.eye(2, dtype=complex)
-
-# 4x4 Hadamard from two single-qubit Hadamards: all entries +-1/2.
-H2_EXPECTED = 0.5 * np.array(
-    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex
-)
-
-# X on the high qubit swaps the index blocks {0,1} <-> {2,3}.
-X_KRON_I2 = np.array(
-    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex
-)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(linalg.kron(I2, I2), np.eye(4))
-
-    def test_hadamard_pair(self):
-        assert linalg.max_norm_diff(linalg.kron(H, H), H2_EXPECTED) <= 1e-15
-
-    def test_x_with_identity_swaps_blocks(self):
-        assert np.array_equal(linalg.kron(X, I2), X_KRON_I2)
-
-    def test_associative_exact_on_dyadic_entries(self):
-        rng = np.random.default_rng(7)
-        mats = [
-            rng.choice([0.0, 0.25, -0.5, 1.0, -1.0], size=(2, 2))
-            + 1j * rng.choice([0.0, 0.5, -0.25], size=(2, 2))
-            for _ in range(3)
-        ]
-        a, b, c = mats
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.array_equal(left, right)
-
-    def test_preserves_unitarity(self):
-        rng = np.random.default_rng(3)
-        a = random_unitary(2, rng)
-        b = random_unitary(4, rng)
-        assert linalg.is_unitary(linalg.kron(a, b), tol=1e-12)
-
-    def test_budget_exceeded(self, monkeypatch):
-        monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "4")
-        big = np.eye(16, dtype=complex)
-        with pytest.raises(QubitBudgetError):
-            linalg.kron(big, big)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            linalg.kron(np.zeros((0, 0)), I2)
-
-
-class TestMatmul:
-    def test_hadamard_involution(self):
-        assert linalg.max_norm_diff(linalg.matmul(H, H), I2) <= 1e-15
-
-    def test_hs_then_h_gives_r(self):
-        assert linalg.max_norm_diff(linalg.matmul(linalg.matmul(H, S), H), R) <= 1e-12
-
-    def test_dft_inverse_pair(self):
-        f2 = dft_matrix(4)
-        assert linalg.max_norm_diff(linalg.matmul(f2, linalg.adjoint(f2)), np.eye(4)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 class TestAdjoint:
@@ -133,7 +68,7 @@ class TestMatrixPower:
         u = random_unitary(4, rng)
         for j, k in [(0, 3), (2, 5), (4, 4), (1, 8), (8, 8)]:
             combined = linalg.matrix_power(u, j + k)
-            split = linalg.matmul(linalg.matrix_power(u, j), linalg.matrix_power(u, k))
+            split = linalg.matrix_power(u, j) @ linalg.matrix_power(u, k)
             assert linalg.max_norm_diff(combined, split) <= 1e-10
 
 

@@ -77,6 +77,12 @@ def test_import_checks_payload_entry_count():
         import_circuit(text)
 
 
+def test_import_rejects_non_unitary_payload():
+    text = "qubit[1] q;\nunitary { 1,0 1,0 0,0 1,0 } q[0];\n"
+    with pytest.raises(ValueError, match="not unitary"):
+        import_circuit(text)
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)
