@@ -8,11 +8,15 @@ place value ``2**i``. Controls fire on |1>.
 
 :func:`circuit_unitary` extracts the full dense unitary of a circuit by
 embedding each gate at its wire positions and multiplying; it is the slow
-reference path the statevector simulator is validated against.
+reference path the statevector simulator is validated against. Its
+``columns`` argument builds only the leading columns, the images of the first
+basis states, for a caller that reads nothing else: an ancilla circuit acting
+on ancilla |0...0> inputs needs just the first ``2**data_qubits`` of them.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,14 +307,28 @@ def _op_row_groups(op: GateOp, n: int) -> np.ndarray:
     return offsets[:, None] + base[None, :]
 
 
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (the slow reference path)."""
+def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
+    """Dense unitary of the whole circuit (the slow reference path).
+
+    With ``columns=k`` (1 <= k <= 2**num_qubits) only the first k columns are
+    built, starting from the first k columns of the identity: the result
+    equals ``circuit_unitary(c)[:, :k]`` at about k / 2**num_qubits of the
+    cost.
+    """
     if c.num_qubits > linalg.max_qubits():
         raise QubitBudgetError(
             f"{c.num_qubits} qubits exceed the {linalg.max_qubits()}-qubit budget"
         )
     dim = 1 << c.num_qubits
-    acc = linalg.identity(dim)
+    if columns is None:
+        columns = dim
+    elif (
+        isinstance(columns, bool)
+        or not isinstance(columns, numbers.Integral)
+        or not 1 <= columns <= dim
+    ):
+        raise ValueError(f"columns must be an integer in 1..{dim}, got {columns!r}")
+    acc = np.eye(dim, columns, dtype=complex)
     for op in c.ops:
         rows = _op_row_groups(op, c.num_qubits)
         # Left-multiply the embedded op: rows outside the control block are

@@ -18,6 +18,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -50,6 +51,10 @@ SUITES = ("additivity", "unitarity", "equivalence", "restoration", "order",
 
 _SUITE_DEFAULT_TOL = {"order": 1e-6}
 
+#: Most rows an ``--alpha-range`` may expand to; each row is at least one
+#: dense oracle, so a larger range is a typo, not a workload.
+MAX_ALPHA_ROWS = 100_000
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -81,10 +86,16 @@ def _parse_alpha_range(raw: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in raw.split(","))
     except ValueError:
         raise ValueError(f"bad --alpha-range {raw!r}; expected START,STOP,STEP")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"--alpha-range {raw!r}: START, STOP and STEP must be finite")
     if step <= 0:
         raise ValueError("--alpha-range step must be > 0")
-    count = max(0, int(np.ceil((stop - start) / step - 1e-12)))
-    return start + step * np.arange(count)
+    rows = np.ceil((stop - start) / step - 1e-12)
+    if rows > MAX_ALPHA_ROWS:
+        raise ValueError(
+            f"--alpha-range {raw!r} gives {rows:.3g} rows, more than {MAX_ALPHA_ROWS}"
+        )
+    return start + step * np.arange(max(0, int(rows)))
 
 
 def _resolve_transform(args) -> BaseTransform:
@@ -165,8 +176,9 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     elif suite == "equivalence":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
             spec = FractionalSpec(transform, alpha)
-            full = circuit_unitary(build_qfru_circuit(spec))
-            block, leakage = extract_data_block(full, spec.num_ancillas, spec.data_qubits)
+            # The data block and the leakage read only the ancilla-|0...0> inputs.
+            cols = circuit_unitary(build_qfru_circuit(spec), columns=1 << spec.data_qubits)
+            block, leakage = extract_data_block(cols, spec.num_ancillas, spec.data_qubits)
             dev = max(linalg.max_norm_diff(block, oracle(alpha)), leakage)
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev, tol))
     elif suite == "restoration":
@@ -324,6 +336,7 @@ def main(argv=None) -> int:
         print("error: --tol must be in (0, 1e-2]", file=sys.stderr)
         return 2
     try:
+        linalg.max_qubits()  # a malformed QFRT_MAX_QUBITS fails here, on every command
         return args.func(args)
     except (QfrtError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

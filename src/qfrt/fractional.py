@@ -189,18 +189,22 @@ def build_qfrin_circuit(base: BaseTransform, alpha: float) -> Circuit:
 def extract_data_block(full, num_ancillas: int, data_qubits: int):
     """Sub-matrix mapping ancilla-|0...0> inputs to ancilla-|0...0> outputs.
 
-    Returns ``(block, leakage)`` where leakage is the worst amplitude norm
-    any ancilla-|0...0> input column places outside that block; a correct
+    ``full`` is either the circuit's whole (dim, dim) unitary, dim =
+    2**(num_ancillas + data_qubits), or just its (dim, 2**data_qubits) column
+    slice, the ancilla-|0...0> input columns that
+    ``circuit_unitary(c, columns=2**data_qubits)`` builds; both give the same
+    result. Returns ``(block, leakage)`` where leakage is the worst amplitude
+    norm any ancilla-|0...0> input column places outside that block; a correct
     fractionalization circuit has leakage 0.
     """
     full = linalg.as_matrix(full)
     dim = 1 << (num_ancillas + data_qubits)
-    if full.shape != (dim, dim):
-        raise DimensionError(
-            f"expected a {dim}x{dim} matrix for {num_ancillas}+{data_qubits} "
-            f"qubits, got {full.shape}"
-        )
     block_dim = 1 << data_qubits
+    if full.shape not in ((dim, dim), (dim, block_dim)):
+        raise DimensionError(
+            f"expected a {dim}x{dim} matrix or its {dim}x{block_dim} column slice "
+            f"for {num_ancillas}+{data_qubits} qubits, got {full.shape}"
+        )
     block = full[:block_dim, :block_dim].copy()
     if dim == block_dim:
         return block, 0.0

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, QubitBudgetError
 
 #: Default tolerance for equality and unitarity checks.
 DEFAULT_TOL = 1e-10
@@ -28,9 +28,21 @@ _DEFAULT_MAX_QUBITS = 14
 
 
 def max_qubits() -> int:
-    """Largest register size dense operators may be built for."""
+    """Largest register size dense operators may be built for.
+
+    Raises :class:`QubitBudgetError` when ``QFRT_MAX_QUBITS`` is set to
+    anything but an integer >= 1.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
-    return _DEFAULT_MAX_QUBITS if raw is None else int(raw)
+    if raw is None:
+        return _DEFAULT_MAX_QUBITS
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # not an integer: rejected below with the same message
+    if value < 1:
+        raise QubitBudgetError(f"{BUDGET_ENV_VAR} must be an integer >= 1, got {raw!r}")
+    return value
 
 
 def as_matrix(m) -> np.ndarray:

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import random_dyadic_unitary, random_unitary
 from qfrt import linalg
-from qfrt.base_transforms import dft_matrix, hartley_matrix
+from qfrt.base_transforms import (
+    cst1_transform,
+    cst4_transform,
+    dft_matrix,
+    fourier_transform,
+    hartley_matrix,
+    hartley_transform,
+)
 from qfrt.circuits import (
     B,
     BDAG,
@@ -31,6 +38,7 @@ from qfrt.circuits import (
     standard_gate,
 )
 from qfrt.errors import QubitBudgetError
+from qfrt.fractional import FractionalSpec, build_qfrin_circuit, build_qfru_circuit
 
 # The 4-point Fourier matrix with kernel w = exp(-i 2 pi / 4) = -i.
 F2_EXPECTED = 0.5 * np.array(
@@ -324,6 +332,8 @@ class TestCircuitUnitary:
         monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
         with pytest.raises(QubitBudgetError):
             circuit_unitary(Circuit(4, (GateOp("h", targets=(0,)),)))
+        with pytest.raises(QubitBudgetError):
+            circuit_unitary(Circuit(4, (GateOp("h", targets=(0,)),)), columns=1)
 
     @pytest.mark.parametrize(
         "circuit",
@@ -339,3 +349,59 @@ class TestCircuitUnitary:
     def test_builders_produce_unitaries(self, circuit):
         u = circuit_unitary(circuit)
         assert linalg.is_unitary(u, tol=1e-10)
+
+
+def _multi_control_circuit():
+    """Five wires: multi-control named and phase gates, a controlled 2-target
+    payload with its targets out of order, and an uncontrolled one."""
+    rng = np.random.default_rng(31)
+    ops = (
+        GateOp("h", targets=(0,)),
+        GateOp("h", targets=(2,)),
+        GateOp("unitary", targets=(3, 1), controls=(0, 2), matrix=random_unitary(4, rng)),
+        GateOp("x", targets=(4,), controls=(0, 1, 3)),
+        GateOp("p", targets=(2,), controls=(4, 1), params=(0.7,)),
+        GateOp("unitary", targets=(4, 0), matrix=random_unitary(4, rng)),
+        GateOp("swap", targets=(1, 4), controls=(3,)),
+    )
+    return Circuit(5, ops)
+
+
+# (id, circuit, data qubits): qfru circuits of all four transforms, qfrin
+# circuits of the three involutions, and a hand-built circuit.
+_COLUMN_CASES = [
+    *(
+        (f"qfru_{t.id}", build_qfru_circuit(FractionalSpec(t, 0.37)), t.data_qubits)
+        for t in (fourier_transform(3), hartley_transform(3), cst1_transform(2),
+                  cst4_transform(2))
+    ),
+    *(
+        (f"qfrin_{t.id}", build_qfrin_circuit(t, 1.3), t.data_qubits)
+        for t in (hartley_transform(4), cst1_transform(3), cst4_transform(3))
+    ),
+    ("multi_control", _multi_control_circuit(), 2),
+]
+
+
+class TestCircuitUnitaryColumns:
+    @pytest.mark.parametrize(
+        "circuit,data_qubits", [case[1:] for case in _COLUMN_CASES],
+        ids=[case[0] for case in _COLUMN_CASES],
+    )
+    def test_matches_leading_columns_of_full_unitary(self, circuit, data_qubits):
+        full = circuit_unitary(circuit)
+        dim = full.shape[0]
+        for k in (1, 1 << data_qubits, dim):
+            got = circuit_unitary(circuit, columns=k)
+            assert got.shape == (dim, k)
+            assert linalg.max_norm_diff(got, full[:, :k]) <= 1e-14
+
+    def test_numpy_integer_accepted(self):
+        c = _multi_control_circuit()
+        got = circuit_unitary(c, columns=np.int64(3))
+        assert linalg.max_norm_diff(got, circuit_unitary(c)[:, :3]) <= 1e-14
+
+    @pytest.mark.parametrize("columns", [0, -1, 33, 2.0, 1.5, True, "4"])
+    def test_bad_columns_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            circuit_unitary(_multi_control_circuit(), columns=columns)

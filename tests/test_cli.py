@@ -115,6 +115,41 @@ def test_non_finite_alpha_is_one_error_line(argv, capsys, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["sweep"], ["verify", "--suite", "unitarity"]],
+    ids=["sweep", "verify"],
+)
+@pytest.mark.parametrize(
+    "alpha_range,reason",
+    [("0,inf,1", "finite"), ("nan,1,1", "finite"), ("0,1e12,1e-6", "rows")],
+    ids=["inf_stop", "nan_start", "huge_count"],
+)
+def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys, recwarn):
+    argv = command + ["--transform", "hartley", "--qubits", "1",
+                      f"--alpha-range={alpha_range}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --alpha-range")
+    assert reason in lines[0]
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("raw", ["-3", "0", "abc", ""])
+def test_bad_qubit_budget_is_one_error_line(raw, monkeypatch, capsys):
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, raw)
+    assert main(["verify", "--suite", "equivalence", "--transform", "hartley",
+                 "--qubits", "1", "--alpha", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: QFRT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
+    ]
+
+
 class TestVerify:
     def test_equivalence_passes(self, tmp_path):
         out = tmp_path / "eq.csv"

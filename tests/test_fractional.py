@@ -332,6 +332,28 @@ class TestExtractDataBlock:
         with pytest.raises(DimensionError):
             extract_data_block(np.eye(4), 2, 2)
 
+    @pytest.mark.parametrize("shape", [(16, 5), (16, 3), (4, 16), (16, 1)])
+    def test_shape_neither_square_nor_data_columns(self, shape):
+        with pytest.raises(DimensionError, match=r"16x16 matrix or its 16x4 column slice"):
+            extract_data_block(np.ones(shape), 2, 2)
+
+    @pytest.mark.parametrize(
+        "full,num_ancillas,data_qubits",
+        [
+            (circuit_unitary(build_qfru_circuit(FractionalSpec(fourier_transform(2), 0.7))),
+             2, 2),
+            (circuit_unitary(build_qfrin_circuit(cst4_transform(2), 1.3)), 1, 3),
+            (np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)), 1, 1),
+        ],
+        ids=["qfru_fourier2", "qfrin_cst4_2", "ancilla_flip"],
+    )
+    def test_column_slice_gives_same_result(self, full, num_ancillas, data_qubits):
+        block, leakage = extract_data_block(full, num_ancillas, data_qubits)
+        sliced = full[:, : 1 << data_qubits]
+        block_s, leakage_s = extract_data_block(sliced, num_ancillas, data_qubits)
+        assert np.array_equal(block_s, block)
+        assert leakage_s == leakage
+
 
 def test_generic_dyadic_operator_with_three_ancillas():
     # the construction is not tied to the named transforms: any operator

@@ -5,7 +5,7 @@ from helpers import random_unitary
 from qfrt import linalg
 from qfrt.base_transforms import dft_matrix, hartley_matrix
 from qfrt.circuits import B, BDAG, H, S, phase
-from qfrt.errors import DimensionError
+from qfrt.errors import DimensionError, QfrtError, QubitBudgetError
 
 I2 = np.eye(2, dtype=complex)
 
@@ -76,6 +76,16 @@ def test_non_finite_entries_rejected():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
         linalg.as_matrix(bad)
+
+
+class TestMaxQubits:
+    @pytest.mark.parametrize("raw", ["-3", "0", "abc", "", "2.5"])
+    def test_bad_value_names_variable_and_value(self, raw, monkeypatch):
+        monkeypatch.setenv(linalg.BUDGET_ENV_VAR, raw)
+        with pytest.raises(QubitBudgetError) as info:
+            linalg.max_qubits()
+        assert isinstance(info.value, QfrtError)
+        assert str(info.value) == f"QFRT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
 
 
 class TestMatrixText:
