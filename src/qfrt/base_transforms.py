@@ -103,17 +103,11 @@ class BaseTransform:
 
     def powers(self) -> tuple[np.ndarray, ...]:
         """The power table (U**0, ..., U**(order-1)) by repeated products,
-        rebuilt on each call. Raises :class:`NotDyadicOrderError` unless the
-        product that closes the cycle, U**order, equals I within ORDER_TOL."""
-        table = [linalg.identity(self.dense.shape[0])]
-        power = self.dense
+        rebuilt on each call and unchecked: ``fractional_oracle`` and
+        ``build_qfru_circuit`` each check the order in their own way."""
+        table = [linalg.identity(self.dense.shape[0]), self.dense][: self.order]
         while len(table) < self.order:
-            table.append(power)
-            power = power @ self.dense
-        if linalg.max_norm_diff(power, table[0]) > ORDER_TOL:
-            raise NotDyadicOrderError(
-                f"base {self.id!r} does not satisfy U**{self.order} = I within {ORDER_TOL}"
-            )
+            table.append(table[-1] @ self.dense)
         return tuple(table)
 
 
@@ -121,6 +115,7 @@ def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4, with its circuit."""
     if q < 1:
         raise ValueError("need at least one data qubit")
+    linalg.check_qubit_budget(q)
     return BaseTransform("fourier", q, 2, dft_matrix(1 << q), qft_circuit(q))
 
 
@@ -128,6 +123,7 @@ def hartley_transform(q: int) -> BaseTransform:
     """The 2**q-point Hartley transform (cas kernel), an involution."""
     if q < 1:
         raise ValueError("need at least one data qubit")
+    linalg.check_qubit_budget(q)
     return BaseTransform("hartley", q, 1, hartley_matrix(1 << q))
 
 
@@ -135,6 +131,7 @@ def cst1_transform(n: int) -> BaseTransform:
     """Type-I cosine-sine block DCT-I(N+1) (+) DST-I(N-1) on n+1 qubits."""
     if n < 1:
         raise ValueError("need n >= 1")
+    linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     dense = _direct_sum(dct1_matrix(big_n + 1), dst1_matrix(big_n - 1))
     return BaseTransform("cst1", n + 1, 1, dense)
@@ -145,6 +142,7 @@ def cst4_transform(n: int) -> BaseTransform:
     top qubit selects the cosine (|0>) or sine (|1>) block."""
     if n < 1:
         raise ValueError("need n >= 1")
+    linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     dense = _direct_sum(dct4_matrix(big_n), dst4_matrix(big_n))
     return BaseTransform("cst4", n + 1, 1, dense)
@@ -166,21 +164,9 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
     return builders[transform_id](size)
 
 
-def eigen_residue(dense: np.ndarray, exponent: int) -> float:
-    """Largest distance from an eigenvalue of ``dense`` to the nearest
-    2**exponent-th root of unity."""
-    eigs = np.linalg.eigvals(dense)
-    roots = np.exp(2j * np.pi * np.arange(1 << exponent) / (1 << exponent))
-    return float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
-
-
-def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
-    """Smallest e with dense**(2**e) = I within 1e-8.
-
-    Also checks that the spectrum sits on 2**e-th roots of unity within
-    1e-6; the matrix-power identity is the normative test, the eigenvalue
-    residue a consistency diagnostic.
-    """
+def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, float]:
+    """:func:`verify_order`'s checks; returns its exponent e and the largest
+    distance from an eigenvalue of the kernel to a 2**e-th root of unity."""
     if not 0 <= max_exponent <= 6:
         raise ValueError("max_exponent must be between 0 and 6")
     dim = t.dense.shape[0]
@@ -196,9 +182,21 @@ def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
         raise NotDyadicOrderError(
             f"{t.id}: no exponent e <= {max_exponent} with U**(2**e) = I"
         )
-    residue = eigen_residue(t.dense, found)
+    eigs = np.linalg.eigvals(t.dense)
+    roots = np.exp(2j * np.pi * np.arange(1 << found) / (1 << found))
+    residue = float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
     if residue > EIGEN_RESIDUE_TOL:
         raise NotDyadicOrderError(
             f"{t.id}: eigenvalue residue {residue:.3e} off the 2**{found}-th roots"
         )
-    return found
+    return found, residue
+
+
+def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
+    """Smallest e with dense**(2**e) = I within 1e-8.
+
+    Also checks that the spectrum sits on 2**e-th roots of unity within
+    1e-6; the matrix-power identity is the normative test, the eigenvalue
+    residue a consistency diagnostic.
+    """
+    return _order_and_residue(t, max_exponent)[0]

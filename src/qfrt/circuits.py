@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import QubitBudgetError
 
 #: Unitarity tolerance for gate payloads.
 GATE_TOL = 1e-10
@@ -315,10 +314,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     equals ``circuit_unitary(c)[:, :k]`` at about k / 2**num_qubits of the
     cost.
     """
-    if c.num_qubits > linalg.max_qubits():
-        raise QubitBudgetError(
-            f"{c.num_qubits} qubits exceed the {linalg.max_qubits()}-qubit budget"
-        )
+    linalg.check_qubit_budget(c.num_qubits)
     dim = 1 << c.num_qubits
     if columns is None:
         columns = dim

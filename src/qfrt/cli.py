@@ -29,11 +29,8 @@ from .base_transforms import (
     ORDER_TOL,
     BaseTransform,
     TRANSFORM_IDS,
-    dct4_matrix,
-    dst4_matrix,
-    eigen_residue,
+    _order_and_residue,
     make_transform,
-    verify_order,
 )
 from .circuits import circuit_unitary
 from .errors import QfrtError
@@ -115,9 +112,9 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
 
 
 def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
-    if kind == "auto":
-        kind = "qfrin" if transform.order_exponent == 1 else "qfru"
-    if kind == "qfrin":
+    # One circuit for every kind: qfrin is the qfru circuit behind an
+    # involution check, and auto applies that check to every involution.
+    if kind == "qfrin" or (kind == "auto" and transform.order_exponent == 1):
         return build_qfrin_circuit(transform, alpha)
     return build_qfru_circuit(FractionalSpec(transform, alpha))
 
@@ -130,9 +127,9 @@ def cmd_dump(args) -> int:
     if args.cst4_selector is not None:
         if transform.id != "cst4":
             raise ValueError("--cst4-selector only applies to --transform cst4")
-        big_n = 1 << args.n
-        block = dct4_matrix(big_n) if args.cst4_selector == "cos" else dst4_matrix(big_n)
-        _write(args.out, linalg.format_matrix(block))
+        half = transform.dense.shape[0] // 2  # DCT-IV (+) DST-IV: slice a block
+        block = slice(None, half) if args.cst4_selector == "cos" else slice(half, None)
+        _write(args.out, linalg.format_matrix(transform.dense[block, block]))
         return 0
     if args.alpha is None:
         _write(args.out, linalg.format_matrix(transform.dense))
@@ -195,12 +192,11 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob), tol))
     elif suite == "order":
-        exponent = verify_order(transform)
+        exponent, residue = _order_and_residue(transform)
         declared = linalg.max_norm_diff(
             linalg.matrix_power(transform.dense, order),
             linalg.identity(transform.dense.shape[0]),
         )
-        residue = eigen_residue(transform.dense, exponent)
         dev = residue if declared <= ORDER_TOL else max(residue, declared)
         rows.append(ReportRow(f"exponent{exponent}", None, None, dev, tol))
     elif suite == "coefficients":

@@ -10,8 +10,8 @@ which interpolates the integer powers, is additive in alpha, and is
 N-periodic. :func:`fractional_oracle` evaluates it densely;
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
-:func:`build_qfrin_circuit` is the specialized single-ancilla path for
-involutions.
+:func:`build_qfrin_circuit` is its n = 1 case, for involutions. The oracle
+and the circuit each check U**N = I on the unchecked :meth:`BaseTransform.powers`.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .base_transforms import BaseTransform
-from .circuits import Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
-from .errors import DimensionError, QubitBudgetError
+from .base_transforms import ORDER_TOL, BaseTransform
+from .circuits import GATE_TOL, Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
+from .errors import DimensionError, NotDyadicOrderError
 
 
 def _reduce_alpha(alpha: float, order: int) -> float:
@@ -67,11 +67,7 @@ class FractionalSpec:
 
     def __post_init__(self):
         _reduce_alpha(self.alpha, self.order)  # rejects a non-finite alpha
-        total = self.num_ancillas + self.data_qubits
-        if total > linalg.max_qubits():
-            raise QubitBudgetError(
-                f"{total} qubits exceed the {linalg.max_qubits()}-qubit budget"
-            )
+        linalg.check_qubit_budget(self.num_ancillas + self.data_qubits)
 
     @property
     def num_ancillas(self) -> int:
@@ -91,11 +87,20 @@ class FractionalSpec:
         return -2.0 * math.pi / self.order
 
 
+def _order_error(base: BaseTransform) -> NotDyadicOrderError:
+    return NotDyadicOrderError(
+        f"base {base.id!r} does not satisfy U**{base.order} = I within {ORDER_TOL}"
+    )
+
+
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k over
-    :meth:`BaseTransform.powers`, which raises if U**order != I."""
+    :meth:`BaseTransform.powers`. Raises :class:`NotDyadicOrderError` unless
+    U**(order-1) U = I within ORDER_TOL."""
     weights = shih_coefficients(spec.order, spec.alpha).weights
     powers = spec.base.powers()
+    if linalg.max_norm_diff(powers[-1] @ spec.base.dense, powers[0]) > ORDER_TOL:
+        raise _order_error(spec.base)
     out = np.zeros(powers[0].shape, dtype=complex)
     for weight, power in zip(weights, powers):
         out += weight * power
@@ -125,65 +130,59 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     ancilla Fourier transform, multiplexed powers of U**-1 = U**(order-1),
     closing Hadamard layer; both multiplexed stages read one power table.
     Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the stage
-    boundaries are marked psi0..psi7 for tracing.
+    boundaries are marked psi0..psi7 for tracing. Raises
+    :class:`NotDyadicOrderError` unless U**order = I within ORDER_TOL.
     """
     n, q = spec.num_ancillas, spec.data_qubits
     powers = spec.base.powers()
+    # Order check in O(N**2), before the payload ops copy the table. The op
+    # carrying U (built below) checks g = |U^dagger U - I|_max <= GATE_TOL = G,
+    # so columns of U have norm <= sqrt(1 + g) <= 1 + G/2. With
+    # D = U**(order-1) - U^dagger, U**order - I = D U + (U^dagger U - I), and
+    # Cauchy-Schwarz on the rows of D gives |D U|_max <= sqrt(N) |D|_max (1 + G/2).
+    # So |D|_max <= bound = (ORDER_TOL - 2G) / sqrt(N) gives |U**order - I|_max
+    # <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as ORDER_TOL < 2.
+    u, last = spec.base.dense, powers[-1]
+    bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(len(u))
+    # In row blocks, so that the transposed reads of U stay in cache.
+    dev = np.max([np.max(np.abs(last[i:i + 32] - u[:, i:i + 32].conj().T))
+                  for i in range(0, len(u), 32)])
+    if not dev <= bound:  # a NaN fails too
+        raise _order_error(spec.base)
+    forward = multiplexed_powers(powers).ops
+    # The inverse stage applies U**(order - m) on selector value m; its top bit's
+    # op, U**(order/2), is the forward stage's, so only lower bits get new ops.
+    lower = multiplexed_powers(tuple(powers[-m] for m in range(spec.order // 2))).ops
     alpha = _reduce_alpha(spec.alpha, spec.order)
+    hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
+    stages = (
+        hadamards,
+        forward,
+        _shifted(qft_circuit(n, inverse=True).ops, q),
+        _shifted(phase_block(n, alpha, spec.theta0).ops, q),
+        _shifted(qft_circuit(n).ops, q),
+        lower + forward[-1:],
+        hadamards,
+    )
     ops: list[GateOp] = []
     marks = [("psi0", 0)]
-
-    def mark(label: str):
-        marks.append((label, len(ops)))
-
-    ops += [GateOp("h", targets=(q + a,)) for a in range(n)]
-    mark("psi1")
-    ops += multiplexed_powers(powers).ops
-    mark("psi2")
-    ops += _shifted(qft_circuit(n, inverse=True).ops, q)
-    mark("psi3")
-    ops += _shifted(phase_block(n, alpha, spec.theta0).ops, q)
-    mark("psi4")
-    ops += _shifted(qft_circuit(n).ops, q)
-    mark("psi5")
-    ops += multiplexed_powers(tuple(powers[-m] for m in range(spec.order))).ops
-    mark("psi6")
-    ops += [GateOp("h", targets=(q + a,)) for a in range(n)]
-    mark("psi7")
+    for i, stage in enumerate(stages, 1):
+        ops += stage
+        marks.append((f"psi{i}", len(ops)))
     return Circuit(n + q, tuple(ops), tuple(marks))
 
 
 def build_qfrin_circuit(base: BaseTransform, alpha: float) -> Circuit:
-    """Single-ancilla fast path for involutions (U**2 = I).
-
-    The one-qubit Fourier transforms degenerate to Hadamards and the same
-    controlled-U serves as its own inverse, so the circuit is H, CU, H,
-    P(-pi alpha), H, CU, H on the ancilla. Acting on |0>|u> it yields
+    """:func:`build_qfru_circuit` at n = 1, for an involution (U**2 = I): H, CU,
+    H, P(-pi alpha), H, CU, H on the ancilla, one CU op serving as its own
+    inverse. Acting on |0>|u> it yields
     |0> [ (1 + e^{-i pi alpha})/2 I + (1 - e^{-i pi alpha})/2 U ] |u>.
     """
     if base.order_exponent != 1:
         raise ValueError(
             f"{base.id!r} is not an involution (order exponent {base.order_exponent})"
         )
-    alpha = _reduce_alpha(alpha, 2)
-    q = base.data_qubits
-    if q + 1 > linalg.max_qubits():
-        raise QubitBudgetError(
-            f"{q + 1} qubits exceed the {linalg.max_qubits()}-qubit budget"
-        )
-    cu = GateOp("unitary", targets=tuple(range(q)), controls=(q,), matrix=base.dense)
-    hadamard = GateOp("h", targets=(q,))
-    ops = (
-        hadamard,
-        cu,
-        hadamard,
-        GateOp("p", targets=(q,), params=(-math.pi * alpha,)),
-        hadamard,
-        cu,
-        hadamard,
-    )
-    marks = tuple((f"psi{i}", i) for i in range(8))
-    return Circuit(q + 1, ops, marks)
+    return build_qfru_circuit(FractionalSpec(base, alpha))
 
 
 def extract_data_block(full, num_ancillas: int, data_qubits: int):

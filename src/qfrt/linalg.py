@@ -45,6 +45,13 @@ def max_qubits() -> int:
     return value
 
 
+def check_qubit_budget(num_qubits: int) -> None:
+    """Raise :class:`QubitBudgetError` if ``num_qubits`` is over the budget."""
+    budget = max_qubits()
+    if num_qubits > budget:
+        raise QubitBudgetError(f"{num_qubits} qubits exceed the {budget}-qubit budget")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a non-empty 2-D complex array with finite entries."""
     a = np.asarray(m, dtype=complex)
@@ -73,10 +80,13 @@ def max_norm_diff(a, b) -> float:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    """max|m^dagger m - I| <= tol, formed in place (no identity or difference)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return max_norm_diff(m.conj().T @ m, identity(m.shape[0])) <= tol
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[0] + 1] -= 1
+    return float(np.max(np.abs(gram))) <= tol
 
 
 def matrix_power(m, k: int) -> np.ndarray:

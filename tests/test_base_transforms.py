@@ -16,7 +16,8 @@ from qfrt.base_transforms import (
     verify_order,
 )
 from qfrt.circuits import H, circuit_unitary, phase
-from qfrt.errors import NotDyadicOrderError
+from qfrt.errors import NotDyadicOrderError, QubitBudgetError
+from qfrt.fractional import FractionalSpec, build_qfru_circuit, fractional_oracle
 
 F2_EXPECTED = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1j, -1, 1j], [1, -1, 1, -1], [1, 1j, -1, -1j]]
@@ -202,8 +203,27 @@ class TestPowers:
             assert linalg.max_norm_diff(power, np.linalg.matrix_power(u, k)) <= 1e-12
 
     def test_wrong_order_names_the_transform(self):
+        # The table itself is unchecked; its two callers raise the named error.
+        liar = BaseTransform("odd", 1, 1, phase(0.3))
+        table = liar.powers()
+        assert len(table) == 2
+        assert np.array_equal(table[1], phase(0.3))
         with pytest.raises(NotDyadicOrderError, match="'odd'"):
-            BaseTransform("odd", 1, 1, phase(0.3)).powers()
+            fractional_oracle(FractionalSpec(liar, 0.5))
+        with pytest.raises(NotDyadicOrderError, match="'odd'"):
+            build_qfru_circuit(FractionalSpec(liar, 0.5))
+
+
+@pytest.mark.parametrize(
+    "transform_id,size,qubits",
+    [("fourier", 4, 4), ("hartley", 4, 4), ("cst1", 3, 4), ("cst4", 3, 4)],
+)
+def test_builders_check_the_qubit_budget(transform_id, size, qubits, monkeypatch):
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, str(qubits - 1))
+    with pytest.raises(QubitBudgetError, match=f"^{qubits} qubits exceed"):
+        make_transform(transform_id, size)
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, str(qubits))
+    assert make_transform(transform_id, size).data_qubits == qubits
 
 
 class TestMakeTransform:

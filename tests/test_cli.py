@@ -138,6 +138,20 @@ def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys,
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["dump", "--transform", "fourier", "--qubits", "6"],
+     ["verify", "--suite", "order", "--transform", "hartley", "--qubits", "6"]],
+    ids=["dump_kernel", "verify_order"],
+)
+def test_kernel_only_commands_check_the_budget(argv, monkeypatch, capsys):
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: 6 qubits exceed the 3-qubit budget"]
+
+
 @pytest.mark.parametrize("raw", ["-3", "0", "abc", ""])
 def test_bad_qubit_budget_is_one_error_line(raw, monkeypatch, capsys):
     monkeypatch.setenv(linalg.BUDGET_ENV_VAR, raw)

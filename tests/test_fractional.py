@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from helpers import random_state
 from qfrt import linalg
 from qfrt.base_transforms import (
+    BaseTransform,
     cst1_transform,
     cst4_transform,
     fourier_transform,
     hartley_transform,
+    make_transform,
 )
-from qfrt.circuits import H, circuit_unitary
-from qfrt.errors import DimensionError, QubitBudgetError
+from qfrt.circuits import GATE_TOL, H, circuit_unitary, phase
+from qfrt.errors import DimensionError, NotDyadicOrderError, QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -98,23 +100,57 @@ class TestShihCoefficients:
 
 
 def test_oracle_rejects_operator_of_wrong_order():
-    from qfrt.base_transforms import BaseTransform
-    from qfrt.circuits import phase
-    from qfrt.errors import NotDyadicOrderError
-
     liar = BaseTransform("odd", 1, 1, phase(0.3))
-    with pytest.raises(NotDyadicOrderError):
+    with pytest.raises(NotDyadicOrderError, match="'odd'"):
         fractional_oracle(FractionalSpec(liar, 0.5))
 
 
 def test_qfru_circuit_rejects_operator_of_wrong_order():
-    from qfrt.base_transforms import BaseTransform
-    from qfrt.circuits import phase
-    from qfrt.errors import NotDyadicOrderError
-
     liar = BaseTransform("odd", 1, 1, phase(0.3))
     with pytest.raises(NotDyadicOrderError, match="'odd'"):
         build_qfru_circuit(FractionalSpec(liar, 0.5))
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [fourier_transform(2).dense, np.diag([np.nan, 1, 1, 1]).astype(complex)],
+    ids=["fourier", "nan"],
+)
+def test_builders_reject_order_two_base_that_is_no_involution(dense):
+    # Declared order 2 but no involution: F is unitary with F**2 != I, and a
+    # NaN entry fails the order comparison too. Neither may build a circuit.
+    bad = BaseTransform("bad", 2, 1, dense)
+    with pytest.raises(NotDyadicOrderError, match="'bad'"):
+        build_qfru_circuit(FractionalSpec(bad, 0.5))
+    with pytest.raises(NotDyadicOrderError, match="'bad'"):
+        build_qfrin_circuit(bad, 0.5)
+
+
+def test_hermitian_non_unitary_base_rejected():
+    # 2 I equals its adjoint, so it passes the builder's U**(order-1) = U^dagger
+    # comparison; the builder still rejects it, through the payload check on U.
+    double = BaseTransform("double", 1, 1, 2 * np.eye(2, dtype=complex))
+    with pytest.raises(NotDyadicOrderError, match="'double'"):
+        fractional_oracle(FractionalSpec(double, 0.5))
+    with pytest.raises(ValueError, match="not unitary"):
+        build_qfru_circuit(FractionalSpec(double, 0.5))
+    with pytest.raises(ValueError, match="not unitary"):
+        build_qfrin_circuit(double, 0.5)
+
+
+@pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+def test_one_unitary_payload_per_controlled_power(transform_id):
+    # size is the data-qubit count for fourier/hartley, n = qubits - 1 for cst
+    sizes = range(1, 7) if transform_id in ("fourier", "hartley") else range(1, 6)
+    for size in sizes:
+        base = make_transform(transform_id, size)
+        circuit = build_qfru_circuit(FractionalSpec(base, 0.7))
+        payload_ops = [op for op in circuit.ops if op.name == "unitary"]
+        n = base.order_exponent
+        # n forward ops and n inverse ops, the top bit's op shared by both
+        assert len(payload_ops) == 2 * n
+        assert len({id(op) for op in payload_ops}) == 2 * n - 1
+        assert all(linalg.is_unitary(op.matrix, GATE_TOL) for op in payload_ops)
 
 
 @pytest.mark.parametrize("shift", [4e6, 4e12, 4e15, -4e12])
@@ -304,6 +340,17 @@ class TestQfrinCircuit:
             via_qfrin = circuit_unitary(build_qfrin_circuit(transform, alpha))
             via_qfru = circuit_unitary(build_qfru_circuit(FractionalSpec(transform, alpha)))
             assert linalg.max_norm_diff(via_qfrin, via_qfru) <= 1e-12
+
+    def test_is_the_seven_op_involution_circuit(self):
+        t = hartley_transform(2)
+        c = build_qfrin_circuit(t, 0.3)
+        assert [op.name for op in c.ops] == ["h", "unitary", "h", "p", "h", "unitary", "h"]
+        assert c.ops[1] is c.ops[5]
+        assert (c.ops[1].targets, c.ops[1].controls) == ((0, 1), (2,))
+        assert np.array_equal(c.ops[1].matrix, t.dense)
+        assert all(op.targets == (2,) for i, op in enumerate(c.ops) if i not in (1, 5))
+        assert c.ops[3].params == (-math.pi * 0.3,)
+        assert c.marks == tuple((f"psi{i}", i) for i in range(8))
 
     def test_rejects_non_involution(self):
         with pytest.raises(ValueError):

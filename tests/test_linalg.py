@@ -88,6 +88,30 @@ class TestMaxQubits:
         assert str(info.value) == f"QFRT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
 
 
+class TestCheckQubitBudget:
+    def test_at_and_over_budget(self, monkeypatch):
+        monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
+        linalg.check_qubit_budget(3)
+        with pytest.raises(QubitBudgetError, match="^4 qubits exceed the 3-qubit budget$"):
+            linalg.check_qubit_budget(4)
+
+
+class TestIsUnitary:
+    @pytest.mark.parametrize("scale", [1 + 5e-11, 1 - 5e-11, 1 + 2e-10, 1 - 2e-10])
+    def test_same_deviation_as_gram_minus_identity(self, scale):
+        # The deviation formed in place equals max|m^dagger m - I| computed
+        # with an identity and a difference matrix, bit for bit: the test
+        # passes at exactly that tolerance and fails one ulp below it.
+        m = scale * random_unitary(16, np.random.default_rng(17))
+        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(16))))
+        assert linalg.is_unitary(m, dev)
+        assert not linalg.is_unitary(m, np.nextafter(dev, 0.0))
+        assert linalg.is_unitary(m, 1e-10) == (dev <= 1e-10)
+
+    def test_non_square(self):
+        assert not linalg.is_unitary(np.ones((2, 4)))
+
+
 class TestMatrixText:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(42)
