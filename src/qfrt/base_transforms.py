@@ -3,7 +3,7 @@
 Four operators: the Fourier transform (order 4) and three involutions: the
 discrete Hartley transform and the Type-I and Type-IV cosine-sine blocks.
 Each comes as a dense kernel; the Fourier transform additionally carries its
-gate-level circuit. Only the orthonormal kernel scalings appear here since
+gate-level circuit and its square, the permutation j -> -j mod N. Only the orthonormal kernel scalings appear here since
 those are the ones squaring to the identity, which the fractionalization
 machinery requires.
 
@@ -32,9 +32,17 @@ TRANSFORM_IDS = ("fourier", "hartley", "cst1", "cst4")
 
 
 def dft_matrix(n_points: int) -> np.ndarray:
-    """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**(j k) / sqrt(N)."""
+    """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**((j k) mod N) / sqrt(N).
+
+    The exponent j k is reduced exactly, in integers, and indexes a table of
+    the N roots, so no angle loses precision as j k grows and F**2 is the
+    permutation j -> -j mod N to within a few ulps.
+    """
     j = np.arange(n_points)
-    return np.exp(-2j * np.pi * np.outer(j, j) / n_points) / np.sqrt(n_points)
+    roots = np.exp(-2j * np.pi * j / n_points) / np.sqrt(n_points)
+    exponents = np.outer(j, j)
+    exponents %= n_points
+    return roots[exponents]
 
 
 def hartley_matrix(n_points: int) -> np.ndarray:
@@ -88,7 +96,10 @@ class BaseTransform:
     """A named dyadic-order unitary: dense**(2**order_exponent) = I.
 
     ``circuit`` is an optional gate-level realization on the same register;
-    the dense kernel is always the normative form.
+    the dense kernel is always the normative form. ``square_perm``, for an
+    order-4 kernel only, is the row permutation p with dense**2 = I[p]; it
+    must be an involution (p[p] = identity), as j -> -j mod N is for the DFT.
+    With it, :meth:`powers` needs no matrix product.
     """
 
     id: str
@@ -96,27 +107,50 @@ class BaseTransform:
     order_exponent: int
     dense: np.ndarray
     circuit: Circuit | None = None
+    square_perm: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.square_perm is None:
+            return
+        perm, dim = np.asarray(self.square_perm), self.dense.shape[0]
+        # An involutive p is what makes the callers' order check p U U = I
+        # imply U**2 = I[p] and U**4 = I.
+        if not (self.order == 4 and perm.shape == (dim,)
+                and np.issubdtype(perm.dtype, np.integer)
+                and np.all((perm >= 0) & (perm < dim))
+                and np.array_equal(perm[perm], np.arange(dim))):
+            raise ValueError(
+                f"{self.id!r}: square_perm must be an involutive permutation of "
+                f"range({dim}) on an order-4 transform"
+            )
 
     @property
     def order(self) -> int:
         return 1 << self.order_exponent
 
     def powers(self) -> tuple[np.ndarray, ...]:
-        """The power table (U**0, ..., U**(order-1)) by repeated products,
-        rebuilt on each call and unchecked: ``fractional_oracle`` and
-        ``build_qfru_circuit`` each check the order in their own way."""
-        table = [linalg.identity(self.dense.shape[0]), self.dense][: self.order]
+        """The power table (U**0, ..., U**(order-1)), rebuilt on each call and
+        unchecked: ``fractional_oracle`` and ``build_qfru_circuit`` each check
+        the order in their own way. With ``square_perm`` p it is
+        (I, U, I[p], U[p]), by row permutation; otherwise by repeated products."""
+        eye = linalg.identity(self.dense.shape[0])
+        if self.square_perm is not None:
+            perm = self.square_perm
+            return eye, self.dense, eye[perm], self.dense[perm]
+        table = [eye, self.dense][: self.order]
         while len(table) < self.order:
             table.append(table[-1] @ self.dense)
         return tuple(table)
 
 
 def fourier_transform(q: int) -> BaseTransform:
-    """The 2**q-point Fourier transform, order 4, with its circuit."""
+    """The 2**q-point Fourier transform, order 4, with its circuit; F**2 is the
+    parity permutation j -> -j mod 2**q."""
     if q < 1:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
-    return BaseTransform("fourier", q, 2, dft_matrix(1 << q), qft_circuit(q))
+    parity = -np.arange(1 << q) % (1 << q)
+    return BaseTransform("fourier", q, 2, dft_matrix(1 << q), qft_circuit(q), parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:
@@ -164,24 +198,28 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
     return builders[transform_id](size)
 
 
-def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, float]:
-    """:func:`verify_order`'s checks; returns its exponent e and the largest
-    distance from an eigenvalue of the kernel to a 2**e-th root of unity."""
+def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, float, float]:
+    """:func:`verify_order`'s checks; returns its exponent e, the largest
+    distance from an eigenvalue of the kernel to a 2**e-th root of unity, and
+    |U**order - I|_max at the declared order, read off the same squarings
+    (squaring past e only when the declared exponent is larger)."""
     if not 0 <= max_exponent <= 6:
         raise ValueError("max_exponent must be between 0 and 6")
     dim = t.dense.shape[0]
     eye = linalg.identity(dim)
     power = t.dense
-    found = None
-    for e in range(max_exponent + 1):
-        if linalg.max_norm_diff(power, eye) <= ORDER_TOL:
-            found = e
-            break
+    devs = [linalg.max_norm_diff(power, eye)]  # devs[e] = |U**(2**e) - I|_max
+    while devs[-1] > ORDER_TOL and len(devs) <= max_exponent:
         power = power @ power
-    if found is None:
+        devs.append(linalg.max_norm_diff(power, eye))
+    if devs[-1] > ORDER_TOL:
         raise NotDyadicOrderError(
             f"{t.id}: no exponent e <= {max_exponent} with U**(2**e) = I"
         )
+    found = len(devs) - 1
+    while len(devs) <= t.order_exponent:
+        power = power @ power
+        devs.append(linalg.max_norm_diff(power, eye))
     eigs = np.linalg.eigvals(t.dense)
     roots = np.exp(2j * np.pi * np.arange(1 << found) / (1 << found))
     residue = float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
@@ -189,7 +227,7 @@ def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, fl
         raise NotDyadicOrderError(
             f"{t.id}: eigenvalue residue {residue:.3e} off the 2**{found}-th roots"
         )
-    return found, residue
+    return found, residue, devs[t.order_exponent]
 
 
 def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:

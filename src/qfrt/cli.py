@@ -192,11 +192,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob), tol))
     elif suite == "order":
-        exponent, residue = _order_and_residue(transform)
-        declared = linalg.max_norm_diff(
-            linalg.matrix_power(transform.dense, order),
-            linalg.identity(transform.dense.shape[0]),
-        )
+        exponent, residue, declared = _order_and_residue(transform)
         dev = residue if declared <= ORDER_TOL else max(residue, declared)
         rows.append(ReportRow(f"exponent{exponent}", None, None, dev, tol))
     elif suite == "coefficients":
@@ -254,7 +250,7 @@ def cmd_sweep(args) -> int:
             np.sum(np.abs(shih_coefficients(order, alpha).weights) ** 2)
         )
         unit_dev = linalg.max_norm_diff(linalg.adjoint(m) @ m, eye)
-        nearest = linalg.matrix_power(transform.dense, int(round(alpha)) % order)
+        nearest = transform.powers()[int(round(alpha)) % order]
         dist = linalg.max_norm_diff(m, nearest)
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")
     _write(args.out, "\n".join(lines) + "\n")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_dyadic_unitary, random_state
 from qfrt import linalg
 from qfrt.base_transforms import (
     BaseTransform,
+    _order_and_residue,
     cst1_transform,
     cst4_transform,
     dct4_matrix,
@@ -72,6 +73,19 @@ class TestFourier:
         t = fourier_transform(q)
         assert t.circuit is not None
         assert linalg.max_norm_diff(circuit_unitary(t.circuit), t.dense) <= 1e-8
+
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 6, 8, 64, 1024])
+    def test_entries_from_exponent_mod_n(self, n_points):
+        j = np.arange(n_points)
+        expected = np.exp(-2j * np.pi * (np.outer(j, j) % n_points) / n_points)
+        assert np.array_equal(dft_matrix(n_points), expected / np.sqrt(n_points))
+
+    @pytest.mark.parametrize("q", [9, 10])
+    def test_square_is_parity_permutation(self, q):
+        n_points = 1 << q
+        f = dft_matrix(n_points)
+        parity = np.eye(n_points)[-np.arange(n_points) % n_points]
+        assert linalg.max_norm_diff(f @ f, parity) <= 1e-15
 
 
 class TestHartley:
@@ -177,6 +191,24 @@ class TestVerifyOrder:
         with pytest.raises(NotDyadicOrderError):
             verify_order(t)
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            fourier_transform(1),  # exponent 1 found, 2 declared: squares once more
+            fourier_transform(3),
+            hartley_transform(3),
+            cst4_transform(2),
+            BaseTransform("id", 1, 2, np.eye(2, dtype=complex)),
+            BaseTransform("bad", 2, 1, fourier_transform(2).dense),  # 2 found, 1 declared
+        ],
+        ids=["fourier1", "fourier3", "hartley3", "cst4_2", "id_order4", "fourier2_as_order2"],
+    )
+    def test_declared_deviation_from_the_squarings(self, t):
+        _, _, declared = _order_and_residue(t)
+        dim = t.dense.shape[0]
+        expected = linalg.max_norm_diff(np.linalg.matrix_power(t.dense, t.order), np.eye(dim))
+        assert abs(declared - expected) <= 1e-14
+
     def test_max_exponent_cap(self):
         with pytest.raises(ValueError):
             verify_order(hartley_transform(1), max_exponent=7)
@@ -201,6 +233,56 @@ class TestPowers:
         assert len(table) == 8
         for k, power in enumerate(table):
             assert linalg.max_norm_diff(power, np.linalg.matrix_power(u, k)) <= 1e-12
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_fourier_table_is_permuted(self, q):
+        t = fourier_transform(q)
+        eye, f, f2, f3 = t.powers()
+        perm = -np.arange(1 << q) % (1 << q)
+        assert np.array_equal(t.square_perm, perm)
+        assert np.array_equal(f2, eye[perm]) and np.array_equal(f3, f[perm])
+        assert linalg.max_norm_diff(f2, np.linalg.matrix_power(f, 2)) <= 1e-12
+        assert linalg.max_norm_diff(f3, np.linalg.matrix_power(f, 3)) <= 1e-12
+
+    def test_order_four_operator_without_permutation_gets_products(self):
+        u = random_dyadic_unitary(8, 2, np.random.default_rng(405))
+        t = BaseTransform("custom", 3, 2, u)
+        assert t.square_perm is None
+        table = t.powers()
+        assert np.array_equal(table[2], u @ u)
+        assert np.array_equal(table[3], u @ u @ u)
+
+    @pytest.mark.parametrize("kernel", ["random", "fourier_identity_perm"])
+    def test_permutation_of_another_kernel_rejected(self, kernel):
+        # The table (I, U, I[p], U[p]) is only as good as p; the order check of
+        # each caller, p U U = I, must catch a kernel whose square is not I[p].
+        if kernel == "random":
+            u = random_dyadic_unitary(8, 2, np.random.default_rng(406))
+            perm = fourier_transform(3).square_perm
+        else:
+            u, perm = fourier_transform(3).dense, np.arange(8)
+        impostor = BaseTransform("impostor", 3, 2, u, square_perm=perm)
+        with pytest.raises(NotDyadicOrderError, match="'impostor'"):
+            fractional_oracle(FractionalSpec(impostor, 0.5))
+        with pytest.raises(NotDyadicOrderError, match="'impostor'"):
+            build_qfru_circuit(FractionalSpec(impostor, 0.5))
+
+    @pytest.mark.parametrize(
+        "order_exponent,perm",
+        [
+            (2, [1, 2, 3, 0]),  # a 4-cycle: p p != identity
+            (2, [0, 1, 2]),
+            (2, [0, 1, 2, 4]),
+            (2, [0, -1, 2, 3]),
+            (2, [0.0, 3.0, 2.0, 1.0]),
+            (1, [0, 3, 2, 1]),
+            (3, [0, 3, 2, 1]),
+        ],
+    )
+    def test_square_perm_must_be_involutive_permutation(self, order_exponent, perm):
+        dense = fourier_transform(2).dense
+        with pytest.raises(ValueError, match="'bad'.*square_perm"):
+            BaseTransform("bad", 2, order_exponent, dense, square_perm=np.array(perm))
 
     def test_wrong_order_names_the_transform(self):
         # The table itself is unchecked; its two callers raise the named error.

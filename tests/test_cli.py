@@ -316,13 +316,20 @@ def test_stdout_output(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
 
+    import qfrt
+
+    # The child finds qfrt where this process did, also when only pytest's
+    # own pythonpath setting put src/ on sys.path.
+    src = os.path.dirname(os.path.dirname(qfrt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qfrt.cli", "dump", "--transform", "fourier",
          "--qubits", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("2 2\n")

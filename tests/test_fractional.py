@@ -13,6 +13,7 @@ from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
     cst4_transform,
+    dft_matrix,
     fourier_transform,
     hartley_transform,
     make_transform,
@@ -171,6 +172,32 @@ def test_periodic_at_large_alpha(shift):
         for a in (0.5, shift + 0.5)
     ]
     assert linalg.max_norm_diff(*blocks) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 6),
+    alpha=st.one_of(
+        st.floats(-8, 8, allow_nan=False),
+        st.floats(1e6, 1e15, allow_nan=False),
+        st.floats(-1e15, -1e6, allow_nan=False),
+    ),
+)
+def test_fourier_permuted_table_matches_product_table(q, alpha):
+    # fourier_transform(q) builds F**2 and F**3 by row permutation; the same
+    # kernel without square_perm takes the repeated-product path.
+    structured = FractionalSpec(fourier_transform(q), alpha)
+    products = FractionalSpec(BaseTransform("fourier", q, 2, dft_matrix(1 << q)), alpha)
+    assert products.base.square_perm is None
+    oracles = [fractional_oracle(spec) for spec in (structured, products)]
+    assert linalg.max_norm_diff(*oracles) <= 1e-12
+    blocks = [
+        extract_data_block(
+            circuit_unitary(build_qfru_circuit(spec), columns=1 << q), 2, q
+        )[0]
+        for spec in (structured, products)
+    ]
+    assert linalg.max_norm_diff(*blocks) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
