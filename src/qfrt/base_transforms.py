@@ -2,10 +2,12 @@
 
 Four operators: the Fourier transform (order 4) and three involutions: the
 discrete Hartley transform and the Type-I and Type-IV cosine-sine blocks.
-Each comes as a dense kernel; the Fourier transform additionally carries its
-gate-level circuit and its square, the permutation j -> -j mod N. Only the orthonormal kernel scalings appear here since
-those are the ones squaring to the identity, which the fractionalization
-machinery requires.
+Each comes as a dense kernel: ``complex128`` for the Fourier transform,
+``float64`` for the three real involutions, so that every product and check
+on those runs as real arithmetic. The Fourier transform additionally carries
+its gate-level circuit and its square, the permutation j -> -j mod N. Only
+the orthonormal kernel scalings appear here since those are the ones
+squaring to the identity, which the fractionalization machinery requires.
 
 ``cst1`` is the direct sum of an (N+1)-point DCT-I and an (N-1)-point DST-I
 on n+1 qubits (N = 2**n); it is commonly named a Type-I cosine transform
@@ -49,7 +51,7 @@ def hartley_matrix(n_points: int) -> np.ndarray:
     """cas kernel: entry (j, k) = (cos + sin)(2 pi j k / N) / sqrt(N)."""
     j = np.arange(n_points)
     ang = 2.0 * np.pi * np.outer(j, j) / n_points
-    return ((np.cos(ang) + np.sin(ang)) / np.sqrt(n_points)).astype(complex)
+    return (np.cos(ang) + np.sin(ang)) / np.sqrt(n_points)
 
 
 def dct1_matrix(n_points: int) -> np.ndarray:
@@ -58,10 +60,9 @@ def dct1_matrix(n_points: int) -> np.ndarray:
     big_n = n_points - 1
     j = np.arange(n_points)
     beta = np.where((j == 0) | (j == big_n), 1.0 / np.sqrt(2.0), 1.0)
-    m = np.sqrt(2.0 / big_n) * np.outer(beta, beta) * np.cos(
+    return np.sqrt(2.0 / big_n) * np.outer(beta, beta) * np.cos(
         np.pi * np.outer(j, j) / big_n
     )
-    return m.astype(complex)
 
 
 def dst1_matrix(n_points: int) -> np.ndarray:
@@ -69,23 +70,24 @@ def dst1_matrix(n_points: int) -> np.ndarray:
     sqrt(2/N) sin(pi (j+1)(k+1) / N)."""
     big_n = n_points + 1
     j = np.arange(1, n_points + 1)
-    return (np.sqrt(2.0 / big_n) * np.sin(np.pi * np.outer(j, j) / big_n)).astype(complex)
+    return np.sqrt(2.0 / big_n) * np.sin(np.pi * np.outer(j, j) / big_n)
 
 
 def dct4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DCT-IV: entry (j, k) = sqrt(2/N) cos(pi (j+1/2)(k+1/2) / N)."""
     j = np.arange(n_points) + 0.5
-    return (np.sqrt(2.0 / n_points) * np.cos(np.pi * np.outer(j, j) / n_points)).astype(complex)
+    return np.sqrt(2.0 / n_points) * np.cos(np.pi * np.outer(j, j) / n_points)
 
 
 def dst4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-IV: entry (j, k) = sqrt(2/N) sin(pi (j+1/2)(k+1/2) / N)."""
     j = np.arange(n_points) + 0.5
-    return (np.sqrt(2.0 / n_points) * np.sin(np.pi * np.outer(j, j) / n_points)).astype(complex)
+    return np.sqrt(2.0 / n_points) * np.sin(np.pi * np.outer(j, j) / n_points)
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+                   dtype=np.result_type(a, b))
     out[: a.shape[0], : a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
@@ -132,8 +134,9 @@ class BaseTransform:
         """The power table (U**0, ..., U**(order-1)), rebuilt on each call and
         unchecked: ``fractional_oracle`` and ``build_qfru_circuit`` each check
         the order in their own way. With ``square_perm`` p it is
-        (I, U, I[p], U[p]), by row permutation; otherwise by repeated products."""
-        eye = linalg.identity(self.dense.shape[0])
+        (I, U, I[p], U[p]), by row permutation; otherwise by repeated products.
+        Every entry, I included, has the kernel's dtype."""
+        eye = linalg.identity(self.dense.shape[0], self.dense.dtype)
         if self.square_perm is not None:
             perm = self.square_perm
             return eye, self.dense, eye[perm], self.dense[perm]
@@ -206,7 +209,7 @@ def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, fl
     if not 0 <= max_exponent <= 6:
         raise ValueError("max_exponent must be between 0 and 6")
     dim = t.dense.shape[0]
-    eye = linalg.identity(dim)
+    eye = linalg.identity(dim, t.dense.dtype)
     power = t.dense
     devs = [linalg.max_norm_diff(power, eye)]  # devs[e] = |U**(2**e) - I|_max
     while devs[-1] > ORDER_TOL and len(devs) <= max_exponent:

@@ -109,8 +109,9 @@ class GateOp:
 
     ``name`` picks a fixed gate from the library, the parameterized phase
     gate ``"p"`` (angle in ``params[0]``), or a literal dense payload under
-    the name ``"unitary"`` (carried in ``matrix``). ``targets[i]`` is the
-    qubit holding the gate's bit of place value ``2**i``.
+    the name ``"unitary"`` (carried in ``matrix``, kept real when it is
+    real). ``targets[i]`` is the qubit holding the gate's bit of place value
+    ``2**i``.
     """
 
     name: str
@@ -329,5 +330,9 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
         rows = _op_row_groups(op, c.num_qubits)
         # Left-multiply the embedded op: rows outside the control block are
         # untouched; rows inside mix according to the gate matrix.
-        acc[rows] = np.tensordot(op.base_matrix(), acc[rows], axes=(1, 0))
+        # One expression, so no name keeps a gathered block or a result alive
+        # into the next op.
+        acc[rows] = linalg.apply(
+            op.base_matrix(), acc[rows].reshape(len(rows), -1)
+        ).reshape(rows.shape + acc.shape[1:])
     return acc

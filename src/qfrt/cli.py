@@ -167,8 +167,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             rows.append(ReportRow(f"pair{i:02d}", a, b, dev, tol))
     elif suite == "unitarity":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
-            m = oracle(alpha)
-            dev = linalg.max_norm_diff(linalg.adjoint(m) @ m, linalg.identity(m.shape[0]))
+            dev = linalg.unitarity_dev(oracle(alpha))
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev, tol))
     elif suite == "equivalence":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
@@ -239,7 +238,6 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep needs --alpha-range START,STOP,STEP")
     alphas = _parse_alpha_range(args.alpha_range)
     order = transform.order
-    eye = linalg.identity(transform.dense.shape[0])
     lines = [
         f"# transform={transform.id} data_qubits={transform.data_qubits} order={order}",
         "alpha,coeff_sq_sum,unitarity_dev,nearest_power_dist",
@@ -249,7 +247,7 @@ def cmd_sweep(args) -> int:
         coeff_sq = float(
             np.sum(np.abs(shih_coefficients(order, alpha).weights) ** 2)
         )
-        unit_dev = linalg.max_norm_diff(linalg.adjoint(m) @ m, eye)
+        unit_dev = linalg.unitarity_dev(m)
         nearest = transform.powers()[int(round(alpha)) % order]
         dist = linalg.max_norm_diff(m, nearest)
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")

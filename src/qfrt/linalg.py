@@ -1,9 +1,12 @@
-"""Dense complex matrices and the small operation set everything else builds on.
+"""Dense matrices and the small operation set everything else builds on.
 
-Matrices are numpy ``complex128`` arrays in row-major layout; state vectors
-are 1-D arrays of length ``2**num_qubits``. Qubit ``j`` of a register carries
-bit value ``2**j`` of the basis index, so kets print most-significant qubit
-first: ``|u>`` = ``|u_{n-1} ... u_0>``.
+Matrices are numpy arrays in row-major layout: ``float64`` for real input
+(the Hartley and cosine-sine kernels, and payloads built from them) and
+``complex128`` otherwise, so that products of real operators run as real
+BLAS. State vectors are complex 1-D arrays of length ``2**num_qubits``;
+:func:`apply` is where a real operator meets them. Qubit ``j`` of a register
+carries bit value ``2**j`` of the basis index, so kets print most-significant
+qubit first: ``|u>`` = ``|u_{n-1} ... u_0>``.
 
 Equality checks use the max entrywise modulus (:func:`max_norm_diff`) with a
 default tolerance of 1e-10. Dense operators are capped at a total-qubit
@@ -12,6 +15,7 @@ variable); exceeding it raises instead of silently truncating.
 """
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -53,8 +57,10 @@ def check_qubit_budget(num_qubits: int) -> None:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a non-empty 2-D complex array with finite entries."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a non-empty 2-D array with finite entries: ``float64`` for
+    bool, integer and floating input, ``complex128`` for anything else."""
+    a = np.asarray(m)
+    a = np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
     if a.ndim != 2 or a.size == 0:
         raise DimensionError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -62,8 +68,8 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
+def identity(dim: int, dtype=complex) -> np.ndarray:
+    return np.eye(dim, dtype=dtype)
 
 
 def adjoint(m) -> np.ndarray:
@@ -79,14 +85,39 @@ def max_norm_diff(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """max|m^dagger m - I| <= tol, formed in place (no identity or difference)."""
+def unitarity_dev(m) -> float:
+    """max|m^dagger m - I|, formed in place (no identity or difference); +inf
+    for a non-square m. On a real m, ``conj()`` returns m itself, so the
+    product is m^T m on one buffer."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
-        return False
+        return math.inf
     gram = m.conj().T @ m
     gram.flat[:: m.shape[0] + 1] -= 1
-    return float(np.max(np.abs(gram))) <= tol
+    return float(np.max(np.abs(gram)))
+
+
+def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+    """:func:`unitarity_dev` <= tol."""
+    return unitarity_dev(m) <= tol
+
+
+def apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g @ x for a complex (rows, cols) block x, without casting g.
+
+    A real g acts on the real and imaginary parts as real products: two
+    matvecs for one column, else one product on the float64 view of x. Letting
+    numpy mix the dtypes would copy the whole of g to complex on every call.
+    """
+    x = np.asarray(x, dtype=complex)
+    if np.iscomplexobj(g):
+        return g @ x
+    if x.shape[1] == 1:
+        out = np.empty(x.shape, dtype=complex)
+        out.real = g @ x.real
+        out.imag = g @ x.imag
+        return out
+    return (g @ np.ascontiguousarray(x).view(np.float64)).view(complex)
 
 
 def matrix_power(m, k: int) -> np.ndarray:
@@ -99,7 +130,7 @@ def matrix_power(m, k: int) -> np.ndarray:
         if not is_unitary(m):
             raise ValueError("negative powers are defined only for unitary matrices")
         m, k = adjoint(m), -k
-    result = identity(m.shape[0])
+    result = identity(m.shape[0], m.dtype)
     square = m
     while k:
         if k & 1:

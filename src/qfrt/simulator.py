@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .circuits import Circuit, GateOp
 
 #: Amplitudes below this modulus are dropped from state dumps.
@@ -57,7 +58,7 @@ def _apply_inplace(psi: np.ndarray, op: GateOp) -> None:
     pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
     moved = np.moveaxis(sub, pos, range(t))
     shape = moved.shape
-    updated = op.base_matrix() @ moved.reshape(1 << t, -1)
+    updated = linalg.apply(op.base_matrix(), moved.reshape(1 << t, -1))
     psi[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
 
 

@@ -114,13 +114,19 @@ def test_qfru_circuit_rejects_operator_of_wrong_order():
 
 @pytest.mark.parametrize(
     "dense",
-    [fourier_transform(2).dense, np.diag([np.nan, 1, 1, 1]).astype(complex)],
-    ids=["fourier", "nan"],
+    [
+        fourier_transform(2).dense,
+        np.diag([np.nan, 1, 1, 1]).astype(complex),
+        np.diag([np.nan, 1.0, 1.0, 1.0]),
+        np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]),
+    ],
+    ids=["fourier", "nan", "real_nan", "real_rotation"],
 )
 def test_builders_reject_order_two_base_that_is_no_involution(dense):
-    # Declared order 2 but no involution: F is unitary with F**2 != I, and a
-    # NaN entry fails the order comparison too. Neither may build a circuit.
-    bad = BaseTransform("bad", 2, 1, dense)
+    # Declared order 2 but no involution: F and a real rotation are unitary
+    # with U**2 != I, and a NaN entry fails the order comparison too, for a
+    # complex and for a real (float64) kernel alike. None may build a circuit.
+    bad = BaseTransform("bad", len(dense).bit_length() - 1, 1, dense)
     with pytest.raises(NotDyadicOrderError, match="'bad'"):
         build_qfru_circuit(FractionalSpec(bad, 0.5))
     with pytest.raises(NotDyadicOrderError, match="'bad'"):
@@ -129,14 +135,16 @@ def test_builders_reject_order_two_base_that_is_no_involution(dense):
 
 def test_hermitian_non_unitary_base_rejected():
     # 2 I equals its adjoint, so it passes the builder's U**(order-1) = U^dagger
-    # comparison; the builder still rejects it, through the payload check on U.
-    double = BaseTransform("double", 1, 1, 2 * np.eye(2, dtype=complex))
-    with pytest.raises(NotDyadicOrderError, match="'double'"):
-        fractional_oracle(FractionalSpec(double, 0.5))
-    with pytest.raises(ValueError, match="not unitary"):
-        build_qfru_circuit(FractionalSpec(double, 0.5))
-    with pytest.raises(ValueError, match="not unitary"):
-        build_qfrin_circuit(double, 0.5)
+    # comparison; the builder still rejects it, through the payload check on U,
+    # for a complex and for a real (float64) kernel alike.
+    for dtype in (complex, float):
+        double = BaseTransform("double", 1, 1, 2 * np.eye(2, dtype=dtype))
+        with pytest.raises(NotDyadicOrderError, match="'double'"):
+            fractional_oracle(FractionalSpec(double, 0.5))
+        with pytest.raises(ValueError, match="not unitary"):
+            build_qfru_circuit(FractionalSpec(double, 0.5))
+        with pytest.raises(ValueError, match="not unitary"):
+            build_qfrin_circuit(double, 0.5)
 
 
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
