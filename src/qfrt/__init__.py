@@ -22,13 +22,11 @@ from .circuits import (
     Circuit,
     GateOp,
     circuit_unitary,
-    controlled,
     increment_circuit,
     multiplexed_powers,
     phase_block,
     qct4_gate,
     qft_circuit,
-    standard_gate,
 )
 from .errors import (
     DimensionError,
@@ -50,7 +48,6 @@ from .qasm import export_circuit, import_circuit
 from .simulator import (
     TraceRecord,
     ancilla_restoration_probability,
-    apply_gate,
     basis_state,
     run,
 )
@@ -70,12 +67,10 @@ __all__ = [
     "ShihCoefficients",
     "TraceRecord",
     "ancilla_restoration_probability",
-    "apply_gate",
     "basis_state",
     "build_qfrin_circuit",
     "build_qfru_circuit",
     "circuit_unitary",
-    "controlled",
     "cst1_transform",
     "cst4_transform",
     "export_circuit",
@@ -92,6 +87,5 @@ __all__ = [
     "qft_circuit",
     "run",
     "shih_coefficients",
-    "standard_gate",
     "verify_order",
 ]

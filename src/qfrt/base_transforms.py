@@ -4,10 +4,10 @@ Four operators: the Fourier transform (order 4) and three involutions: the
 discrete Hartley transform and the Type-I and Type-IV cosine-sine blocks.
 Each comes as a dense kernel: ``complex128`` for the Fourier transform,
 ``float64`` for the three real involutions, so that every product and check
-on those runs as real arithmetic. The Fourier transform additionally carries
-its gate-level circuit and its square, the permutation j -> -j mod N. Only
-the orthonormal kernel scalings appear here since those are the ones
-squaring to the identity, which the fractionalization machinery requires.
+on those runs as real arithmetic. The Fourier transform also carries its
+square, the permutation j -> -j mod N. Only the orthonormal kernel scalings
+appear here since those are the ones squaring to the identity, which the
+fractionalization machinery requires.
 
 ``cst1`` is the direct sum of an (N+1)-point DCT-I and an (N-1)-point DST-I
 on n+1 qubits (N = 2**n); it is commonly named a Type-I cosine transform
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .circuits import Circuit, qft_circuit
 from .errors import NotDyadicOrderError
 
 #: Tolerance for the order check U**(2**n) = I.
@@ -95,20 +94,18 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BaseTransform:
-    """A named dyadic-order unitary: dense**(2**order_exponent) = I.
+    """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
-    ``circuit`` is an optional gate-level realization on the same register;
-    the dense kernel is always the normative form. ``square_perm``, for an
-    order-4 kernel only, is the row permutation p with dense**2 = I[p]; it
-    must be an involution (p[p] = identity), as j -> -j mod N is for the DFT.
-    With it, :meth:`powers` needs no matrix product.
+    ``square_perm``, for an order-4 kernel only, is the row permutation p
+    with dense**2 = I[p]; it must be an involution (p[p] = identity), as
+    j -> -j mod N is for the DFT. With it, :meth:`powers` needs no matrix
+    product.
     """
 
     id: str
     data_qubits: int
     order_exponent: int
     dense: np.ndarray
-    circuit: Circuit | None = None
     square_perm: np.ndarray | None = None
 
     def __post_init__(self):
@@ -147,13 +144,13 @@ class BaseTransform:
 
 
 def fourier_transform(q: int) -> BaseTransform:
-    """The 2**q-point Fourier transform, order 4, with its circuit; F**2 is the
-    parity permutation j -> -j mod 2**q."""
+    """The 2**q-point Fourier transform, order 4; F**2 is the parity
+    permutation j -> -j mod 2**q."""
     if q < 1:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
     parity = -np.arange(1 << q) % (1 << q)
-    return BaseTransform("fourier", q, 2, dft_matrix(1 << q), qft_circuit(q), parity)
+    return BaseTransform("fourier", q, 2, dft_matrix(1 << q), parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:

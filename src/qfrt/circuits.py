@@ -63,24 +63,6 @@ def phase(phi: float) -> np.ndarray:
     return np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
 
 
-def standard_gate(name: str, param: float | None = None) -> np.ndarray:
-    """Look up a gate from the fixed library; ``p`` needs its angle.
-
-    Valid names: x, y, z, h, s, p, r, b, bdag (case-insensitive).
-    """
-    key = name.lower()
-    if key == "p":
-        if param is None:
-            raise ValueError("phase gate 'p' needs an angle parameter")
-        return phase(param)
-    if key not in _FIXED_GATES or key == "swap":
-        valid = "x, y, z, h, s, p, r, b, bdag"
-        raise KeyError(f"unknown gate {name!r}; valid names: {valid}")
-    if param is not None:
-        raise ValueError(f"gate {name!r} takes no parameter")
-    return _FIXED_GATES[key].copy()
-
-
 def qct4_gate(name: str, j: int | None = None, n: int = 1) -> np.ndarray:
     """Single-qubit gates of the Type-IV cosine-sine circuit, N = 2**n.
 
@@ -155,8 +137,8 @@ class GateOp:
                     f"got {len(self.targets)}"
                 )
             if self.name == "p":
-                if len(self.params) != 1:
-                    raise ValueError("phase gate 'p' needs exactly one angle")
+                if len(self.params) != 1 or not math.isfinite(self.params[0]):
+                    raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
             elif self.params:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
 
@@ -199,20 +181,6 @@ class Circuit:
         for label, idx in self.marks:
             if not 0 <= idx <= len(self.ops):
                 raise ValueError(f"mark {label!r} at invalid boundary {idx}")
-
-
-def controlled(gate, num_controls: int = 1) -> np.ndarray:
-    """Dense controlled gate: block-diag(I, ..., I, gate), with the gate in
-    the all-controls-|1> block."""
-    g = linalg.as_matrix(gate)
-    if g.shape[0] != g.shape[1] or not linalg.is_unitary(g, GATE_TOL):
-        raise ValueError("controlled() needs a unitary gate matrix")
-    if num_controls < 0:
-        raise ValueError("num_controls must be >= 0")
-    dim = g.shape[0] << num_controls
-    out = linalg.identity(dim)
-    out[dim - g.shape[0]:, dim - g.shape[0]:] = g
-    return out
 
 
 def multiplexed_powers(powers) -> Circuit:

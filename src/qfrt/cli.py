@@ -106,9 +106,12 @@ def _resolve_transform(args) -> BaseTransform:
 def _alpha_list(args, default: np.ndarray) -> np.ndarray:
     if args.alpha is not None:
         return np.array([args.alpha])
-    if args.alpha_range is not None:
-        return _parse_alpha_range(args.alpha_range)
-    return default
+    if args.alpha_range is None:
+        return default
+    alphas = _parse_alpha_range(args.alpha_range)
+    if not alphas.size:
+        raise ValueError(f"--alpha-range {args.alpha_range!r} gives no rows to verify")
+    return alphas
 
 
 def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
@@ -153,6 +156,9 @@ def cmd_dump(args) -> int:
 
 def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     suite = args.suite
+    if suite in ("additivity", "order") and (args.alpha, args.alpha_range) != (None, None):
+        flag = "--alpha" if args.alpha is not None else "--alpha-range"
+        raise ValueError(f"{flag} does not apply to --suite {suite}")
     tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(suite, 1e-10)
     order = transform.order
     rows = []
@@ -208,7 +214,7 @@ def cmd_verify(args) -> int:
     transform = _resolve_transform(args)
     rng = np.random.default_rng(args.seed)
     rows = _suite_rows(args, transform, rng)
-    tol = rows[0].tolerance if rows else 0.0
+    tol = rows[0].tolerance
     lines = [
         f"# suite={args.suite} transform={transform.id} data_qubits="
         f"{transform.data_qubits} seed={args.seed} tolerance={tol:.17g}",

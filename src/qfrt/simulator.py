@@ -62,19 +62,6 @@ def _apply_inplace(psi: np.ndarray, op: GateOp) -> None:
     psi[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
 
 
-def apply_gate(state: np.ndarray, op: GateOp, num_qubits: int | None = None) -> np.ndarray:
-    """Apply one gate and return the updated state (a new array)."""
-    state = np.asarray(state, dtype=complex).ravel()
-    n = _num_qubits(state) if num_qubits is None else num_qubits
-    if state.size != 1 << n:
-        raise ValueError(f"state length {state.size} does not match {n} qubits")
-    if op.span > n:
-        raise ValueError(f"op {op.name!r} touches qubit {op.span - 1}, state has {n}")
-    psi = state.reshape([2] * n).copy()
-    _apply_inplace(psi, op)
-    return psi.reshape(-1)
-
-
 def run(circuit: Circuit, state: np.ndarray, trace=None):
     """Execute a circuit on a state; returns (final_state, trace_records).
 
@@ -122,14 +109,14 @@ def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> flo
     return float(np.sum(np.abs(state[:block]) ** 2))
 
 
-def format_state(state: np.ndarray, full: bool = False, eps: float = DUMP_EPS) -> str:
+def format_state(state: np.ndarray, full: bool = False) -> str:
     """State dump: one line per basis index as an MSB-first bit string plus
-    ``re,im``; amplitudes with modulus <= eps are skipped unless full."""
+    ``re,im``; amplitudes with modulus <= DUMP_EPS are skipped unless full."""
     state = np.asarray(state, dtype=complex).ravel()
     n = _num_qubits(state)
     lines = [
         f"{i:0{n}b} {a.real:.17g},{a.imag:.17g}"
         for i, a in enumerate(state)
-        if full or abs(a) > eps
+        if full or abs(a) > DUMP_EPS
     ]
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from qfrt.base_transforms import (
     make_transform,
     verify_order,
 )
-from qfrt.circuits import H, circuit_unitary, phase
+from qfrt.circuits import H, circuit_unitary, phase, qft_circuit
 from qfrt.errors import NotDyadicOrderError, QubitBudgetError
 from qfrt.fractional import FractionalSpec, build_qfru_circuit, fractional_oracle
 
@@ -70,9 +70,8 @@ class TestFourier:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_circuit_matches_dense(self, q):
-        t = fourier_transform(q)
-        assert t.circuit is not None
-        assert linalg.max_norm_diff(circuit_unitary(t.circuit), t.dense) <= 1e-8
+        got = circuit_unitary(qft_circuit(q))
+        assert linalg.max_norm_diff(got, fourier_transform(q).dense) <= 1e-8
 
     @pytest.mark.parametrize("n_points", [1, 2, 3, 6, 8, 64, 1024])
     def test_entries_from_exponent_mod_n(self, n_points):

@@ -28,17 +28,16 @@ from qfrt.circuits import (
     Y,
     Z,
     circuit_unitary,
-    controlled,
     increment_circuit,
     multiplexed_powers,
     phase,
     phase_block,
     qct4_gate,
     qft_circuit,
-    standard_gate,
 )
 from qfrt.errors import QubitBudgetError
 from qfrt.fractional import FractionalSpec, build_qfrin_circuit, build_qfru_circuit
+from qfrt.simulator import basis_state, run
 
 # The 4-point Fourier matrix with kernel w = exp(-i 2 pi / 4) = -i.
 F2_EXPECTED = 0.5 * np.array(
@@ -56,14 +55,14 @@ CNOT_EXPECTED = np.array(
 
 class TestStandardGates:
     def test_pauli_and_hadamard_values(self):
-        assert np.array_equal(standard_gate("x"), [[0, 1], [1, 0]])
-        assert np.array_equal(standard_gate("y"), [[0, -1j], [1j, 0]])
-        assert np.array_equal(standard_gate("z"), [[1, 0], [0, -1]])
+        assert np.array_equal(X, [[0, 1], [1, 0]])
+        assert np.array_equal(Y, [[0, -1j], [1j, 0]])
+        assert np.array_equal(Z, [[1, 0], [0, -1]])
         s2 = 1 / math.sqrt(2)
-        assert linalg.max_norm_diff(standard_gate("h"), [[s2, s2], [s2, -s2]]) == 0.0
+        assert linalg.max_norm_diff(H, [[s2, s2], [s2, -s2]]) == 0.0
 
     def test_phase_at_half_pi_is_s(self):
-        assert linalg.max_norm_diff(standard_gate("p", math.pi / 2), S) <= 1e-15
+        assert linalg.max_norm_diff(phase(math.pi / 2), S) <= 1e-15
 
     def test_r_value_and_decomposition(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -79,15 +78,10 @@ class TestStandardGates:
         assert linalg.max_norm_diff(BDAG, linalg.adjoint(B)) <= 1e-15
         assert linalg.max_norm_diff(BDAG, phase(-math.pi / 2) @ H) <= 1e-12
 
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            standard_gate("q")
-        with pytest.raises(KeyError):
-            standard_gate("swap")  # not part of the named lookup set
-
     def test_phase_needs_angle(self):
-        with pytest.raises(ValueError):
-            standard_gate("p")
+        for params in ((), (0.1, 0.2), (math.nan,), (math.inf,), (-math.inf,)):
+            with pytest.raises(ValueError, match="'p' needs one finite angle"):
+                GateOp("p", targets=(0,), params=params)
 
 
 class TestQct4Gates:
@@ -135,21 +129,23 @@ class TestQct4Gates:
 
 
 class TestControlled:
+    """Controls put the gate in the all-controls-|1> block: block-diag(I, ..., I, g)."""
+
     def test_cnot(self):
-        assert np.array_equal(controlled(X, 1), CNOT_EXPECTED)
+        # simulator columns, independent of circuit_unitary (test_cnot_convention)
+        c = Circuit(2, (GateOp("x", targets=(0,), controls=(1,)),))
+        got = np.column_stack([run(c, basis_state(2, k))[0] for k in range(4)])
+        assert np.array_equal(got, CNOT_EXPECTED)
 
     def test_identity_any_controls(self):
-        assert np.array_equal(controlled(np.eye(2), 3), np.eye(16))
+        op = GateOp("unitary", targets=(0,), controls=(1, 2, 3), matrix=np.eye(2))
+        assert np.array_equal(circuit_unitary(Circuit(4, (op,))), np.eye(16))
 
     def test_controlled_hadamard_blocks(self):
-        ch = controlled(H, 1)
+        ch = circuit_unitary(Circuit(2, (GateOp("h", targets=(0,), controls=(1,)),)))
         assert np.array_equal(ch[:2, :2], np.eye(2))
         assert np.array_equal(ch[2:, 2:], H)
         assert np.all(ch[:2, 2:] == 0) and np.all(ch[2:, :2] == 0)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError):
-            controlled(np.array([[1.0, 0], [0, 2.0]]), 1)
 
 
 class TestGateOpValidation:
@@ -316,7 +312,9 @@ class TestCircuitUnitary:
         got = circuit_unitary(
             Circuit(2, (GateOp("unitary", targets=(0,), controls=(1,), matrix=g),))
         )
-        assert np.array_equal(got, controlled(g, 1))
+        expected = np.eye(4, dtype=complex)
+        expected[2:, 2:] = g
+        assert np.array_equal(got, expected)
 
     def test_cnot_convention(self):
         got = circuit_unitary(Circuit(2, (GateOp("x", targets=(0,), controls=(1,)),)))

@@ -138,6 +138,25 @@ def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys,
     assert len(recwarn) == 0
 
 
+def test_empty_alpha_range_fails_verify(capsys):
+    assert main(["verify", "--suite", "unitarity", "--transform", "fourier",
+                 "--qubits", "2", "--alpha-range", "1,0,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --alpha-range '1,0,0.5' gives no rows to verify"]
+
+
+@pytest.mark.parametrize("suite", ["additivity", "order"])
+@pytest.mark.parametrize("flag", ["--alpha=0.5", "--alpha-range=0,1,0.5"])
+def test_alpha_flags_rejected_by_alpha_free_suites(suite, flag, capsys):
+    assert main(["verify", "--suite", suite, "--transform", "hartley",
+                 "--qubits", "1", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag.split("=")[0]
+    assert captured.err.splitlines() == [f"error: {name} does not apply to --suite {suite}"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["dump", "--transform", "fourier", "--qubits", "6"],

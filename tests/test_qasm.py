@@ -83,6 +83,12 @@ def test_import_rejects_non_unitary_payload():
         import_circuit(text)
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_import_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="'p' needs one finite angle"):
+        import_circuit(f"qubit[1] q;\np({angle}) q[0];\n")
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)
