@@ -16,7 +16,9 @@ whose top qubit acts as a cosine/sine selector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,56 +34,69 @@ EIGEN_RESIDUE_TOL = 1e-6
 TRANSFORM_IDS = ("fourier", "hartley", "cst1", "cst4")
 
 
+def _exponents(j: np.ndarray, modulus: int) -> np.ndarray:
+    """The exponent table (j_a j_b) mod modulus, reduced exactly in integers."""
+    exponents = np.outer(j, j)
+    exponents %= modulus
+    return exponents
+
+
 def dft_matrix(n_points: int) -> np.ndarray:
     """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**((j k) mod N) / sqrt(N).
 
     The exponent j k is reduced exactly, in integers, and indexes a table of
     the N roots, so no angle loses precision as j k grows and F**2 is the
-    permutation j -> -j mod N to within a few ulps.
+    permutation j -> -j mod N to within a few ulps. The real kernels below
+    index their tables the same way.
     """
     j = np.arange(n_points)
     roots = np.exp(-2j * np.pi * j / n_points) / np.sqrt(n_points)
-    exponents = np.outer(j, j)
-    exponents %= n_points
-    return roots[exponents]
+    return roots[_exponents(j, n_points)]
 
 
 def hartley_matrix(n_points: int) -> np.ndarray:
-    """cas kernel: entry (j, k) = (cos + sin)(2 pi j k / N) / sqrt(N)."""
+    """cas kernel: entry (j, k) = cas(2 pi ((j k) mod N) / N) / sqrt(N), cas = cos + sin."""
     j = np.arange(n_points)
-    ang = 2.0 * np.pi * np.outer(j, j) / n_points
-    return (np.cos(ang) + np.sin(ang)) / np.sqrt(n_points)
+    ang = 2.0 * np.pi * j / n_points
+    return ((np.cos(ang) + np.sin(ang)) / np.sqrt(n_points))[_exponents(j, n_points)]
 
 
 def dct1_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DCT-I on N+1 points: entry (j, k) =
-    sqrt(2/N) beta_j beta_k cos(pi j k / N), beta = 1/sqrt(2) at the ends."""
+    sqrt(2/N) beta_j beta_k cos(pi ((j k) mod 2N) / N), beta = 1/sqrt(2) at the ends."""
     big_n = n_points - 1
-    j = np.arange(n_points)
-    beta = np.where((j == 0) | (j == big_n), 1.0 / np.sqrt(2.0), 1.0)
-    return np.sqrt(2.0 / big_n) * np.outer(beta, beta) * np.cos(
-        np.pi * np.outer(j, j) / big_n
-    )
+    m = np.arange(2 * big_n)
+    out = (np.sqrt(2.0 / big_n) * np.cos(np.pi * m / big_n))[
+        _exponents(np.arange(n_points), 2 * big_n)]
+    out[[0, -1]] /= np.sqrt(2.0)
+    out[:, [0, -1]] /= np.sqrt(2.0)
+    return out
 
 
 def dst1_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-I on N-1 points: entry (j, k) =
-    sqrt(2/N) sin(pi (j+1)(k+1) / N)."""
+    sqrt(2/N) sin(pi ((j+1)(k+1) mod 2N) / N)."""
     big_n = n_points + 1
-    j = np.arange(1, n_points + 1)
-    return np.sqrt(2.0 / big_n) * np.sin(np.pi * np.outer(j, j) / big_n)
+    m = np.arange(2 * big_n)
+    return (np.sqrt(2.0 / big_n) * np.sin(np.pi * m / big_n))[
+        _exponents(np.arange(1, big_n), 2 * big_n)]
+
+
+def _type4(trig, n_points: int) -> np.ndarray:
+    """sqrt(2/N) trig(pi ((2j+1)(2k+1) mod 8N) / 4N), the DCT-IV or DST-IV kernel."""
+    m = np.arange(8 * n_points)
+    return (np.sqrt(2.0 / n_points) * trig(np.pi * m / (4 * n_points)))[
+        _exponents(2 * np.arange(n_points) + 1, 8 * n_points)]
 
 
 def dct4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DCT-IV: entry (j, k) = sqrt(2/N) cos(pi (j+1/2)(k+1/2) / N)."""
-    j = np.arange(n_points) + 0.5
-    return np.sqrt(2.0 / n_points) * np.cos(np.pi * np.outer(j, j) / n_points)
+    return _type4(np.cos, n_points)
 
 
 def dst4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-IV: entry (j, k) = sqrt(2/N) sin(pi (j+1/2)(k+1/2) / N)."""
-    j = np.arange(n_points) + 0.5
-    return np.sqrt(2.0 / n_points) * np.sin(np.pi * np.outer(j, j) / n_points)
+    return _type4(np.sin, n_points)
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,14 +107,83 @@ def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# Matrix-free kernels: U**k x along axis 0 of a complex (N, cols) block, by
+# numpy.fft only. The real kernels act on the float64 view of x, its real and
+# imaginary parts as separate columns.
+
+
+def _fourier_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """F, F**2 = I[p] and F**3 = F**-1: the FFT, a row gather, the inverse FFT."""
+    k %= 4
+    if k == 0:
+        return x.copy()
+    if k == 2:
+        return x[parity]
+    return (np.fft.fft if k == 1 else np.fft.ifft)(x, axis=0, norm="ortho")
+
+
+def _hartley_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """H = ((1+i) F + (1-i) F**3) / 2, with F**3 x = (F x)[p]: one FFT."""
+    if k % 2 == 0:
+        return x.copy()
+    y = np.fft.fft(x, axis=0, norm="ortho")
+    return ((1 + 1j) * y + (1 - 1j) * y[parity]) / 2
+
+
+def _cst1_apply(x: np.ndarray, k: int) -> np.ndarray:
+    """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the even
+    extension of the cosine block and the odd extension of the sine block."""
+    if k % 2 == 0:
+        return x.copy()
+    big_n = x.shape[0] // 2
+    y = np.ascontiguousarray(x).view(np.float64)
+    ext = np.zeros((2, 2 * big_n, y.shape[1]))
+    ext[0, : big_n + 1] = y[: big_n + 1]
+    ext[0, [0, big_n]] *= np.sqrt(2.0)  # 2 beta at the ends
+    ext[0, big_n + 1:] = ext[0, big_n - 1:0:-1]
+    ext[1, 1:big_n] = y[big_n + 1:]
+    ext[1, big_n + 1:] = -y[:big_n:-1]
+    spec = np.fft.rfft(ext, axis=1) / np.sqrt(2.0 * big_n)
+    out = np.empty_like(y)
+    out[: big_n + 1] = spec[0].real
+    out[[0, big_n]] /= np.sqrt(2.0)
+    out[big_n + 1:] = -spec[1, 1:big_n].imag
+    return out.view(complex)
+
+
+def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """DCT-IV(N) (+) DST-IV(N) by one zero-padded 2N-point FFT (Makhoul,
+    IEEE TASSP 1980): sum_k y_k exp(-i pi (2j+1)(2k+1) / 4N) is
+    post_j FFT_2N(pre * y)_j, whose real part is the cosine and whose
+    negated imaginary part is the sine transform of a real y."""
+    if k % 2 == 0:
+        return x.copy()
+    big_n = len(pre)
+    y = np.ascontiguousarray(x).view(np.float64).reshape(2, big_n, -1)
+    a = post * np.fft.fft(pre * y, n=2 * big_n, axis=1)[:, :big_n]
+    out = np.empty(y.shape)
+    out[0] = a[0].real
+    out[1] = -a[1].imag
+    return out.reshape(2 * big_n, -1).view(complex)
+
+
 @dataclass(frozen=True, eq=False)
 class BaseTransform:
     """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
+    ``dense`` is read-only: a writable array is copied, so nothing can change
+    the kernel after construction, and :attr:`unitarity_dev`, computed once,
+    holds for the object's lifetime.
+
     ``square_perm``, for an order-4 kernel only, is the row permutation p
     with dense**2 = I[p]; it must be an involution (p[p] = identity), as
-    j -> -j mod N is for the DFT. With it, :meth:`powers` needs no matrix
+    j -> -j mod N is for the DFT. With it, :meth:`power` needs no matrix
     product.
+
+    ``apply(x, k)``, set only by the four builders of this module, computes
+    dense**k x along axis 0 of a complex (N, cols) block without the dense
+    kernel, through ``numpy.fft``; it is None on a transform built any other
+    way, whatever its ``id``.
     """
 
     id: str
@@ -107,11 +191,18 @@ class BaseTransform:
     order_exponent: int
     dense: np.ndarray
     square_perm: np.ndarray | None = None
+    apply: Callable[[np.ndarray, int], np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     def __post_init__(self):
+        dense = self.dense
+        if not isinstance(dense, np.ndarray) or dense.flags.writeable or dense.base is not None:
+            dense = np.array(dense)
+            dense.setflags(write=False)
+            object.__setattr__(self, "dense", dense)
         if self.square_perm is None:
             return
-        perm, dim = np.asarray(self.square_perm), self.dense.shape[0]
+        perm, dim = np.asarray(self.square_perm), dense.shape[0]
         # An involutive p is what makes the callers' order check p U U = I
         # imply U**2 = I[p] and U**4 = I.
         if not (self.order == 4 and perm.shape == (dim,)
@@ -127,20 +218,52 @@ class BaseTransform:
     def order(self) -> int:
         return 1 << self.order_exponent
 
+    @cached_property
+    def unitarity_dev(self) -> float:
+        """max|U^dagger U - I| of the kernel: one product, on first use only."""
+        return linalg.unitarity_dev(self.dense)
+
+    def power(self, k: int) -> np.ndarray:
+        """U**k for 0 <= k < order, read-only, in the kernel's dtype. U**1 is
+        ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
+        gathers I[p] and U[p]; any other power is read off :meth:`powers`."""
+        if not 0 <= k < self.order:
+            raise ValueError(f"{self.id!r}: power {k} outside 0..{self.order - 1}")
+        if k == 1:
+            return self.dense
+        dim = self.dense.shape[0]
+        if k == 0 or (k == 2 and self.square_perm is not None):
+            cols = np.arange(dim) if k == 0 else self.square_perm
+            out = np.zeros((dim, dim), self.dense.dtype)
+            out[np.arange(dim), cols] = 1  # I, or I[p]
+        elif self.square_perm is not None:
+            out = self.dense[self.square_perm]
+        else:
+            out = self.powers()[k]
+        out.setflags(write=False)
+        return out
+
     def powers(self) -> tuple[np.ndarray, ...]:
         """The power table (U**0, ..., U**(order-1)), rebuilt on each call and
-        unchecked: ``fractional_oracle`` and ``build_qfru_circuit`` each check
-        the order in their own way. With ``square_perm`` p it is
-        (I, U, I[p], U[p]), by row permutation; otherwise by repeated products.
-        Every entry, I included, has the kernel's dtype."""
-        eye = linalg.identity(self.dense.shape[0], self.dense.dtype)
-        if self.square_perm is not None:
-            perm = self.square_perm
-            return eye, self.dense, eye[perm], self.dense[perm]
-        table = [eye, self.dense][: self.order]
+        unchecked: ``fractional_oracle`` checks the order on it. With
+        ``square_perm`` p it is (I, U, I[p], U[p]), by :meth:`power`; otherwise
+        by repeated products. Every entry, I included, has the kernel's dtype."""
+        if self.order <= 2 or self.square_perm is not None:
+            return tuple(self.power(k) for k in range(self.order))
+        table = [self.power(0), self.dense]
         while len(table) < self.order:
             table.append(table[-1] @ self.dense)
         return tuple(table)
+
+
+def _builtin(transform_id: str, data_qubits: int, order_exponent: int,
+             dense: np.ndarray, apply, square_perm=None) -> BaseTransform:
+    """A builder's transform: its fresh kernel is made read-only in place
+    rather than copied, and it gets the matrix-free ``apply``."""
+    dense.setflags(write=False)
+    t = BaseTransform(transform_id, data_qubits, order_exponent, dense, square_perm)
+    object.__setattr__(t, "apply", apply)
+    return t
 
 
 def fourier_transform(q: int) -> BaseTransform:
@@ -150,7 +273,8 @@ def fourier_transform(q: int) -> BaseTransform:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
     parity = -np.arange(1 << q) % (1 << q)
-    return BaseTransform("fourier", q, 2, dft_matrix(1 << q), parity)
+    return _builtin("fourier", q, 2, dft_matrix(1 << q), partial(_fourier_apply, parity),
+                    parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:
@@ -158,7 +282,8 @@ def hartley_transform(q: int) -> BaseTransform:
     if q < 1:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
-    return BaseTransform("hartley", q, 1, hartley_matrix(1 << q))
+    parity = -np.arange(1 << q) % (1 << q)
+    return _builtin("hartley", q, 1, hartley_matrix(1 << q), partial(_hartley_apply, parity))
 
 
 def cst1_transform(n: int) -> BaseTransform:
@@ -168,7 +293,7 @@ def cst1_transform(n: int) -> BaseTransform:
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     dense = _direct_sum(dct1_matrix(big_n + 1), dst1_matrix(big_n - 1))
-    return BaseTransform("cst1", n + 1, 1, dense)
+    return _builtin("cst1", n + 1, 1, dense, _cst1_apply)
 
 
 def cst4_transform(n: int) -> BaseTransform:
@@ -179,7 +304,10 @@ def cst4_transform(n: int) -> BaseTransform:
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     dense = _direct_sum(dct4_matrix(big_n), dst4_matrix(big_n))
-    return BaseTransform("cst4", n + 1, 1, dense)
+    j = np.arange(big_n)[:, None]
+    pre = np.exp(-1j * np.pi * j / (2 * big_n))
+    post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (2 * j + 1) / (4 * big_n))
+    return _builtin("cst4", n + 1, 1, dense, partial(_cst4_apply, pre, post))
 
 
 def make_transform(transform_id: str, size: int) -> BaseTransform:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .base_transforms import BaseTransform
 
 #: Unitarity tolerance for gate payloads.
 GATE_TOL = 1e-10
@@ -90,10 +91,20 @@ class GateOp:
     """One gate application on a register.
 
     ``name`` picks a fixed gate from the library, the parameterized phase
-    gate ``"p"`` (angle in ``params[0]``), or a literal dense payload under
-    the name ``"unitary"`` (carried in ``matrix``, kept real when it is
-    real). ``targets[i]`` is the qubit holding the gate's bit of place value
-    ``2**i``.
+    gate ``"p"`` (angle in ``params[0]``), or a dense payload under the name
+    ``"unitary"``. A ``"unitary"`` op takes one of two payload forms:
+
+    * ``matrix``: a literal matrix, checked unitary within ``GATE_TOL`` and
+      kept as a read-only copy (real when it is real);
+    * ``power=(t, k)``: U**k of a built-in transform t (one with
+      ``t.apply``), 1 <= k < t.order, on ``t.data_qubits`` targets. ``matrix``
+      is then ``t.power(k)``, shared read-only, not copied; it is proven by
+      t's one memoised ``unitarity_dev``, since every such power is U or a
+      row permutation of U or of I, all with U's Gram matrix or I's. The
+      simulator applies the op through ``t.apply``; ``circuit_unitary`` and
+      export read ``matrix``.
+
+    ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
     """
 
     name: str
@@ -101,6 +112,7 @@ class GateOp:
     controls: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = None
+    power: tuple[BaseTransform, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -113,7 +125,9 @@ class GateOp:
             raise ValueError(f"negative qubit index in {wires}")
         if len(set(wires)) != len(wires):
             raise ValueError(f"targets {self.targets} and controls {self.controls} overlap")
-        if self.name == "unitary":
+        if self.name == "unitary" and self.power is not None:
+            object.__setattr__(self, "matrix", self._power_payload())
+        elif self.name == "unitary":
             if self.matrix is None:
                 raise ValueError("'unitary' op needs a matrix payload")
             m = linalg.as_matrix(self.matrix)
@@ -129,7 +143,7 @@ class GateOp:
         else:
             if self.name not in GATE_ARITY:
                 raise ValueError(f"unknown gate name {self.name!r}")
-            if self.matrix is not None:
+            if self.matrix is not None or self.power is not None:
                 raise ValueError(f"named gate {self.name!r} cannot carry a payload")
             if len(self.targets) != GATE_ARITY[self.name]:
                 raise ValueError(
@@ -141,6 +155,26 @@ class GateOp:
                     raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
             elif self.params:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
+
+    def _power_payload(self) -> np.ndarray:
+        t, k = self.power
+        if self.matrix is not None:
+            raise ValueError("a 'power' op takes no matrix payload")
+        if not isinstance(t, BaseTransform) or t.apply is None:
+            raise ValueError(
+                "power payloads need a transform from a built-in builder; "
+                "give a hand-built kernel's powers as matrices"
+            )
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < t.order:
+            raise ValueError(f"power of {t.id!r} must be an integer in 1..{t.order - 1}, got {k!r}")
+        if len(self.targets) != t.data_qubits:
+            raise ValueError(
+                f"power of {t.id!r} needs {t.data_qubits} targets, got {len(self.targets)}"
+            )
+        if not t.unitarity_dev <= GATE_TOL:
+            raise ValueError("matrix payload is not unitary within 1e-10")
+        object.__setattr__(self, "power", (t, int(k)))
+        return t.power(int(k))
 
     def base_matrix(self) -> np.ndarray:
         """The gate's matrix on its targets, controls not included."""
@@ -183,27 +217,40 @@ class Circuit:
                 raise ValueError(f"mark {label!r} at invalid boundary {idx}")
 
 
+def _is_power_ref(entry) -> bool:
+    return isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], BaseTransform)
+
+
 def multiplexed_powers(powers) -> Circuit:
     """Circuit for the multiplexed powers diag(u**0, u**1, ..., u**(2**n - 1)).
 
     ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
-    u**(2**j) become gates. The data register sits on qubits 0..q-1 and the n
-    selector qubits above it; selector bit j (qubit q+j) controls u**(2**j),
-    so selector value m applies u**m whatever the order of u.
+    u**(2**j) become gates. An entry is a matrix, which becomes a checked,
+    copied ``matrix`` payload, or a pair (t, k) naming t**k of a built-in
+    transform t, which becomes a ``power`` payload sharing t's proven kernel
+    (see :class:`GateOp`); this function is where every payload op of the
+    fractionalization circuits is made. The data register sits on qubits
+    0..q-1 and the n selector qubits above it; selector bit j (qubit q+j)
+    controls u**(2**j), so selector value m applies u**m whatever the order
+    of u.
     """
     size = len(powers)
     if size < 1 or size & (size - 1):
         raise ValueError(f"power table has {size} entries, not a power of two")
     n = size.bit_length() - 1
-    shape = linalg.as_matrix(powers[0]).shape
-    q = shape[0].bit_length() - 1
-    if shape != (1 << q, 1 << q):
-        raise ValueError(f"operator size {shape} is not a power-of-two square")
+    if _is_power_ref(powers[0]):
+        q = powers[0][0].data_qubits
+    else:
+        shape = linalg.as_matrix(powers[0]).shape
+        q = shape[0].bit_length() - 1
+        if shape != (1 << q, 1 << q):
+            raise ValueError(f"operator size {shape} is not a power-of-two square")
     data = tuple(range(q))
-    ops = tuple(
-        GateOp("unitary", targets=data, controls=(q + j,), matrix=powers[1 << j])
-        for j in range(n)
-    )
+    ops = []
+    for j in range(n):
+        entry = powers[1 << j]
+        payload = {"power" if _is_power_ref(entry) else "matrix": entry}
+        ops.append(GateOp("unitary", targets=data, controls=(q + j,), **payload))
     return Circuit(n + q, ops)
 
 

@@ -126,6 +126,8 @@ def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
 
 
 def cmd_dump(args) -> int:
+    if args.alpha_range is not None:
+        raise ValueError("--alpha-range does not apply to dump")
     transform = _resolve_transform(args)
     if args.cst4_selector is not None:
         if transform.id != "cst4":
@@ -239,6 +241,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.alpha is not None:
+        raise ValueError("--alpha does not apply to sweep")
     transform = _resolve_transform(args)
     if args.alpha_range is None:
         raise ValueError("sweep needs --alpha-range START,STOP,STEP")
@@ -254,7 +258,7 @@ def cmd_sweep(args) -> int:
             np.sum(np.abs(shih_coefficients(order, alpha).weights) ** 2)
         )
         unit_dev = linalg.unitarity_dev(m)
-        nearest = transform.powers()[int(round(alpha)) % order]
+        nearest = transform.power(int(round(alpha)) % order)
         dist = linalg.max_norm_diff(m, nearest)
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -262,6 +266,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.alpha_range is not None:
+        raise ValueError("--alpha-range does not apply to export")
     transform = _resolve_transform(args)
     if args.alpha is None:
         raise ValueError("export needs --alpha")

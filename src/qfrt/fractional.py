@@ -11,7 +11,8 @@ N-periodic. :func:`fractional_oracle` evaluates it densely;
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
 :func:`build_qfrin_circuit` is its n = 1 case, for involutions. The oracle
-and the circuit each check U**N = I on the unchecked :meth:`BaseTransform.powers`.
+checks U**N = I on the unchecked :meth:`BaseTransform.powers`, the circuit
+on :meth:`BaseTransform.power` (order - 1) alone.
 """
 from __future__ import annotations
 
@@ -108,18 +109,37 @@ def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
 
 
 def _shifted(ops, offset: int):
-    """Re-home ops to qubits offset..: used to place ancilla-register
-    circuits above the data register."""
+    """Re-home named-gate ops to qubits offset..: used to place
+    ancilla-register circuits above the data register."""
     return [
         GateOp(
             op.name,
             targets=tuple(t + offset for t in op.targets),
             controls=tuple(c + offset for c in op.controls),
             params=op.params,
-            matrix=op.matrix,
         )
         for op in ops
     ]
+
+
+def _check_order(t: BaseTransform, last: np.ndarray) -> None:
+    """U**order = I within ORDER_TOL, from ``last`` = U**(order-1) in O(N**2).
+
+    The payload op carrying U, built after this check, checks
+    g = |U^dagger U - I|_max <= GATE_TOL = G, so columns of U have norm
+    <= sqrt(1 + g) <= 1 + G/2. With D = U**(order-1) - U^dagger,
+    U**order - I = D U + (U^dagger U - I), and Cauchy-Schwarz on the rows of D
+    gives |D U|_max <= sqrt(N) |D|_max (1 + G/2). So |D|_max <= bound =
+    (ORDER_TOL - 2G) / sqrt(N) gives |U**order - I|_max
+    <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as ORDER_TOL < 2.
+    """
+    u = t.dense
+    bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(len(u))
+    # In row blocks, so that the transposed reads of U stay in cache.
+    dev = np.max([np.max(np.abs(last[i:i + 32] - u[:, i:i + 32].conj().T))
+                  for i in range(0, len(u), 32)])
+    if not dev <= bound:  # a NaN fails too
+        raise _order_error(t)
 
 
 def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
@@ -128,32 +148,25 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     Stages, in execution order: Hadamard layer on the ancillas, multiplexed
     powers of U, inverse ancilla Fourier transform, diagonal phase block,
     ancilla Fourier transform, multiplexed powers of U**-1 = U**(order-1),
-    closing Hadamard layer; both multiplexed stages read one power table.
+    closing Hadamard layer; both multiplexed stages read one power table: for
+    a built-in transform, (t, k) references that share its read-only kernel
+    and its one unitarity proof (see :func:`multiplexed_powers`), else the
+    dense :meth:`BaseTransform.powers`.
     Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the stage
     boundaries are marked psi0..psi7 for tracing. Raises
     :class:`NotDyadicOrderError` unless U**order = I within ORDER_TOL.
     """
-    n, q = spec.num_ancillas, spec.data_qubits
-    powers = spec.base.powers()
-    # Order check in O(N**2), before the payload ops copy the table. The op
-    # carrying U (built below) checks g = |U^dagger U - I|_max <= GATE_TOL = G,
-    # so columns of U have norm <= sqrt(1 + g) <= 1 + G/2. With
-    # D = U**(order-1) - U^dagger, U**order - I = D U + (U^dagger U - I), and
-    # Cauchy-Schwarz on the rows of D gives |D U|_max <= sqrt(N) |D|_max (1 + G/2).
-    # So |D|_max <= bound = (ORDER_TOL - 2G) / sqrt(N) gives |U**order - I|_max
-    # <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as ORDER_TOL < 2.
-    u, last = spec.base.dense, powers[-1]
-    bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(len(u))
-    # In row blocks, so that the transposed reads of U stay in cache.
-    dev = np.max([np.max(np.abs(last[i:i + 32] - u[:, i:i + 32].conj().T))
-                  for i in range(0, len(u), 32)])
-    if not dev <= bound:  # a NaN fails too
-        raise _order_error(spec.base)
+    n, q, t, order = spec.num_ancillas, spec.data_qubits, spec.base, spec.order
+    builtin = t.apply is not None
+    # A built-in transform's payloads are (t, k) references to its one proven
+    # kernel; a hand-built one gets its dense table, every payload checked.
+    powers = [(t, k) for k in range(order)] if builtin else t.powers()
+    _check_order(t, t.power(order - 1) if builtin else powers[-1])
     forward = multiplexed_powers(powers).ops
     # The inverse stage applies U**(order - m) on selector value m; its top bit's
     # op, U**(order/2), is the forward stage's, so only lower bits get new ops.
-    lower = multiplexed_powers(tuple(powers[-m] for m in range(spec.order // 2))).ops
-    alpha = _reduce_alpha(spec.alpha, spec.order)
+    lower = multiplexed_powers(tuple(powers[-m] for m in range(order // 2))).ops
+    alpha = _reduce_alpha(spec.alpha, order)
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (
         hadamards,

@@ -109,10 +109,11 @@ def import_circuit(text: str) -> Circuit:
                     f"expected {dim * dim}"
                 )
             matrix = flat.reshape(dim, dim)
-        ops.append(
-            GateOp(name, targets=targets, controls=controls, params=params,
-                   matrix=matrix)
-        )
+        try:
+            ops.append(GateOp(name, targets=targets, controls=controls, params=params,
+                              matrix=matrix))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     if num_qubits is None:
         raise ValueError("missing qubit declaration")
     return Circuit(num_qubits, tuple(ops))

@@ -1,10 +1,14 @@
 """Statevector execution of circuits.
 
 Gates update amplitudes through strided views of the state tensor rather
-than by building full operator matrices; :func:`qfrt.circuits.circuit_unitary`
-is the independent (and much slower) reference path the tests compare
-against. Probabilities are computed exactly from amplitudes; there is no
-shot sampling.
+than by building full operator matrices. A ``power`` payload, U**k of a
+built-in transform, is applied matrix-free through the transform's
+``apply`` (``numpy.fft``, O(N log N) per column); every other gate, a
+hand-built transform's payloads included, multiplies by its matrix.
+:func:`qfrt.circuits.circuit_unitary` is the independent (and much slower)
+dense reference path the tests compare against: it multiplies by every
+payload's matrix, ``power`` payloads included. Probabilities are computed
+exactly from amplitudes; there is no shot sampling.
 """
 from __future__ import annotations
 
@@ -58,7 +62,12 @@ def _apply_inplace(psi: np.ndarray, op: GateOp) -> None:
     pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
     moved = np.moveaxis(sub, pos, range(t))
     shape = moved.shape
-    updated = linalg.apply(op.base_matrix(), moved.reshape(1 << t, -1))
+    block = moved.reshape(1 << t, -1)
+    if op.power is not None:  # matrix-free: the transform's FFT form of U**k
+        transform, k = op.power
+        updated = transform.apply(block, k)
+    else:
+        updated = linalg.apply(op.base_matrix(), block)
     psi[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
 
 

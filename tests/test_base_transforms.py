@@ -164,6 +164,15 @@ def test_involutions_are_real_symmetric(transform):
     assert linalg.max_norm_diff(d, d.T) <= 1e-12
 
 
+@pytest.mark.parametrize("transform_id,size", [("hartley", 11), ("cst1", 10), ("cst4", 10)])
+def test_real_kernels_square_to_identity_within_1e_14(transform_id, size):
+    # entries read off a table of roots by the exactly reduced exponent
+    d = make_transform(transform_id, size).dense
+    square = d @ d
+    square.flat[:: len(d) + 1] -= 1.0
+    assert np.max(np.abs(square)) <= 1e-14
+
+
 class TestVerifyOrder:
     def test_hartley(self):
         assert verify_order(hartley_transform(3)) == 1

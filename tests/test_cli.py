@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfrt import linalg, simulator
-from qfrt.base_transforms import dct4_matrix, dst4_matrix, hartley_transform
+from qfrt.base_transforms import BaseTransform, dct4_matrix, dst4_matrix, hartley_transform
 from qfrt.cli import main
 from qfrt.fractional import FractionalSpec, fractional_oracle
 from qfrt.qasm import import_circuit
@@ -158,6 +158,21 @@ def test_alpha_flags_rejected_by_alpha_free_suites(suite, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "command,flag",
+    [("sweep", "--alpha=3"), ("export", "--alpha-range=0,9,1"),
+     ("dump", "--alpha-range=0,1,0.5")],
+)
+def test_alpha_flags_a_command_ignores_are_rejected(command, flag, capsys):
+    # sweep reads only --alpha-range; dump and export only --alpha
+    other = "--alpha=0.5" if command != "sweep" else "--alpha-range=0,1,0.5"
+    assert main([command, "--transform", "hartley", "--qubits", "1", other, flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag.split("=")[0]
+    assert captured.err.splitlines() == [f"error: {name} does not apply to {command}"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [["dump", "--transform", "fourier", "--qubits", "6"],
      ["verify", "--suite", "order", "--transform", "hartley", "--qubits", "6"]],
@@ -261,6 +276,16 @@ class TestSweep:
             assert float(row["unitarity_dev"]) <= 1e-10
             if alpha == int(alpha):
                 assert dist <= 1e-10
+
+    def test_one_power_table_per_row(self, monkeypatch, capsys):
+        # the oracle's; the nearest integer power is one BaseTransform.power
+        tables = []
+        original = BaseTransform.powers
+        monkeypatch.setattr(BaseTransform, "powers",
+                            lambda self: tables.append(self) or original(self))
+        assert main(["sweep", "--transform", "fourier", "--qubits", "2",
+                     "--alpha-range", "0,4,0.5"]) == 0
+        assert len(tables) == 8
 
     def test_symmetric_about_half(self, tmp_path):
         out = tmp_path / "sym.csv"

@@ -1,0 +1,200 @@
+"""Built-in transforms share one read-only, once-proven kernel, and the
+simulator applies their controlled powers matrix-free through numpy.fft;
+``circuit_unitary`` stays the dense reference."""
+import numpy as np
+import pytest
+
+from qfrt import linalg, simulator
+from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
+from qfrt.circuits import Circuit, GateOp, circuit_unitary
+from qfrt.fractional import FractionalSpec, build_qfrin_circuit, build_qfru_circuit
+
+from helpers import random_dyadic_unitary
+
+#: (transform id, size) up to 10 data qubits; cst sizes are n, on n + 1 qubits.
+KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8, 10)] + [
+    ("hartley", q) for q in (1, 2, 3, 6, 10)] + [
+    (t, n) for t in ("cst1", "cst4") for n in (1, 2, 3, 5, 9)]
+
+
+@pytest.mark.parametrize("transform_id,size", KERNELS)
+def test_apply_matches_dense_power(transform_id, size):
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    dim = t.dense.shape[0]
+    for cols in (1, 2, 64):
+        x = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+        x /= np.linalg.norm(x, axis=0)
+        for k in range(1, t.order):
+            got = t.apply(x, k)
+            assert got.shape == x.shape and got.dtype == complex
+            assert np.max(np.abs(got - t.power(k) @ x)) <= 1e-12
+
+
+def test_apply_reads_a_strided_block_without_writing_it():
+    t = make_transform("cst4", 3)
+    rng = np.random.default_rng(1)
+    wide = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+    before = wide.copy()
+    x = wide[:, ::3]
+    assert np.max(np.abs(t.apply(x, 1) - t.dense @ x)) <= 1e-12
+    assert np.array_equal(wide, before)
+
+
+#: Circuits of at most 10 qubits in all: (transform id, size, exponents).
+CIRCUITS = [
+    ("fourier", 2, (-2.9, 0.0, 0.37, 1.0, 2.5, 3.7, 4e12 + 0.5)),
+    ("fourier", 8, (0.37, 2.5)),
+    ("hartley", 3, (-0.9, 0.0, 0.37, 1.0, 1.5, 4e12 + 0.5)),
+    ("hartley", 9, (0.37, 1.5)),
+    ("cst1", 2, (-0.9, 0.0, 0.37, 1.0, 1.5)),
+    ("cst1", 8, (0.37, 1.5)),
+    ("cst4", 2, (-0.9, 0.0, 0.37, 1.0, 1.5)),
+    ("cst4", 8, (0.37, 1.5)),
+]
+
+
+@pytest.mark.parametrize("transform_id,size,alphas", CIRCUITS)
+def test_run_matches_circuit_unitary(transform_id, size, alphas):
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    data = 1 << t.data_qubits
+    x = rng.standard_normal((data, 3)) + 1j * rng.standard_normal((data, 3))
+    x /= np.linalg.norm(x, axis=0)
+    for alpha in alphas:
+        circuit = build_qfru_circuit(FractionalSpec(t, alpha))
+        assert any(op.power is not None for op in circuit.ops)
+        expected = circuit_unitary(circuit, columns=data) @ x
+        for i in range(x.shape[1]):
+            state = np.zeros(1 << circuit.num_qubits, dtype=complex)
+            state[:data] = x[:, i]
+            final, _ = simulator.run(circuit, state)
+            assert np.max(np.abs(final - expected[:, i])) <= 1e-10
+
+
+class TestReadOnlyKernel:
+    @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+    def test_builtin_kernel_cannot_be_written(self, transform_id):
+        t = make_transform(transform_id, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            t.dense[0, 0] = 0.0
+        for k in range(t.order):
+            assert not t.power(k).flags.writeable
+
+    def test_writable_array_is_copied(self):
+        u = dft_matrix(4)
+        t = BaseTransform("mine", 2, 2, u)
+        assert t.dense is not u and np.array_equal(t.dense, u)
+        u[0, 0] = 7.0
+        assert t.dense[0, 0] != 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.dense[0, 0] = 7.0
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        u = dft_matrix(4)
+        view = u[:]
+        view.setflags(write=False)
+        t = BaseTransform("mine", 2, 2, view)
+        u[0, 0] = 7.0
+        assert t.dense[0, 0] != 7.0
+
+    def test_power_payloads_share_the_kernel(self):
+        t = make_transform("hartley", 3)
+        c = build_qfrin_circuit(t, 0.3)
+        assert c.ops[1].matrix is t.dense
+        assert c.ops[1].power == (t, 1)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOneProof:
+    @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+    def test_builtin_is_proven_once_and_never_per_payload(self, transform_id, monkeypatch):
+        proofs = count_calls(monkeypatch, linalg, "unitarity_dev")
+        checks = count_calls(monkeypatch, linalg, "is_unitary")
+        t = make_transform(transform_id, 3)
+        for alpha in (0.3, 1.7):
+            build_qfru_circuit(FractionalSpec(t, alpha))
+        assert (len(proofs), len(checks)) == (1, 0)
+
+    def test_builtin_builds_no_power_table(self, monkeypatch):
+        def no_table(self):
+            raise AssertionError("powers() called")
+
+        monkeypatch.setattr(BaseTransform, "powers", no_table)
+        for transform_id in ("fourier", "hartley", "cst1", "cst4"):
+            build_qfru_circuit(FractionalSpec(make_transform(transform_id, 2), 0.3))
+
+    def test_hand_built_kernel_checks_every_payload(self, monkeypatch):
+        checks = count_calls(monkeypatch, linalg, "is_unitary")
+        u = random_dyadic_unitary(4, 2, np.random.default_rng(3))
+        c = build_qfru_circuit(FractionalSpec(BaseTransform("custom", 2, 2, u), 0.3))
+        payloads = {id(op): op for op in c.ops if op.name == "unitary"}
+        assert len(checks) == len(payloads) == 3
+        assert all(op.power is None for op in payloads.values())
+
+    def test_hand_built_fourier_gets_no_matrix_free_path(self):
+        t = BaseTransform("fourier", 2, 2, dft_matrix(4), -np.arange(4) % 4)
+        assert t.apply is None
+        c = build_qfru_circuit(FractionalSpec(t, 0.3))
+        assert all(op.power is None for op in c.ops)
+
+
+class TestPowerOp:
+    def test_accepts_each_power_of_a_builtin(self):
+        t = make_transform("fourier", 2)
+        for k in (1, 2, 3, np.int64(3)):
+            op = GateOp("unitary", targets=(0, 1), controls=(2,), power=(t, k))
+            assert op.power == (t, int(k)) and op.matrix is not None
+            assert np.array_equal(op.matrix, t.power(int(k)))
+
+    def test_rejects_a_hand_built_transform(self):
+        t = BaseTransform("fourier", 2, 2, dft_matrix(4))
+        with pytest.raises(ValueError, match="built-in builder"):
+            GateOp("unitary", targets=(0, 1), power=(t, 1))
+
+    @pytest.mark.parametrize("k", [0, 4, -1, 1.0, True])
+    def test_rejects_a_power_outside_one_to_order_minus_one(self, k):
+        t = make_transform("fourier", 2)
+        with pytest.raises(ValueError, match=r"integer in 1\.\.3"):
+            GateOp("unitary", targets=(0, 1), power=(t, k))
+
+    def test_rejects_an_even_power_of_an_involution(self):
+        with pytest.raises(ValueError, match=r"integer in 1\.\.1"):
+            GateOp("unitary", targets=(0, 1), power=(make_transform("hartley", 2), 2))
+
+    @pytest.mark.parametrize("targets", [(0,), (0, 1, 2)])
+    def test_rejects_a_wrong_target_count(self, targets):
+        with pytest.raises(ValueError, match="needs 2 targets"):
+            GateOp("unitary", targets=targets, power=(make_transform("hartley", 2), 1))
+
+    def test_rejects_a_matrix_next_to_the_power(self):
+        t = make_transform("hartley", 1)
+        with pytest.raises(ValueError, match="no matrix"):
+            GateOp("unitary", targets=(0,), matrix=t.dense, power=(t, 1))
+
+    def test_named_gate_carries_no_power(self):
+        with pytest.raises(ValueError, match="cannot carry a payload"):
+            GateOp("h", targets=(0,), power=(make_transform("hartley", 1), 1))
+
+    def test_power_op_runs_like_its_matrix(self):
+        t = make_transform("cst1", 2)
+        rng = np.random.default_rng(5)
+        state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        by_power = Circuit(4, (GateOp("unitary", targets=(1, 2, 3), controls=(0,),
+                                      power=(t, 1)),))
+        by_matrix = Circuit(4, (GateOp("unitary", targets=(1, 2, 3), controls=(0,),
+                                       matrix=t.dense),))
+        got, _ = simulator.run(by_power, state)
+        want, _ = simulator.run(by_matrix, state)
+        assert np.max(np.abs(got - want)) <= 1e-12

@@ -89,6 +89,20 @@ def test_import_rejects_non_finite_angle(angle):
         import_circuit(f"qubit[1] q;\np({angle}) q[0];\n")
 
 
+@pytest.mark.parametrize(
+    "statement,message",
+    [("p(nan) q[0];", "'p' needs one finite angle"),
+     ("frob q[0];", "unknown gate name 'frob'"),
+     ("swap q[0];", "'swap' needs 2 targets, got 1"),
+     ("unitary { 1,0 1,0 0,0 1,0 } q[1];", "not unitary")],
+    ids=["nan_angle", "unknown_mnemonic", "target_count", "non_unitary"],
+)
+def test_import_gate_errors_name_the_line(statement, message):
+    text = f"qubit[2] q;\nh q[0];\n{statement}\n"
+    with pytest.raises(ValueError, match=rf"^line 3: .*{message}"):
+        import_circuit(text)
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)
