@@ -6,9 +6,12 @@ highest index (the top wire of a diagram). A multi-qubit gate's ``targets``
 are ordered the same way: ``targets[i]`` holds the gate matrix's bit of
 place value ``2**i``. Controls fire on |1>.
 
-:func:`circuit_unitary` extracts the full dense unitary of a circuit by
-embedding each gate at its wire positions and multiplying; it is the slow
-reference path the statevector simulator is validated against. Its
+:func:`_apply_op` is the one gate-application kernel: it applies an op in
+place to a register held as a qubit tensor, through strided views. The
+statevector simulator and :func:`circuit_unitary` both run it; only the
+simulator sends ``power`` payloads to the transform's FFT ``apply``, so
+:func:`circuit_unitary`, which multiplies by every op's matrix, is the slow
+dense reference the simulator is validated against. Its
 ``columns`` argument builds only the leading columns, the images of the first
 basis states, for a caller that reads nothing else: an ancilla circuit acting
 on ancilla |0...0> inputs needs just the first ``2**data_qubits`` of them.
@@ -297,33 +300,39 @@ def increment_circuit(n: int) -> Circuit:
     return Circuit(n, ops)
 
 
-def _op_row_groups(op: GateOp, n: int) -> np.ndarray:
-    """Basis indices the op acts on, grouped by target bit pattern.
-
-    Returns shape (2**t, 2**(n - t - c)): row p lists, in a fixed order of
-    the remaining bits, every index whose controls are all 1 and whose
-    target bits spell pattern p.
+def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
+    """Apply op in place to a register held as a [2]*n + [columns] tensor:
+    axis a < n is qubit n-1-a (a C-order reshape of 2**n rows), the last
+    axis is carried along (1 for a single state). Controls pick the |1>
+    slice of their axes, and the op mixes the target axes of that view.
+    With ``matrix_free`` a ``power`` op goes through its transform's FFT
+    ``apply``; otherwise every op multiplies by :meth:`GateOp.base_matrix`.
     """
-    touched = set(op.targets) | set(op.controls)
-    free = [w for w in range(n) if w not in touched]
-    fvals = np.arange(1 << len(free), dtype=np.int64)
-    base = np.zeros(fvals.shape, dtype=np.int64)
-    for p, w in enumerate(free):
-        base |= ((fvals >> p) & 1) << w
+    n = reg.ndim - 1
+    sel = [slice(None)] * reg.ndim
     for c in op.controls:
-        base += np.int64(1) << c
+        sel[n - 1 - c] = 1
+    sel = tuple(sel)
+    sub = reg[sel]
+    kept = [a for a in range(reg.ndim) if not isinstance(sel[a], int)]
+    # Gate axis p carries the gate's bit t-1-p, living on qubit targets[t-1-p].
     t = len(op.targets)
-    offsets = np.zeros(1 << t, dtype=np.int64)
-    for pat in range(1 << t):
-        o = 0
-        for i, w in enumerate(op.targets):
-            o |= ((pat >> i) & 1) << w
-        offsets[pat] = o
-    return offsets[:, None] + base[None, :]
+    pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
+    moved = np.moveaxis(sub, pos, range(t))
+    shape = moved.shape
+    block = moved.reshape(1 << t, -1)
+    if matrix_free and op.power is not None:
+        transform, k = op.power
+        updated = transform.apply(block, k)
+    else:
+        updated = linalg.apply(op.base_matrix(), block)
+    reg[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
 
 
 def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
-    """Dense unitary of the whole circuit (the slow reference path).
+    """Dense unitary of the whole circuit (the slow reference path): every
+    op, a ``power`` op included, multiplies the identity columns by its
+    matrix through :func:`_apply_op`.
 
     With ``columns=k`` (1 <= k <= 2**num_qubits) only the first k columns are
     built, starting from the first k columns of the identity: the result
@@ -341,13 +350,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     ):
         raise ValueError(f"columns must be an integer in 1..{dim}, got {columns!r}")
     acc = np.eye(dim, columns, dtype=complex)
+    reg = acc.reshape([2] * c.num_qubits + [columns])
     for op in c.ops:
-        rows = _op_row_groups(op, c.num_qubits)
-        # Left-multiply the embedded op: rows outside the control block are
-        # untouched; rows inside mix according to the gate matrix.
-        # One expression, so no name keeps a gathered block or a result alive
-        # into the next op.
-        acc[rows] = linalg.apply(
-            op.base_matrix(), acc[rows].reshape(len(rows), -1)
-        ).reshape(rows.shape + acc.shape[1:])
+        _apply_op(reg, op, matrix_free=False)
     return acc

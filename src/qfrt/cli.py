@@ -126,8 +126,21 @@ def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
 
 
 def cmd_dump(args) -> int:
-    if args.alpha_range is not None:
-        raise ValueError("--alpha-range does not apply to dump")
+    fmt, fractional = f"--format {args.format}", args.alpha is not None
+    # Each flag a dump would ignore is an error, the first one found reported.
+    for ignored, message in (
+        (args.alpha_range is not None, "--alpha-range does not apply to dump"),
+        (fractional and args.cst4_selector is not None,
+         "--alpha does not apply to --cst4-selector"),
+        (not fractional and args.format != "matrix-text", f"{fmt} does not apply without --alpha"),
+        (not fractional and args.circuit_unitary,
+         "--circuit-unitary does not apply without --alpha"),
+        (args.circuit_unitary and args.format != "matrix-text",
+         f"--circuit-unitary does not apply to {fmt}"),
+        (args.full and args.format != "state-text", f"--full does not apply to {fmt}"),
+    ):
+        if ignored:
+            raise ValueError(message)
     transform = _resolve_transform(args)
     if args.cst4_selector is not None:
         if transform.id != "cst4":

@@ -69,8 +69,40 @@ def export_circuit(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_op(line: str, num_qubits: int | None) -> GateOp:
+    m = _STMT_RE.match(line)
+    if m is None:
+        raise ValueError(f"cannot parse {line!r}")
+    if num_qubits is None:
+        raise ValueError("gate before the qubit declaration")
+    ctrl_count, name, params_str, payload, qubit_list = m.groups()
+    num_controls = 0
+    if m.group(0).startswith("ctrl"):
+        num_controls = int(ctrl_count) if ctrl_count else 1
+    wires = [int(w) for w in _QUBIT_RE.findall(qubit_list)]
+    if max(wires) >= num_qubits:
+        raise ValueError(f"q[{max(wires)}] is outside the {num_qubits}-qubit register")
+    controls = tuple(wires[:num_controls])
+    targets = tuple(wires[num_controls:])
+    params = ()
+    if params_str is not None:
+        params = tuple(float(tok) for tok in params_str.split(","))
+    matrix = None
+    if payload is not None:
+        if name != "unitary":
+            raise ValueError("only 'unitary' carries a payload")
+        vals = [tok.split(",") for tok in payload.split()]
+        flat = np.array([complex(float(a), float(b)) for a, b in vals])
+        dim = 1 << len(targets)
+        if flat.size != dim * dim:
+            raise ValueError(f"payload has {flat.size} entries, expected {dim * dim}")
+        matrix = flat.reshape(dim, dim)
+    return GateOp(name, targets=targets, controls=controls, params=params, matrix=matrix)
+
+
 def import_circuit(text: str) -> Circuit:
-    """Parse the text dialect back into a circuit."""
+    """Parse the text dialect back into a circuit; every error in a statement
+    is a ValueError that starts with ``line N:``."""
     num_qubits = None
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,37 +113,8 @@ def import_circuit(text: str) -> Circuit:
         if decl:
             num_qubits = int(decl.group(1))
             continue
-        m = _STMT_RE.match(line)
-        if m is None:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
-        if num_qubits is None:
-            raise ValueError(f"line {lineno}: gate before the qubit declaration")
-        ctrl_count, name, params_str, payload, qubit_list = m.groups()
-        num_controls = 0
-        if m.group(0).startswith("ctrl"):
-            num_controls = int(ctrl_count) if ctrl_count else 1
-        wires = [int(w) for w in _QUBIT_RE.findall(qubit_list)]
-        controls = tuple(wires[:num_controls])
-        targets = tuple(wires[num_controls:])
-        params = ()
-        if params_str is not None:
-            params = tuple(float(tok) for tok in params_str.split(","))
-        matrix = None
-        if payload is not None:
-            if name != "unitary":
-                raise ValueError(f"line {lineno}: only 'unitary' carries a payload")
-            vals = [tok.split(",") for tok in payload.split()]
-            flat = np.array([complex(float(a), float(b)) for a, b in vals])
-            dim = 1 << len(targets)
-            if flat.size != dim * dim:
-                raise ValueError(
-                    f"line {lineno}: payload has {flat.size} entries, "
-                    f"expected {dim * dim}"
-                )
-            matrix = flat.reshape(dim, dim)
         try:
-            ops.append(GateOp(name, targets=targets, controls=controls, params=params,
-                              matrix=matrix))
+            ops.append(_parse_op(line, num_qubits))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if num_qubits is None:

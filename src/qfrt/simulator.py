@@ -1,14 +1,15 @@
 """Statevector execution of circuits.
 
-Gates update amplitudes through strided views of the state tensor rather
-than by building full operator matrices. A ``power`` payload, U**k of a
-built-in transform, is applied matrix-free through the transform's
-``apply`` (``numpy.fft``, O(N log N) per column); every other gate, a
-hand-built transform's payloads included, multiplies by its matrix.
-:func:`qfrt.circuits.circuit_unitary` is the independent (and much slower)
-dense reference path the tests compare against: it multiplies by every
-payload's matrix, ``power`` payloads included. Probabilities are computed
-exactly from amplitudes; there is no shot sampling.
+:func:`run` applies each op in place with :func:`qfrt.circuits._apply_op`,
+the one gate-application kernel, which updates amplitudes through strided
+views of the state tensor rather than by building operator matrices.
+:func:`qfrt.circuits.circuit_unitary` runs the same kernel on identity
+columns, but only :func:`run` sends a ``power`` payload, U**k of a built-in
+transform, to the transform's matrix-free ``apply`` (``numpy.fft``,
+O(N log N) per column); every other gate multiplies by its matrix. So
+``circuit_unitary`` stays the independent dense reference the tests compare
+the FFT path against. Probabilities are computed exactly from amplitudes;
+there is no shot sampling.
 """
 from __future__ import annotations
 
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-from .circuits import Circuit, GateOp
+from .circuits import Circuit, _apply_op
 
 #: Amplitudes below this modulus are dropped from state dumps.
 DUMP_EPS = 1e-14
@@ -48,53 +48,32 @@ def _num_qubits(state: np.ndarray) -> int:
     return n
 
 
-def _apply_inplace(psi: np.ndarray, op: GateOp) -> None:
-    """Update the state tensor (shape [2]*n, axis a = qubit n-1-a) in place."""
-    n = psi.ndim
-    sel = [slice(None)] * n
-    for c in op.controls:
-        sel[n - 1 - c] = 1
-    sel = tuple(sel)
-    sub = psi[sel]
-    kept = [a for a in range(n) if not isinstance(sel[a], int)]
-    # Gate axis p carries the gate's bit t-1-p, living on qubit targets[t-1-p].
-    t = len(op.targets)
-    pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
-    moved = np.moveaxis(sub, pos, range(t))
-    shape = moved.shape
-    block = moved.reshape(1 << t, -1)
-    if op.power is not None:  # matrix-free: the transform's FFT form of U**k
-        transform, k = op.power
-        updated = transform.apply(block, k)
-    else:
-        updated = linalg.apply(op.base_matrix(), block)
-    psi[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
-
-
 def run(circuit: Circuit, state: np.ndarray, trace=None):
     """Execute a circuit on a state; returns (final_state, trace_records).
 
     ``trace`` selects which marked boundaries to record: None for none,
-    True for all of the circuit's marks, or an iterable of labels.
+    True for all of the circuit's marks, or an iterable of the circuit's
+    mark labels (a string or an unknown label is a ValueError).
     """
     state = np.asarray(state, dtype=complex).ravel()
     if state.size != 1 << circuit.num_qubits:
         raise ValueError(
             f"state length {state.size} does not match {circuit.num_qubits} qubits"
         )
-    if trace is None:
-        wanted = frozenset()
-    elif trace is True:
-        wanted = frozenset(label for label, _ in circuit.marks)
-    else:
-        wanted = frozenset(trace)
+    labels = frozenset(label for label, _ in circuit.marks)
+    wanted = labels if trace is True else frozenset(trace or ())
+    unknown = [trace] if isinstance(trace, str) else sorted(wanted - labels)
+    if unknown:
+        raise ValueError(
+            f"trace takes True or an iterable of the circuit's mark labels, not {unknown[0]!r}"
+        )
     boundaries: dict[int, list[str]] = {}
     for label, idx in circuit.marks:
         if label in wanted:
             boundaries.setdefault(idx, []).append(label)
 
     records: list[TraceRecord] = []
-    psi = state.reshape([2] * circuit.num_qubits).copy()
+    psi = state.reshape([2] * circuit.num_qubits + [1]).copy()
 
     def snapshot(idx: int):
         for label in boundaries.get(idx, ()):
@@ -102,7 +81,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
 
     snapshot(0)
     for i, op in enumerate(circuit.ops):
-        _apply_inplace(psi, op)
+        _apply_op(psi, op, matrix_free=True)
         snapshot(i + 1)
     return psi.reshape(-1), records
 

@@ -53,3 +53,32 @@ def random_circuit(num_qubits, num_gates, rng):
                        matrix=random_unitary(1 << t, rng))
             )
     return Circuit(num_qubits, tuple(ops))
+
+
+def embedded_op_matrix(op, num_qubits):
+    """The op's full 2**n x 2**n matrix, built one basis column at a time:
+    a column whose controls are not all 1 is left as the identity's; any other
+    column j is the gate matrix's column for the target bits of j, spread
+    over the target wires with j's other bits kept. Qubit w carries bit
+    2**w and ``targets[i]`` the gate's bit 2**i."""
+    gate = op.base_matrix()
+    dim = 1 << num_qubits
+    target_mask = sum(1 << w for w in op.targets)
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        if not all((col >> c) & 1 for c in op.controls):
+            full[col, col] = 1.0
+            continue
+        pattern = sum(((col >> w) & 1) << i for i, w in enumerate(op.targets))
+        for p in range(gate.shape[0]):
+            row = (col & ~target_mask) | sum(((p >> i) & 1) << w for i, w in enumerate(op.targets))
+            full[row, col] = gate[p, pattern]
+    return full
+
+
+def reference_circuit_unitary(circuit):
+    """Product of the embedded op matrices, last op leftmost."""
+    u = np.eye(1 << circuit.num_qubits, dtype=complex)
+    for op in circuit.ops:
+        u = embedded_op_matrix(op, circuit.num_qubits) @ u
+    return u

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dyadic_unitary, random_unitary
+from helpers import random_dyadic_unitary, random_unitary, reference_circuit_unitary
 from qfrt import linalg
 from qfrt.base_transforms import (
     cst1_transform,
@@ -403,3 +403,39 @@ class TestCircuitUnitaryColumns:
     def test_bad_columns_rejected(self, columns):
         with pytest.raises(ValueError, match="columns"):
             circuit_unitary(_multi_control_circuit(), columns=columns)
+
+
+def _embedding_circuit(rng):
+    """Up to 5 wires; every op takes 0-2 controls and 1-2 targets in random
+    wire order: named one-qubit gates, p, swap and 2-target matrix payloads."""
+    n = int(rng.integers(3, 6))
+    ops = []
+    for _ in range(int(rng.integers(4, 13))):
+        wires = [int(w) for w in rng.permutation(n)]
+        kind = int(rng.integers(0, 4))
+        t = 2 if kind >= 2 else 1
+        targets = tuple(wires[:t])
+        controls = tuple(wires[t:t + int(rng.integers(0, 3))])
+        if kind == 0:
+            name = str(rng.choice(["x", "y", "z", "h", "s", "r", "b", "bdag"]))
+            ops.append(GateOp(name, targets=targets, controls=controls))
+        elif kind == 1:
+            ops.append(GateOp("p", targets=targets, controls=controls,
+                              params=(float(rng.uniform(-np.pi, np.pi)),)))
+        elif kind == 2:
+            ops.append(GateOp("swap", targets=targets, controls=controls))
+        else:
+            ops.append(GateOp("unitary", targets=targets, controls=controls,
+                              matrix=random_unitary(4, rng)))
+    return Circuit(n, tuple(ops))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_circuit_unitary_matches_basis_column_embedding(seed):
+    rng = np.random.default_rng(900 + seed)
+    circuit = _embedding_circuit(rng)
+    expected = reference_circuit_unitary(circuit)
+    assert linalg.max_norm_diff(circuit_unitary(circuit), expected) <= 1e-14
+    for k in (1, int(rng.integers(2, expected.shape[0]))):
+        got = circuit_unitary(circuit, columns=k)
+        assert linalg.max_norm_diff(got, expected[:, :k]) <= 1e-14

@@ -173,6 +173,33 @@ def test_alpha_flags_a_command_ignores_are_rejected(command, flag, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [(["--transform", "cst4", "--n", "1", "--alpha", "0.5", "--cst4-selector", "cos"],
+      "--alpha does not apply to --cst4-selector"),
+     (["--format", "state-text"], "--format state-text does not apply without --alpha"),
+     (["--format", "circuit-text"], "--format circuit-text does not apply without --alpha"),
+     (["--circuit-unitary"], "--circuit-unitary does not apply without --alpha"),
+     (["--alpha", "0.5", "--circuit-unitary", "--format", "state-text"],
+      "--circuit-unitary does not apply to --format state-text"),
+     (["--alpha", "0.5", "--circuit-unitary", "--format", "circuit-text"],
+      "--circuit-unitary does not apply to --format circuit-text"),
+     (["--alpha", "0.5", "--full"], "--full does not apply to --format matrix-text"),
+     (["--alpha", "0.5", "--full", "--format", "circuit-text"],
+      "--full does not apply to --format circuit-text")],
+    ids=["selector_with_alpha", "state_text_no_alpha", "circuit_text_no_alpha",
+         "circuit_unitary_no_alpha", "circuit_unitary_state_text",
+         "circuit_unitary_circuit_text", "full_matrix_text", "full_circuit_text"],
+)
+def test_dump_flags_the_output_ignores_are_rejected(argv, message, capsys):
+    if "--transform" not in argv:
+        argv = ["--transform", "hartley", "--qubits", "1", *argv]
+    assert main(["dump", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [["dump", "--transform", "fourier", "--qubits", "6"],
      ["verify", "--suite", "order", "--transform", "hartley", "--qubits", "6"]],

@@ -7,7 +7,13 @@ import pytest
 from qfrt import linalg, simulator
 from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
-from qfrt.fractional import FractionalSpec, build_qfrin_circuit, build_qfru_circuit
+from qfrt.fractional import (
+    FractionalSpec,
+    build_qfrin_circuit,
+    build_qfru_circuit,
+    extract_data_block,
+    fractional_oracle,
+)
 
 from helpers import random_dyadic_unitary
 
@@ -198,3 +204,21 @@ class TestPowerOp:
         got, _ = simulator.run(by_power, state)
         want, _ = simulator.run(by_matrix, state)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _no_fft(x, k):
+    raise AssertionError("the dense reference called a transform's apply")
+
+
+@pytest.mark.parametrize("transform_id,size", [
+    ("fourier", 2), ("fourier", 4), ("hartley", 4), ("cst1", 3), ("cst4", 3)])
+def test_circuit_unitary_never_takes_the_fft_path(transform_id, size):
+    t = make_transform(transform_id, size)
+    object.__setattr__(t, "apply", _no_fft)
+    spec = FractionalSpec(t, 0.37)
+    circuit = build_qfru_circuit(spec)
+    with pytest.raises(AssertionError, match="apply"):
+        simulator.run(circuit, simulator.basis_state(circuit.num_qubits))
+    cols = circuit_unitary(circuit, columns=1 << t.data_qubits)
+    block, leakage = extract_data_block(cols, spec.num_ancillas, t.data_qubits)
+    assert max(linalg.max_norm_diff(block, fractional_oracle(spec)), leakage) <= 1e-10

@@ -103,6 +103,19 @@ def test_import_gate_errors_name_the_line(statement, message):
         import_circuit(text)
 
 
+@pytest.mark.parametrize(
+    "statement,message",
+    [("p(abc) q[0];", "could not convert string to float: 'abc'"),
+     ("unitary { 1 0,0 0,0 1,0 } q[0];", "not enough values to unpack"),
+     ("h q[5];", r"q\[5\] is outside the 2-qubit register")],
+    ids=["bad_angle", "payload_token_without_comma", "qubit_out_of_range"],
+)
+def test_import_statement_errors_name_the_line(statement, message):
+    text = f"qubit[2] q;\nh q[0];\n{statement}\n"
+    with pytest.raises(ValueError, match=rf"^line 3: {message}"):
+        import_circuit(text)
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)

@@ -62,6 +62,16 @@ class TestRun:
         _, records = run(c, basis_state(c.num_qubits), trace={"psi2", "psi7"})
         assert [r.label for r in records] == ["psi2", "psi7"]
 
+    @pytest.mark.parametrize(
+        "trace,label",
+        [("psi1", "'psi1'"), (["psi9"], "'psi9'"), (["psi2", "psi9"], "'psi9'")],
+        ids=["string", "unknown", "one_unknown"],
+    )
+    def test_trace_labels_must_be_marks(self, trace, label):
+        c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
+        with pytest.raises(ValueError, match=label):
+            run(c, basis_state(c.num_qubits), trace=trace)
+
     def test_norm_preserved_through_long_random_circuit(self):
         rng = np.random.default_rng(8)
         ops = random_circuit(8, 1000, rng).ops
