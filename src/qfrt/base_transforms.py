@@ -226,7 +226,8 @@ class BaseTransform:
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, read-only, in the kernel's dtype. U**1 is
         ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
-        gathers I[p] and U[p]; any other power is read off :meth:`powers`."""
+        gathers I[p] and U[p]; any other power is the k - 1 products that
+        give :meth:`powers`' entry k, with no table."""
         if not 0 <= k < self.order:
             raise ValueError(f"{self.id!r}: power {k} outside 0..{self.order - 1}")
         if k == 1:
@@ -239,13 +240,17 @@ class BaseTransform:
         elif self.square_perm is not None:
             out = self.dense[self.square_perm]
         else:
-            out = self.powers()[k]
+            out = self.dense
+            for _ in range(k - 1):
+                out = out @ self.dense
         out.setflags(write=False)
         return out
 
     def powers(self) -> tuple[np.ndarray, ...]:
         """The power table (U**0, ..., U**(order-1)), rebuilt on each call and
-        unchecked: ``fractional_oracle`` checks the order on it. With
+        unchecked: a caller that reads it, ``fractional_oracle`` or the circuit
+        builder on a hand-built kernel of order >= 4 without ``square_perm``,
+        checks the order on its last entry. With
         ``square_perm`` p it is (I, U, I[p], U[p]), by :meth:`power`; otherwise
         by repeated products. Every entry, I included, has the kernel's dtype."""
         if self.order <= 2 or self.square_perm is not None:

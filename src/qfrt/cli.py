@@ -96,10 +96,14 @@ def _parse_alpha_range(raw: str) -> np.ndarray:
 
 
 def _resolve_transform(args) -> BaseTransform:
-    size = args.qubits if args.transform in ("fourier", "hartley") else args.n
-    flag = "--qubits" if args.transform in ("fourier", "hartley") else "--n"
+    flag, other = ("qubits", "n") if args.transform in ("fourier", "hartley") else ("n", "qubits")
+    size = getattr(args, flag)
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to --transform {args.transform}")
     if size is None:
-        raise ValueError(f"transform {args.transform!r} needs {flag}")
+        raise ValueError(f"transform {args.transform!r} needs --{flag}")
+    if size < 1:
+        raise ValueError(f"--{flag} must be >= 1, got {size}")
     return make_transform(args.transform, size)
 
 
@@ -227,6 +231,8 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
 
 def cmd_verify(args) -> int:
     transform = _resolve_transform(args)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = _suite_rows(args, transform, rng)
     tol = rows[0].tolerance

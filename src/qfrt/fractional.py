@@ -10,9 +10,10 @@ which interpolates the integer powers, is additive in alpha, and is
 N-periodic. :func:`fractional_oracle` evaluates it densely;
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
-:func:`build_qfrin_circuit` is its n = 1 case, for involutions. The oracle
-checks U**N = I on the unchecked :meth:`BaseTransform.powers`, the circuit
-on :meth:`BaseTransform.power` (order - 1) alone.
+:func:`build_qfrin_circuit` is its n = 1 case, for involutions. Both check
+U**N = I the same way: one memoised unitarity proof of U
+(:attr:`BaseTransform.unitarity_dev`, paid by the first call on a transform)
+plus one O(N**2) comparison of U**(N-1) with U^dagger (:func:`_check_order`).
 """
 from __future__ import annotations
 
@@ -95,16 +96,34 @@ def _order_error(base: BaseTransform) -> NotDyadicOrderError:
 
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
-    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k over
-    :meth:`BaseTransform.powers`. Raises :class:`NotDyadicOrderError` unless
-    U**(order-1) U = I within ORDER_TOL."""
-    weights = shih_coefficients(spec.order, spec.alpha).weights
-    powers = spec.base.powers()
-    if linalg.max_norm_diff(powers[-1] @ spec.base.dense, powers[0]) > ORDER_TOL:
-        raise _order_error(spec.base)
-    out = np.zeros(powers[0].shape, dtype=complex)
-    for weight, power in zip(weights, powers):
-        out += weight * power
+    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k.
+
+    Raises :class:`NotDyadicOrderError` unless U is unitary within GATE_TOL,
+    by the memoised :attr:`BaseTransform.unitarity_dev` (the first call on a
+    transform pays its one product), and U**order = I within ORDER_TOL, by
+    :func:`_check_order` in O(N**2). When the powers are I, U and, with
+    ``square_perm`` p, I[p] and U[p] (every involution, and every order-4
+    transform with p), the sum is c_1 U (+ c_3 U[p]) with the permutation
+    matrices added as one scatter each, and no matrix product is made;
+    otherwise it runs over one :meth:`BaseTransform.powers` table.
+    """
+    t, order = spec.base, spec.order
+    weights = shih_coefficients(order, spec.alpha).weights
+    if not t.unitarity_dev <= GATE_TOL:
+        raise NotDyadicOrderError(f"base {t.id!r} is not unitary within {GATE_TOL}")
+    if order > 2 and t.square_perm is None:
+        powers = t.powers()
+        _check_order(t, powers[-1])
+        out = np.zeros(t.dense.shape, dtype=complex)
+        for weight, power in zip(weights, powers):
+            out += weight * power
+        return out
+    _check_order(t, t.power(order - 1))
+    out = weights[1] * t.dense
+    out.flat[:: len(out) + 1] += weights[0]  # I
+    if order == 4:
+        out += weights[3] * t.power(3)
+        out[np.arange(len(out)), t.square_perm] += weights[2]  # I[p]
     return out
 
 
@@ -123,15 +142,19 @@ def _shifted(ops, offset: int):
 
 
 def _check_order(t: BaseTransform, last: np.ndarray) -> None:
-    """U**order = I within ORDER_TOL, from ``last`` = U**(order-1) in O(N**2).
+    """|last U - I|_max <= ORDER_TOL in O(N**2), with ``last`` = U**(order-1),
+    so U**order = I; with ``last`` = U[p] it is |p U U - I|_max, so U**2 = I[p].
 
-    The payload op carrying U, built after this check, checks
-    g = |U^dagger U - I|_max <= GATE_TOL = G, so columns of U have norm
-    <= sqrt(1 + g) <= 1 + G/2. With D = U**(order-1) - U^dagger,
-    U**order - I = D U + (U^dagger U - I), and Cauchy-Schwarz on the rows of D
-    gives |D U|_max <= sqrt(N) |D|_max (1 + G/2). So |D|_max <= bound =
-    (ORDER_TOL - 2G) / sqrt(N) gives |U**order - I|_max
-    <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as ORDER_TOL < 2.
+    Premise: the unitarity proof g = |U^dagger U - I|_max <= GATE_TOL = G,
+    which each caller holds for U. The oracle checks the memoised
+    :attr:`BaseTransform.unitarity_dev` first; the circuit builder's payload
+    op for U checks that same proof for a built-in transform, and its matrix
+    for a hand-built one. Columns of U then have norm <= sqrt(1 + g) <= 1 + G/2.
+    With D = last - U^dagger, last U - I = D U + (U^dagger U - I), and
+    Cauchy-Schwarz on the rows of D gives |D U|_max <= sqrt(N) |D|_max
+    (1 + G/2). So |D|_max <= bound = (ORDER_TOL - 2G) / sqrt(N) gives
+    |last U - I|_max <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as
+    ORDER_TOL < 2.
     """
     u = t.dense
     bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(len(u))

@@ -111,6 +111,11 @@ def import_circuit(text: str) -> Circuit:
             continue
         decl = _DECL_RE.match(line)
         if decl:
+            if num_qubits is not None:
+                raise ValueError(
+                    f"line {lineno}: second qubit declaration; the register is "
+                    f"already declared as qubit[{num_qubits}] q"
+                )
             num_qubits = int(decl.group(1))
             continue
         try:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from qfrt import linalg, simulator
-from qfrt.base_transforms import BaseTransform, dct4_matrix, dst4_matrix, hartley_transform
+from qfrt import cli, linalg, simulator
+from qfrt.base_transforms import (
+    BaseTransform,
+    dct4_matrix,
+    dft_matrix,
+    dst4_matrix,
+    hartley_transform,
+)
 from qfrt.cli import main
 from qfrt.fractional import FractionalSpec, fractional_oracle
 from qfrt.qasm import import_circuit
@@ -213,6 +219,30 @@ def test_kernel_only_commands_check_the_budget(argv, monkeypatch, capsys):
     assert captured.err.splitlines() == ["error: 6 qubits exceed the 3-qubit budget"]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["dump", "--transform", "fourier", "--qubits", "0"], "--qubits must be >= 1, got 0"),
+     (["dump", "--transform", "cst1", "--n", "0"], "--n must be >= 1, got 0"),
+     (["verify", "--suite", "additivity", "--transform", "hartley", "--qubits", "1",
+       "--seed", "-1"], "--seed must be >= 0, got -1"),
+     (["dump", "--transform", "hartley", "--qubits", "1", "--n", "2"],
+      "--n does not apply to --transform hartley"),
+     (["sweep", "--transform", "fourier", "--qubits", "1", "--n", "1",
+       "--alpha-range", "0,1,0.5"], "--n does not apply to --transform fourier"),
+     (["verify", "--suite", "order", "--transform", "cst1", "--n", "1", "--qubits", "2"],
+      "--qubits does not apply to --transform cst1"),
+     (["export", "--transform", "cst4", "--n", "1", "--qubits", "2", "--alpha", "0.5"],
+      "--qubits does not apply to --transform cst4")],
+    ids=["qubits_zero", "n_zero", "negative_seed", "n_with_hartley", "n_with_fourier",
+         "qubits_with_cst1", "qubits_with_cst4"],
+)
+def test_bad_size_or_seed_names_the_flag(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("raw", ["-3", "0", "abc", ""])
 def test_bad_qubit_budget_is_one_error_line(raw, monkeypatch, capsys):
     monkeypatch.setenv(linalg.BUDGET_ENV_VAR, raw)
@@ -304,15 +334,27 @@ class TestSweep:
             if alpha == int(alpha):
                 assert dist <= 1e-10
 
-    def test_one_power_table_per_row(self, monkeypatch, capsys):
-        # the oracle's; the nearest integer power is one BaseTransform.power
+    @staticmethod
+    def _count_tables(monkeypatch):
         tables = []
         original = BaseTransform.powers
         monkeypatch.setattr(BaseTransform, "powers",
                             lambda self: tables.append(self) or original(self))
         assert main(["sweep", "--transform", "fourier", "--qubits", "2",
                      "--alpha-range", "0,4,0.5"]) == 0
-        assert len(tables) == 8
+        return len(tables)
+
+    def test_one_power_table_per_row(self, monkeypatch, capsys):
+        # The built-in Fourier oracle sums F and its row permutations with no
+        # table, and the nearest integer power is one BaseTransform.power.
+        assert self._count_tables(monkeypatch) == 0
+
+    def test_hand_built_kernel_one_power_table_per_row(self, monkeypatch, capsys):
+        # The DFT kernel without square_perm: the oracle's one table per row;
+        # its nearest integer power, by BaseTransform.power, builds none.
+        monkeypatch.setattr(cli, "make_transform",
+                            lambda tid, size: BaseTransform(tid, size, 2, dft_matrix(1 << size)))
+        assert self._count_tables(monkeypatch) == 8
 
     def test_symmetric_about_half(self, tmp_path):
         out = tmp_path / "sym.csv"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state
-from qfrt import linalg
+from helpers import random_dyadic_unitary, random_state
+from qfrt import cli, linalg
 from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
@@ -145,6 +145,67 @@ def test_hermitian_non_unitary_base_rejected():
             build_qfru_circuit(FractionalSpec(double, 0.5))
         with pytest.raises(ValueError, match="not unitary"):
             build_qfrin_circuit(double, 0.5)
+
+
+def test_oracle_rejects_non_unitary_base_of_exact_order():
+    # S diag(1, -1) S**-1 with S = [[1, 1], [0, 1]] squares to I exactly, but
+    # it is not unitary, so its Shih sum is no fractional power.
+    s = np.array([[1.0, 1.0], [0.0, 1.0]])
+    skew = BaseTransform("skew", 1, 1, s @ np.diag([1.0, -1.0]) @ np.linalg.inv(s))
+    assert np.array_equal(skew.dense @ skew.dense, np.eye(2))
+    with pytest.raises(NotDyadicOrderError, match="'skew'"):
+        fractional_oracle(FractionalSpec(skew, 0.5))
+
+
+def _product_table_oracle(base, alpha):
+    """The defining sum over an explicit table of repeated products."""
+    weights = shih_coefficients(base.order, alpha).weights
+    power = np.eye(len(base.dense), dtype=complex)
+    out = np.zeros_like(power)
+    for weight in weights:
+        out += weight * power
+        power = power @ base.dense
+    return out
+
+
+def _hand_built(transform_id, order_exponent, q):
+    if transform_id == "fourier":  # the DFT kernel without square_perm
+        return BaseTransform("fourier", q, 2, dft_matrix(1 << q))
+    u = random_dyadic_unitary(1 << q, order_exponent, np.random.default_rng(q))
+    return BaseTransform(transform_id, q, order_exponent, u)
+
+
+DIFFERENTIAL_BASES = {
+    **{f"{t}{s}": (make_transform, t, s)
+       for t, sizes in (("fourier", (1, 4, 8)), ("hartley", (1, 5, 8)),
+                        ("cst1", (1, 4, 7)), ("cst4", (1, 4, 7)))
+       for s in sizes},
+    **{f"hand_fourier{q}": (_hand_built, "fourier", 2, q) for q in (1, 4, 8)},
+    **{f"order8_q{q}": (_hand_built, "order8", 3, q) for q in (1, 3, 5)},
+    **{f"order16_q{q}": (_hand_built, "order16", 4, q) for q in (1, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_BASES.values(), ids=DIFFERENTIAL_BASES.keys())
+def test_oracle_matches_product_table_sum(case):
+    base = case[0](*case[1:])
+    for alpha in (0.0, 0.37, 1.0, 2.5, 3.9, -1.3, 7.25, 1e6 + 0.3, -4.4e9, 3.3e15):
+        got = fractional_oracle(FractionalSpec(base, alpha))
+        assert linalg.max_norm_diff(got, _product_table_oracle(base, alpha)) <= 1e-12
+
+
+def test_additivity_suite_proves_the_kernel_once(monkeypatch, capsys):
+    # 75 oracle calls on one transform, one unitarity proof of its kernel.
+    transforms, proved = [], []
+    make, unitarity_dev = cli.make_transform, linalg.unitarity_dev
+    monkeypatch.setattr(cli, "make_transform",
+                        lambda *a: transforms.append(make(*a)) or transforms[-1])
+    monkeypatch.setattr(linalg, "unitarity_dev",
+                        lambda m: proved.append(m) or unitarity_dev(m))
+    assert cli.main(["verify", "--suite", "additivity", "--transform", "fourier",
+                     "--qubits", "3"]) == 0
+    assert len(transforms) == 1
+    assert sum(m is transforms[0].dense for m in proved) == 1
 
 
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])

@@ -116,6 +116,18 @@ def test_import_statement_errors_name_the_line(statement, message):
         import_circuit(text)
 
 
+@pytest.mark.parametrize(
+    "statements",
+    [["qubit[2] q;", "h q[0];", "qubit[8] q;", "h q[7];"],
+     ["qubit[2] q;", "h q[1];", "qubit[1] q;"]],
+    ids=["grow", "shrink"],
+)
+def test_import_rejects_second_declaration(statements):
+    with pytest.raises(ValueError, match=r"^line 3: second qubit declaration; "
+                                         r"the register is already declared as qubit\[2\] q"):
+        import_circuit("\n".join(statements) + "\n")
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)
