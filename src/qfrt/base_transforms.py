@@ -16,6 +16,7 @@ whose top qubit acts as a cosine/sine selector.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -23,7 +24,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import linalg
-from .errors import NotDyadicOrderError
+from .errors import DimensionError, NotDyadicOrderError, QfrtError
 
 #: Tolerance for the order check U**(2**n) = I.
 ORDER_TOL = 1e-8
@@ -41,6 +42,38 @@ def _exponents(j: np.ndarray, modulus: int) -> np.ndarray:
     return exponents
 
 
+# Each kernel indexes a table of roots by an exactly reduced integer exponent.
+# A ``_*_table(..., dtype)`` function evaluates that table's closed form in
+# ``dtype``: float64 gives the stored entries, np.longdouble the reference the
+# certificate (:func:`_entry_dev`) measures them against.
+
+#: pi to more digits than np.longdouble holds; float64 reads it as np.pi.
+_PI = "3.14159265358979323846264338327950288"
+
+
+def _dft_table(n_points: int, dtype=np.float64) -> np.ndarray:
+    j = np.arange(n_points)
+    return np.exp(-2j * dtype(_PI) * j / n_points) / np.sqrt(dtype(n_points))
+
+
+def _hartley_table(n_points: int, dtype=np.float64) -> np.ndarray:
+    ang = 2 * dtype(_PI) * np.arange(n_points) / n_points
+    return (np.cos(ang) + np.sin(ang)) / np.sqrt(dtype(n_points))
+
+
+def _type1_table(trig, big_n: int, dtype=np.float64) -> np.ndarray:
+    """sqrt(2/N) trig(pi m / N) for m < 2N, the DCT-I or DST-I roots."""
+    m = np.arange(2 * big_n)
+    return np.sqrt(2 * dtype(1) / big_n) * trig(dtype(_PI) * m / big_n)
+
+
+def _type4_table(trig, big_n: int, dtype=np.float64) -> np.ndarray:
+    """sqrt(2/N) trig(pi m / 4N) for the odd m < 8N, the only exponents
+    (2j+1)(2k+1) mod 8N takes; exponent m sits at index m >> 1."""
+    m = 2 * np.arange(4 * big_n) + 1
+    return np.sqrt(2 * dtype(1) / big_n) * trig(dtype(_PI) * m / (4 * big_n))
+
+
 def dft_matrix(n_points: int) -> np.ndarray:
     """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**((j k) mod N) / sqrt(N).
 
@@ -49,25 +82,19 @@ def dft_matrix(n_points: int) -> np.ndarray:
     permutation j -> -j mod N to within a few ulps. The real kernels below
     index their tables the same way.
     """
-    j = np.arange(n_points)
-    roots = np.exp(-2j * np.pi * j / n_points) / np.sqrt(n_points)
-    return roots[_exponents(j, n_points)]
+    return _dft_table(n_points)[_exponents(np.arange(n_points), n_points)]
 
 
 def hartley_matrix(n_points: int) -> np.ndarray:
     """cas kernel: entry (j, k) = cas(2 pi ((j k) mod N) / N) / sqrt(N), cas = cos + sin."""
-    j = np.arange(n_points)
-    ang = 2.0 * np.pi * j / n_points
-    return ((np.cos(ang) + np.sin(ang)) / np.sqrt(n_points))[_exponents(j, n_points)]
+    return _hartley_table(n_points)[_exponents(np.arange(n_points), n_points)]
 
 
 def dct1_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DCT-I on N+1 points: entry (j, k) =
     sqrt(2/N) beta_j beta_k cos(pi ((j k) mod 2N) / N), beta = 1/sqrt(2) at the ends."""
     big_n = n_points - 1
-    m = np.arange(2 * big_n)
-    out = (np.sqrt(2.0 / big_n) * np.cos(np.pi * m / big_n))[
-        _exponents(np.arange(n_points), 2 * big_n)]
+    out = _type1_table(np.cos, big_n)[_exponents(np.arange(n_points), 2 * big_n)]
     out[[0, -1]] /= np.sqrt(2.0)
     out[:, [0, -1]] /= np.sqrt(2.0)
     return out
@@ -77,16 +104,13 @@ def dst1_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-I on N-1 points: entry (j, k) =
     sqrt(2/N) sin(pi ((j+1)(k+1) mod 2N) / N)."""
     big_n = n_points + 1
-    m = np.arange(2 * big_n)
-    return (np.sqrt(2.0 / big_n) * np.sin(np.pi * m / big_n))[
-        _exponents(np.arange(1, big_n), 2 * big_n)]
+    return _type1_table(np.sin, big_n)[_exponents(np.arange(1, big_n), 2 * big_n)]
 
 
 def _type4(trig, n_points: int) -> np.ndarray:
     """sqrt(2/N) trig(pi ((2j+1)(2k+1) mod 8N) / 4N), the DCT-IV or DST-IV kernel."""
-    m = np.arange(8 * n_points)
-    return (np.sqrt(2.0 / n_points) * trig(np.pi * m / (4 * n_points)))[
-        _exponents(2 * np.arange(n_points) + 1, 8 * n_points)]
+    exponents = _exponents(2 * np.arange(n_points) + 1, 8 * n_points)
+    return _type4_table(trig, n_points)[exponents >> 1]
 
 
 def dct4_matrix(n_points: int) -> np.ndarray:
@@ -97,6 +121,39 @@ def dct4_matrix(n_points: int) -> np.ndarray:
 def dst4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-IV: entry (j, k) = sqrt(2/N) sin(pi (j+1/2)(k+1/2) / N)."""
     return _type4(np.sin, n_points)
+
+
+def _cst1_values(big_n: int, dtype=np.float64) -> np.ndarray:
+    """Every distinct entry of DCT-I(N+1) (+) DST-I(N-1): both tables, and the
+    DCT-I boundary entries, divided by sqrt(2) once (the edges, whose
+    exponents are 0 and N) or twice (the corners, exponent 0)."""
+    cos, sqrt2 = _type1_table(np.cos, big_n, dtype), np.sqrt(2 * dtype(1))
+    edges = cos[[0, big_n]] / sqrt2
+    return np.concatenate([cos, _type1_table(np.sin, big_n, dtype), edges, edges[:1] / sqrt2])
+
+
+def _cst4_values(big_n: int, dtype=np.float64) -> np.ndarray:
+    return np.concatenate([_type4_table(trig, big_n, dtype) for trig in (np.cos, np.sin)])
+
+
+#: Margin on the certificate, in longdouble ulps of the largest entry: it
+#: bounds the longdouble reference's own rounding (pi, the angle, the
+#: trigonometric function and the scaling), a few ulps each.
+_REFERENCE_ULPS = 64
+
+
+def _entry_dev(values: Callable) -> float:
+    """delta >= max|stored - exact| over a built-in kernel's distinct entries.
+
+    ``values(dtype)`` evaluates them by the builder's own formulas: in float64
+    they are the stored entries, bit for bit; in np.longdouble (64-bit
+    mantissa) they are the exact ones to within a few longdouble ulps, which
+    the margin covers. O(N): no kernel is built.
+    """
+    exact = values(np.longdouble)
+    dev = np.max(np.abs(values(np.float64) - exact))
+    margin = _REFERENCE_ULPS * np.finfo(np.longdouble).eps * np.max(np.abs(exact))
+    return float(dev + margin)
 
 
 def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,42 +224,87 @@ def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray, k: int) -> np.
     return out.reshape(2 * big_n, -1).view(complex)
 
 
+class _OnFirstRead:
+    """A dataclass field, None by default, that its object builds on first
+    read: while it holds None, reading it calls the object's
+    ``_build_<name>()`` and keeps a result other than None."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self.name]
+        if value is None:
+            value = getattr(obj, "_build_" + self.name)()
+            if value is not None:
+                obj.__dict__[self.name] = value
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True, eq=False)
 class BaseTransform:
     """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
-    ``dense`` is read-only: a writable array is copied, so nothing can change
-    the kernel after construction, and :attr:`unitarity_dev`, computed once,
-    holds for the object's lifetime.
+    A hand-built kernel must be a finite (2**data_qubits)-square matrix; it
+    is kept read-only (a writable array is copied), so nothing can change it
+    after construction, and :attr:`unitarity_dev`, computed once, holds for
+    the object's lifetime.
+
+    A transform from one of the four builders of this module carries its
+    roots table instead. Its ``dense`` is built from the table on first read
+    and then kept, read-only, so making the transform, building its circuits
+    and simulating them never build it; the oracle, ``circuit_unitary``,
+    export and ``dump`` do. Its :attr:`table_dev` certifies the stored
+    entries against their closed form in O(N), and :attr:`unitarity_dev` is
+    the bound that follows, so the kernel is never multiplied to prove it.
 
     ``square_perm``, for an order-4 kernel only, is the row permutation p
     with dense**2 = I[p]; it must be an involution (p[p] = identity), as
     j -> -j mod N is for the DFT. With it, :meth:`power` needs no matrix
     product.
 
-    ``apply(x, k)``, set only by the four builders of this module, computes
-    dense**k x along axis 0 of a complex (N, cols) block without the dense
-    kernel, through ``numpy.fft``; it is None on a transform built any other
-    way, whatever its ``id``.
+    ``apply(x, k)``, set only by the four builders, computes dense**k x along
+    axis 0 of a complex (N, cols) block without the dense kernel, through
+    ``numpy.fft``; it is None on a transform built any other way, whatever
+    its ``id``.
     """
 
     id: str
     data_qubits: int
     order_exponent: int
-    dense: np.ndarray
+    dense: np.ndarray = _OnFirstRead()
     square_perm: np.ndarray | None = None
     apply: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, init=False, repr=False)
+    # A builder's kernel and its table's entries in a given dtype (see _builtin).
+    _kernel: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
+    _values: Callable[[type], np.ndarray] | None = field(
+        default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        dense = self.dense
-        if not isinstance(dense, np.ndarray) or dense.flags.writeable or dense.base is not None:
-            dense = np.array(dense)
-            dense.setflags(write=False)
-            object.__setattr__(self, "dense", dense)
+        dim = 1 << self.data_qubits
+        if self._kernel is None:
+            dense = self.dense
+            if (not isinstance(dense, np.ndarray) or dense.flags.writeable
+                    or dense.base is not None):
+                dense = np.array(dense)
+                dense.setflags(write=False)
+                object.__setattr__(self, "dense", dense)
+            if dense.shape != (dim, dim):
+                raise DimensionError(
+                    f"{self.id!r}: kernel of shape {dense.shape} on {self.data_qubits} "
+                    f"data qubits, expected ({dim}, {dim})"
+                )
+            if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
+                raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
         if self.square_perm is None:
             return
-        perm, dim = np.asarray(self.square_perm), dense.shape[0]
+        perm = np.asarray(self.square_perm)
         # An involutive p is what makes the callers' order check p U U = I
         # imply U**2 = I[p] and U**4 = I.
         if not (self.order == 4 and perm.shape == (dim,)
@@ -214,14 +316,41 @@ class BaseTransform:
                 f"range({dim}) on an order-4 transform"
             )
 
+    def _build_dense(self) -> np.ndarray | None:
+        if self._kernel is None:
+            return None
+        dense = self._kernel()
+        dense.setflags(write=False)
+        return dense
+
     @property
     def order(self) -> int:
         return 1 << self.order_exponent
 
     @cached_property
+    def table_dev(self) -> float | None:
+        """A built-in kernel's certificate: delta >= max|stored - exact| over
+        its distinct entries (:func:`_entry_dev`), in O(N). None for a
+        hand-built kernel, and where np.longdouble is no wider than float64,
+        which leaves no exact reference to measure against."""
+        if self._values is None or np.finfo(np.longdouble).eps > 1e-18:
+            return None
+        return _entry_dev(self._values)
+
+    @cached_property
     def unitarity_dev(self) -> float:
-        """max|U^dagger U - I| of the kernel: one product, on first use only."""
-        return linalg.unitarity_dev(self.dense)
+        """max|U^dagger U - I|, or an upper bound on it, once per object.
+
+        With a certificate the kernel is E + D, E exact and unitary and
+        |D|_max <= delta = :attr:`table_dev`, and U^dagger U - I = E^dagger D
+        + D^dagger E + D^dagger D gives the bound 2 sqrt(N) delta + N delta**2
+        by Cauchy-Schwarz on the columns; no kernel is built. Otherwise it
+        is measured by one dense product."""
+        delta = self.table_dev
+        if delta is None:
+            return linalg.unitarity_dev(self.dense)
+        dim = 1 << self.data_qubits
+        return 2 * math.sqrt(dim) * delta + dim * delta**2
 
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, read-only, in the kernel's dtype. U**1 is
@@ -261,12 +390,13 @@ class BaseTransform:
         return tuple(table)
 
 
-def _builtin(transform_id: str, data_qubits: int, order_exponent: int,
-             dense: np.ndarray, apply, square_perm=None) -> BaseTransform:
-    """A builder's transform: its fresh kernel is made read-only in place
-    rather than copied, and it gets the matrix-free ``apply``."""
-    dense.setflags(write=False)
-    t = BaseTransform(transform_id, data_qubits, order_exponent, dense, square_perm)
+def _builtin(transform_id: str, data_qubits: int, order_exponent: int, kernel, values,
+             apply, square_perm=None) -> BaseTransform:
+    """A builder's transform: ``kernel()`` builds its dense kernel on first
+    read, ``values(dtype)`` evaluates its table's distinct entries for the
+    certificate, and it gets the matrix-free ``apply``."""
+    t = BaseTransform(transform_id, data_qubits, order_exponent, square_perm=square_perm,
+                      _kernel=kernel, _values=values)
     object.__setattr__(t, "apply", apply)
     return t
 
@@ -277,9 +407,10 @@ def fourier_transform(q: int) -> BaseTransform:
     if q < 1:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
-    parity = -np.arange(1 << q) % (1 << q)
-    return _builtin("fourier", q, 2, dft_matrix(1 << q), partial(_fourier_apply, parity),
-                    parity)
+    n_points = 1 << q
+    parity = -np.arange(n_points) % n_points
+    return _builtin("fourier", q, 2, lambda: dft_matrix(n_points),
+                    partial(_dft_table, n_points), partial(_fourier_apply, parity), parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:
@@ -287,8 +418,10 @@ def hartley_transform(q: int) -> BaseTransform:
     if q < 1:
         raise ValueError("need at least one data qubit")
     linalg.check_qubit_budget(q)
-    parity = -np.arange(1 << q) % (1 << q)
-    return _builtin("hartley", q, 1, hartley_matrix(1 << q), partial(_hartley_apply, parity))
+    n_points = 1 << q
+    parity = -np.arange(n_points) % n_points
+    return _builtin("hartley", q, 1, lambda: hartley_matrix(n_points),
+                    partial(_hartley_table, n_points), partial(_hartley_apply, parity))
 
 
 def cst1_transform(n: int) -> BaseTransform:
@@ -297,8 +430,9 @@ def cst1_transform(n: int) -> BaseTransform:
         raise ValueError("need n >= 1")
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    dense = _direct_sum(dct1_matrix(big_n + 1), dst1_matrix(big_n - 1))
-    return _builtin("cst1", n + 1, 1, dense, _cst1_apply)
+    return _builtin("cst1", n + 1, 1,
+                    lambda: _direct_sum(dct1_matrix(big_n + 1), dst1_matrix(big_n - 1)),
+                    partial(_cst1_values, big_n), _cst1_apply)
 
 
 def cst4_transform(n: int) -> BaseTransform:
@@ -308,11 +442,12 @@ def cst4_transform(n: int) -> BaseTransform:
         raise ValueError("need n >= 1")
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    dense = _direct_sum(dct4_matrix(big_n), dst4_matrix(big_n))
     j = np.arange(big_n)[:, None]
     pre = np.exp(-1j * np.pi * j / (2 * big_n))
     post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (2 * j + 1) / (4 * big_n))
-    return _builtin("cst4", n + 1, 1, dense, partial(_cst4_apply, pre, post))
+    return _builtin("cst4", n + 1, 1,
+                    lambda: _direct_sum(dct4_matrix(big_n), dst4_matrix(big_n)),
+                    partial(_cst4_values, big_n), partial(_cst4_apply, pre, post))
 
 
 def make_transform(transform_id: str, size: int) -> BaseTransform:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .base_transforms import BaseTransform
+from .base_transforms import BaseTransform, _OnFirstRead
 
 #: Unitarity tolerance for gate payloads.
 GATE_TOL = 1e-10
@@ -100,12 +100,14 @@ class GateOp:
     * ``matrix``: a literal matrix, checked unitary within ``GATE_TOL`` and
       kept as a read-only copy (real when it is real);
     * ``power=(t, k)``: U**k of a built-in transform t (one with
-      ``t.apply``), 1 <= k < t.order, on ``t.data_qubits`` targets. ``matrix``
-      is then ``t.power(k)``, shared read-only, not copied; it is proven by
-      t's one memoised ``unitarity_dev``, since every such power is U or a
-      row permutation of U or of I, all with U's Gram matrix or I's. The
-      simulator applies the op through ``t.apply``; ``circuit_unitary`` and
-      export read ``matrix``.
+      ``t.apply``), 1 <= k < t.order, on ``t.data_qubits`` targets. It is
+      proven by t's one memoised ``unitarity_dev``, the certificate of t's
+      roots table, since every such power is U or a row permutation of U or
+      of I, all with U's Gram matrix or I's. ``matrix`` is then
+      ``t.power(k)``, read-only and shared with t's kernel where it is the
+      kernel; it is built on first read and kept, and only
+      ``circuit_unitary``, export and ``dump`` read it. The simulator applies
+      the op through ``t.apply``.
 
     ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
     """
@@ -114,7 +116,7 @@ class GateOp:
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | None = _OnFirstRead()
     power: tuple[BaseTransform, int] | None = None
 
     def __post_init__(self):
@@ -129,7 +131,7 @@ class GateOp:
         if len(set(wires)) != len(wires):
             raise ValueError(f"targets {self.targets} and controls {self.controls} overlap")
         if self.name == "unitary" and self.power is not None:
-            object.__setattr__(self, "matrix", self._power_payload())
+            self._check_power()
         elif self.name == "unitary":
             if self.matrix is None:
                 raise ValueError("'unitary' op needs a matrix payload")
@@ -146,7 +148,7 @@ class GateOp:
         else:
             if self.name not in GATE_ARITY:
                 raise ValueError(f"unknown gate name {self.name!r}")
-            if self.matrix is not None or self.power is not None:
+            if self.power is not None or self.matrix is not None:
                 raise ValueError(f"named gate {self.name!r} cannot carry a payload")
             if len(self.targets) != GATE_ARITY[self.name]:
                 raise ValueError(
@@ -159,9 +161,9 @@ class GateOp:
             elif self.params:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
 
-    def _power_payload(self) -> np.ndarray:
+    def _check_power(self) -> None:
         t, k = self.power
-        if self.matrix is not None:
+        if self.__dict__["matrix"] is not None:  # as given: reading it would build it
             raise ValueError("a 'power' op takes no matrix payload")
         if not isinstance(t, BaseTransform) or t.apply is None:
             raise ValueError(
@@ -177,7 +179,13 @@ class GateOp:
         if not t.unitarity_dev <= GATE_TOL:
             raise ValueError("matrix payload is not unitary within 1e-10")
         object.__setattr__(self, "power", (t, int(k)))
-        return t.power(int(k))
+
+    def _build_matrix(self) -> np.ndarray | None:
+        """A ``power`` op's matrix, on its first read."""
+        if self.power is None:
+            return None
+        t, k = self.power
+        return t.power(k)
 
     def base_matrix(self) -> np.ndarray:
         """The gate's matrix on its targets, controls not included."""
@@ -230,8 +238,9 @@ def multiplexed_powers(powers) -> Circuit:
     ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
     u**(2**j) become gates. An entry is a matrix, which becomes a checked,
     copied ``matrix`` payload, or a pair (t, k) naming t**k of a built-in
-    transform t, which becomes a ``power`` payload sharing t's proven kernel
-    (see :class:`GateOp`); this function is where every payload op of the
+    transform t, which becomes a ``power`` payload certified by t's table and
+    reading its kernel only when its matrix is read (see :class:`GateOp`);
+    this function is where every payload op of the
     fractionalization circuits is made. The data register sits on qubits
     0..q-1 and the n selector qubits above it; selector bit j (qubit q+j)
     controls u**(2**j), so selector value m applies u**m whatever the order

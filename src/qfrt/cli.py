@@ -272,10 +272,9 @@ def cmd_sweep(args) -> int:
         "alpha,coeff_sq_sum,unitarity_dev,nearest_power_dist",
     ]
     for alpha in alphas:
-        m = fractional_oracle(FractionalSpec(transform, alpha))
-        coeff_sq = float(
-            np.sum(np.abs(shih_coefficients(order, alpha).weights) ** 2)
-        )
+        spec = FractionalSpec(transform, alpha)
+        m = fractional_oracle(spec)
+        coeff_sq = float(np.sum(np.abs(spec.coefficients.weights) ** 2))
         unit_dev = linalg.unitarity_dev(m)
         nearest = transform.power(int(round(alpha)) % order)
         dist = linalg.max_norm_diff(m, nearest)

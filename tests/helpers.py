@@ -82,3 +82,17 @@ def reference_circuit_unitary(circuit):
     for op in circuit.ops:
         u = embedded_op_matrix(op, circuit.num_qubits) @ u
     return u
+
+
+def count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call's positional arguments in
+    the returned list, then call through."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -17,7 +17,7 @@ from qfrt.base_transforms import (
     verify_order,
 )
 from qfrt.circuits import H, circuit_unitary, phase, qft_circuit
-from qfrt.errors import NotDyadicOrderError, QubitBudgetError
+from qfrt.errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from qfrt.fractional import FractionalSpec, build_qfru_circuit, fractional_oracle
 
 F2_EXPECTED = 0.5 * np.array(
@@ -302,6 +302,25 @@ class TestPowers:
             fractional_oracle(FractionalSpec(liar, 0.5))
         with pytest.raises(NotDyadicOrderError, match="'odd'"):
             build_qfru_circuit(FractionalSpec(liar, 0.5))
+
+
+@pytest.mark.parametrize(
+    "data_qubits,dense,error,message",
+    [
+        (2, np.diag([np.nan, 1, 1, 1]).astype(complex), QfrtError, "kernel entries must be"),
+        (2, np.diag([1.0, np.inf, 1.0, 1.0]), QfrtError, "kernel entries must be finite"),
+        (1, [["a", "b"], ["c", "d"]], QfrtError, "kernel entries must be finite numbers"),
+        (2, np.eye(3), DimensionError, r"kernel of shape \(3, 3\) on 2 data qubits, "
+                                       r"expected \(4, 4\)"),
+        (2, np.eye(8), DimensionError, r"kernel of shape \(8, 8\) on 2 data qubits"),
+        (1, np.ones(2), DimensionError, r"kernel of shape \(2,\) on 1 data qubits"),
+        (1, None, DimensionError, r"kernel of shape \(\) on 1 data qubits"),
+    ],
+    ids=["nan", "real_inf", "text", "eye3", "eye8", "vector", "none"],
+)
+def test_rejects_a_kernel_that_is_no_finite_register_square(data_qubits, dense, error, message):
+    with pytest.raises(error, match=f"^'bad': {message}"):
+        BaseTransform("bad", data_qubits, 1, dense)
 
 
 @pytest.mark.parametrize(

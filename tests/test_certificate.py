@@ -1,0 +1,186 @@
+"""A built-in transform is certified from its roots table in O(N), and its
+dense kernel is built only when something reads it."""
+import numpy as np
+import pytest
+
+from helpers import count_calls
+from qfrt import base_transforms, linalg, simulator
+from qfrt.base_transforms import BaseTransform, hartley_matrix, make_transform
+from qfrt.circuits import circuit_unitary
+from qfrt.errors import NotDyadicOrderError
+from qfrt.fractional import (
+    FractionalSpec,
+    build_qfrin_circuit,
+    build_qfru_circuit,
+    extract_data_block,
+    fractional_oracle,
+)
+
+LD = np.longdouble
+EPS_LD = np.finfo(LD).eps
+PI_LD = 4 * np.arctan(LD(1))
+
+#: Every built-in at every size up to 10 qubits: (id, size).
+SIZES = [(t, q) for t in ("fourier", "hartley") for q in range(1, 11)] + [
+    (t, n) for t in ("cst1", "cst4") for n in range(1, 10)]
+
+#: Sizes whose kernel never indexes the table entry that deviates most, so
+#: the certificate, taken over every table entry, is strictly above the
+#: kernel's own deviation.
+UNREACHED = {("cst1", 1), ("cst4", 1), ("cst4", 2)}
+
+
+def exact_kernel(transform_id: str, size: int) -> np.ndarray:
+    """The kernel's closed form in longdouble, entry by entry, from the
+    exactly reduced exponent (not from the builders' tables)."""
+    big_n = 1 << size
+    if transform_id in ("fourier", "hartley"):
+        j = np.arange(big_n)
+        angle = 2 * PI_LD * (np.outer(j, j) % big_n) / big_n
+        if transform_id == "fourier":
+            return (np.cos(angle) - 1j * np.sin(angle)) / np.sqrt(LD(big_n))
+        return (np.cos(angle) + np.sin(angle)) / np.sqrt(LD(big_n))
+    scale = np.sqrt(2 / LD(big_n))
+    out = np.zeros((2 * big_n, 2 * big_n), LD)
+    if transform_id == "cst1":
+        j = np.arange(big_n + 1)
+        beta = np.ones(big_n + 1, LD)
+        beta[[0, -1]] = 1 / np.sqrt(LD(2))
+        out[:big_n + 1, :big_n + 1] = scale * np.outer(beta, beta) * np.cos(
+            PI_LD * (np.outer(j, j) % (2 * big_n)) / big_n)
+        j = np.arange(1, big_n)
+        out[big_n + 1:, big_n + 1:] = scale * np.sin(
+            PI_LD * (np.outer(j, j) % (2 * big_n)) / big_n)
+    else:
+        j = 2 * np.arange(big_n) + 1
+        angle = PI_LD * (np.outer(j, j) % (8 * big_n)) / (4 * big_n)
+        out[:big_n, :big_n] = scale * np.cos(angle)
+        out[big_n:, big_n:] = scale * np.sin(angle)
+    return out
+
+
+def order_dev(u: np.ndarray, order: int) -> float:
+    """|u**order - I|_max by repeated squaring."""
+    power = u
+    while order > 1:
+        power, order = power @ power, order // 2
+    return linalg.max_norm_diff(power, np.eye(len(u)))
+
+
+@pytest.mark.parametrize("transform_id,size", SIZES)
+def test_certificate_bounds_the_measured_deviations(transform_id, size):
+    t = make_transform(transform_id, size)
+    delta, dim = t.table_dev, 1 << t.data_qubits
+    assert t.unitarity_dev == 2 * np.sqrt(dim) * delta + dim * delta**2
+    assert linalg.unitarity_dev(t.dense) <= t.unitarity_dev <= 3e-15
+    spread = dim * delta
+    assert order_dev(t.dense, t.order) <= t.order * spread * (1 + spread) ** (t.order - 1)
+
+
+@pytest.mark.parametrize("transform_id,size", SIZES)
+def test_table_dev_is_the_kernels_deviation(transform_id, size):
+    # The certificate is the measured table deviation plus its fixed margin;
+    # against the whole kernel's deviation from its closed form it agrees to
+    # within the two longdouble references' own rounding.
+    t = make_transform(transform_id, size)
+    # Every stored entry but the direct sums' structural zeros is a value
+    # the certificate measures.
+    assert np.all(np.isin(t.dense[t.dense != 0], t._values(np.float64)))
+    exact = exact_kernel(transform_id, size)
+    full = float(np.max(np.abs(t.dense - exact)))
+    largest = float(np.max(np.abs(exact)))
+    margin = base_transforms._REFERENCE_ULPS * EPS_LD * largest
+    assert full <= t.table_dev
+    if (transform_id, size) not in UNREACHED:
+        assert abs(t.table_dev - margin - full) <= 8 * EPS_LD * largest
+
+
+def double_longdouble(monkeypatch):
+    """Make np.finfo report longdouble as float64, as on a host without an
+    extended type."""
+    finfo = np.finfo
+    monkeypatch.setattr(
+        np, "finfo", lambda dtype: finfo(np.float64) if dtype is LD else finfo(dtype))
+
+
+@pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+def test_longdouble_fallback_takes_the_dense_proof(transform_id, monkeypatch):
+    double_longdouble(monkeypatch)
+    products = count_calls(monkeypatch, linalg, "unitarity_dev")
+    certificates = count_calls(monkeypatch, base_transforms, "_entry_dev")
+    t = make_transform(transform_id, 3)
+    spec = FractionalSpec(t, 0.3)
+    cols = circuit_unitary(build_qfru_circuit(spec), columns=1 << t.data_qubits)
+    block, _ = extract_data_block(cols, spec.num_ancillas, spec.data_qubits)
+    assert np.max(np.abs(block - fractional_oracle(spec))) <= 1e-10
+    assert t.table_dev is None
+    assert len(certificates) == 0
+    assert [args[0] is t.dense for args in products] == [True]
+
+
+def test_fallback_dense_proof_rejects_a_bad_kernel(monkeypatch):
+    # The certificate reads only the table; without it the kernel itself is
+    # proven, so a kernel off its table is caught.
+    double_longdouble(monkeypatch)
+    t = make_transform("hartley", 3)
+    object.__setattr__(t, "_kernel", lambda: 1.001 * hartley_matrix(8))
+    with pytest.raises(NotDyadicOrderError, match="'hartley' is not unitary"):
+        fractional_oracle(FractionalSpec(t, 0.3))
+    with pytest.raises(ValueError, match="not unitary"):
+        build_qfrin_circuit(t, 0.3)
+
+
+KERNEL_FUNCTIONS = ("dft_matrix", "hartley_matrix", "dct1_matrix", "dst1_matrix",
+                    "dct4_matrix", "dst4_matrix", "_direct_sum")
+
+
+@pytest.mark.parametrize("transform_id,size", [
+    ("fourier", 1), ("fourier", 3), ("hartley", 3), ("cst1", 2), ("cst4", 2)])
+def test_builds_and_runs_never_build_the_kernel(transform_id, size, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("dense kernel built")
+
+    for name in KERNEL_FUNCTIONS:
+        monkeypatch.setattr(base_transforms, name, unbuilt)
+    t = make_transform(transform_id, size)
+    alpha = 0.37
+    circuits = [build_qfru_circuit(FractionalSpec(t, alpha))]
+    if t.order == 2:
+        circuits.append(build_qfrin_circuit(t, alpha))
+    rng = np.random.default_rng(size)
+    data = 1 << t.data_qubits
+    x = rng.standard_normal(data) + 1j * rng.standard_normal(data)
+    x /= np.linalg.norm(x)
+    finals = []
+    for circuit in circuits:
+        state = np.zeros(1 << circuit.num_qubits, dtype=complex)
+        state[:data] = x
+        finals.append(simulator.run(circuit, state, trace=True)[0])
+    assert vars(t)["dense"] is None  # never built
+
+    monkeypatch.undo()
+    oracle = fractional_oracle(FractionalSpec(t, alpha))
+    for circuit, final in zip(circuits, finals):
+        ancillas = circuit.num_qubits - t.data_qubits
+        cols = circuit_unitary(circuit, columns=data)
+        block, leakage = extract_data_block(cols, ancillas, t.data_qubits)
+        assert np.max(np.abs(block - oracle)) <= 1e-10 and leakage <= 1e-10
+        assert np.max(np.abs(final[:data] - oracle @ x)) <= 1e-10
+
+
+def test_power_op_matrix_is_built_once_and_read_only():
+    t = make_transform("fourier", 2)
+    c = build_qfru_circuit(FractionalSpec(t, 0.3))
+    ops = [op for op in c.ops if op.power is not None]
+    assert vars(t)["dense"] is None  # never built
+    for op in ops:
+        first = op.matrix
+        assert op.matrix is first and not first.flags.writeable
+        assert np.array_equal(first, t.power(op.power[1]))
+    assert ops[0].matrix is t.dense
+
+
+def test_hand_built_kernel_is_not_certified():
+    t = BaseTransform("mine", 2, 1, hartley_matrix(4))
+    assert t.table_dev is None
+    assert t.unitarity_dev == linalg.unitarity_dev(t.dense)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfrt import cli, linalg, simulator
+from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
     BaseTransform,
     dct4_matrix,
@@ -355,6 +355,17 @@ class TestSweep:
         monkeypatch.setattr(cli, "make_transform",
                             lambda tid, size: BaseTransform(tid, size, 2, dft_matrix(1 << size)))
         assert self._count_tables(monkeypatch) == 8
+
+    def test_one_coefficient_set_per_row(self, monkeypatch, capsys):
+        # The row's weights feed both its oracle and its coeff_sq_sum.
+        calls = []
+        original = fractional.shih_coefficients
+        for module in (cli, fractional):
+            monkeypatch.setattr(module, "shih_coefficients",
+                                lambda *a: calls.append(a) or original(*a))
+        assert main(["sweep", "--transform", "fourier", "--qubits", "2",
+                     "--alpha-range", "0,4,0.5"]) == 0
+        assert len(calls) == 8
 
     def test_symmetric_about_half(self, tmp_path):
         out = tmp_path / "sym.csv"

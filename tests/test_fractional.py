@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dyadic_unitary, random_state
-from qfrt import cli, linalg
+from helpers import count_calls, random_dyadic_unitary, random_state
+from qfrt import base_transforms, cli, linalg
 from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
@@ -19,7 +19,7 @@ from qfrt.base_transforms import (
     make_transform,
 )
 from qfrt.circuits import GATE_TOL, H, circuit_unitary, phase
-from qfrt.errors import DimensionError, NotDyadicOrderError, QubitBudgetError
+from qfrt.errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -124,8 +124,13 @@ def test_qfru_circuit_rejects_operator_of_wrong_order():
 )
 def test_builders_reject_order_two_base_that_is_no_involution(dense):
     # Declared order 2 but no involution: F and a real rotation are unitary
-    # with U**2 != I, and a NaN entry fails the order comparison too, for a
-    # complex and for a real (float64) kernel alike. None may build a circuit.
+    # with U**2 != I. None may build a circuit. A NaN entry, for a complex
+    # and for a real (float64) kernel alike, is rejected before that, when
+    # the transform is made.
+    if not np.all(np.isfinite(dense)):
+        with pytest.raises(QfrtError, match="'bad': kernel entries must be finite"):
+            BaseTransform("bad", 2, 1, dense)
+        return
     bad = BaseTransform("bad", len(dense).bit_length() - 1, 1, dense)
     with pytest.raises(NotDyadicOrderError, match="'bad'"):
         build_qfru_circuit(FractionalSpec(bad, 0.5))
@@ -195,17 +200,18 @@ def test_oracle_matches_product_table_sum(case):
 
 
 def test_additivity_suite_proves_the_kernel_once(monkeypatch, capsys):
-    # 75 oracle calls on one transform, one unitarity proof of its kernel.
-    transforms, proved = [], []
-    make, unitarity_dev = cli.make_transform, linalg.unitarity_dev
+    # 75 oracle calls on one built-in transform: one table certificate and
+    # no dense unitarity product.
+    transforms, make = [], cli.make_transform
     monkeypatch.setattr(cli, "make_transform",
                         lambda *a: transforms.append(make(*a)) or transforms[-1])
-    monkeypatch.setattr(linalg, "unitarity_dev",
-                        lambda m: proved.append(m) or unitarity_dev(m))
+    proved = count_calls(monkeypatch, linalg, "unitarity_dev")
+    certified = count_calls(monkeypatch, base_transforms, "_entry_dev")
     assert cli.main(["verify", "--suite", "additivity", "--transform", "fourier",
                      "--qubits", "3"]) == 0
     assert len(transforms) == 1
-    assert sum(m is transforms[0].dense for m in proved) == 1
+    assert proved == []
+    assert certified == [(transforms[0]._values,)]
 
 
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])

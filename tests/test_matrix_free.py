@@ -4,7 +4,7 @@ simulator applies their controlled powers matrix-free through numpy.fft;
 import numpy as np
 import pytest
 
-from qfrt import linalg, simulator
+from qfrt import base_transforms, linalg, simulator
 from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.fractional import (
@@ -15,7 +15,7 @@ from qfrt.fractional import (
     fractional_oracle,
 )
 
-from helpers import random_dyadic_unitary
+from helpers import count_calls, random_dyadic_unitary
 
 #: (transform id, size) up to 10 data qubits; cst sizes are n, on n + 1 qubits.
 KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8, 10)] + [
@@ -111,27 +111,16 @@ class TestReadOnlyKernel:
         assert c.ops[1].power == (t, 1)
 
 
-def count_calls(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestOneProof:
     @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
     def test_builtin_is_proven_once_and_never_per_payload(self, transform_id, monkeypatch):
-        proofs = count_calls(monkeypatch, linalg, "unitarity_dev")
+        products = count_calls(monkeypatch, linalg, "unitarity_dev")
         checks = count_calls(monkeypatch, linalg, "is_unitary")
+        certificates = count_calls(monkeypatch, base_transforms, "_entry_dev")
         t = make_transform(transform_id, 3)
         for alpha in (0.3, 1.7):
             build_qfru_circuit(FractionalSpec(t, alpha))
-        assert (len(proofs), len(checks)) == (1, 0)
+        assert (len(products), len(certificates), len(checks)) == (0, 1, 0)
 
     def test_builtin_builds_no_power_table(self, monkeypatch):
         def no_table(self):
