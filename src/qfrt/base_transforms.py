@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -28,6 +28,9 @@ from .errors import DimensionError, NotDyadicOrderError, QfrtError
 
 #: Tolerance for the order check U**(2**n) = I.
 ORDER_TOL = 1e-8
+
+#: Unitarity tolerance for a transform's kernel and for gate payloads.
+GATE_TOL = 1e-10
 
 #: Tolerance for eigenvalue residues against roots of unity.
 EIGEN_RESIDUE_TOL = 1e-6
@@ -246,39 +249,45 @@ class _OnFirstRead:
         obj.__dict__[self.name] = value
 
 
+def _built_repr(obj) -> str:
+    """The dataclass repr, but reading each field as stored, so that an
+    :class:`_OnFirstRead` field shows None until something has built it."""
+    shown = (f"{f.name}={vars(obj)[f.name]!r}" for f in fields(obj) if f.repr)
+    return f"{type(obj).__name__}({', '.join(shown)})"
+
+
+def _adjoint_dev(a: np.ndarray, u: np.ndarray) -> float:
+    """max|a - u^dagger|, in row blocks so that the transposed reads of u
+    stay in cache."""
+    return float(np.max([np.max(np.abs(a[i:i + 32] - u[:, i:i + 32].conj().T))
+                         for i in range(0, len(u), 32)]))
+
+
 @dataclass(frozen=True, eq=False)
 class BaseTransform:
     """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
-    A hand-built kernel must be a finite (2**data_qubits)-square matrix; it
-    is kept read-only (a writable array is copied), so nothing can change it
-    after construction, and :attr:`unitarity_dev`, computed once, holds for
-    the object's lifetime.
+    A hand-built kernel must be a finite (2**data_qubits)-square matrix,
+    kept read-only (:func:`linalg.frozen`), so what :meth:`check` proves
+    once holds for the object's lifetime.
 
     A transform from one of the four builders of this module carries its
     roots table instead. Its ``dense`` is built from the table on first read
-    and then kept, read-only, so making the transform, building its circuits
+    and then kept, read-only: making the transform, building its circuits
     and simulating them never build it; the oracle, ``circuit_unitary``,
     export and ``dump`` do. Its :attr:`table_dev` certifies the stored
-    entries against their closed form in O(N), and :attr:`unitarity_dev` is
-    the bound that follows, so the kernel is never multiplied to prove it.
-
-    ``square_perm``, for an order-4 kernel only, is the row permutation p
-    with dense**2 = I[p]; it must be an involution (p[p] = identity), as
-    j -> -j mod N is for the DFT. With it, :meth:`power` needs no matrix
-    product.
-
-    ``apply(x, k)``, set only by the four builders, computes dense**k x along
-    axis 0 of a complex (N, cols) block without the dense kernel, through
-    ``numpy.fft``; it is None on a transform built any other way, whatever
-    its ``id``.
+    entries against their closed form in O(N), so :meth:`check` multiplies
+    no matrix. Only the builders set ``apply(x, k)``, dense**k x along axis
+    0 of a complex (N, cols) block through ``numpy.fft``, and, for Fourier,
+    ``square_perm``, the row permutation p = j -> -j mod N with dense**2 =
+    I[p]; both are None on a transform built any other way, whatever its id.
     """
 
     id: str
     data_qubits: int
     order_exponent: int
     dense: np.ndarray = _OnFirstRead()
-    square_perm: np.ndarray | None = None
+    square_perm: np.ndarray | None = field(default=None, init=False)
     apply: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, init=False, repr=False)
     # A builder's kernel and its table's entries in a given dtype (see _builtin).
@@ -286,35 +295,21 @@ class BaseTransform:
     _values: Callable[[type], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
 
+    __repr__ = _built_repr
+
     def __post_init__(self):
-        dim = 1 << self.data_qubits
-        if self._kernel is None:
-            dense = self.dense
-            if (not isinstance(dense, np.ndarray) or dense.flags.writeable
-                    or dense.base is not None):
-                dense = np.array(dense)
-                dense.setflags(write=False)
-                object.__setattr__(self, "dense", dense)
-            if dense.shape != (dim, dim):
-                raise DimensionError(
-                    f"{self.id!r}: kernel of shape {dense.shape} on {self.data_qubits} "
-                    f"data qubits, expected ({dim}, {dim})"
-                )
-            if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
-                raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
-        if self.square_perm is None:
+        if self._kernel is not None:
             return
-        perm = np.asarray(self.square_perm)
-        # An involutive p is what makes the callers' order check p U U = I
-        # imply U**2 = I[p] and U**4 = I.
-        if not (self.order == 4 and perm.shape == (dim,)
-                and np.issubdtype(perm.dtype, np.integer)
-                and np.all((perm >= 0) & (perm < dim))
-                and np.array_equal(perm[perm], np.arange(dim))):
-            raise ValueError(
-                f"{self.id!r}: square_perm must be an involutive permutation of "
-                f"range({dim}) on an order-4 transform"
+        dense = linalg.frozen(self.dense)
+        object.__setattr__(self, "dense", dense)
+        dim = 1 << self.data_qubits
+        if dense.shape != (dim, dim):
+            raise DimensionError(
+                f"{self.id!r}: kernel of shape {dense.shape} on {self.data_qubits} "
+                f"data qubits, expected ({dim}, {dim})"
             )
+        if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
+            raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
 
     def _build_dense(self) -> np.ndarray | None:
         if self._kernel is None:
@@ -352,52 +347,85 @@ class BaseTransform:
         dim = 1 << self.data_qubits
         return 2 * math.sqrt(dim) * delta + dim * delta**2
 
+    @cached_property
+    def _fault(self) -> str | None:
+        """Why :meth:`check` fails, or None."""
+        if not self.unitarity_dev <= GATE_TOL:
+            return f"is not unitary within {GATE_TOL}"
+        delta, dim = self.table_dev, 1 << self.data_qubits
+        if delta is not None:
+            dev, bound = self.order * dim * delta * (1 + dim * delta) ** (self.order - 1), ORDER_TOL
+        else:
+            dev = _adjoint_dev(self.power(self.order - 1), self.dense)
+            bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(dim)
+        # A NaN fails too.
+        return None if dev <= bound else f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
+
+    def check(self) -> None:
+        """Raise :class:`NotDyadicOrderError` naming the transform unless U is
+        unitary, g = :attr:`unitarity_dev` <= GATE_TOL = G, and U**order = I
+        within ORDER_TOL; the verdict is reached once per object.
+
+        With a certificate delta = :attr:`table_dev`, U = E + D with E exact,
+        unitary and E**order = I, and |D|_max <= delta, so ||D||_2 <= N delta,
+        ||U||_2 <= 1 + N delta, and U**order - I = sum_i U**i D E**(order-1-i)
+        gives |U**order - I|_max <= order N delta (1 + N delta)**(order - 1).
+
+        Otherwise, in O(N**2), with last = :meth:`power` (order - 1) and D =
+        last - U^dagger: last U - I = D U + (U^dagger U - I), the columns of
+        U have norm <= sqrt(1 + g) <= 1 + G/2, and Cauchy-Schwarz on the rows
+        of D gives |last U - I|_max <= sqrt(N) |D|_max (1 + G/2) + G, so
+        |D|_max <= (ORDER_TOL - 2G) / sqrt(N) keeps it <= ORDER_TOL (< 2).
+        With ``square_perm`` p, last = U[p]: U**2 = I[p], and U**4 = I as p
+        is an involution.
+        """
+        if self._fault is not None:
+            raise NotDyadicOrderError(f"base {self.id!r} {self._fault}")
+
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, read-only, in the kernel's dtype. U**1 is
         ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
-        gathers I[p] and U[p]; any other power is the k - 1 products that
-        give :meth:`powers`' entry k, with no table."""
+        gathers I[p] and U[p]; otherwise U**k, k >= 2, is read from one table
+        of repeated products, made once per transform (never by a builder's)."""
         if not 0 <= k < self.order:
             raise ValueError(f"{self.id!r}: power {k} outside 0..{self.order - 1}")
         if k == 1:
             return self.dense
-        dim = self.dense.shape[0]
-        if k == 0 or (k == 2 and self.square_perm is not None):
+        if k > 1 and self.square_perm is None:
+            return self._products[k - 2]
+        if k == 3:
+            out = self.dense[self.square_perm]
+        else:
+            dim = self.dense.shape[0]
             cols = np.arange(dim) if k == 0 else self.square_perm
             out = np.zeros((dim, dim), self.dense.dtype)
             out[np.arange(dim), cols] = 1  # I, or I[p]
-        elif self.square_perm is not None:
-            out = self.dense[self.square_perm]
-        else:
-            out = self.dense
-            for _ in range(k - 1):
-                out = out @ self.dense
         out.setflags(write=False)
         return out
 
-    def powers(self) -> tuple[np.ndarray, ...]:
-        """The power table (U**0, ..., U**(order-1)), rebuilt on each call and
-        unchecked: a caller that reads it, ``fractional_oracle`` or the circuit
-        builder on a hand-built kernel of order >= 4 without ``square_perm``,
-        checks the order on its last entry. With
-        ``square_perm`` p it is (I, U, I[p], U[p]), by :meth:`power`; otherwise
-        by repeated products. Every entry, I included, has the kernel's dtype."""
-        if self.order <= 2 or self.square_perm is not None:
-            return tuple(self.power(k) for k in range(self.order))
-        table = [self.power(0), self.dense]
-        while len(table) < self.order:
+    @cached_property
+    def _products(self) -> tuple[np.ndarray, ...]:
+        """U**2, ..., U**(order-1), each the previous one times U, read-only."""
+        table = [self.dense]
+        for _ in range(2, self.order):
             table.append(table[-1] @ self.dense)
-        return tuple(table)
+            table[-1].setflags(write=False)
+        return tuple(table[1:])
+
+    def powers(self) -> tuple[np.ndarray, ...]:
+        """The power table (U**0, ..., U**(order-1)), by :meth:`power`."""
+        return tuple(self.power(k) for k in range(self.order))
 
 
 def _builtin(transform_id: str, data_qubits: int, order_exponent: int, kernel, values,
              apply, square_perm=None) -> BaseTransform:
     """A builder's transform: ``kernel()`` builds its dense kernel on first
     read, ``values(dtype)`` evaluates its table's distinct entries for the
-    certificate, and it gets the matrix-free ``apply``."""
-    t = BaseTransform(transform_id, data_qubits, order_exponent, square_perm=square_perm,
-                      _kernel=kernel, _values=values)
+    certificate, and it gets the matrix-free ``apply`` and, for Fourier,
+    ``square_perm``."""
+    t = BaseTransform(transform_id, data_qubits, order_exponent, _kernel=kernel, _values=values)
     object.__setattr__(t, "apply", apply)
+    object.__setattr__(t, "square_perm", square_perm)
     return t
 
 

@@ -25,10 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .base_transforms import BaseTransform, _OnFirstRead
-
-#: Unitarity tolerance for gate payloads.
-GATE_TOL = 1e-10
+from .base_transforms import GATE_TOL, BaseTransform, _built_repr, _OnFirstRead
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -98,16 +95,17 @@ class GateOp:
     ``"unitary"``. A ``"unitary"`` op takes one of two payload forms:
 
     * ``matrix``: a literal matrix, checked unitary within ``GATE_TOL`` and
-      kept as a read-only copy (real when it is real);
+      kept read-only, copied only if writable or a view (:func:`linalg.frozen`),
+      real when it is real;
     * ``power=(t, k)``: U**k of a built-in transform t (one with
       ``t.apply``), 1 <= k < t.order, on ``t.data_qubits`` targets. It is
-      proven by t's one memoised ``unitarity_dev``, the certificate of t's
-      roots table, since every such power is U or a row permutation of U or
-      of I, all with U's Gram matrix or I's. ``matrix`` is then
-      ``t.power(k)``, read-only and shared with t's kernel where it is the
-      kernel; it is built on first read and kept, and only
-      ``circuit_unitary``, export and ``dump`` read it. The simulator applies
-      the op through ``t.apply``.
+      proven by t's one memoised :meth:`BaseTransform.check`, from the
+      certificate of t's roots table, since every such power is U or a row
+      permutation of U or of I, all with U's Gram matrix or I's. ``matrix``
+      is then ``t.power(k)``, read-only and shared with t's kernel where it
+      is the kernel; it is built on first read and kept, and only
+      ``circuit_unitary``, export and ``dump`` read it. The simulator
+      applies the op through ``t.apply``.
 
     ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
     """
@@ -118,6 +116,8 @@ class GateOp:
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = _OnFirstRead()
     power: tuple[BaseTransform, int] | None = None
+
+    __repr__ = _built_repr
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
@@ -142,9 +142,7 @@ class GateOp:
                 )
             if not linalg.is_unitary(m, GATE_TOL):
                 raise ValueError("matrix payload is not unitary within 1e-10")
-            m = m.copy()
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", linalg.frozen(m))
         else:
             if self.name not in GATE_ARITY:
                 raise ValueError(f"unknown gate name {self.name!r}")
@@ -176,8 +174,7 @@ class GateOp:
             raise ValueError(
                 f"power of {t.id!r} needs {t.data_qubits} targets, got {len(self.targets)}"
             )
-        if not t.unitarity_dev <= GATE_TOL:
-            raise ValueError("matrix payload is not unitary within 1e-10")
+        t.check()
         object.__setattr__(self, "power", (t, int(k)))
 
     def _build_matrix(self) -> np.ndarray | None:
@@ -237,7 +234,7 @@ def multiplexed_powers(powers) -> Circuit:
 
     ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
     u**(2**j) become gates. An entry is a matrix, which becomes a checked,
-    copied ``matrix`` payload, or a pair (t, k) naming t**k of a built-in
+    read-only ``matrix`` payload, or a pair (t, k) naming t**k of a built-in
     transform t, which becomes a ``power`` payload certified by t's table and
     reading its kernel only when its matrix is read (see :class:`GateOp`);
     this function is where every payload op of the

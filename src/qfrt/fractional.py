@@ -10,14 +10,12 @@ which interpolates the integer powers, is additive in alpha, and is
 N-periodic. :func:`fractional_oracle` evaluates it densely;
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
-:func:`build_qfrin_circuit` is its n = 1 case, for involutions. Both check
-U**N = I the same way (:func:`_check_order`). A built-in transform is
-certified from its roots table in O(N): the deviation delta of its stored
-entries from their closed form (:attr:`BaseTransform.table_dev`, paid once
-per transform) bounds both its unitarity deviation and |U**N - I|, with no
-matrix product and no kernel. A hand-built kernel is proven by one memoised
-dense product U^dagger U (:attr:`BaseTransform.unitarity_dev`) plus one
-O(N**2) comparison of U**(N-1) with U^dagger.
+:func:`build_qfrin_circuit` is its n = 1 case, for involutions. Both first
+call :meth:`BaseTransform.check`, the one proof that U is unitary and
+U**N = I, reached once per transform: a built-in transform is certified
+from its roots table in O(N), with no matrix product and no kernel; a
+hand-built kernel by one dense product U^dagger U plus one O(N**2)
+comparison of U**(N-1) with U^dagger.
 """
 from __future__ import annotations
 
@@ -28,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .base_transforms import ORDER_TOL, BaseTransform
-from .circuits import GATE_TOL, Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
-from .errors import DimensionError, NotDyadicOrderError
+from .base_transforms import BaseTransform
+from .circuits import Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
+from .errors import DimensionError
 
 
 def _reduce_alpha(alpha: float, order: int) -> float:
@@ -99,42 +97,23 @@ class FractionalSpec:
         return -2.0 * math.pi / self.order
 
 
-def _order_error(base: BaseTransform) -> NotDyadicOrderError:
-    return NotDyadicOrderError(
-        f"base {base.id!r} does not satisfy U**{base.order} = I within {ORDER_TOL}"
-    )
-
-
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k.
 
-    Raises :class:`NotDyadicOrderError` unless U is unitary within GATE_TOL,
-    by the memoised :attr:`BaseTransform.unitarity_dev` (for a built-in, the
-    O(N) table certificate; otherwise the first call on a transform pays one
-    product), and U**order = I within ORDER_TOL, by :func:`_check_order`.
-    When the powers are I, U and, with ``square_perm`` p, I[p] and U[p]
-    (every involution, and every order-4 transform with p), the sum is
-    c_1 U (+ c_3 U[p]) with the permutation matrices added as one scatter
-    each, and no matrix product is made; otherwise it runs over one
-    :meth:`BaseTransform.powers` table.
+    Raises :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check`
+    passes. The sum is c_1 U, plus c_0 on the diagonal, plus c_k U**k by
+    :meth:`BaseTransform.power` for k = order - 1 down to 2, with I[p] as one
+    scatter: no matrix product on a built-in transform.
     """
-    t, order = spec.base, spec.order
-    weights = spec.coefficients.weights
-    if not t.unitarity_dev <= GATE_TOL:
-        raise NotDyadicOrderError(f"base {t.id!r} is not unitary within {GATE_TOL}")
-    if order > 2 and t.square_perm is None:
-        powers = t.powers()
-        _check_order(t, powers[-1])
-        out = np.zeros(t.dense.shape, dtype=complex)
-        for weight, power in zip(weights, powers):
-            out += weight * power
-        return out
-    _check_order(t)
+    t, weights = spec.base, spec.coefficients.weights
+    t.check()
     out = weights[1] * t.dense
     out.flat[:: len(out) + 1] += weights[0]  # I
-    if order == 4:
-        out += weights[3] * t.power(3)
-        out[np.arange(len(out)), t.square_perm] += weights[2]  # I[p]
+    for k in range(spec.order - 1, 1, -1):
+        if k == 2 and t.square_perm is not None:
+            out[np.arange(len(out)), t.square_perm] += weights[2]  # I[p]
+        else:
+            out += weights[k] * t.power(k)
     return out
 
 
@@ -152,47 +131,6 @@ def _shifted(ops, offset: int):
     ]
 
 
-def _check_order(t: BaseTransform, last: np.ndarray | None = None) -> None:
-    """U**order = I within ORDER_TOL, else :class:`NotDyadicOrderError`.
-
-    A built-in transform with its certificate delta = :attr:`BaseTransform.table_dev`
-    needs no matrix: its kernel is U = E + D with E exact, unitary and
-    E**order = I, and |D|_max <= delta, so ||D||_2 <= N delta and
-    ||U||_2 <= 1 + N delta. Then U**order - I = sum_i U**i D E**(order-1-i)
-    gives |U**order - I|_max <= ||U**order - I||_2
-    <= order N delta (1 + N delta)**(order - 1), which must be <= ORDER_TOL.
-
-    Any other transform is checked by |last U - I|_max <= ORDER_TOL in
-    O(N**2), with ``last`` = U**(order-1) (by default :meth:`BaseTransform.power`),
-    so U**order = I; with ``last`` = U[p] it is |p U U - I|_max, so
-    U**2 = I[p]. Premise: the unitarity proof g = |U^dagger U - I|_max <=
-    GATE_TOL = G, which each caller holds for U. The oracle checks the
-    memoised :attr:`BaseTransform.unitarity_dev` first; the circuit builder's
-    payload ops check that same proof for a built-in transform, and their
-    matrices for a hand-built one. Columns of U then have norm <= sqrt(1 + g)
-    <= 1 + G/2. With D = last - U^dagger, last U - I = D U + (U^dagger U - I),
-    and Cauchy-Schwarz on the rows of D gives |D U|_max <= sqrt(N) |D|_max
-    (1 + G/2). So |D|_max <= bound = (ORDER_TOL - 2G) / sqrt(N) gives
-    |last U - I|_max <= (ORDER_TOL - 2G)(1 + G/2) + G <= ORDER_TOL, as
-    ORDER_TOL < 2.
-    """
-    delta = t.table_dev
-    if delta is not None:
-        spread = (1 << t.data_qubits) * delta
-        if not t.order * spread * (1 + spread) ** (t.order - 1) <= ORDER_TOL:
-            raise _order_error(t)
-        return
-    if last is None:
-        last = t.power(t.order - 1)
-    u = t.dense
-    bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(len(u))
-    # In row blocks, so that the transposed reads of U stay in cache.
-    dev = np.max([np.max(np.abs(last[i:i + 32] - u[:, i:i + 32].conj().T))
-                  for i in range(0, len(u), 32)])
-    if not dev <= bound:  # a NaN fails too
-        raise _order_error(t)
-
-
 def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     """The general fractionalization circuit on n ancillas + q data qubits.
 
@@ -201,18 +139,17 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     ancilla Fourier transform, multiplexed powers of U**-1 = U**(order-1),
     closing Hadamard layer; both multiplexed stages read one power table: for
     a built-in transform, (t, k) references to its kernel, which stays
-    unbuilt, proven by its one table certificate (see
-    :func:`multiplexed_powers`), else the dense :meth:`BaseTransform.powers`.
+    unbuilt (see :func:`multiplexed_powers`), else the dense
+    :meth:`BaseTransform.powers`, whose entries the payloads share.
     Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the stage
     boundaries are marked psi0..psi7 for tracing. Raises
-    :class:`NotDyadicOrderError` unless U**order = I within ORDER_TOL.
+    :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check` passes.
     """
     n, q, t, order = spec.num_ancillas, spec.data_qubits, spec.base, spec.order
-    builtin = t.apply is not None
+    t.check()
     # A built-in transform's payloads are (t, k) references to its one
     # certified kernel; a hand-built one gets its dense table, every payload checked.
-    powers = [(t, k) for k in range(order)] if builtin else t.powers()
-    _check_order(t, None if builtin else powers[-1])
+    powers = [(t, k) for k in range(order)] if t.apply is not None else t.powers()
     forward = multiplexed_powers(powers).ops
     # The inverse stage applies U**(order - m) on selector value m; its top bit's
     # op, U**(order/2), is the forward stage's, so only lower bits get new ops.

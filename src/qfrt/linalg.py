@@ -68,6 +68,15 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def frozen(a) -> np.ndarray:
+    """a itself if it is a read-only array owning its data, else a read-only
+    copy, so that a writable array or a view a caller keeps cannot change it."""
+    if not isinstance(a, np.ndarray) or a.flags.writeable or a.base is not None:
+        a = np.array(a)
+        a.setflags(write=False)
+    return a
+
+
 def identity(dim: int, dtype=complex) -> np.ndarray:
     return np.eye(dim, dtype=dtype)
 

@@ -96,3 +96,18 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_cached(monkeypatch, cls, name):
+    """Patch the function behind the cached property ``cls.name`` to record
+    the object of each evaluation in the returned list, then call through."""
+    prop = vars(cls)[name]
+    calls = []
+    original = prop.func
+
+    def counted(obj):
+        calls.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(prop, "func", counted)
+    return calls

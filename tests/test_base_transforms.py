@@ -262,35 +262,27 @@ class TestPowers:
 
     @pytest.mark.parametrize("kernel", ["random", "fourier_identity_perm"])
     def test_permutation_of_another_kernel_rejected(self, kernel):
-        # The table (I, U, I[p], U[p]) is only as good as p; the order check of
-        # each caller, p U U = I, must catch a kernel whose square is not I[p].
+        # The table (I, U, I[p], U[p]) is only as good as p; without a
+        # certificate, check() reads p U U = I and must catch a kernel whose
+        # square is not I[p]. Only fourier_transform sets p, after
+        # construction; here it is set the same way on the wrong kernel.
         if kernel == "random":
             u = random_dyadic_unitary(8, 2, np.random.default_rng(406))
             perm = fourier_transform(3).square_perm
         else:
             u, perm = fourier_transform(3).dense, np.arange(8)
-        impostor = BaseTransform("impostor", 3, 2, u, square_perm=perm)
+        impostor = BaseTransform("impostor", 3, 2, u)
+        object.__setattr__(impostor, "square_perm", perm)
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
             fractional_oracle(FractionalSpec(impostor, 0.5))
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
             build_qfru_circuit(FractionalSpec(impostor, 0.5))
 
-    @pytest.mark.parametrize(
-        "order_exponent,perm",
-        [
-            (2, [1, 2, 3, 0]),  # a 4-cycle: p p != identity
-            (2, [0, 1, 2]),
-            (2, [0, 1, 2, 4]),
-            (2, [0, -1, 2, 3]),
-            (2, [0.0, 3.0, 2.0, 1.0]),
-            (1, [0, 3, 2, 1]),
-            (3, [0, 3, 2, 1]),
-        ],
-    )
-    def test_square_perm_must_be_involutive_permutation(self, order_exponent, perm):
+    def test_square_perm_is_not_a_constructor_argument(self):
         dense = fourier_transform(2).dense
-        with pytest.raises(ValueError, match="'bad'.*square_perm"):
-            BaseTransform("bad", 2, order_exponent, dense, square_perm=np.array(perm))
+        with pytest.raises(TypeError, match="square_perm"):
+            BaseTransform("bad", 2, 2, dense, square_perm=np.array([0, 3, 2, 1]))
+        assert BaseTransform("mine", 2, 2, dense).square_perm is None
 
     def test_wrong_order_names_the_transform(self):
         # The table itself is unchecked; its two callers raise the named error.

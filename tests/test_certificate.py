@@ -6,7 +6,7 @@ import pytest
 from helpers import count_calls
 from qfrt import base_transforms, linalg, simulator
 from qfrt.base_transforms import BaseTransform, hartley_matrix, make_transform
-from qfrt.circuits import circuit_unitary
+from qfrt.circuits import GateOp, circuit_unitary
 from qfrt.errors import NotDyadicOrderError
 from qfrt.fractional import (
     FractionalSpec,
@@ -184,3 +184,14 @@ def test_hand_built_kernel_is_not_certified():
     t = BaseTransform("mine", 2, 1, hartley_matrix(4))
     assert t.table_dev is None
     assert t.unitarity_dev == linalg.unitarity_dev(t.dense)
+
+
+@pytest.mark.parametrize("transform_id,size", [("fourier", 12), ("hartley", 3)])
+def test_repr_reads_only_what_is_built(transform_id, size):
+    t = make_transform(transform_id, size)
+    op = GateOp("unitary", targets=tuple(range(t.data_qubits)), power=(t, 1))
+    assert "dense=None" in repr(t) and "matrix=None" in repr(op)
+    assert vars(t)["dense"] is None and vars(op)["matrix"] is None
+    if size <= 3:  # once built, the repr shows it
+        assert op.matrix is t.dense
+        assert "dense=array" in repr(t) and "matrix=array" in repr(op)

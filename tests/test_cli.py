@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import count_cached
 from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
     BaseTransform,
@@ -350,11 +351,13 @@ class TestSweep:
         assert self._count_tables(monkeypatch) == 0
 
     def test_hand_built_kernel_one_power_table_per_row(self, monkeypatch, capsys):
-        # The DFT kernel without square_perm: the oracle's one table per row;
-        # its nearest integer power, by BaseTransform.power, builds none.
+        # The DFT kernel without square_perm: every row's oracle and nearest
+        # integer power read the one product table its transform keeps.
         monkeypatch.setattr(cli, "make_transform",
                             lambda tid, size: BaseTransform(tid, size, 2, dft_matrix(1 << size)))
-        assert self._count_tables(monkeypatch) == 8
+        products = count_cached(monkeypatch, BaseTransform, "_products")
+        assert self._count_tables(monkeypatch) == 0
+        assert len(products) == 1
 
     def test_one_coefficient_set_per_row(self, monkeypatch, capsys):
         # The row's weights feed both its oracle and its coeff_sq_sum.

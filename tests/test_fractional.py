@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import count_calls, random_dyadic_unitary, random_state
+from helpers import count_cached, count_calls, random_dyadic_unitary, random_state
 from qfrt import base_transforms, cli, linalg
 from qfrt.base_transforms import (
     BaseTransform,
@@ -18,7 +18,7 @@ from qfrt.base_transforms import (
     hartley_transform,
     make_transform,
 )
-from qfrt.circuits import GATE_TOL, H, circuit_unitary, phase
+from qfrt.circuits import GATE_TOL, GateOp, H, circuit_unitary, phase
 from qfrt.errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
@@ -200,18 +200,71 @@ def test_oracle_matches_product_table_sum(case):
 
 
 def test_additivity_suite_proves_the_kernel_once(monkeypatch, capsys):
-    # 75 oracle calls on one built-in transform: one table certificate and
-    # no dense unitarity product.
-    transforms, make = [], cli.make_transform
-    monkeypatch.setattr(cli, "make_transform",
-                        lambda *a: transforms.append(make(*a)) or transforms[-1])
-    proved = count_calls(monkeypatch, linalg, "unitarity_dev")
-    certified = count_calls(monkeypatch, base_transforms, "_entry_dev")
-    assert cli.main(["verify", "--suite", "additivity", "--transform", "fourier",
-                     "--qubits", "3"]) == 0
-    assert len(transforms) == 1
-    assert proved == []
-    assert certified == [(transforms[0]._values,)]
+    # 75 oracle calls on one transform prove it once. A built-in: one table
+    # certificate, no dense product, no comparison and no product table. A
+    # hand-built order-8 kernel: one dense unitarity product, one O(N**2)
+    # order comparison and one product table.
+    hand_built = BaseTransform("order8", 3, 3,
+                               random_dyadic_unitary(8, 3, np.random.default_rng(8)))
+    for make, counts in ((cli.make_transform, (0, 1, 0, 0)),
+                         (lambda *a: hand_built, (1, 0, 1, 1))):
+        transforms = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "make_transform",
+                      lambda *a: transforms.append(make(*a)) or transforms[-1])
+            proved = count_calls(m, linalg, "unitarity_dev")
+            certified = count_calls(m, base_transforms, "_entry_dev")
+            compared = count_calls(m, base_transforms, "_adjoint_dev")
+            tables = count_cached(m, BaseTransform, "_products")
+            assert cli.main(["verify", "--suite", "additivity", "--transform", "fourier",
+                             "--qubits", "3"]) == 0
+        assert len(transforms) == 1
+        t = transforms[0]
+        assert (len(proved), len(certified), len(compared), len(tables)) == counts
+        assert all(args == (t._values,) for args in certified)
+        assert all(args[0] is t.dense for args in proved)
+        assert tables == [t] * len(tables)
+
+
+def _no_fft(x, k):
+    raise AssertionError("apply called")
+
+
+def _failing_transform(fault):
+    """A transform every entry point accepts (it has ``apply``) up to its
+    check(), which it fails: by the dense proof and the O(N**2) comparison
+    (no certificate), or by a built-in's certificate, set too large."""
+    if fault == "wrong_order":
+        return base_transforms._builtin("odd", 1, 1, lambda: phase(0.3), None, _no_fft)
+    if fault == "not_unitary":
+        return base_transforms._builtin("double", 1, 1, lambda: 2 * np.eye(2), None, _no_fft)
+    # 2 sqrt(N) delta <= GATE_TOL, but 4 N delta > ORDER_TOL at N = 4096
+    t = make_transform("fourier" if fault == "certificate_order" else "hartley", 12)
+    vars(t)["table_dev"] = 7e-13 if fault == "certificate_order" else 1e-6
+    return t
+
+
+ENTRY_POINTS = {
+    "oracle": lambda t: fractional_oracle(FractionalSpec(t, 0.5)),
+    "builder": lambda t: build_qfru_circuit(FractionalSpec(t, 0.5)),
+    "power_op": lambda t: GateOp("unitary", targets=tuple(range(t.data_qubits)),
+                                 power=(t, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("fault,message", [
+    ("wrong_order", r"'odd' does not satisfy U\*\*2 = I"),
+    ("not_unitary", "'double' is not unitary"),
+    ("certificate_order", r"'fourier' does not satisfy U\*\*4 = I"),
+    ("certificate_unitarity", "'hartley' is not unitary"),
+])
+def test_every_entry_point_rejects_a_failing_transform(fault, message, entry):
+    t = _failing_transform(fault)
+    with pytest.raises(NotDyadicOrderError, match=message):
+        ENTRY_POINTS[entry](t)
+    if fault.startswith("certificate"):
+        assert vars(t)["dense"] is None  # rejected from the certificate alone
 
 
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])

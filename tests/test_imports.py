@@ -1,5 +1,7 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
-``__init__`` re-exports, so it is left out). Uses only the stdlib ``ast``."""
+``__init__`` re-exports, so it is left out), and no private module-level
+name is left that nothing under ``src/qfrt/`` refers to. Uses only the
+stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -32,3 +34,43 @@ def test_checker_catches_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """The module-level functions, classes and constants named _x (not __x)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Every name read, attribute read or name imported; a definition is none."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_checker_catches_an_unreferenced_private_name():
+    source = "_A = 1\n_B: int = 2\ndef _f(): return _A\nclass _C: pass\n_C()\n"
+    assert private_definitions(source) == ["_A", "_B", "_f", "_C"]
+    assert {"_A", "_C"} <= references(source) and not {"_B", "_f"} & references(source)
+
+
+def test_every_private_name_is_referenced_under_src():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    defined = [name for source in sources for name in private_definitions(source)]
+    used = set().union(*map(references, sources))
+    assert len(defined) >= 40
+    assert [name for name in defined if name not in used] == []

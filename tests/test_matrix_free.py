@@ -139,10 +139,16 @@ class TestOneProof:
         assert all(op.power is None for op in payloads.values())
 
     def test_hand_built_fourier_gets_no_matrix_free_path(self):
-        t = BaseTransform("fourier", 2, 2, dft_matrix(4), -np.arange(4) % 4)
+        t = BaseTransform("fourier", 2, 2, dft_matrix(4))
         assert t.apply is None
         c = build_qfru_circuit(FractionalSpec(t, 0.3))
         assert all(op.power is None for op in c.ops)
+        # Each forward payload is the transform's own read-only power, not a copy.
+        forward = [op for op in c.ops[:4] if op.name == "unitary"]
+        assert [op.matrix is t.power(1 << j) for j, op in enumerate(forward)] == [True, True]
+        # A writable matrix is still copied.
+        u = dft_matrix(4)
+        assert GateOp("unitary", targets=(0, 1), matrix=u).matrix is not u
 
 
 class TestPowerOp:
