@@ -17,6 +17,7 @@ whose top qubit acts as a cosine/sine selector.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
@@ -267,13 +268,13 @@ def _adjoint_dev(a: np.ndarray, u: np.ndarray) -> float:
 class BaseTransform:
     """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
-    A hand-built kernel must be a finite (2**data_qubits)-square matrix,
-    kept read-only (:func:`linalg.frozen`), so what :meth:`check` proves
-    once holds for the object's lifetime.
+    ``data_qubits`` and ``order_exponent`` are integers >= 1. A hand-built
+    kernel must be a finite (2**data_qubits)-square matrix, kept as a sealed
+    copy (:func:`linalg.frozen`), so what :meth:`check` proves holds for good.
 
     A transform from one of the four builders of this module carries its
     roots table instead. Its ``dense`` is built from the table on first read
-    and then kept, read-only: making the transform, building its circuits
+    and then kept, sealed: making the transform, building its circuits
     and simulating them never build it; the oracle, ``circuit_unitary``,
     export and ``dump`` do. Its :attr:`table_dev` certifies the stored
     entries against their closed form in O(N), so :meth:`check` multiplies
@@ -298,6 +299,11 @@ class BaseTransform:
     __repr__ = _built_repr
 
     def __post_init__(self):
+        for name in ("data_qubits", "order_exponent"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise DimensionError(f"{self.id!r}: {name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self._kernel is not None:
             return
         dense = linalg.frozen(self.dense)
@@ -312,11 +318,7 @@ class BaseTransform:
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
 
     def _build_dense(self) -> np.ndarray | None:
-        if self._kernel is None:
-            return None
-        dense = self._kernel()
-        dense.setflags(write=False)
-        return dense
+        return None if self._kernel is None else linalg.sealed(self._kernel())
 
     @property
     def order(self) -> int:
@@ -358,13 +360,21 @@ class BaseTransform:
         else:
             dev = _adjoint_dev(self.power(self.order - 1), self.dense)
             bound = (ORDER_TOL - 2 * GATE_TOL) / math.sqrt(dim)
-        # A NaN fails too.
-        return None if dev <= bound else f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
+        if not dev <= bound:  # a NaN fails too
+            return f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
+        g = self.unitarity_dev  # the power bound, see check()
+        if (self.square_perm is None and self.order > 2
+                and (1 + dim * g) ** (self.order - 1) - 1 > GATE_TOL):
+            for k, power in enumerate(self._products, 2):
+                if not linalg.unitarity_dev(power) <= GATE_TOL:
+                    return f"has U**{k} not unitary within {GATE_TOL}"
+        return None
 
     def check(self) -> None:
         """Raise :class:`NotDyadicOrderError` naming the transform unless U is
-        unitary, g = :attr:`unitarity_dev` <= GATE_TOL = G, and U**order = I
-        within ORDER_TOL; the verdict is reached once per object.
+        unitary, g = :attr:`unitarity_dev` <= GATE_TOL = G, U**order = I
+        within ORDER_TOL, and every :meth:`power` is unitary within G, which
+        is all a ``power`` payload needs; the verdict is reached once per object.
 
         With a certificate delta = :attr:`table_dev`, U = E + D with E exact,
         unitary and E**order = I, and |D|_max <= delta, so ||D||_2 <= N delta,
@@ -378,12 +388,17 @@ class BaseTransform:
         |D|_max <= (ORDER_TOL - 2G) / sqrt(N) keeps it <= ORDER_TOL (< 2).
         With ``square_perm`` p, last = U[p]: U**2 = I[p], and U**4 = I as p
         is an involution.
+
+        Powers: D_k = U**k^dagger U**k - I = D_(k-1) + U**(k-1)^dagger E U**(k-1),
+        E = U^dagger U - I, ||E||_2 <= N g, gives |D_k|_max <= (1 + N g)**k - 1.
+        With ``square_perm`` each power permutes the rows of U or I; otherwise
+        U**2 .. U**(order-1) are measured, only where that bound exceeds G.
         """
         if self._fault is not None:
             raise NotDyadicOrderError(f"base {self.id!r} {self._fault}")
 
     def power(self, k: int) -> np.ndarray:
-        """U**k for 0 <= k < order, read-only, in the kernel's dtype. U**1 is
+        """U**k for 0 <= k < order, sealed, in the kernel's dtype. U**1 is
         ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
         gathers I[p] and U[p]; otherwise U**k, k >= 2, is read from one table
         of repeated products, made once per transform (never by a builder's)."""
@@ -400,21 +415,15 @@ class BaseTransform:
             cols = np.arange(dim) if k == 0 else self.square_perm
             out = np.zeros((dim, dim), self.dense.dtype)
             out[np.arange(dim), cols] = 1  # I, or I[p]
-        out.setflags(write=False)
-        return out
+        return linalg.sealed(out)
 
     @cached_property
     def _products(self) -> tuple[np.ndarray, ...]:
-        """U**2, ..., U**(order-1), each the previous one times U, read-only."""
+        """U**2, ..., U**(order-1), each the previous one times U, sealed."""
         table = [self.dense]
         for _ in range(2, self.order):
-            table.append(table[-1] @ self.dense)
-            table[-1].setflags(write=False)
+            table.append(linalg.sealed(table[-1] @ self.dense))
         return tuple(table[1:])
-
-    def powers(self) -> tuple[np.ndarray, ...]:
-        """The power table (U**0, ..., U**(order-1)), by :meth:`power`."""
-        return tuple(self.power(k) for k in range(self.order))
 
 
 def _builtin(transform_id: str, data_qubits: int, order_exponent: int, kernel, values,

@@ -8,13 +8,11 @@ place value ``2**i``. Controls fire on |1>.
 
 :func:`_apply_op` is the one gate-application kernel: it applies an op in
 place to a register held as a qubit tensor, through strided views. The
-statevector simulator and :func:`circuit_unitary` both run it; only the
-simulator sends ``power`` payloads to the transform's FFT ``apply``, so
-:func:`circuit_unitary`, which multiplies by every op's matrix, is the slow
-dense reference the simulator is validated against. Its
-``columns`` argument builds only the leading columns, the images of the first
-basis states, for a caller that reads nothing else: an ancilla circuit acting
-on ancilla |0...0> inputs needs just the first ``2**data_qubits`` of them.
+simulator and :func:`circuit_unitary` both run it; only the simulator sends
+``power`` payloads to an FFT ``apply``, so :func:`circuit_unitary` is the
+slow dense reference the simulator is validated against. Its ``columns``
+argument builds only the images of the first basis states: an ancilla
+circuit on ancilla |0...0> inputs needs just the first ``2**data_qubits``.
 """
 from __future__ import annotations
 
@@ -31,9 +29,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def _const(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.setflags(write=False)
-    return m
+    return linalg.sealed(np.array(rows, dtype=complex))
 
 
 X = _const([[0, 1], [1, 0]])
@@ -95,17 +91,12 @@ class GateOp:
     ``"unitary"``. A ``"unitary"`` op takes one of two payload forms:
 
     * ``matrix``: a literal matrix, checked unitary within ``GATE_TOL`` and
-      kept read-only, copied only if writable or a view (:func:`linalg.frozen`),
-      real when it is real;
-    * ``power=(t, k)``: U**k of a built-in transform t (one with
-      ``t.apply``), 1 <= k < t.order, on ``t.data_qubits`` targets. It is
-      proven by t's one memoised :meth:`BaseTransform.check`, from the
-      certificate of t's roots table, since every such power is U or a row
-      permutation of U or of I, all with U's Gram matrix or I's. ``matrix``
-      is then ``t.power(k)``, read-only and shared with t's kernel where it
-      is the kernel; it is built on first read and kept, and only
-      ``circuit_unitary``, export and ``dump`` read it. The simulator
-      applies the op through ``t.apply``.
+      kept as a sealed copy (:func:`linalg.frozen`), real when it is real;
+    * ``power=(t, k)``: U**k of any :class:`BaseTransform` t, 1 <= k <
+      t.order, on ``t.data_qubits`` targets, proven by t's one memoised
+      :meth:`BaseTransform.check`. ``matrix`` is then ``t.power(k)``, shared
+      with t and built on first read; the simulator applies the op through
+      ``t.apply`` where a builder set it, else through that matrix.
 
     ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
     """
@@ -163,11 +154,8 @@ class GateOp:
         t, k = self.power
         if self.__dict__["matrix"] is not None:  # as given: reading it would build it
             raise ValueError("a 'power' op takes no matrix payload")
-        if not isinstance(t, BaseTransform) or t.apply is None:
-            raise ValueError(
-                "power payloads need a transform from a built-in builder; "
-                "give a hand-built kernel's powers as matrices"
-            )
+        if not isinstance(t, BaseTransform):
+            raise ValueError(f"a power payload needs a BaseTransform, got {type(t).__name__}")
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < t.order:
             raise ValueError(f"power of {t.id!r} must be an integer in 1..{t.order - 1}, got {k!r}")
         if len(self.targets) != t.data_qubits:
@@ -234,14 +222,12 @@ def multiplexed_powers(powers) -> Circuit:
 
     ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
     u**(2**j) become gates. An entry is a matrix, which becomes a checked,
-    read-only ``matrix`` payload, or a pair (t, k) naming t**k of a built-in
-    transform t, which becomes a ``power`` payload certified by t's table and
-    reading its kernel only when its matrix is read (see :class:`GateOp`);
-    this function is where every payload op of the
-    fractionalization circuits is made. The data register sits on qubits
-    0..q-1 and the n selector qubits above it; selector bit j (qubit q+j)
-    controls u**(2**j), so selector value m applies u**m whatever the order
-    of u.
+    sealed ``matrix`` payload, or a pair (t, k) naming t**k of a transform t,
+    which becomes a ``power`` payload (see :class:`GateOp`); every payload op
+    of the fractionalization circuits is made here. The data register sits
+    on qubits 0..q-1 and the n selector qubits above it; selector bit j
+    (qubit q+j) controls u**(2**j), so selector value m applies u**m
+    whatever the order of u.
     """
     size = len(powers)
     if size < 1 or size & (size - 1):
@@ -312,7 +298,7 @@ def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
     axis is carried along (1 for a single state). Controls pick the |1>
     slice of their axes, and the op mixes the target axes of that view.
     With ``matrix_free`` a ``power`` op goes through its transform's FFT
-    ``apply``; otherwise every op multiplies by :meth:`GateOp.base_matrix`.
+    ``apply`` if any; every other op multiplies by :meth:`GateOp.base_matrix`.
     """
     n = reg.ndim - 1
     sel = [slice(None)] * reg.ndim
@@ -327,9 +313,9 @@ def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
     moved = np.moveaxis(sub, pos, range(t))
     shape = moved.shape
     block = moved.reshape(1 << t, -1)
-    if matrix_free and op.power is not None:
-        transform, k = op.power
-        updated = transform.apply(block, k)
+    fft = op.power[0].apply if matrix_free and op.power is not None else None
+    if fft is not None:
+        updated = fft(block, op.power[1])
     else:
         updated = linalg.apply(op.base_matrix(), block)
     reg[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)

@@ -289,6 +289,9 @@ def cmd_export(args) -> int:
     transform = _resolve_transform(args)
     if args.alpha is None:
         raise ValueError("export needs --alpha")
+    if args.kind == "qfrin" and transform.order_exponent != 1:
+        raise ValueError(f"--kind qfrin does not apply to --transform {transform.id} "
+                         f"(order {transform.order})")
     circuit = _build_circuit(transform, args.alpha, args.kind)
     _write(args.out, qasm.export_circuit(circuit))
     return 0

@@ -11,11 +11,10 @@ N-periodic. :func:`fractional_oracle` evaluates it densely;
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
 :func:`build_qfrin_circuit` is its n = 1 case, for involutions. Both first
-call :meth:`BaseTransform.check`, the one proof that U is unitary and
-U**N = I, reached once per transform: a built-in transform is certified
-from its roots table in O(N), with no matrix product and no kernel; a
-hand-built kernel by one dense product U^dagger U plus one O(N**2)
-comparison of U**(N-1) with U^dagger.
+call :meth:`BaseTransform.check`, the one proof, once per transform, that U
+and its powers are unitary and U**N = I: from a built-in's roots table in
+O(N), with no matrix product and no kernel; for a hand-built kernel by one
+product U^dagger U and one O(N**2) comparison of U**(N-1) with U^dagger.
 """
 from __future__ import annotations
 
@@ -137,23 +136,18 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     Stages, in execution order: Hadamard layer on the ancillas, multiplexed
     powers of U, inverse ancilla Fourier transform, diagonal phase block,
     ancilla Fourier transform, multiplexed powers of U**-1 = U**(order-1),
-    closing Hadamard layer; both multiplexed stages read one power table: for
-    a built-in transform, (t, k) references to its kernel, which stays
-    unbuilt (see :func:`multiplexed_powers`), else the dense
-    :meth:`BaseTransform.powers`, whose entries the payloads share.
-    Acting on |0...0>|u> the result is |0...0> FrU(alpha)|u>; the stage
-    boundaries are marked psi0..psi7 for tracing. Raises
-    :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check` passes.
+    closing Hadamard layer. Every payload is a ``power`` op (t, k), proven by
+    the one :meth:`BaseTransform.check`; none reads a matrix, so a built-in's
+    kernel stays unbuilt. Acting on |0...0>|u> the result is |0...0>
+    FrU(alpha)|u>; the stage boundaries are marked psi0..psi7 for tracing.
+    Raises :class:`NotDyadicOrderError` unless that check passes.
     """
     n, q, t, order = spec.num_ancillas, spec.data_qubits, spec.base, spec.order
     t.check()
-    # A built-in transform's payloads are (t, k) references to its one
-    # certified kernel; a hand-built one gets its dense table, every payload checked.
-    powers = [(t, k) for k in range(order)] if t.apply is not None else t.powers()
-    forward = multiplexed_powers(powers).ops
+    forward = multiplexed_powers([(t, k) for k in range(order)]).ops
     # The inverse stage applies U**(order - m) on selector value m; its top bit's
     # op, U**(order/2), is the forward stage's, so only lower bits get new ops.
-    lower = multiplexed_powers(tuple(powers[-m] for m in range(order // 2))).ops
+    lower = multiplexed_powers([(t, -m % order) for m in range(order // 2)]).ops
     alpha = _reduce_alpha(spec.alpha, order)
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (

@@ -68,13 +68,16 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def sealed(a: np.ndarray) -> np.ndarray:
+    """A view of a, set read-only: numpy refuses to make such a view
+    writable, so only a's maker, who drops a, could write it."""
+    a.setflags(write=False)
+    return a.view()
+
+
 def frozen(a) -> np.ndarray:
-    """a itself if it is a read-only array owning its data, else a read-only
-    copy, so that a writable array or a view a caller keeps cannot change it."""
-    if not isinstance(a, np.ndarray) or a.flags.writeable or a.base is not None:
-        a = np.array(a)
-        a.setflags(write=False)
-    return a
+    """A sealed copy of a: nothing a caller keeps can change it."""
+    return sealed(np.array(a))
 
 
 def identity(dim: int, dtype=complex) -> np.ndarray:

@@ -91,8 +91,11 @@ def _parse_op(line: str, num_qubits: int | None) -> GateOp:
     if payload is not None:
         if name != "unitary":
             raise ValueError("only 'unitary' carries a payload")
-        vals = [tok.split(",") for tok in payload.split()]
-        flat = np.array([complex(float(a), float(b)) for a, b in vals])
+        entries = payload.split()
+        for tok in entries:
+            if tok.count(",") != 1:
+                raise ValueError(f"payload entry {tok!r} is not re,im")
+        flat = np.array([complex(*map(float, tok.split(","))) for tok in entries])
         dim = 1 << len(targets)
         if flat.size != dim * dim:
             raise ValueError(f"payload has {flat.size} entries, expected {dim * dim}")
@@ -111,6 +114,8 @@ def import_circuit(text: str) -> Circuit:
             continue
         decl = _DECL_RE.match(line)
         if decl:
+            if int(decl.group(1)) < 1:
+                raise ValueError(f"line {lineno}: the register needs at least one qubit")
             if num_qubits is not None:
                 raise ValueError(
                     f"line {lineno}: second qubit declaration; the register is "

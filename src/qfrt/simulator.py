@@ -1,15 +1,12 @@
 """Statevector execution of circuits.
 
-:func:`run` applies each op in place with :func:`qfrt.circuits._apply_op`,
-the one gate-application kernel, which updates amplitudes through strided
-views of the state tensor rather than by building operator matrices.
-:func:`qfrt.circuits.circuit_unitary` runs the same kernel on identity
-columns, but only :func:`run` sends a ``power`` payload, U**k of a built-in
-transform, to the transform's matrix-free ``apply`` (``numpy.fft``,
-O(N log N) per column); every other gate multiplies by its matrix. So
-``circuit_unitary`` stays the independent dense reference the tests compare
-the FFT path against. Probabilities are computed exactly from amplitudes;
-there is no shot sampling.
+:func:`run` applies each op in place, through strided views of the state
+tensor, with :func:`qfrt.circuits._apply_op`, the kernel
+:func:`qfrt.circuits.circuit_unitary` runs on identity columns. Only
+:func:`run` sends a ``power`` payload to its transform's matrix-free
+``apply`` (``numpy.fft``, O(N log N) per column), where a builder set one,
+so ``circuit_unitary`` stays the independent dense reference. Probabilities
+are computed exactly from amplitudes; there is no shot sampling.
 """
 from __future__ import annotations
 

@@ -191,7 +191,8 @@ class TestVerifyOrder:
         assert verify_order(cst4_transform(n)) == 1
 
     def test_identity(self):
-        t = BaseTransform("id", 1, 0, np.eye(2, dtype=complex))
+        # Declared an involution, the smallest exponent allowed; I has order 1.
+        t = BaseTransform("id", 1, 1, np.eye(2, dtype=complex))
         assert verify_order(t) == 0
 
     def test_non_dyadic_operator(self):
@@ -227,25 +228,23 @@ class TestPowers:
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_matches_numpy_matrix_power(self, transform_id, size):
         t = make_transform(transform_id, size)
-        table = t.powers()
-        assert len(table) == t.order
-        for k, power in enumerate(table):
+        for k in range(t.order):
             expected = np.linalg.matrix_power(t.dense, k)
-            assert linalg.max_norm_diff(power, expected) <= 1e-12
+            assert linalg.max_norm_diff(t.power(k), expected) <= 1e-12
 
     def test_order_eight_operator(self):
         from helpers import random_dyadic_unitary
 
         u = random_dyadic_unitary(4, 3, np.random.default_rng(404))
-        table = BaseTransform("custom", 2, 3, u).powers()
-        assert len(table) == 8
-        for k, power in enumerate(table):
-            assert linalg.max_norm_diff(power, np.linalg.matrix_power(u, k)) <= 1e-12
+        t = BaseTransform("custom", 2, 3, u)
+        assert t.order == 8
+        for k in range(t.order):
+            assert linalg.max_norm_diff(t.power(k), np.linalg.matrix_power(u, k)) <= 1e-12
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_fourier_table_is_permuted(self, q):
         t = fourier_transform(q)
-        eye, f, f2, f3 = t.powers()
+        eye, f, f2, f3 = [t.power(k) for k in range(t.order)]
         perm = -np.arange(1 << q) % (1 << q)
         assert np.array_equal(t.square_perm, perm)
         assert np.array_equal(f2, eye[perm]) and np.array_equal(f3, f[perm])
@@ -256,7 +255,7 @@ class TestPowers:
         u = random_dyadic_unitary(8, 2, np.random.default_rng(405))
         t = BaseTransform("custom", 3, 2, u)
         assert t.square_perm is None
-        table = t.powers()
+        table = [t.power(k) for k in range(t.order)]
         assert np.array_equal(table[2], u @ u)
         assert np.array_equal(table[3], u @ u @ u)
 
@@ -287,7 +286,7 @@ class TestPowers:
     def test_wrong_order_names_the_transform(self):
         # The table itself is unchecked; its two callers raise the named error.
         liar = BaseTransform("odd", 1, 1, phase(0.3))
-        table = liar.powers()
+        table = [liar.power(k) for k in range(liar.order)]
         assert len(table) == 2
         assert np.array_equal(table[1], phase(0.3))
         with pytest.raises(NotDyadicOrderError, match="'odd'"):
@@ -297,22 +296,37 @@ class TestPowers:
 
 
 @pytest.mark.parametrize(
-    "data_qubits,dense,error,message",
+    "data_qubits,order_exponent,dense,error,message",
     [
-        (2, np.diag([np.nan, 1, 1, 1]).astype(complex), QfrtError, "kernel entries must be"),
-        (2, np.diag([1.0, np.inf, 1.0, 1.0]), QfrtError, "kernel entries must be finite"),
-        (1, [["a", "b"], ["c", "d"]], QfrtError, "kernel entries must be finite numbers"),
-        (2, np.eye(3), DimensionError, r"kernel of shape \(3, 3\) on 2 data qubits, "
-                                       r"expected \(4, 4\)"),
-        (2, np.eye(8), DimensionError, r"kernel of shape \(8, 8\) on 2 data qubits"),
-        (1, np.ones(2), DimensionError, r"kernel of shape \(2,\) on 1 data qubits"),
-        (1, None, DimensionError, r"kernel of shape \(\) on 1 data qubits"),
+        (2, 1, np.diag([np.nan, 1, 1, 1]).astype(complex), QfrtError, "kernel entries must be"),
+        (2, 1, np.diag([1.0, np.inf, 1.0, 1.0]), QfrtError, "kernel entries must be finite"),
+        (1, 1, [["a", "b"], ["c", "d"]], QfrtError, "kernel entries must be finite numbers"),
+        (2, 1, np.eye(3), DimensionError, r"kernel of shape \(3, 3\) on 2 data qubits, "
+                                          r"expected \(4, 4\)"),
+        (2, 1, np.eye(8), DimensionError, r"kernel of shape \(8, 8\) on 2 data qubits"),
+        (1, 1, np.ones(2), DimensionError, r"kernel of shape \(2,\) on 1 data qubits"),
+        (1, 1, None, DimensionError, r"kernel of shape \(\) on 1 data qubits"),
+        (0, 1, np.eye(1), DimensionError, "data_qubits must be an integer >= 1, got 0$"),
+        (True, 1, np.eye(2), DimensionError, "data_qubits must be an integer >= 1, got True$"),
+        (1.0, 1, np.eye(2), DimensionError, r"data_qubits must be an integer >= 1, got 1\.0$"),
+        (1, 0, np.eye(2), DimensionError, "order_exponent must be an integer >= 1, got 0$"),
+        (1, -1, np.eye(2), DimensionError, "order_exponent must be an integer >= 1, got -1$"),
+        (1, True, np.eye(2), DimensionError,
+         "order_exponent must be an integer >= 1, got True$"),
     ],
-    ids=["nan", "real_inf", "text", "eye3", "eye8", "vector", "none"],
+    ids=["nan", "real_inf", "text", "eye3", "eye8", "vector", "none", "no_data_qubits",
+         "bool_data_qubits", "float_data_qubits", "order_one", "negative_order_exponent",
+         "bool_order_exponent"],
 )
-def test_rejects_a_kernel_that_is_no_finite_register_square(data_qubits, dense, error, message):
+def test_rejects_a_kernel_that_is_no_finite_register_square(
+        data_qubits, order_exponent, dense, error, message):
     with pytest.raises(error, match=f"^'bad': {message}"):
-        BaseTransform("bad", data_qubits, 1, dense)
+        BaseTransform("bad", data_qubits, order_exponent, dense)
+
+
+def test_accepts_numpy_integer_sizes():
+    t = BaseTransform("mine", np.int64(1), np.int32(1), np.eye(2))
+    assert (type(t.data_qubits), type(t.order_exponent)) == (int, int)
 
 
 @pytest.mark.parametrize(

@@ -231,9 +231,13 @@ def _no_fft(x, k):
 
 
 def _failing_transform(fault):
-    """A transform every entry point accepts (it has ``apply``) up to its
-    check(), which it fails: by the dense proof and the O(N**2) comparison
-    (no certificate), or by a built-in's certificate, set too large."""
+    """A transform every entry point accepts up to its check(), which it
+    fails: by the dense proof and the O(N**2) comparison (no certificate), by
+    a power that is not unitary although U is, or by a built-in's
+    certificate, set too large."""
+    if fault == "power_not_unitary":
+        # g = 8e-11 passes, but |U**2^dagger U**2 - I| = 1.6e-10 does not.
+        return BaseTransform("s", 2, 2, (1 + 4e-11) * dft_matrix(4))
     if fault == "wrong_order":
         return base_transforms._builtin("odd", 1, 1, lambda: phase(0.3), None, _no_fft)
     if fault == "not_unitary":
@@ -256,6 +260,7 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("fault,message", [
     ("wrong_order", r"'odd' does not satisfy U\*\*2 = I"),
     ("not_unitary", "'double' is not unitary"),
+    ("power_not_unitary", r"'s' has U\*\*2 not unitary within 1e-10"),
     ("certificate_order", r"'fourier' does not satisfy U\*\*4 = I"),
     ("certificate_unitarity", "'hartley' is not unitary"),
 ])

@@ -1,7 +1,7 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
-``__init__`` re-exports, so it is left out), and no private module-level
-name is left that nothing under ``src/qfrt/`` refers to. Uses only the
-stdlib ``ast``."""
+``__init__`` re-exports, so it is left out), no private module-level name is
+left that nothing under ``src/qfrt/`` refers to, and only ``linalg`` sets an
+array's flags. Uses only the stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -74,3 +74,25 @@ def test_every_private_name_is_referenced_under_src():
     used = set().union(*map(references, sources))
     assert len(defined) >= 40
     assert [name for name in defined if name not in used] == []
+
+
+def setflags_calls(source: str) -> list[str]:
+    """The lines that call a ``setflags`` method."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "setflags"]
+
+
+def test_checker_catches_a_setflags_call():
+    source = "import numpy as np\na = np.eye(2)\nnp.ndarray.setflags(a, write=False)\n"
+    assert setflags_calls(source) == ["line 3"]
+    assert setflags_calls("a.view()\n") == []
+
+
+NOT_LINALG = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
+
+
+@pytest.mark.parametrize("path", NOT_LINALG, ids=[p.name for p in NOT_LINALG])
+def test_only_linalg_sets_array_flags(path):
+    # linalg.sealed is the one read-only rule; nothing else may set or clear a flag.
+    assert setflags_calls(path.read_text(encoding="utf-8")) == []

@@ -1,10 +1,11 @@
-"""Built-in transforms share one read-only, once-proven kernel, and the
-simulator applies their controlled powers matrix-free through numpy.fft;
-``circuit_unitary`` stays the dense reference."""
+"""Every transform's controlled powers are ``power`` payloads on one sealed,
+once-proven kernel; the simulator applies a built-in's matrix-free through
+numpy.fft and a hand-built one's through its matrix; ``circuit_unitary``
+stays the dense reference."""
 import numpy as np
 import pytest
 
-from qfrt import base_transforms, linalg, simulator
+from qfrt import base_transforms, circuits, linalg, simulator
 from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.fractional import (
@@ -15,7 +16,7 @@ from qfrt.fractional import (
     fractional_oracle,
 )
 
-from helpers import count_calls, random_dyadic_unitary
+from helpers import count_cached, count_calls, random_dyadic_unitary
 
 #: (transform id, size) up to 10 data qubits; cst sizes are n, on n + 1 qubits.
 KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8, 10)] + [
@@ -78,6 +79,35 @@ def test_run_matches_circuit_unitary(transform_id, size, alphas):
             assert np.max(np.abs(final - expected[:, i])) <= 1e-10
 
 
+#: Hand-built kernels, with no ``apply``: (kernel, order exponent, data qubits).
+HAND_BUILT = [("random", 2, 1), ("random", 2, 4), ("random", 3, 2), ("random", 3, 3),
+              ("random", 4, 1), ("random", 4, 2), ("dft", 2, 1), ("dft", 2, 3)]
+
+
+@pytest.mark.parametrize("kernel,order_exponent,q", HAND_BUILT)
+def test_hand_built_power_payloads_match_the_oracle(kernel, order_exponent, q):
+    rng = np.random.default_rng(10 * order_exponent + q)
+    u = dft_matrix(1 << q) if kernel == "dft" else random_dyadic_unitary(
+        1 << q, order_exponent, rng)
+    t = BaseTransform("mine", q, order_exponent, u)
+    data = 1 << q
+    for alpha in (0.37, 1.0, -2.9, 4e12 + 0.5):
+        spec = FractionalSpec(t, alpha)
+        circuit = build_qfru_circuit(spec)
+        payloads = [op for op in circuit.ops if op.name == "unitary"]
+        assert payloads and all(op.power is not None and op.power[0] is t for op in payloads)
+        oracle = fractional_oracle(spec)
+        cols = circuit_unitary(circuit, columns=data)
+        block, leakage = extract_data_block(cols, spec.num_ancillas, q)
+        assert linalg.max_norm_diff(block, oracle) <= 1e-10 and leakage <= 1e-10
+        x = simulator.basis_state(circuit.num_qubits)
+        x[:data] = rng.standard_normal(data) + 1j * rng.standard_normal(data)
+        x /= np.linalg.norm(x)
+        final, _ = simulator.run(circuit, x)
+        assert np.max(np.abs(final[:data] - oracle @ x[:data])) <= 1e-10
+        assert np.linalg.norm(final[data:]) <= 1e-10
+
+
 class TestReadOnlyKernel:
     @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
     def test_builtin_kernel_cannot_be_written(self, transform_id):
@@ -86,6 +116,26 @@ class TestReadOnlyKernel:
             t.dense[0, 0] = 0.0
         for k in range(t.order):
             assert not t.power(k).flags.writeable
+
+    def test_no_kept_array_can_be_made_writable(self):
+        rng = np.random.default_rng(6)
+        hand_built = BaseTransform("mine", 2, 3, random_dyadic_unitary(4, 3, rng))
+        literal = GateOp("unitary", targets=(0,), matrix=circuits.H.copy())
+        kept = [circuits.X, literal.matrix]
+        for t in (make_transform("fourier", 2), make_transform("hartley", 2), hand_built):
+            kept += [t.dense] + [t.power(k) for k in range(t.order)]
+        for a in kept:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                a.setflags(write=True)
+
+    def test_caller_cannot_change_a_proven_kernel(self):
+        u = dft_matrix(4)
+        u.setflags(write=False)
+        t = BaseTransform("x", 2, 2, u)
+        t.check()
+        u.setflags(write=True)
+        u[0, 0] = 5
+        assert t.dense is not u and t.dense[0, 0] == dft_matrix(4)[0, 0]
 
     def test_writable_array_is_copied(self):
         u = dft_matrix(4)
@@ -123,30 +173,35 @@ class TestOneProof:
         assert (len(products), len(certificates), len(checks)) == (0, 1, 0)
 
     def test_builtin_builds_no_power_table(self, monkeypatch):
-        def no_table(self):
-            raise AssertionError("powers() called")
-
-        monkeypatch.setattr(BaseTransform, "powers", no_table)
+        tables = count_cached(monkeypatch, BaseTransform, "_products")
         for transform_id in ("fourier", "hartley", "cst1", "cst4"):
-            build_qfru_circuit(FractionalSpec(make_transform(transform_id, 2), 0.3))
+            c = build_qfru_circuit(FractionalSpec(make_transform(transform_id, 2), 0.3))
+            for op in c.ops:
+                op.base_matrix()
+        assert tables == []
 
-    def test_hand_built_kernel_checks_every_payload(self, monkeypatch):
+    def test_hand_built_kernel_is_proven_once(self, monkeypatch):
         checks = count_calls(monkeypatch, linalg, "is_unitary")
-        u = random_dyadic_unitary(4, 2, np.random.default_rng(3))
-        c = build_qfru_circuit(FractionalSpec(BaseTransform("custom", 2, 2, u), 0.3))
-        payloads = {id(op): op for op in c.ops if op.name == "unitary"}
-        assert len(checks) == len(payloads) == 3
-        assert all(op.power is None for op in payloads.values())
+        products = count_calls(monkeypatch, linalg, "unitarity_dev")
+        u = random_dyadic_unitary(4, 3, np.random.default_rng(3))
+        t = BaseTransform("custom", 2, 3, u)
+        for alpha in (0.3, 1.7):
+            c = build_qfru_circuit(FractionalSpec(t, alpha))
+            payloads = {id(op): op for op in c.ops if op.name == "unitary"}
+            assert [op.power for op in payloads.values()] == [(t, 1), (t, 2), (t, 4), (t, 7),
+                                                               (t, 6)]
+        # One unitarity proof of U; the power bound covers U**2 .. U**7.
+        assert (len(checks), len(products)) == (0, 1)
 
     def test_hand_built_fourier_gets_no_matrix_free_path(self):
         t = BaseTransform("fourier", 2, 2, dft_matrix(4))
         assert t.apply is None
         c = build_qfru_circuit(FractionalSpec(t, 0.3))
-        assert all(op.power is None for op in c.ops)
-        # Each forward payload is the transform's own read-only power, not a copy.
-        forward = [op for op in c.ops[:4] if op.name == "unitary"]
-        assert [op.matrix is t.power(1 << j) for j, op in enumerate(forward)] == [True, True]
-        # A writable matrix is still copied.
+        # Each payload names the transform, and its matrix is the transform's
+        # own sealed power, not a copy.
+        payloads = [op for op in c.ops if op.name == "unitary"]
+        assert all(op.power[0] is t and op.matrix is t.power(op.power[1]) for op in payloads)
+        # A literal matrix is copied.
         u = dft_matrix(4)
         assert GateOp("unitary", targets=(0, 1), matrix=u).matrix is not u
 
@@ -159,10 +214,15 @@ class TestPowerOp:
             assert op.power == (t, int(k)) and op.matrix is not None
             assert np.array_equal(op.matrix, t.power(int(k)))
 
-    def test_rejects_a_hand_built_transform(self):
+    def test_accepts_a_hand_built_transform(self):
         t = BaseTransform("fourier", 2, 2, dft_matrix(4))
-        with pytest.raises(ValueError, match="built-in builder"):
-            GateOp("unitary", targets=(0, 1), power=(t, 1))
+        for k in (1, 2, 3):
+            op = GateOp("unitary", targets=(0, 1), power=(t, k))
+            assert op.power == (t, k) and op.matrix is t.power(k)
+
+    def test_rejects_a_power_of_something_else(self):
+        with pytest.raises(ValueError, match="needs a BaseTransform, got ndarray"):
+            GateOp("unitary", targets=(0, 1), power=(dft_matrix(4), 1))
 
     @pytest.mark.parametrize("k", [0, 4, -1, 1.0, True])
     def test_rejects_a_power_outside_one_to_order_minus_one(self, k):

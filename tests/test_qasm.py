@@ -106,9 +106,12 @@ def test_import_gate_errors_name_the_line(statement, message):
 @pytest.mark.parametrize(
     "statement,message",
     [("p(abc) q[0];", "could not convert string to float: 'abc'"),
-     ("unitary { 1 0,0 0,0 1,0 } q[0];", "not enough values to unpack"),
-     ("h q[5];", r"q\[5\] is outside the 2-qubit register")],
-    ids=["bad_angle", "payload_token_without_comma", "qubit_out_of_range"],
+     ("unitary { 1 0,0 0,0 1,0 } q[0];", "payload entry '1' is not re,im$"),
+     ("h q[5];", r"q\[5\] is outside the 2-qubit register"),
+     ("qubit[0] q;", "the register needs at least one qubit$"),
+     ("unitary { 1,0,0 0,0 0,0 1,0 } q[0];", "payload entry '1,0,0' is not re,im$")],
+    ids=["bad_angle", "payload_token_without_comma", "qubit_out_of_range", "empty_register",
+         "payload_token_with_two_commas"],
 )
 def test_import_statement_errors_name_the_line(statement, message):
     text = f"qubit[2] q;\nh q[0];\n{statement}\n"

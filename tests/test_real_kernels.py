@@ -89,7 +89,7 @@ class TestDtypes:
     def test_kernel_and_power_table(self, transform_id, dtype):
         t = make_transform(transform_id, 2)
         assert t.dense.dtype == dtype
-        assert all(p.dtype == dtype for p in t.powers())
+        assert all(t.power(k).dtype == dtype for k in range(t.order))
 
     @pytest.mark.parametrize("m", [np.eye(2, dtype=int), np.eye(2, dtype=bool),
                                    np.eye(2, dtype=np.float32), [[1, 0], [0, 1]]])
