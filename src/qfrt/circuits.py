@@ -7,10 +7,12 @@ are ordered the same way: ``targets[i]`` holds the gate matrix's bit of
 place value ``2**i``. Controls fire on |1>.
 
 :func:`_apply_op` is the one gate-application kernel: it applies an op in
-place to a register held as a qubit tensor, through strided views. The
-simulator and :func:`circuit_unitary` both run it; only the simulator sends
-``power`` payloads to an FFT ``apply``, so :func:`circuit_unitary` is the
-slow dense reference the simulator is validated against. Its ``columns``
+place to a register held as a qubit tensor, through strided views, with no
+axis shuffling copy: a one-qubit gate updates its target's two halves in
+place, and any other op maps a targets-first transpose of the register.
+The simulator and :func:`circuit_unitary` both run it; only the simulator
+sends ``power`` payloads to an FFT ``apply``, so :func:`circuit_unitary` is
+the slow dense reference the simulator is validated against. Its ``columns``
 argument builds only the images of the first basis states: an ancilla
 circuit on ancilla |0...0> inputs needs just the first ``2**data_qubits``.
 """
@@ -213,17 +215,12 @@ class Circuit:
                 raise ValueError(f"mark {label!r} at invalid boundary {idx}")
 
 
-def _is_power_ref(entry) -> bool:
-    return isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], BaseTransform)
-
-
 def multiplexed_powers(powers) -> Circuit:
     """Circuit for the multiplexed powers diag(u**0, u**1, ..., u**(2**n - 1)).
 
-    ``powers`` is the power table (u**0, ..., u**(2**n - 1)); only its entries
-    u**(2**j) become gates. An entry is a matrix, which becomes a checked,
-    sealed ``matrix`` payload, or a pair (t, k) naming t**k of a transform t,
-    which becomes a ``power`` payload (see :class:`GateOp`); every payload op
+    ``powers`` is the power table as (t, k) pairs, each naming t**k of a
+    :class:`BaseTransform` t; only its entries for u**(2**j) become gates,
+    each a ``power`` payload op (see :class:`GateOp`), and every payload op
     of the fractionalization circuits is made here. The data register sits
     on qubits 0..q-1 and the n selector qubits above it; selector bit j
     (qubit q+j) controls u**(2**j), so selector value m applies u**m
@@ -233,19 +230,12 @@ def multiplexed_powers(powers) -> Circuit:
     if size < 1 or size & (size - 1):
         raise ValueError(f"power table has {size} entries, not a power of two")
     n = size.bit_length() - 1
-    if _is_power_ref(powers[0]):
-        q = powers[0][0].data_qubits
-    else:
-        shape = linalg.as_matrix(powers[0]).shape
-        q = shape[0].bit_length() - 1
-        if shape != (1 << q, 1 << q):
-            raise ValueError(f"operator size {shape} is not a power-of-two square")
+    q = powers[0][0].data_qubits
     data = tuple(range(q))
-    ops = []
-    for j in range(n):
-        entry = powers[1 << j]
-        payload = {"power" if _is_power_ref(entry) else "matrix": entry}
-        ops.append(GateOp("unitary", targets=data, controls=(q + j,), **payload))
+    ops = [
+        GateOp("unitary", targets=data, controls=(q + j,), power=powers[1 << j])
+        for j in range(n)
+    ]
     return Circuit(n + q, ops)
 
 
@@ -296,29 +286,67 @@ def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
     """Apply op in place to a register held as a [2]*n + [columns] tensor:
     axis a < n is qubit n-1-a (a C-order reshape of 2**n rows), the last
     axis is carried along (1 for a single state). Controls pick the |1>
-    slice of their axes, and the op mixes the target axes of that view.
-    With ``matrix_free`` a ``power`` op goes through its transform's FFT
-    ``apply`` if any; every other op multiplies by :meth:`GateOp.base_matrix`.
+    slice of their axes; the op then takes one of three paths, each writing
+    through views of ``reg``:
+
+    * a one-qubit gate that is not a ``power`` op updates the target's |0>
+      and |1> halves of that slice in place (:func:`_mix_halves`);
+    * with ``matrix_free``, a ``power`` op's target axes are brought to the
+      front by one transpose and its transform's FFT ``apply`` maps them,
+      where a builder set one;
+    * any other op, a ``power`` op included, multiplies the same
+      targets-first block by :meth:`GateOp.base_matrix`.
+
+    The block is a view, not a copy, when the target axes already lead and
+    are contiguous (a payload on the data qubits under a single ancilla).
     """
     n = reg.ndim - 1
     sel = [slice(None)] * reg.ndim
     for c in op.controls:
         sel[n - 1 - c] = 1
-    sel = tuple(sel)
-    sub = reg[sel]
-    kept = [a for a in range(reg.ndim) if not isinstance(sel[a], int)]
+    if len(op.targets) == 1 and op.power is None:
+        axis = n - 1 - op.targets[0]
+        sel[axis] = 0
+        a0 = reg[tuple(sel)]
+        sel[axis] = 1
+        _mix_halves(op.base_matrix(), a0, reg[tuple(sel)])
+        return
+    sub = reg[tuple(sel)]
+    kept = [a for a in range(reg.ndim) if isinstance(sel[a], slice)]
     # Gate axis p carries the gate's bit t-1-p, living on qubit targets[t-1-p].
-    t = len(op.targets)
     pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
-    moved = np.moveaxis(sub, pos, range(t))
-    shape = moved.shape
-    block = moved.reshape(1 << t, -1)
-    fft = op.power[0].apply if matrix_free and op.power is not None else None
-    if fft is not None:
-        updated = fft(block, op.power[1])
+    moved = sub.transpose(pos + [a for a in range(sub.ndim) if a not in pos])
+    block = moved.reshape(1 << len(pos), -1)
+    if matrix_free and op.power is not None and op.power[0].apply is not None:
+        updated = op.power[0].apply(block, op.power[1])
     else:
         updated = linalg.apply(op.base_matrix(), block)
-    reg[sel] = np.moveaxis(updated.reshape(shape), range(t), pos)
+    moved[...] = updated.reshape(moved.shape)
+
+
+#: Halves larger than this many amplitudes are mixed piece by piece along
+#: their first axis, so that each piece's temporaries stay in cache.
+_PIECE = 1 << 14
+
+
+def _mix_halves(g: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> None:
+    """(a0, a1) <- (g00 a0 + g01 a1, g10 a0 + g11 a1) in place. A diagonal
+    g only scales a half whose entry is not 1, and allocates nothing."""
+    if a0.size > _PIECE and a0.ndim > 1:
+        for b0, b1 in zip(a0, a1):
+            _mix_halves(g, b0, b1)
+        return
+    if g[0, 1] == 0 and g[1, 0] == 0:
+        if g[0, 0] != 1:
+            a0 *= g[0, 0]
+        if g[1, 1] != 1:
+            a1 *= g[1, 1]
+        return
+    new0 = a0 * g[0, 0]
+    new0 += a1 * g[0, 1]
+    a1 *= g[1, 1]
+    a1 += a0 * g[1, 0]
+    a0[...] = new0
 
 
 def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:

@@ -5,11 +5,14 @@ tensor, with :func:`qfrt.circuits._apply_op`, the kernel
 :func:`qfrt.circuits.circuit_unitary` runs on identity columns. Only
 :func:`run` sends a ``power`` payload to its transform's matrix-free
 ``apply`` (``numpy.fft``, O(N log N) per column), where a builder set one,
-so ``circuit_unitary`` stays the independent dense reference. Probabilities
-are computed exactly from amplitudes; there is no shot sampling.
+so ``circuit_unitary`` stays the independent dense reference. A traced
+run copies the state at each wanted mark into a row of one array it
+allocates up front. Probabilities are computed exactly from amplitudes;
+there is no shot sampling.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +51,20 @@ def _num_qubits(state: np.ndarray) -> int:
 def run(circuit: Circuit, state: np.ndarray, trace=None):
     """Execute a circuit on a state; returns (final_state, trace_records).
 
-    ``trace`` selects which marked boundaries to record: None for none,
-    True for all of the circuit's marks, or an iterable of the circuit's
-    mark labels (a string or an unknown label is a ValueError).
+    ``state`` must hold 2**num_qubits finite amplitudes; it is copied, not
+    changed. ``trace`` selects which marked boundaries to record: None for
+    none, True for all of the circuit's marks, or an iterable of the
+    circuit's mark labels (a string or an unknown label is a ValueError).
+    The records' states are the rows of one array allocated per run, so
+    each is its own copy of the state at its mark.
     """
     state = np.asarray(state, dtype=complex).ravel()
     if state.size != 1 << circuit.num_qubits:
         raise ValueError(
             f"state length {state.size} does not match {circuit.num_qubits} qubits"
         )
+    if not np.isfinite(state).all():
+        raise ValueError("state has a NaN or Inf amplitude")
     labels = frozenset(label for label, _ in circuit.marks)
     wanted = labels if trace is True else frozenset(trace or ())
     unknown = [trace] if isinstance(trace, str) else sorted(wanted - labels)
@@ -69,18 +77,22 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
         if label in wanted:
             boundaries.setdefault(idx, []).append(label)
 
+    snapshots = np.empty((sum(map(len, boundaries.values())), state.size), dtype=complex)
     records: list[TraceRecord] = []
     psi = state.reshape([2] * circuit.num_qubits + [1]).copy()
+    flat = psi.reshape(-1)
 
     def snapshot(idx: int):
         for label in boundaries.get(idx, ()):
-            records.append(TraceRecord(label, psi.reshape(-1).copy(), idx))
+            row = snapshots[len(records)]
+            row[...] = flat
+            records.append(TraceRecord(label, row, idx))
 
     snapshot(0)
     for i, op in enumerate(circuit.ops):
         _apply_op(psi, op, matrix_free=True)
         snapshot(i + 1)
-    return psi.reshape(-1), records
+    return flat, records
 
 
 def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> float:
@@ -88,6 +100,8 @@ def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> flo
     reading all zeros."""
     state = np.asarray(state).ravel()
     n = _num_qubits(state)
+    if isinstance(num_ancillas, bool) or not isinstance(num_ancillas, numbers.Integral):
+        raise ValueError(f"num_ancillas must be an integer, got {num_ancillas!r}")
     if not 0 <= num_ancillas <= n:
         raise ValueError(f"{num_ancillas} ancillas out of range for {n} qubits")
     block = state.size >> num_ancillas

@@ -1,14 +1,21 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dyadic_unitary, random_unitary, reference_circuit_unitary
+from helpers import (
+    random_dyadic_unitary,
+    random_state,
+    random_unitary,
+    reference_circuit_unitary,
+)
 from qfrt import linalg
 from qfrt.base_transforms import (
+    BaseTransform,
     cst1_transform,
     cst4_transform,
     dft_matrix,
@@ -27,6 +34,7 @@ from qfrt.circuits import (
     X,
     Y,
     Z,
+    _apply_op,
     circuit_unitary,
     increment_circuit,
     multiplexed_powers,
@@ -185,24 +193,27 @@ def direct_multiplexed(u, n):
     return out
 
 
-def power_table(u, n):
-    """(u**0, ..., u**(2**n - 1)) from numpy's matrix_power, independent of qfrt."""
-    return tuple(np.linalg.matrix_power(u, k) for k in range(1 << n))
+def power_refs(u, order_exponent, n):
+    """The table ((t, 0), ..., (t, 2**n - 1)) over a hand-built transform t
+    of u, so every payload is a power from t's own table of products."""
+    q = u.shape[0].bit_length() - 1
+    t = BaseTransform(f"hand{u.shape[0]}", q, order_exponent, u)
+    return [(t, k) for k in range(1 << n)]
 
 
 class TestMultiplexedPowers:
     def test_fourier_powers(self):
         f = dft_matrix(4)
-        got = circuit_unitary(multiplexed_powers(power_table(f, 2)))
+        got = circuit_unitary(multiplexed_powers(power_refs(f, 2, 2)))
         assert linalg.max_norm_diff(got, direct_multiplexed(f, 2)) <= 1e-10
 
     def test_hartley_single_selector(self):
         dht = hartley_matrix(4)
-        got = circuit_unitary(multiplexed_powers(power_table(dht, 1)))
+        got = circuit_unitary(multiplexed_powers(power_refs(dht, 1, 1)))
         assert linalg.max_norm_diff(got, direct_multiplexed(dht, 1)) <= 1e-10
 
     def test_zero_selectors_is_empty(self):
-        c = multiplexed_powers(power_table(dft_matrix(4), 0))
+        c = multiplexed_powers(power_refs(dft_matrix(4), 2, 0))
         assert c.ops == ()
         assert c.num_qubits == 2
 
@@ -210,11 +221,15 @@ class TestMultiplexedPowers:
     def test_random_dyadic_operators(self, n):
         rng = np.random.default_rng(100 + n)
         u = random_dyadic_unitary(2, n, rng)
-        got = circuit_unitary(multiplexed_powers(power_table(u, n)))
+        c = multiplexed_powers(power_refs(u, n, n))
+        for j, op in enumerate(c.ops):
+            expected = np.linalg.matrix_power(u, 1 << j)
+            assert linalg.max_norm_diff(op.matrix, expected) <= 1e-10
+        got = circuit_unitary(c)
         assert linalg.max_norm_diff(got, direct_multiplexed(u, n)) <= 1e-10
 
     def test_table_length_must_be_power_of_two(self):
-        for bad in ((), power_table(dft_matrix(2), 2)[:3]):
+        for bad in ((), power_refs(dft_matrix(2), 2, 2)[:3]):
             with pytest.raises(ValueError, match="power of two"):
                 multiplexed_powers(bad)
 
@@ -340,8 +355,8 @@ class TestCircuitUnitary:
             qft_circuit(4, inverse=True),
             increment_circuit(3),
             phase_block(3, 1.3, -2 * math.pi / 8),
-            multiplexed_powers(power_table(hartley_matrix(4), 1)),
-            multiplexed_powers(power_table(dft_matrix(2), 2)),
+            multiplexed_powers(power_refs(hartley_matrix(4), 1, 1)),
+            multiplexed_powers(power_refs(dft_matrix(2), 2, 2)),
         ],
     )
     def test_builders_produce_unitaries(self, circuit):
@@ -405,29 +420,44 @@ class TestCircuitUnitaryColumns:
             circuit_unitary(_multi_control_circuit(), columns=columns)
 
 
+_EMBEDDING_KINDS = ("x", "y", "z", "h", "s", "r", "b", "bdag", "p", "swap", "matrix1", "matrix2")
+
+
 def _embedding_circuit(rng):
-    """Up to 5 wires; every op takes 0-2 controls and 1-2 targets in random
-    wire order: named one-qubit gates, p, swap and 2-target matrix payloads."""
+    """Up to 5 wires; every op takes 0-2 controls, above or below its
+    targets, and 1-2 targets in random wire order: each named one-qubit
+    gate, p, swap, and 1- and 2-target matrix payloads."""
     n = int(rng.integers(3, 6))
     ops = []
     for _ in range(int(rng.integers(4, 13))):
         wires = [int(w) for w in rng.permutation(n)]
-        kind = int(rng.integers(0, 4))
-        t = 2 if kind >= 2 else 1
+        kind = str(rng.choice(_EMBEDDING_KINDS))
+        t = 2 if kind in ("swap", "matrix2") else 1
         targets = tuple(wires[:t])
         controls = tuple(wires[t:t + int(rng.integers(0, 3))])
-        if kind == 0:
-            name = str(rng.choice(["x", "y", "z", "h", "s", "r", "b", "bdag"]))
-            ops.append(GateOp(name, targets=targets, controls=controls))
-        elif kind == 1:
+        if kind == "p":
             ops.append(GateOp("p", targets=targets, controls=controls,
                               params=(float(rng.uniform(-np.pi, np.pi)),)))
-        elif kind == 2:
-            ops.append(GateOp("swap", targets=targets, controls=controls))
-        else:
+        elif kind.startswith("matrix"):
             ops.append(GateOp("unitary", targets=targets, controls=controls,
-                              matrix=random_unitary(4, rng)))
+                              matrix=random_unitary(1 << t, rng)))
+        else:
+            ops.append(GateOp(kind, targets=targets, controls=controls))
     return Circuit(n, tuple(ops))
+
+
+def _embedding_kind(op):
+    return f"matrix{len(op.targets)}" if op.name == "unitary" else op.name
+
+
+def test_embedding_circuits_cover_every_gate_kind():
+    ops = [op for seed in range(12)
+           for op in _embedding_circuit(np.random.default_rng(900 + seed)).ops]
+    assert {_embedding_kind(op) for op in ops} == set(_EMBEDDING_KINDS)
+    for kind in ("h", "p", "matrix1", "matrix2"):
+        wires = [(op.targets, op.controls) for op in ops if _embedding_kind(op) == kind]
+        assert any(max(t) < min(c) for t, c in wires if c)  # a control above
+        assert any(min(t) > max(c) for t, c in wires if c)  # a control below
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -439,3 +469,37 @@ def test_circuit_unitary_matches_basis_column_embedding(seed):
     for k in (1, int(rng.integers(2, expected.shape[0]))):
         got = circuit_unitary(circuit, columns=k)
         assert linalg.max_norm_diff(got, expected[:, :k]) <= 1e-14
+    # the simulator runs the same kernel on single states
+    for col in range(expected.shape[0]):
+        final, _ = run(circuit, basis_state(circuit.num_qubits, col))
+        assert np.max(np.abs(final - expected[:, col])) <= 1e-14
+    state = random_state(circuit.num_qubits, rng)
+    final, _ = run(circuit, state)
+    assert np.max(np.abs(final - expected @ state)) <= 1e-14
+
+
+def test_kernel_allocates_at_most_one_accumulator_per_op():
+    # fourier q=8 qfru on its 256 data columns: a 4 MB accumulator. A payload
+    # op may hold its block and the product, never a copy of the whole
+    # accumulator on top; a one-qubit gate holds at most a new half and one
+    # product, and a diagonal one nothing. The 1% is for array headers and
+    # index lists.
+    circuit = build_qfru_circuit(FractionalSpec(fourier_transform(8), 0.37))
+    for op in circuit.ops:
+        op.base_matrix()  # build the payloads outside the measurement
+    acc = np.eye(1 << circuit.num_qubits, 256, dtype=complex)
+    reg = acc.reshape([2] * circuit.num_qubits + [256])
+    slack = acc.nbytes // 100
+    tracemalloc.start()
+    try:
+        for op in circuit.ops:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _apply_op(reg, op, matrix_free=False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            diagonal = op.name in ("z", "s", "p")
+            assert peak <= (slack if diagonal else acc.nbytes + slack), (op, peak)
+    finally:
+        tracemalloc.stop()
+    cols = circuit_unitary(circuit, columns=256)
+    assert linalg.max_norm_diff(acc, cols) <= 1e-14

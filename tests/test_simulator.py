@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_circuit, random_state
 from qfrt import linalg, simulator
-from qfrt.base_transforms import fourier_transform
+from qfrt.base_transforms import fourier_transform, hartley_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.fractional import FractionalSpec, build_qfru_circuit, fractional_oracle
 from qfrt.simulator import (
@@ -56,6 +56,13 @@ class TestRun:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             run(Circuit(2), basis_state(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_state_rejected(self, bad):
+        state = np.full(8, 8 ** -0.5, dtype=complex)
+        state[5] = bad
+        with pytest.raises(ValueError, match="state"):
+            run(Circuit(3, (GateOp("h", targets=(0,)),)), state)
 
     def test_trace_label_selection(self):
         c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
@@ -125,6 +132,55 @@ class TestQfruTrace:
         assert set(states) == {f"psi{i}" for i in range(8)}
 
 
+@pytest.mark.parametrize("transform", [fourier_transform(3), hartley_transform(3)],
+                         ids=lambda t: t.id)
+class TestTraceBuffer:
+    """Trace records are copies of the state at their marks, in one buffer."""
+
+    @pytest.fixture()
+    def traced(self, transform):
+        circuit = build_qfru_circuit(FractionalSpec(transform, 0.63))
+        state = random_state(circuit.num_qubits, np.random.default_rng(17))
+        final, records = run(circuit, state, trace=True)
+        return circuit, state, final, records
+
+    def test_records_are_prefix_states(self, traced):
+        circuit, state, _, records = traced
+        assert [r.label for r in records] == [label for label, _ in circuit.marks]
+        for r in records:
+            prefix = Circuit(circuit.num_qubits, circuit.ops[: r.step_index])
+            assert np.max(np.abs(r.state - run(prefix, state)[0])) <= 1e-15
+
+    def test_records_are_independent(self, traced):
+        _, _, final, records = traced
+        kept = [r.state.copy() for r in records]
+        final_kept = final.copy()
+        records[3].state[:] = 7.0
+        for i, r in enumerate(records):
+            if i != 3:
+                assert np.array_equal(r.state, kept[i])
+        assert np.array_equal(final, final_kept)
+
+
+def test_kernel_moves_no_axes(monkeypatch):
+    # the kernel transposes views; it never calls np.moveaxis
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.moveaxis called")
+
+    spec = FractionalSpec(fourier_transform(3), 0.37)
+    circuit = build_qfru_circuit(spec)
+    state = np.zeros(1 << circuit.num_qubits, dtype=complex)
+    state[:8] = random_state(3, np.random.default_rng(4))
+    monkeypatch.setattr(np, "moveaxis", refuse)
+    final, _ = run(circuit, state)
+    cols = circuit_unitary(circuit, columns=8)
+    monkeypatch.undo()
+    oracle = fractional_oracle(spec)
+    assert np.max(np.abs(final[:8] - oracle @ state[:8])) <= 1e-10
+    assert np.max(np.abs(cols[:8] - oracle)) <= 1e-10
+    assert np.max(np.abs(final - cols @ state[:8])) <= 1e-14
+
+
 def test_wide_register_run_restores_ancillas():
     # 6 data qubits + 2 ancillas: exercises the strided path on 256 amplitudes
     rng = np.random.default_rng(60)
@@ -170,6 +226,15 @@ class TestRestorationProbability:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ancilla_restoration_probability(basis_state(2), 3)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, "1", None])
+    def test_non_integer_ancillas_rejected(self, bad):
+        with pytest.raises(ValueError, match="num_ancillas"):
+            ancilla_restoration_probability(np.ones(8), bad)
+
+    def test_numpy_integer_accepted(self):
+        state = np.full(4, 0.5, dtype=complex)
+        assert abs(ancilla_restoration_probability(state, np.int64(1)) - 0.5) <= 1e-15
 
 
 class TestFormatState:
