@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,6 +109,9 @@ class GateOp:
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = _OnFirstRead()
     power: tuple[BaseTransform, int] | None = None
+    # A 'p' op's sealed 2x2 gate, built once: not kept in matrix, which holds
+    # only a 'unitary' op's payload.
+    _phase: np.ndarray | None = field(default=None, init=False, repr=False)
 
     __repr__ = _built_repr
 
@@ -149,6 +152,7 @@ class GateOp:
             if self.name == "p":
                 if len(self.params) != 1 or not math.isfinite(self.params[0]):
                     raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
+                object.__setattr__(self, "_phase", linalg.sealed(phase(self.params[0])))
             elif self.params:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
 
@@ -179,7 +183,7 @@ class GateOp:
         if self.name == "unitary":
             return self.matrix
         if self.name == "p":
-            return phase(self.params[0])
+            return self._phase
         return _FIXED_GATES[self.name]
 
     @property

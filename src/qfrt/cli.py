@@ -18,6 +18,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -353,8 +354,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads with, built once per process."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "tol", None) is not None and not 0.0 < args.tol <= 1e-2:
         print("error: --tol must be in (0, 1e-2]", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ DEFAULT_TOL = 1e-10
 BUDGET_ENV_VAR = "QFRT_MAX_QUBITS"
 
 _DEFAULT_MAX_QUBITS = 14
+_GRAM_ROWS = 64  # rows of m^dagger m per product in unitarity_dev
 
 
 def max_qubits() -> int:
@@ -98,15 +99,19 @@ def max_norm_diff(a, b) -> float:
 
 
 def unitarity_dev(m) -> float:
-    """max|m^dagger m - I|, formed in place (no identity or difference); +inf
-    for a non-square m. On a real m, ``conj()`` returns m itself, so the
-    product is m^T m on one buffer."""
+    """max|m^dagger m - I|; +inf for a non-square m. The product is Hermitian,
+    so only its upper triangle is formed, in row blocks m[:, i:i+w]^dagger
+    m[:, i:] of w = _GRAM_ROWS rows, each with 1 taken off its leading
+    diagonal in place: no N x N Gram, identity or conjugated copy of m."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return math.inf
-    gram = m.conj().T @ m
-    gram.flat[:: m.shape[0] + 1] -= 1
-    return float(np.max(np.abs(gram)))
+    dev = 0.0
+    for i in range(0, len(m), _GRAM_ROWS):
+        block = m[:, i:i + _GRAM_ROWS].conj().T @ m[:, i:]
+        block.flat[:: block.shape[1] + 1] -= 1
+        dev = max(dev, np.max(np.abs(block)))
+    return float(dev)
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:

@@ -91,6 +91,13 @@ class TestStandardGates:
             with pytest.raises(ValueError, match="'p' needs one finite angle"):
                 GateOp("p", targets=(0,), params=params)
 
+    def test_phase_op_builds_its_gate_once(self):
+        op = GateOp("p", targets=(0,), controls=(1,), params=(0.7,))
+        gate = op.base_matrix()
+        assert op.base_matrix() is gate and not gate.flags.writeable
+        assert np.array_equal(gate, phase(0.7))
+        assert op.matrix is None and "array" not in repr(op)
+
 
 class TestQct4Gates:
     def test_l_level_one_n_one_is_s(self):

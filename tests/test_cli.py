@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from helpers import count_cached
+from helpers import count_cached, count_calls
 from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
     BaseTransform,
@@ -437,6 +439,17 @@ def test_stdout_output(capsys):
     assert main(["dump", "--transform", "hartley", "--qubits", "1"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("2 2\n")
+
+
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    built = count_calls(monkeypatch, cli, "make_parser")
+    outs = []
+    for _ in range(2):
+        assert main(["dump", "--transform", "hartley", "--qubits", "1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(built) == 1
+    assert outs[0] == outs[1] and outs[0].startswith("2 2\n")
 
 
 def test_module_entry_point():

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_cached, count_calls, random_dyadic_unitary, random_state
 from qfrt import base_transforms, cli, linalg
 from qfrt.base_transforms import (
+    TRANSFORM_IDS,
     BaseTransform,
     cst1_transform,
     cst4_transform,
@@ -331,6 +332,36 @@ def test_fourier_permuted_table_matches_product_table(q, alpha):
         for spec in (structured, products)
     ]
     assert linalg.max_norm_diff(*blocks) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    transform_id=st.sampled_from(TRANSFORM_IDS),
+    size=st.integers(1, 7),
+    k=st.integers(1, 2),
+    beta=st.one_of(
+        st.floats(-32, 32, allow_nan=False),
+        st.floats(1e6, 1e15, allow_nan=False),
+        st.floats(-1e15, -1e6, allow_nan=False),
+    ),
+)
+def test_half_power_ladder(transform_id, size, k, beta):
+    # V = FrU(1/2**k) has order 2**k order(U), and FrV(beta) = FrU(beta / 2**k):
+    # the general dyadic path on a structured, hand-built kernel of order up
+    # to 16, proven by one measured U^dagger U and its power-table checks.
+    u = make_transform(transform_id, size)
+    assume(u.data_qubits + u.order_exponent + k <= 10)
+    q = u.data_qubits
+    root = fractional_oracle(FractionalSpec(u, 1.0 / (1 << k)))
+    v = BaseTransform(f"{transform_id}^(1/{1 << k})", q, u.order_exponent + k, root)
+    expected = fractional_oracle(FractionalSpec(u, beta / (1 << k)))
+    spec = FractionalSpec(v, beta)
+    assert linalg.max_norm_diff(fractional_oracle(spec), expected) <= 1e-10
+    assert v.table_dev is None and v.unitarity_dev == linalg.unitarity_dev(root)
+    full = circuit_unitary(build_qfru_circuit(spec), columns=1 << q)
+    block, leakage = extract_data_block(full, spec.num_ancillas, q)
+    assert linalg.max_norm_diff(block, expected) <= 1e-10
+    assert leakage <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,50 @@ class TestIsUnitary:
 
     def test_non_square(self):
         assert not linalg.is_unitary(np.ones((2, 4)))
+
+
+def _test_matrix(kind, n, rng):
+    if kind == "unitary":
+        return random_unitary(n, rng)
+    if kind == "orthogonal":
+        return np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if kind == "real":
+        return rng.standard_normal((n, n)) / np.sqrt(n)
+    if kind == "complex":
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
+    if kind == "int":
+        return rng.integers(-3, 4, size=(n, n))
+    return rng.integers(0, 2, size=(n, n)).astype(bool)
+
+
+class TestUnitarityDev:
+    # Sizes around the 64-row block of the upper-triangle product, and
+    # both sides of one and of several blocks.
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 100, 257, 513])
+    @pytest.mark.parametrize("kind", ["unitary", "orthogonal", "real", "complex", "int", "bool"])
+    def test_matches_full_gram_minus_identity(self, kind, n):
+        m = _test_matrix(kind, n, np.random.default_rng(n))
+        a = np.asarray(m, dtype=complex if kind in ("unitary", "complex") else float)
+        full = float(np.max(np.abs(a.conj().T @ a - np.eye(n))))
+        dev = linalg.unitarity_dev(m)
+        if kind in ("unitary", "orthogonal"):
+            assert abs(dev - full) <= 1e-15
+        else:
+            assert abs(dev - full) <= 1e-12 * full
+
+    def test_peak_memory_below_one_square_matrix(self):
+        n = 512
+        m = random_unitary(n, np.random.default_rng(3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dev = linalg.unitarity_dev(m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert dev <= 1e-12
+        assert peak < m.nbytes  # one N x N complex array: 4 MiB
 
 
 class TestMatrixText:
