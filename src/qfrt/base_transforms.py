@@ -42,7 +42,10 @@ TRANSFORM_IDS = ("fourier", "hartley", "cst1", "cst4")
 def _exponents(j: np.ndarray, modulus: int) -> np.ndarray:
     """The exponent table (j_a j_b) mod modulus, reduced exactly in integers."""
     exponents = np.outer(j, j)
-    exponents %= modulus
+    if modulus & (modulus - 1):
+        exponents %= modulus
+    else:  # a power of two, as for every builder: the same, with no division
+        exponents &= modulus - 1
     return exponents
 
 
@@ -78,66 +81,91 @@ def _type4_table(trig, big_n: int, dtype=np.float64) -> np.ndarray:
     return np.sqrt(2 * dtype(1) / big_n) * trig(dtype(_PI) * m / (4 * big_n))
 
 
+# Each builder's kernel is one gather, table[layout], of its ``_values`` table
+# through an index layout of the kernel's shape; the oracle gathers a weighted
+# table through the same layout. The exponent arithmetic lives only here.
+
+
+def _mod_layout(n_points: int) -> np.ndarray:
+    """(j k) mod N: entry (j, k) of the DFT and the Hartley kernel indexes
+    root (j k) mod N of its table."""
+    return _exponents(np.arange(n_points), n_points)
+
+
+def _type4_layout(n_points: int) -> np.ndarray:
+    """((2j+1)(2k+1) mod 8N) >> 1, the index of exponent (2j+1)(2k+1) mod 8N
+    into :func:`_type4_table`."""
+    return _exponents(2 * np.arange(n_points) + 1, 8 * n_points) >> 1
+
+
+def _block_layout(a: np.ndarray, b: np.ndarray, zero: int) -> np.ndarray:
+    """The layout of a direct sum: layout a, then b, down the diagonal, and
+    the table's zero slot ``zero`` in the two off-diagonal blocks."""
+    out = np.full((len(a) + len(b),) * 2, zero)
+    out[: len(a), : len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+def _cst1_layout(big_n: int) -> np.ndarray:
+    """The layout of DCT-I(N+1) (+) DST-I(N-1) into :func:`_cst1_values`:
+    exponent (j k) mod 2N into the cosines, except that the DCT-I edges (rows
+    and columns 0 and N, exponent 0 or N) index ``edges`` and its corners
+    (exponent 0) the corner entry; (j+1)(k+1) mod 2N into the sines."""
+    cos, ends = _exponents(np.arange(big_n + 1), 2 * big_n), [0, big_n]
+    cos[ends] = 4 * big_n + cos[ends] // big_n
+    cos[:, ends] = 4 * big_n + cos[:, ends] // big_n
+    cos[np.ix_(ends, ends)] = 4 * big_n + 2
+    sin = _exponents(np.arange(1, big_n), 2 * big_n) + 2 * big_n
+    return _block_layout(cos, sin, 4 * big_n + 3)
+
+
+def _cst4_layout(big_n: int) -> np.ndarray:
+    """The layout of DCT-IV(N) (+) DST-IV(N) into :func:`_cst4_values`."""
+    layout = _type4_layout(big_n)
+    return _block_layout(layout, layout + 4 * big_n, 8 * big_n)
+
+
 def dft_matrix(n_points: int) -> np.ndarray:
     """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**((j k) mod N) / sqrt(N).
 
     The exponent j k is reduced exactly, in integers, and indexes a table of
     the N roots, so no angle loses precision as j k grows and F**2 is the
-    permutation j -> -j mod N to within a few ulps. The real kernels below
-    index their tables the same way.
+    permutation j -> -j mod N to within a few ulps. The real kernels index
+    their tables the same way.
     """
-    return _dft_table(n_points)[_exponents(np.arange(n_points), n_points)]
+    return _dft_table(n_points)[_mod_layout(n_points)]
 
 
 def hartley_matrix(n_points: int) -> np.ndarray:
     """cas kernel: entry (j, k) = cas(2 pi ((j k) mod N) / N) / sqrt(N), cas = cos + sin."""
-    return _hartley_table(n_points)[_exponents(np.arange(n_points), n_points)]
-
-
-def dct1_matrix(n_points: int) -> np.ndarray:
-    """Orthonormal DCT-I on N+1 points: entry (j, k) =
-    sqrt(2/N) beta_j beta_k cos(pi ((j k) mod 2N) / N), beta = 1/sqrt(2) at the ends."""
-    big_n = n_points - 1
-    out = _type1_table(np.cos, big_n)[_exponents(np.arange(n_points), 2 * big_n)]
-    out[[0, -1]] /= np.sqrt(2.0)
-    out[:, [0, -1]] /= np.sqrt(2.0)
-    return out
-
-
-def dst1_matrix(n_points: int) -> np.ndarray:
-    """Orthonormal DST-I on N-1 points: entry (j, k) =
-    sqrt(2/N) sin(pi ((j+1)(k+1) mod 2N) / N)."""
-    big_n = n_points + 1
-    return _type1_table(np.sin, big_n)[_exponents(np.arange(1, big_n), 2 * big_n)]
-
-
-def _type4(trig, n_points: int) -> np.ndarray:
-    """sqrt(2/N) trig(pi ((2j+1)(2k+1) mod 8N) / 4N), the DCT-IV or DST-IV kernel."""
-    exponents = _exponents(2 * np.arange(n_points) + 1, 8 * n_points)
-    return _type4_table(trig, n_points)[exponents >> 1]
+    return _hartley_table(n_points)[_mod_layout(n_points)]
 
 
 def dct4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DCT-IV: entry (j, k) = sqrt(2/N) cos(pi (j+1/2)(k+1/2) / N)."""
-    return _type4(np.cos, n_points)
+    return _type4_table(np.cos, n_points)[_type4_layout(n_points)]
 
 
 def dst4_matrix(n_points: int) -> np.ndarray:
     """Orthonormal DST-IV: entry (j, k) = sqrt(2/N) sin(pi (j+1/2)(k+1/2) / N)."""
-    return _type4(np.sin, n_points)
+    return _type4_table(np.sin, n_points)[_type4_layout(n_points)]
 
 
 def _cst1_values(big_n: int, dtype=np.float64) -> np.ndarray:
-    """Every distinct entry of DCT-I(N+1) (+) DST-I(N-1): both tables, and the
+    """Every distinct entry of DCT-I(N+1) (+) DST-I(N-1): both tables, the
     DCT-I boundary entries, divided by sqrt(2) once (the edges, whose
-    exponents are 0 and N) or twice (the corners, exponent 0)."""
+    exponents are 0 and N) or twice (the corners, exponent 0), and a zero."""
     cos, sqrt2 = _type1_table(np.cos, big_n, dtype), np.sqrt(2 * dtype(1))
     edges = cos[[0, big_n]] / sqrt2
-    return np.concatenate([cos, _type1_table(np.sin, big_n, dtype), edges, edges[:1] / sqrt2])
+    return np.concatenate([cos, _type1_table(np.sin, big_n, dtype), edges, edges[:1] / sqrt2,
+                           np.zeros(1, dtype)])
 
 
 def _cst4_values(big_n: int, dtype=np.float64) -> np.ndarray:
-    return np.concatenate([_type4_table(trig, big_n, dtype) for trig in (np.cos, np.sin)])
+    """The DCT-IV and the DST-IV table, and a zero."""
+    return np.concatenate([_type4_table(trig, big_n, dtype) for trig in (np.cos, np.sin)]
+                          + [np.zeros(1, dtype)])
 
 
 #: Margin on the certificate, in longdouble ulps of the largest entry: it
@@ -158,14 +186,6 @@ def _entry_dev(values: Callable) -> float:
     dev = np.max(np.abs(values(np.float64) - exact))
     margin = _REFERENCE_ULPS * np.finfo(np.longdouble).eps * np.max(np.abs(exact))
     return float(dev + margin)
-
-
-def _direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
-                   dtype=np.result_type(a, b))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
 
 
 # Matrix-free kernels: U**k x along axis 0 of a complex (N, cols) block, by
@@ -273,12 +293,15 @@ class BaseTransform:
     copy (:func:`linalg.frozen`), so what :meth:`check` proves holds for good.
 
     A transform from one of the four builders of this module carries its
-    roots table instead. Its ``dense`` is built from the table on first read
-    and then kept, sealed: making the transform, building its circuits
-    and simulating them never build it; the oracle, ``circuit_unitary``,
-    export and ``dump`` do. Its :attr:`table_dev` certifies the stored
-    entries against their closed form in O(N), so :meth:`check` multiplies
-    no matrix. Only the builders set ``apply(x, k)``, dense**k x along axis
+    roots table and an index layout into it instead. Its ``dense``, the
+    table gathered through the layout, is built on first read and then kept,
+    sealed: making the transform, building its circuits and simulating them
+    never build it, and the oracle gathers its own weighted table through
+    the layout; ``circuit_unitary``, export and ``dump`` build it. Its
+    :attr:`table_dev` certifies the stored entries against their closed
+    form in O(N), so :meth:`check` multiplies no matrix; without that
+    certificate the proof, and the oracle, read ``dense``. Only the
+    builders set ``apply(x, k)``, dense**k x along axis
     0 of a complex (N, cols) block through ``numpy.fft``, and, for Fourier,
     ``square_perm``, the row permutation p = j -> -j mod N with dense**2 =
     I[p]; both are None on a transform built any other way, whatever its id.
@@ -291,8 +314,8 @@ class BaseTransform:
     square_perm: np.ndarray | None = field(default=None, init=False)
     apply: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, init=False, repr=False)
-    # A builder's kernel and its table's entries in a given dtype (see _builtin).
-    _kernel: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
+    # A builder's index layout and its table's entries in a given dtype (see _builtin).
+    _layout: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
     _values: Callable[[type], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
 
@@ -304,7 +327,7 @@ class BaseTransform:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise DimensionError(f"{self.id!r}: {name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self._kernel is not None:
+        if self._layout is not None:
             return
         dense = linalg.frozen(self.dense)
         object.__setattr__(self, "dense", dense)
@@ -318,7 +341,9 @@ class BaseTransform:
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
 
     def _build_dense(self) -> np.ndarray | None:
-        return None if self._kernel is None else linalg.sealed(self._kernel())
+        if self._layout is None:
+            return None
+        return linalg.sealed(self._values(np.float64)[self._layout()])
 
     @property
     def order(self) -> int:
@@ -426,13 +451,14 @@ class BaseTransform:
         return tuple(table[1:])
 
 
-def _builtin(transform_id: str, data_qubits: int, order_exponent: int, kernel, values,
+def _builtin(transform_id: str, data_qubits: int, order_exponent: int, layout, values,
              apply, square_perm=None) -> BaseTransform:
-    """A builder's transform: ``kernel()`` builds its dense kernel on first
-    read, ``values(dtype)`` evaluates its table's distinct entries for the
-    certificate, and it gets the matrix-free ``apply`` and, for Fourier,
-    ``square_perm``."""
-    t = BaseTransform(transform_id, data_qubits, order_exponent, _kernel=kernel, _values=values)
+    """A builder's transform: ``values(dtype)`` evaluates its table's
+    distinct entries, for the certificate in np.longdouble, and ``layout()``
+    indexes the float64 table, so that its dense kernel is
+    ``values(np.float64)[layout()]``, gathered on first read; it gets the
+    matrix-free ``apply`` and, for Fourier, ``square_perm``."""
+    t = BaseTransform(transform_id, data_qubits, order_exponent, _layout=layout, _values=values)
     object.__setattr__(t, "apply", apply)
     object.__setattr__(t, "square_perm", square_perm)
     return t
@@ -446,7 +472,7 @@ def fourier_transform(q: int) -> BaseTransform:
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
-    return _builtin("fourier", q, 2, lambda: dft_matrix(n_points),
+    return _builtin("fourier", q, 2, lambda: _mod_layout(n_points),
                     partial(_dft_table, n_points), partial(_fourier_apply, parity), parity)
 
 
@@ -457,7 +483,7 @@ def hartley_transform(q: int) -> BaseTransform:
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
-    return _builtin("hartley", q, 1, lambda: hartley_matrix(n_points),
+    return _builtin("hartley", q, 1, lambda: _mod_layout(n_points),
                     partial(_hartley_table, n_points), partial(_hartley_apply, parity))
 
 
@@ -467,8 +493,7 @@ def cst1_transform(n: int) -> BaseTransform:
         raise ValueError("need n >= 1")
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    return _builtin("cst1", n + 1, 1,
-                    lambda: _direct_sum(dct1_matrix(big_n + 1), dst1_matrix(big_n - 1)),
+    return _builtin("cst1", n + 1, 1, lambda: _cst1_layout(big_n),
                     partial(_cst1_values, big_n), _cst1_apply)
 
 
@@ -482,8 +507,7 @@ def cst4_transform(n: int) -> BaseTransform:
     j = np.arange(big_n)[:, None]
     pre = np.exp(-1j * np.pi * j / (2 * big_n))
     post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (2 * j + 1) / (4 * big_n))
-    return _builtin("cst4", n + 1, 1,
-                    lambda: _direct_sum(dct4_matrix(big_n), dst4_matrix(big_n)),
+    return _builtin("cst4", n + 1, 1, lambda: _cst4_layout(big_n),
                     partial(_cst4_values, big_n), partial(_cst4_apply, pre, post))
 
 
@@ -511,7 +535,7 @@ def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, fl
     if not 0 <= max_exponent <= 6:
         raise ValueError("max_exponent must be between 0 and 6")
     dim = t.dense.shape[0]
-    eye = linalg.identity(dim, t.dense.dtype)
+    eye = np.eye(dim, dtype=t.dense.dtype)
     power = t.dense
     devs = [linalg.max_norm_diff(power, eye)]  # devs[e] = |U**(2**e) - I|_max
     while devs[-1] > ORDER_TOL and len(devs) <= max_exponent:

@@ -80,7 +80,7 @@ def qct4_gate(name: str, j: int | None = None, n: int = 1) -> np.ndarray:
     if key == "c":
         return phase(math.pi / (2 * big_n))
     if key == "m":
-        return np.exp(-1j * math.pi / (4 * big_n)) * linalg.identity(2)
+        return np.exp(-1j * math.pi / (4 * big_n)) * np.eye(2)
     raise KeyError(f"unknown gate {name!r}; valid names: l, k, c, m")
 
 

@@ -79,7 +79,9 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_alpha_range(raw: str) -> np.ndarray:
+def _parse_alpha_range(raw: str, command: str) -> np.ndarray:
+    """The alphas of START,STOP,STEP, STOP exclusive; ``command`` names the
+    rows in the error an empty range raises."""
     try:
         start, stop, step = (float(tok) for tok in raw.split(","))
     except ValueError:
@@ -93,7 +95,9 @@ def _parse_alpha_range(raw: str) -> np.ndarray:
         raise ValueError(
             f"--alpha-range {raw!r} gives {rows:.3g} rows, more than {MAX_ALPHA_ROWS}"
         )
-    return start + step * np.arange(max(0, int(rows)))
+    if rows < 1:
+        raise ValueError(f"--alpha-range {raw!r} gives no rows to {command}")
+    return start + step * np.arange(int(rows))
 
 
 def _resolve_transform(args) -> BaseTransform:
@@ -113,10 +117,7 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
         return np.array([args.alpha])
     if args.alpha_range is None:
         return default
-    alphas = _parse_alpha_range(args.alpha_range)
-    if not alphas.size:
-        raise ValueError(f"--alpha-range {args.alpha_range!r} gives no rows to verify")
-    return alphas
+    return _parse_alpha_range(args.alpha_range, "verify")
 
 
 def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
@@ -266,7 +267,7 @@ def cmd_sweep(args) -> int:
     transform = _resolve_transform(args)
     if args.alpha_range is None:
         raise ValueError("sweep needs --alpha-range START,STOP,STEP")
-    alphas = _parse_alpha_range(args.alpha_range)
+    alphas = _parse_alpha_range(args.alpha_range, "sweep")
     order = transform.order
     lines = [
         f"# transform={transform.id} data_qubits={transform.data_qubits} order={order}",
@@ -367,6 +368,8 @@ def main(argv=None) -> int:
         return 2
     try:
         linalg.max_qubits()  # a malformed QFRT_MAX_QUBITS fails here, on every command
+        if args.alpha is not None and not math.isfinite(args.alpha):
+            raise ValueError(f"--alpha must be finite, got {args.alpha}")
         return args.func(args)
     except (QfrtError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

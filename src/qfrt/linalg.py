@@ -81,10 +81,6 @@ def frozen(a) -> np.ndarray:
     return sealed(np.array(a))
 
 
-def identity(dim: int, dtype=complex) -> np.ndarray:
-    return np.eye(dim, dtype=dtype)
-
-
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(m).conj().T
@@ -147,7 +143,7 @@ def matrix_power(m, k: int) -> np.ndarray:
         if not is_unitary(m):
             raise ValueError("negative powers are defined only for unitary matrices")
         m, k = adjoint(m), -k
-    result = identity(m.shape[0], m.dtype)
+    result = np.eye(m.shape[0], dtype=m.dtype)
     square = m
     while k:
         if k & 1:

@@ -119,19 +119,80 @@ def test_longdouble_fallback_takes_the_dense_proof(transform_id, monkeypatch):
 
 
 def test_fallback_dense_proof_rejects_a_bad_kernel(monkeypatch):
-    # The certificate reads only the table; without it the kernel itself is
-    # proven, so a kernel off its table is caught.
+    # Without the certificate there is no exact reference for the table, so
+    # the kernel gathered from it is proven instead, and 1.001 H is caught.
     double_longdouble(monkeypatch)
     t = make_transform("hartley", 3)
-    object.__setattr__(t, "_kernel", lambda: 1.001 * hartley_matrix(8))
+    object.__setattr__(t, "_values", lambda dtype: 1.001 * base_transforms._hartley_table(8, dtype))
     with pytest.raises(NotDyadicOrderError, match="'hartley' is not unitary"):
         fractional_oracle(FractionalSpec(t, 0.3))
     with pytest.raises(ValueError, match="not unitary"):
         build_qfrin_circuit(t, 0.3)
 
 
-KERNEL_FUNCTIONS = ("dft_matrix", "hartley_matrix", "dct1_matrix", "dst1_matrix",
-                    "dct4_matrix", "dst4_matrix", "_direct_sum")
+def _dense_oracle(t, weights):
+    """sum_k c_k U**k from the kernel and its powers, in the order the
+    oracle adds them when it reads ``dense``."""
+    out = weights[1] * t.dense
+    out.flat[:: len(out) + 1] += weights[0]
+    for k in range(t.order - 1, 1, -1):
+        out += weights[k] * t.power(k)
+    return out
+
+
+#: Every built-in on 1 to 8 data qubits.
+GATHERED = [(t, q) for t in ("fourier", "hartley") for q in range(1, 9)] + [
+    (t, n) for t in ("cst1", "cst4") for n in range(1, 8)]
+
+
+@pytest.mark.parametrize("transform_id,size", GATHERED)
+def test_certified_oracle_is_a_gather_of_the_table(transform_id, size):
+    # A certified built-in's FrU(alpha) is gathered from its roots table:
+    # its kernel is never built. For an involution the sum is c_1 U + c_0 I
+    # with the same roundings as from the kernel; the DFT's four terms are
+    # added in another order.
+    t = make_transform(transform_id, size)
+    oracles = []
+    for alpha in (0.37, 1.3, -2.9, 3.0, 1e9 + 0.37):
+        spec = FractionalSpec(t, alpha)
+        oracles.append((spec.coefficients.weights, fractional_oracle(spec)))
+    assert vars(t)["dense"] is None
+    for weights, got in oracles:
+        expected = _dense_oracle(t, weights)
+        if t.square_perm is None:
+            assert got.tobytes() == expected.tobytes()
+        else:
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+@pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+@pytest.mark.parametrize("certified", [False, True])
+def test_oracle_reads_the_kernel_only_without_a_certificate(transform_id, certified, monkeypatch):
+    # Without a certificate the proof reads the kernel, so the oracle does
+    # too: once the kernel is built, its table and layout are never read.
+    # With one, the same transform gathers from them.
+    def unread(*args):
+        raise AssertionError("table read")
+
+    if not certified:
+        double_longdouble(monkeypatch)
+    t = make_transform(transform_id, 3)
+    t.check()
+    assert t.dense is not None
+    object.__setattr__(t, "_values", unread)
+    object.__setattr__(t, "_layout", unread)
+    spec = FractionalSpec(t, 0.3)
+    if certified:
+        with pytest.raises(AssertionError, match="table read"):
+            fractional_oracle(spec)
+    else:
+        assert fractional_oracle(spec).tobytes() == _dense_oracle(
+            t, spec.coefficients.weights).tobytes()
+
+
+KERNEL_FUNCTIONS = ("dft_matrix", "hartley_matrix", "dct4_matrix", "dst4_matrix",
+                    "_exponents", "_mod_layout", "_type4_layout", "_block_layout",
+                    "_cst1_layout", "_cst4_layout")
 
 
 @pytest.mark.parametrize("transform_id,size", [

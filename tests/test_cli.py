@@ -120,7 +120,7 @@ def test_non_finite_alpha_is_one_error_line(argv, capsys, recwarn):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error: alpha must be finite")
+    assert lines[0].startswith("error: --alpha must be finite, got ")
     assert len(recwarn) == 0
 
 
@@ -147,12 +147,15 @@ def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys,
     assert len(recwarn) == 0
 
 
-def test_empty_alpha_range_fails_verify(capsys):
-    assert main(["verify", "--suite", "unitarity", "--transform", "fourier",
-                 "--qubits", "2", "--alpha-range", "1,0,0.5"]) == 2
+@pytest.mark.parametrize("command", [["verify", "--suite", "unitarity"], ["sweep"]],
+                         ids=["verify", "sweep"])
+def test_empty_alpha_range_fails_verify(command, capsys):
+    assert main(command + ["--transform", "fourier", "--qubits", "2",
+                           "--alpha-range", "1,0,0.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: --alpha-range '1,0,0.5' gives no rows to verify"]
+    assert captured.err.splitlines() == [
+        f"error: --alpha-range '1,0,0.5' gives no rows to {command[0]}"]
 
 
 @pytest.mark.parametrize("suite", ["additivity", "order"])
@@ -376,12 +379,13 @@ class TestSweep:
                 for r in csv_rows(read(out))}
         assert abs(rows[0.25] - rows[0.75]) <= 1e-10
 
-    def test_empty_range(self, tmp_path):
+    def test_empty_range(self, tmp_path, capsys):
+        # A range with no rows is an error, as for verify, and writes nothing.
         out = tmp_path / "empty.csv"
         assert main(["sweep", "--transform", "hartley", "--qubits", "1",
-                     "--alpha-range", "1,1,0.5", "--out", str(out)]) == 0
-        lines = read(out).splitlines()
-        assert lines[-1] == "alpha,coeff_sq_sum,unitarity_dev,nearest_power_dist"
+                     "--alpha-range", "1,1,0.5", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --alpha-range '1,1,0.5' gives no rows to sweep\n"
 
     def test_range_required(self, capsys):
         assert main(["sweep", "--transform", "hartley", "--qubits", "1"]) == 2

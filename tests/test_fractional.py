@@ -231,6 +231,15 @@ def _no_fft(x, k):
     raise AssertionError("apply called")
 
 
+def _uncertified_builtin(transform_id, kernel):
+    """A one-qubit builder's transform, layout, table and ``apply``, whose
+    table has no certificate, as where np.longdouble is no wider than float64."""
+    t = base_transforms._builtin(transform_id, 1, 1, lambda: np.arange(4).reshape(2, 2),
+                                 lambda dtype: kernel.ravel(), _no_fft)
+    vars(t)["table_dev"] = None
+    return t
+
+
 def _failing_transform(fault):
     """A transform every entry point accepts up to its check(), which it
     fails: by the dense proof and the O(N**2) comparison (no certificate), by
@@ -240,9 +249,9 @@ def _failing_transform(fault):
         # g = 8e-11 passes, but |U**2^dagger U**2 - I| = 1.6e-10 does not.
         return BaseTransform("s", 2, 2, (1 + 4e-11) * dft_matrix(4))
     if fault == "wrong_order":
-        return base_transforms._builtin("odd", 1, 1, lambda: phase(0.3), None, _no_fft)
+        return _uncertified_builtin("odd", phase(0.3))
     if fault == "not_unitary":
-        return base_transforms._builtin("double", 1, 1, lambda: 2 * np.eye(2), None, _no_fft)
+        return _uncertified_builtin("double", 2 * np.eye(2))
     # 2 sqrt(N) delta <= GATE_TOL, but 4 N delta > ORDER_TOL at N = 4096
     t = make_transform("fourier" if fault == "certificate_order" else "hartley", 12)
     vars(t)["table_dev"] = 7e-13 if fault == "certificate_order" else 1e-6
