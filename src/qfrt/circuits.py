@@ -10,17 +10,26 @@ place value ``2**i``. Controls fire on |1>.
 place to a register held as a qubit tensor, through strided views, with no
 axis shuffling copy: a one-qubit gate updates its target's two halves in
 place, and any other op maps a targets-first transpose of the register.
-The simulator and :func:`circuit_unitary` both run it; only the simulator
-sends ``power`` payloads to an FFT ``apply``, so :func:`circuit_unitary` is
-the slow dense reference the simulator is validated against. Its ``columns``
-argument builds only the images of the first basis states: an ancilla
-circuit on ancilla |0...0> inputs needs just the first ``2**data_qubits``.
+:func:`circuit_unitary` runs it op by op, sending every payload, ``power``
+ops included, through its matrix: it is the slow dense reference the
+simulator is validated against. Its ``columns`` argument builds only the
+images of the first basis states: an ancilla circuit on ancilla |0...0>
+inputs needs just the first ``2**data_qubits``.
+
+The simulator runs a circuit's :meth:`Circuit.plan` instead: the same
+kernel's steps with their index work done once per circuit and set of
+traced boundaries, each maximal run of small gates between two such
+boundaries fused into one dense payload of at most :data:`FUSE_WIRES`
+wires, and each ``power`` op sent to its transform's FFT ``apply`` where a
+builder set one.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -191,6 +200,24 @@ class GateOp:
         return max(self.targets + self.controls) + 1
 
 
+#: Most wires (targets and controls) a group of fused gates may touch: a
+#: fused step's payload is at most 8x8.
+FUSE_WIRES = 3
+
+
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One in-place update of a register in a circuit's plan: the circuit's
+    ops[start:stop] as one op, the op itself or the fused ``"unitary"`` op
+    of a group, with its index work done. ``apply(reg)`` runs it on a
+    [2]*n + [columns] register tensor (see :func:`_apply_op`)."""
+
+    op: GateOp
+    start: int
+    stop: int
+    apply: Callable[[np.ndarray], None] = field(repr=False)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """An ordered list of gate applications on a sized qubit register.
@@ -202,6 +229,8 @@ class Circuit:
     num_qubits: int
     ops: tuple[GateOp, ...] = ()
     marks: tuple[tuple[str, int], ...] = ()
+    # One plan per sorted tuple of wanted boundaries, built on first use.
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
@@ -217,6 +246,57 @@ class Circuit:
         for label, idx in self.marks:
             if not 0 <= idx <= len(self.ops):
                 raise ValueError(f"mark {label!r} at invalid boundary {idx}")
+
+    def plan(self, boundaries: tuple[int, ...] = ()) -> tuple[Step, ...]:
+        """The steps :func:`qfrt.simulator.run` executes, stopping at each
+        of the sorted op ``boundaries``; built once per ``boundaries``.
+
+        Each maximal run of consecutive ops that are not ``power`` ops and
+        touch at most :data:`FUSE_WIRES` wires between them, and that no
+        boundary splits, is one step with a fused ``"unitary"`` payload
+        (:func:`_fused`); any other op is its own step. ``power`` payloads
+        go to their transform's FFT ``apply`` where a builder set one.
+        """
+        plan = self._plans.get(boundaries)
+        if plan is None:
+            plan = self._plans[boundaries] = _build_plan(self, frozenset(boundaries))
+        return plan
+
+
+def _build_plan(c: Circuit, cuts: frozenset[int]) -> tuple[Step, ...]:
+    groups: list[list[int]] = []  # [start, stop) op ranges
+    wires: set[int] = set()
+    fusable = False  # whether the last group may take the next op
+    for i, op in enumerate(c.ops):
+        op_wires = set(op.targets + op.controls)
+        small = op.power is None and len(op_wires) <= FUSE_WIRES
+        if small and fusable and i not in cuts and len(wires | op_wires) <= FUSE_WIRES:
+            groups[-1][1] = i + 1
+            wires |= op_wires
+        else:
+            groups.append([i, i + 1])
+            wires = op_wires
+        fusable = small
+    steps = []
+    for start, stop in groups:
+        op = c.ops[start] if stop - start == 1 else _fused(c.ops[start:stop])
+        steps.append(Step(op, start, stop, _op_step(op, c.num_qubits, matrix_free=True)))
+    return tuple(steps)
+
+
+def _fused(ops) -> GateOp:
+    """One ``"unitary"`` op for ops in turn, on the wires they touch in
+    ascending order: its matrix is the dense kernel's image of the identity
+    on those wires, checked unitary and sealed like any payload."""
+    wires = sorted({w for op in ops for w in op.targets + op.controls})
+    local = {w: i for i, w in enumerate(wires)}
+    acc = np.eye(1 << len(wires), dtype=complex)
+    reg = acc.reshape([2] * len(wires) + [len(acc)])
+    for op in ops:
+        moved = replace(op, targets=[local[w] for w in op.targets],
+                        controls=[local[w] for w in op.controls])
+        _apply_op(reg, moved, matrix_free=False)
+    return GateOp("unitary", targets=wires, matrix=acc)
 
 
 def multiplexed_powers(powers) -> Circuit:
@@ -289,9 +369,18 @@ def increment_circuit(n: int) -> Circuit:
 def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
     """Apply op in place to a register held as a [2]*n + [columns] tensor:
     axis a < n is qubit n-1-a (a C-order reshape of 2**n rows), the last
-    axis is carried along (1 for a single state). Controls pick the |1>
-    slice of their axes; the op then takes one of three paths, each writing
-    through views of ``reg``:
+    axis is carried along (1 for a single state). It builds the op's step
+    (:func:`_op_step`) and runs it: the one gate-application kernel, which
+    :func:`circuit_unitary` runs op by op and a :class:`Step` of a plan
+    holds ready made."""
+    _op_step(op, reg.ndim - 1, matrix_free)(reg)
+
+
+def _op_step(op: GateOp, n: int, matrix_free: bool) -> Callable[[np.ndarray], None]:
+    """The in-place update op makes of an n-qubit register tensor, with its
+    index work done: controls pick the |1> slice of their axes, and the op
+    then takes one of three paths, each writing through views of the
+    register:
 
     * a one-qubit gate that is not a ``power`` op updates the target's |0>
       and |1> halves of that slice in place (:func:`_mix_halves`);
@@ -304,28 +393,33 @@ def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
     The block is a view, not a copy, when the target axes already lead and
     are contiguous (a payload on the data qubits under a single ancilla).
     """
-    n = reg.ndim - 1
-    sel = [slice(None)] * reg.ndim
+    sel = [slice(None)] * (n + 1)
     for c in op.controls:
         sel[n - 1 - c] = 1
     if len(op.targets) == 1 and op.power is None:
         axis = n - 1 - op.targets[0]
         sel[axis] = 0
-        a0 = reg[tuple(sel)]
+        half0 = tuple(sel)
         sel[axis] = 1
-        _mix_halves(op.base_matrix(), a0, reg[tuple(sel)])
-        return
-    sub = reg[tuple(sel)]
-    kept = [a for a in range(reg.ndim) if isinstance(sel[a], slice)]
+        half1 = tuple(sel)
+        g = op.base_matrix()
+        return lambda reg: _mix_halves(g, reg[half0], reg[half1])
+    kept = [a for a in range(n + 1) if isinstance(sel[a], slice)]
     # Gate axis p carries the gate's bit t-1-p, living on qubit targets[t-1-p].
     pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
-    moved = sub.transpose(pos + [a for a in range(sub.ndim) if a not in pos])
-    block = moved.reshape(1 << len(pos), -1)
+    order = tuple(pos + [a for a in range(len(kept)) if a not in pos])
+    rows, sel = 1 << len(pos), tuple(sel)
     if matrix_free and op.power is not None and op.power[0].apply is not None:
-        updated = op.power[0].apply(block, op.power[1])
+        t, k = op.power
+        payload = lambda block: t.apply(block, k)
     else:
-        updated = linalg.apply(op.base_matrix(), block)
-    moved[...] = updated.reshape(moved.shape)
+        payload = partial(linalg.apply, op.base_matrix())
+
+    def step(reg: np.ndarray) -> None:
+        moved = reg[sel].transpose(order)
+        moved[...] = payload(moved.reshape(rows, -1)).reshape(moved.shape)
+
+    return step
 
 
 #: Halves larger than this many amplitudes are mixed piece by piece along

@@ -37,6 +37,7 @@ from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
     FractionalSpec,
+    _power_sum,
     build_qfrin_circuit,
     build_qfru_circuit,
     extract_data_block,
@@ -278,8 +279,9 @@ def cmd_sweep(args) -> int:
         m = fractional_oracle(spec)
         coeff_sq = float(np.sum(np.abs(spec.coefficients.weights) ** 2))
         unit_dev = linalg.unitarity_dev(m)
-        nearest = transform.power(int(round(alpha)) % order)
-        dist = linalg.max_norm_diff(m, nearest)
+        weights = spec.coefficients.weights.copy()
+        weights[int(round(alpha)) % order] -= 1  # FrU(alpha) - U**k, gathered
+        dist = float(np.max(np.abs(_power_sum(transform, weights))))
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0

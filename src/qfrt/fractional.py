@@ -99,25 +99,31 @@ class FractionalSpec:
 
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
-    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k.
+    """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k, by
+    :func:`_power_sum`. Raises :class:`NotDyadicOrderError` unless
+    :meth:`BaseTransform.check` passes."""
+    spec.base.check()
+    return _power_sum(spec.base, spec.coefficients.weights)
 
-    Raises :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check`
-    passes. A certified built-in (``table_dev`` not None) is an involution
-    or the DFT, and every entry of its U**k is one entry of the roots table
-    the certificate measured, so the sum is one gather of a weighted table
-    through the kernel's index layout: c_1 T, plus, for the DFT, c_3 T[p],
-    since F**3 = F[p] and (-j l) mod N = p((j l) mod N); then c_0 on the
-    diagonal and, for the DFT, c_2 at [j, p_j] (F**2 = I[p]). Neither the
-    kernel nor a power is built. Otherwise the proof read ``dense``, and so
-    does the sum: c_1 U, c_0 on the diagonal, then c_k U**k by
+
+def _power_sum(t: BaseTransform, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] U**k over k < t.order, for a checked transform t.
+
+    A certified built-in (``table_dev`` not None) is an involution or the
+    DFT, and every entry of its U**k is one entry of the roots table the
+    certificate measured, so the sum is one gather of a weighted table
+    through the kernel's index layout: w_1 T, plus, for the DFT, w_3 T[p],
+    since F**3 = F[p] and (-j l) mod N = p((j l) mod N); then w_0 on the
+    diagonal and, for the DFT, w_2 at [j, p_j] (F**2 = I[p]). Neither the
+    kernel nor a power is built. Otherwise the check read ``dense``, and so
+    does the sum: w_1 U, w_0 on the diagonal, then w_k U**k by
     :meth:`BaseTransform.power` for k = order - 1 down to 2, with I[p] as
     one scatter.
     """
-    t, weights, p = spec.base, spec.coefficients.weights, spec.base.square_perm
-    t.check()
+    p = t.square_perm
     if t.table_dev is None:
         out = weights[1] * t.dense
-        higher = range(spec.order - 1, 1, -1)
+        higher = range(t.order - 1, 1, -1)
     else:
         table = t._values(np.float64)
         weighted = weights[1] * table

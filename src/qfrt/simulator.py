@@ -1,12 +1,15 @@
 """Statevector execution of circuits.
 
-:func:`run` applies each op in place, through strided views of the state
-tensor, with :func:`qfrt.circuits._apply_op`, the kernel
-:func:`qfrt.circuits.circuit_unitary` runs on identity columns. Only
-:func:`run` sends a ``power`` payload to its transform's matrix-free
-``apply`` (``numpy.fft``, O(N log N) per column), where a builder set one,
-so ``circuit_unitary`` stays the independent dense reference. A traced
-run copies the state at each wanted mark into a row of one array it
+:func:`run` executes the circuit's plan (:meth:`qfrt.circuits.Circuit.plan`)
+for the marks it traces: the steps of :func:`qfrt.circuits._apply_op`, the
+kernel :func:`qfrt.circuits.circuit_unitary` runs on identity columns, built
+once per circuit and set of traced boundaries and applied in place through
+strided views of the state tensor. Between two traced boundaries, each run
+of small gates on at most :data:`qfrt.circuits.FUSE_WIRES` wires is one
+fused dense step; a ``power`` payload is never fused, and goes to its transform's matrix-free ``apply``
+(``numpy.fft``, O(N log N) per column) where a builder set one, so
+``circuit_unitary`` stays the independent op-by-op dense reference. A
+traced run copies the state at each wanted mark into a row of one array it
 allocates up front. Probabilities are computed exactly from amplitudes;
 there is no shot sampling.
 """
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, _apply_op
+from .circuits import Circuit
 
 #: Amplitudes below this modulus are dropped from state dumps.
 DUMP_EPS = 1e-14
@@ -51,14 +54,18 @@ def _num_qubits(state: np.ndarray) -> int:
 def run(circuit: Circuit, state: np.ndarray, trace=None):
     """Execute a circuit on a state; returns (final_state, trace_records).
 
-    ``state`` must hold 2**num_qubits finite amplitudes; it is copied, not
-    changed. ``trace`` selects which marked boundaries to record: None for
-    none, True for all of the circuit's marks, or an iterable of the
-    circuit's mark labels (a string or an unknown label is a ValueError).
+    ``state`` must be a 1-D array of 2**num_qubits finite amplitudes; it is
+    copied, not changed. ``trace`` selects which marked boundaries to
+    record: None or False for none, True for all of the circuit's marks, or
+    an iterable of the circuit's mark labels (a string, anything else that
+    is not iterable, or an unknown label is a ValueError). The run executes
+    the circuit's plan for the wanted boundaries (:meth:`Circuit.plan`).
     The records' states are the rows of one array allocated per run, so
     each is its own copy of the state at its mark.
     """
-    state = np.asarray(state, dtype=complex).ravel()
+    state = np.asarray(state, dtype=complex)
+    if state.ndim != 1:
+        raise ValueError(f"state must be a 1-D array, got shape {state.shape}")
     if state.size != 1 << circuit.num_qubits:
         raise ValueError(
             f"state length {state.size} does not match {circuit.num_qubits} qubits"
@@ -66,12 +73,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     if not np.isfinite(state).all():
         raise ValueError("state has a NaN or Inf amplitude")
     labels = frozenset(label for label, _ in circuit.marks)
-    wanted = labels if trace is True else frozenset(trace or ())
-    unknown = [trace] if isinstance(trace, str) else sorted(wanted - labels)
-    if unknown:
-        raise ValueError(
-            f"trace takes True or an iterable of the circuit's mark labels, not {unknown[0]!r}"
-        )
+    wanted = _wanted_labels(trace, labels)
     boundaries: dict[int, list[str]] = {}
     for label, idx in circuit.marks:
         if label in wanted:
@@ -89,10 +91,26 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
             records.append(TraceRecord(label, row, idx))
 
     snapshot(0)
-    for i, op in enumerate(circuit.ops):
-        _apply_op(psi, op, matrix_free=True)
-        snapshot(i + 1)
+    for step in circuit.plan(tuple(sorted(boundaries))):
+        step.apply(psi)
+        snapshot(step.stop)
     return flat, records
+
+
+def _wanted_labels(trace, labels: frozenset[str]) -> frozenset[str]:
+    """The mark labels ``trace`` selects from ``labels``, per :func:`run`."""
+    if trace is None or isinstance(trace, (bool, np.bool_)):
+        return labels if trace else frozenset()
+    try:
+        wanted = None if isinstance(trace, str) else frozenset(trace)
+    except TypeError:  # not iterable, or an unhashable label
+        wanted = None
+    unknown = [trace] if wanted is None else sorted(wanted - labels, key=repr)
+    if unknown:
+        raise ValueError(
+            f"trace takes True or an iterable of the circuit's mark labels, not {unknown[0]!r}"
+        )
+    return wanted
 
 
 def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> float:

@@ -11,6 +11,7 @@ from qfrt.base_transforms import (
     dft_matrix,
     dst4_matrix,
     hartley_transform,
+    make_transform,
 )
 from qfrt.cli import main
 from qfrt.fractional import FractionalSpec, fractional_oracle
@@ -349,13 +350,14 @@ class TestSweep:
         return len(tables)
 
     def test_one_power_table_per_row(self, monkeypatch, capsys):
-        # The built-in Fourier oracle sums F and its row permutations with no
-        # table, and the nearest integer power is one BaseTransform.power.
+        # The built-in Fourier oracle and the distance to the nearest integer
+        # power are gathers of F's roots table, with no product table.
         assert self._count_tables(monkeypatch) == 0
 
     def test_hand_built_kernel_one_power_table_per_row(self, monkeypatch, capsys):
-        # The DFT kernel without square_perm: every row's oracle and nearest
-        # integer power read the one product table its transform keeps.
+        # The DFT kernel without square_perm: every row's oracle and distance
+        # to the nearest integer power read the one product table its
+        # transform keeps.
         monkeypatch.setattr(cli, "make_transform",
                             lambda tid, size: BaseTransform(tid, size, 2, dft_matrix(1 << size)))
         assert self._count_tables(monkeypatch) == 1
@@ -370,6 +372,28 @@ class TestSweep:
         assert main(["sweep", "--transform", "fourier", "--qubits", "2",
                      "--alpha-range", "0,4,0.5"]) == 0
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("tid,size", [("fourier", 3), ("hartley", 3), ("cst1", 2), ("cst4", 2)])
+    @pytest.mark.parametrize("alphas", ["-2.6,2.6,0.65", "-1000002.2,-999999,0.8",
+                                        "1000000.3,1000004,0.9"], ids=["small", "-1e6", "1e6"])
+    def test_distance_gathered_from_the_table(self, tid, size, alphas, tmp_path, monkeypatch):
+        # The distance to U**k is gathered from the roots table, like the
+        # oracle: no kernel is built, and it is the distance to U**k itself.
+        made = []
+        monkeypatch.setattr(cli, "make_transform",
+                            lambda *a: made.append(make_transform(*a)) or made[-1])
+        flag = "--qubits" if tid in ("fourier", "hartley") else "--n"
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--transform", tid, flag, str(size), f"--alpha-range={alphas}",
+                     "--out", str(out)]) == 0
+        (t,) = made
+        assert vars(t)["dense"] is None
+        for row in csv_rows(read(out)):
+            alpha = float(row["alpha"])
+            k = int(round(alpha)) % t.order
+            expected = linalg.max_norm_diff(fractional_oracle(FractionalSpec(t, alpha)),
+                                            t.power(k))
+            assert abs(float(row["nearest_power_dist"]) - expected) <= 1e-15
 
     def test_symmetric_about_half(self, tmp_path):
         out = tmp_path / "sym.csv"

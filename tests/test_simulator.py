@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_state
-from qfrt import linalg, simulator
-from qfrt.base_transforms import fourier_transform, hartley_transform
-from qfrt.circuits import Circuit, GateOp, circuit_unitary
-from qfrt.fractional import FractionalSpec, build_qfru_circuit, fractional_oracle
+from helpers import (
+    count_calls,
+    embedded_op_matrix,
+    random_circuit,
+    random_state,
+)
+from qfrt import circuits, linalg
+from qfrt.base_transforms import BaseTransform, dft_matrix, fourier_transform, hartley_transform
+from qfrt.circuits import FUSE_WIRES, Circuit, GateOp, _apply_op, circuit_unitary
+from qfrt.fractional import (
+    FractionalSpec,
+    build_qfrin_circuit,
+    build_qfru_circuit,
+    fractional_oracle,
+)
 from qfrt.simulator import (
     ancilla_restoration_probability,
     basis_state,
@@ -71,13 +81,26 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "trace,label",
-        [("psi1", "'psi1'"), (["psi9"], "'psi9'"), (["psi2", "psi9"], "'psi9'")],
-        ids=["string", "unknown", "one_unknown"],
+        [("psi1", "'psi1'"), (["psi9"], "'psi9'"), (["psi2", "psi9"], "'psi9'"),
+         (1, "not 1$"), (2.5, "not 2.5$")],
+        ids=["string", "unknown", "one_unknown", "int", "float"],
     )
     def test_trace_labels_must_be_marks(self, trace, label):
         c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
         with pytest.raises(ValueError, match=label):
             run(c, basis_state(c.num_qubits), trace=trace)
+
+    @pytest.mark.parametrize("trace,count", [(np.True_, 8), (np.False_, 0)],
+                             ids=["true", "false"])
+    def test_numpy_bool_trace(self, trace, count):
+        c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
+        _, records = run(c, basis_state(c.num_qubits), trace=trace)
+        assert len(records) == count
+
+    def test_state_must_be_one_dimensional(self):
+        state = random_state(4, np.random.default_rng(3)).reshape(4, 4)
+        with pytest.raises(ValueError, match=r"shape \(4, 4\)"):
+            run(Circuit(4, (GateOp("h", targets=(0,)),)), state)
 
     def test_norm_preserved_through_long_random_circuit(self):
         rng = np.random.default_rng(8)
@@ -210,6 +233,107 @@ class TestCrossValidation:
         for _ in range(5):
             c = random_circuit(4, 30, rng)
             assert linalg.is_unitary(circuit_unitary(c), tol=1e-10)
+
+
+def _marked_circuit(rng):
+    """A random circuit on 3-5 wires with power ops mixed in, of a built-in
+    (FFT ``apply``) and of a hand-built kernel (dense payload), and five
+    marks at random boundaries, two of them sharing one."""
+    n = int(rng.integers(3, 6))
+    ops = list(random_circuit(n, int(rng.integers(6, 17)), rng).ops)
+    powers = (fourier_transform(2), BaseTransform("hand", 2, 2, dft_matrix(4)))
+    for _ in range(int(rng.integers(1, 4))):
+        wires = [int(w) for w in rng.permutation(n)]
+        op = GateOp("unitary", targets=tuple(wires[:2]), controls=tuple(wires[2:3]),
+                    power=(powers[int(rng.integers(0, 2))], int(rng.integers(1, 4))))
+        ops.insert(int(rng.integers(0, len(ops) + 1)), op)
+    at = [int(i) for i in rng.integers(0, len(ops) + 1, size=4)]
+    marks = [(f"m{i}", idx) for i, idx in enumerate(at + at[:1])]
+    return Circuit(n, tuple(ops), tuple(marks))
+
+
+def _selections(circuit, rng):
+    labels = [label for label, _ in circuit.marks]
+    return [None, True] + [set(rng.choice(labels, size=int(rng.integers(1, 4)), replace=False))
+                           for _ in range(2)]
+
+
+def _wires(ops):
+    return {w for op in ops for w in op.targets + op.controls}
+
+
+class TestPlan:
+    """``run`` executes a plan of fused steps; each record is still the
+    state at its mark, as the op-by-op kernel and the dense reference give."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_plan_matches_op_by_op_and_reference(self, seed):
+        rng = np.random.default_rng(4200 + seed)
+        circuit = _marked_circuit(rng)
+        n = circuit.num_qubits
+        state = random_state(n, rng)
+        prefix_u = [np.eye(1 << n, dtype=complex)]
+        op_by_op = [state]
+        reg = state.reshape([2] * n + [1]).copy()
+        for op in circuit.ops:
+            prefix_u.append(embedded_op_matrix(op, n) @ prefix_u[-1])
+            _apply_op(reg, op, matrix_free=True)
+            op_by_op.append(reg.ravel().copy())
+        for trace in _selections(circuit, rng):
+            final, records = run(circuit, state, trace=trace)
+            wanted = {label for label, _ in circuit.marks} if trace is True else trace or set()
+            assert [(r.label, r.step_index) for r in records] == sorted(
+                (m for m in circuit.marks if m[0] in wanted), key=lambda m: m[1])
+            for label, state_at, idx in [(r.label, r.state, r.step_index) for r in records] + [
+                    ("final", final, len(circuit.ops))]:
+                assert np.max(np.abs(state_at - prefix_u[idx] @ state)) <= 1e-14, label
+                assert np.max(np.abs(state_at - op_by_op[idx])) <= 1e-14, label
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_fused_steps_hold_no_power_op_and_split_at_wanted_marks(self, seed):
+        rng = np.random.default_rng(4300 + seed)
+        circuit = _marked_circuit(rng)
+        ops = circuit.ops
+        small = [op.power is None and len(_wires([op])) <= FUSE_WIRES for op in ops]
+        for trace in _selections(circuit, rng):
+            key = tuple(sorted({i for label, i in circuit.marks
+                                if trace is True or label in (trace or ())}))
+            plan = circuit.plan(key)
+            assert [s.start for s in plan] == [0] + [s.stop for s in plan[:-1]]
+            assert plan[-1].stop == len(ops)
+            for s in plan:
+                group = ops[s.start:s.stop]
+                if len(group) == 1:
+                    assert s.op is group[0]
+                    continue
+                assert all(small[s.start:s.stop])
+                assert not any(s.start < b < s.stop for b in key)
+                assert s.op.name == "unitary" and s.op.power is None
+                assert s.op.targets == tuple(sorted(_wires(group)))
+                assert len(s.op.targets) <= FUSE_WIRES
+            # each fused run is maximal: the next step could not have joined it
+            for a, b in zip(plan, plan[1:]):
+                if all(small[a.start:b.stop]) and b.start not in key:
+                    assert len(_wires(ops[a.start:b.stop])) > FUSE_WIRES
+
+    def test_plan_built_once_per_selection(self, monkeypatch):
+        built = count_calls(monkeypatch, circuits, "_build_plan")
+        c = build_qfru_circuit(FractionalSpec(fourier_transform(2), 0.3))
+        state = basis_state(c.num_qubits)
+        every = {label for label, _ in c.marks}
+        for trace in (True, None, True, every, None, False, {"psi2"}, ["psi2"]):
+            run(c, state, trace=trace)
+        assert len(built) == 3
+        assert c.plan(()) is c.plan(())
+
+    @pytest.mark.parametrize("build,ops,traced,untraced", [
+        (lambda: build_qfru_circuit(FractionalSpec(fourier_transform(3), 0.3)), 18, 9, 7),
+        (lambda: build_qfrin_circuit(hartley_transform(3), 0.3), 7, 7, 5),
+    ], ids=["fourier_qfru", "hartley_qfrin"])
+    def test_step_counts(self, build, ops, traced, untraced):
+        c = build()
+        every = tuple(sorted({i for _, i in c.marks}))
+        assert (len(c.ops), len(c.plan(every)), len(c.plan())) == (ops, traced, untraced)
 
 
 class TestRestorationProbability:
