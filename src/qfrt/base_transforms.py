@@ -17,7 +17,6 @@ whose top qubit acts as a cosine/sine selector.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
@@ -35,8 +34,6 @@ GATE_TOL = 1e-10
 
 #: Tolerance for eigenvalue residues against roots of unity.
 EIGEN_RESIDUE_TOL = 1e-6
-
-TRANSFORM_IDS = ("fourier", "hartley", "cst1", "cst4")
 
 
 def _exponents(j: np.ndarray, modulus: int) -> np.ndarray:
@@ -271,9 +268,9 @@ class _OnFirstRead:
 
 
 def _built_repr(obj) -> str:
-    """The dataclass repr, but reading each field as stored, so that an
-    :class:`_OnFirstRead` field shows None until something has built it."""
-    shown = (f"{f.name}={vars(obj)[f.name]!r}" for f in fields(obj) if f.repr)
+    """The dataclass repr, but reading each field as stored (or its default,
+    if never stored), so an :class:`_OnFirstRead` field shows None until built."""
+    shown = (f"{f.name}={vars(obj).get(f.name, f.default)!r}" for f in fields(obj) if f.repr)
     return f"{type(obj).__name__}({', '.join(shown)})"
 
 
@@ -295,16 +292,15 @@ class BaseTransform:
     A transform from one of the four builders of this module carries its
     roots table and an index layout into it instead. Its ``dense``, the
     table gathered through the layout, is built on first read and then kept,
-    sealed: making the transform, building its circuits and simulating them
-    never build it, and the oracle gathers its own weighted table through
-    the layout; ``circuit_unitary``, export and ``dump`` build it. Its
-    :attr:`table_dev` certifies the stored entries against their closed
-    form in O(N), so :meth:`check` multiplies no matrix; without that
-    certificate the proof, and the oracle, read ``dense``. Only the
-    builders set ``apply(x, k)``, dense**k x along axis
-    0 of a complex (N, cols) block through ``numpy.fft``, and, for Fourier,
+    sealed: making the transform, building its circuits, simulating them
+    and the oracle never build it; ``circuit_unitary``, export and ``dump``
+    do. Its :attr:`table_dev` certifies the stored entries against their
+    closed form in O(N), so :meth:`check` multiplies no matrix; without that
+    certificate the proof reads ``dense``. A builder also gives its
+    ``numpy.fft`` kernel to :meth:`apply` and, for Fourier, sets
     ``square_perm``, the row permutation p = j -> -j mod N with dense**2 =
-    I[p]; both are None on a transform built any other way, whatever its id.
+    I[p], None on a transform built any other way, whatever its id. Other
+    modules reach U**k only by :meth:`power`, :meth:`apply` and :meth:`power_sum`.
     """
 
     id: str
@@ -312,11 +308,12 @@ class BaseTransform:
     order_exponent: int
     dense: np.ndarray = _OnFirstRead()
     square_perm: np.ndarray | None = field(default=None, init=False)
-    apply: Callable[[np.ndarray, int], np.ndarray] | None = field(
-        default=None, init=False, repr=False)
-    # A builder's index layout and its table's entries in a given dtype (see _builtin).
+    # A builder's index layout, its table's entries in a given dtype and its
+    # numpy.fft U**k x (see _builtin).
     _layout: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
     _values: Callable[[type], np.ndarray] | None = field(
+        default=None, kw_only=True, repr=False)
+    _fft: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
 
     __repr__ = _built_repr
@@ -324,7 +321,7 @@ class BaseTransform:
     def __post_init__(self):
         for name in ("data_qubits", "order_exponent"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            if not linalg.is_integer(value) or value < 1:
                 raise DimensionError(f"{self.id!r}: {name} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self._layout is not None:
@@ -442,6 +439,40 @@ class BaseTransform:
             out[np.arange(dim), cols] = 1  # I, or I[p]
         return linalg.sealed(out)
 
+    def apply(self, x: np.ndarray, k: int) -> np.ndarray:
+        """U**k x, any integer k, along axis 0 of a complex (N, cols) block x:
+        a builder's ``numpy.fft`` kernel, else ``linalg.apply(power(k % order), x)``."""
+        if self._fft is not None:
+            return self._fft(x, k)
+        return linalg.apply(self.power(k % self.order), x)
+
+    def power_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] U**k over k < order, a new array, for a checked U.
+
+        A builder's U is an involution or the DFT, and every entry of its
+        U**k is in its roots table T, so the sum is one gather of a weighted
+        table through the kernel's layout, certified or not: w_1 T, plus for
+        the DFT w_3 T[p], as F**3 = F[p] and (-j l) mod N = p((j l) mod N);
+        then w_0 on the diagonal and, for the DFT, w_2 at [j, p_j] (F**2 =
+        I[p]). No kernel or power is built. A hand-built kernel's sum is w_1
+        U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order - 1..2.
+        """
+        if self._layout is None:
+            out = weights[1] * self.dense
+            out.flat[:: len(out) + 1] += weights[0]  # I
+            for k in range(self.order - 1, 1, -1):
+                out += weights[k] * self.power(k)
+            return out
+        p, table = self.square_perm, self._values(np.float64)
+        weighted = weights[1] * table
+        if p is not None:
+            weighted += weights[3] * table[p]
+        out = weighted[self._layout()]
+        out.flat[:: len(out) + 1] += weights[0]  # I
+        if p is not None:
+            out[np.arange(len(out)), p] += weights[2]  # I[p]
+        return out
+
     @cached_property
     def _products(self) -> tuple[np.ndarray, ...]:
         """U**2, ..., U**(order-1), each the previous one times U, sealed."""
@@ -452,14 +483,14 @@ class BaseTransform:
 
 
 def _builtin(transform_id: str, data_qubits: int, order_exponent: int, layout, values,
-             apply, square_perm=None) -> BaseTransform:
+             fft, square_perm=None) -> BaseTransform:
     """A builder's transform: ``values(dtype)`` evaluates its table's
     distinct entries, for the certificate in np.longdouble, and ``layout()``
     indexes the float64 table, so that its dense kernel is
-    ``values(np.float64)[layout()]``, gathered on first read; it gets the
-    matrix-free ``apply`` and, for Fourier, ``square_perm``."""
-    t = BaseTransform(transform_id, data_qubits, order_exponent, _layout=layout, _values=values)
-    object.__setattr__(t, "apply", apply)
+    ``values(np.float64)[layout()]``, gathered on first read; ``fft(x, k)``
+    is its :meth:`BaseTransform.apply`, and Fourier gets ``square_perm``."""
+    t = BaseTransform(transform_id, data_qubits, order_exponent, _layout=layout,
+                      _values=values, _fft=fft)
     object.__setattr__(t, "square_perm", square_perm)
     return t
 
@@ -511,20 +542,21 @@ def cst4_transform(n: int) -> BaseTransform:
                     partial(_cst4_values, big_n), partial(_cst4_apply, pre, post))
 
 
+#: Each builder by its CLI identifier.
+_BUILDERS = {"fourier": fourier_transform, "hartley": hartley_transform,
+             "cst1": cst1_transform, "cst4": cst4_transform}
+
+TRANSFORM_IDS = tuple(_BUILDERS)
+
+
 def make_transform(transform_id: str, size: int) -> BaseTransform:
     """Build a transform by CLI identifier; ``size`` is the data-qubit count
     for fourier/hartley and the block exponent n for cst1/cst4."""
-    builders = {
-        "fourier": fourier_transform,
-        "hartley": hartley_transform,
-        "cst1": cst1_transform,
-        "cst4": cst4_transform,
-    }
-    if transform_id not in builders:
+    if transform_id not in _BUILDERS:
         raise KeyError(
             f"unknown transform {transform_id!r}; valid ids: {', '.join(TRANSFORM_IDS)}"
         )
-    return builders[transform_id](size)
+    return _BUILDERS[transform_id](size)
 
 
 def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, float, float]:

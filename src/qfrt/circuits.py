@@ -20,13 +20,12 @@ The simulator runs a circuit's :meth:`Circuit.plan` instead: the same
 kernel's steps with their index work done once per circuit and set of
 traced boundaries, each maximal run of small gates between two such
 boundaries fused into one dense payload of at most :data:`FUSE_WIRES`
-wires, and each ``power`` op sent to its transform's FFT ``apply`` where a
-builder set one.
+wires, and each ``power`` op sent to its transform's
+:meth:`BaseTransform.apply`: a builder's FFT, a hand-built kernel's power.
 """
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -107,9 +106,10 @@ class GateOp:
       t.order, on ``t.data_qubits`` targets, proven by t's one memoised
       :meth:`BaseTransform.check`. ``matrix`` is then ``t.power(k)``, shared
       with t and built on first read; the simulator applies the op through
-      ``t.apply`` where a builder set it, else through that matrix.
+      ``t.apply``, ``circuit_unitary`` through that matrix.
 
     ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
+    Targets and controls must be distinct integers >= 0 (a bool is not one).
     """
 
     name: str
@@ -125,8 +125,11 @@ class GateOp:
     __repr__ = _built_repr
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "controls", tuple(int(c) for c in self.controls))
+        for name in ("targets", "controls"):
+            wires = tuple(getattr(self, name))
+            if not all(map(linalg.is_integer, wires)):
+                raise ValueError(f"{name} must be integer qubit indices, got {wires!r}")
+            object.__setattr__(self, name, tuple(map(int, wires)))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         wires = self.targets + self.controls
         if not self.targets:
@@ -171,7 +174,7 @@ class GateOp:
             raise ValueError("a 'power' op takes no matrix payload")
         if not isinstance(t, BaseTransform):
             raise ValueError(f"a power payload needs a BaseTransform, got {type(t).__name__}")
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 < k < t.order:
+        if not linalg.is_integer(k) or not 0 < k < t.order:
             raise ValueError(f"power of {t.id!r} must be an integer in 1..{t.order - 1}, got {k!r}")
         if len(self.targets) != t.data_qubits:
             raise ValueError(
@@ -235,8 +238,9 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "marks", tuple(self.marks))
-        if self.num_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
+        if not linalg.is_integer(self.num_qubits) or self.num_qubits < 1:
+            raise ValueError(f"num_qubits must be an integer >= 1, got {self.num_qubits!r}")
+        object.__setattr__(self, "num_qubits", int(self.num_qubits))
         for op in self.ops:
             if op.span > self.num_qubits:
                 raise ValueError(
@@ -255,7 +259,7 @@ class Circuit:
         touch at most :data:`FUSE_WIRES` wires between them, and that no
         boundary splits, is one step with a fused ``"unitary"`` payload
         (:func:`_fused`); any other op is its own step. ``power`` payloads
-        go to their transform's FFT ``apply`` where a builder set one.
+        go to their transform's :meth:`BaseTransform.apply`.
         """
         plan = self._plans.get(boundaries)
         if plan is None:
@@ -385,8 +389,8 @@ def _op_step(op: GateOp, n: int, matrix_free: bool) -> Callable[[np.ndarray], No
     * a one-qubit gate that is not a ``power`` op updates the target's |0>
       and |1> halves of that slice in place (:func:`_mix_halves`);
     * with ``matrix_free``, a ``power`` op's target axes are brought to the
-      front by one transpose and its transform's FFT ``apply`` maps them,
-      where a builder set one;
+      front by one transpose and its transform's
+      :meth:`BaseTransform.apply` maps them;
     * any other op, a ``power`` op included, multiplies the same
       targets-first block by :meth:`GateOp.base_matrix`.
 
@@ -409,9 +413,8 @@ def _op_step(op: GateOp, n: int, matrix_free: bool) -> Callable[[np.ndarray], No
     pos = [kept.index(n - 1 - q) for q in reversed(op.targets)]
     order = tuple(pos + [a for a in range(len(kept)) if a not in pos])
     rows, sel = 1 << len(pos), tuple(sel)
-    if matrix_free and op.power is not None and op.power[0].apply is not None:
-        t, k = op.power
-        payload = lambda block: t.apply(block, k)
+    if matrix_free and op.power is not None:
+        payload = partial(op.power[0].apply, k=op.power[1])
     else:
         payload = partial(linalg.apply, op.base_matrix())
 
@@ -461,11 +464,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     dim = 1 << c.num_qubits
     if columns is None:
         columns = dim
-    elif (
-        isinstance(columns, bool)
-        or not isinstance(columns, numbers.Integral)
-        or not 1 <= columns <= dim
-    ):
+    elif not linalg.is_integer(columns) or not 1 <= columns <= dim:
         raise ValueError(f"columns must be an integer in 1..{dim}, got {columns!r}")
     acc = np.eye(dim, columns, dtype=complex)
     reg = acc.reshape([2] * c.num_qubits + [columns])

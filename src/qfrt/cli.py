@@ -37,7 +37,6 @@ from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
     FractionalSpec,
-    _power_sum,
     build_qfrin_circuit,
     build_qfru_circuit,
     extract_data_block,
@@ -281,7 +280,7 @@ def cmd_sweep(args) -> int:
         unit_dev = linalg.unitarity_dev(m)
         weights = spec.coefficients.weights.copy()
         weights[int(round(alpha)) % order] -= 1  # FrU(alpha) - U**k, gathered
-        dist = float(np.max(np.abs(_power_sum(transform, weights))))
+        dist = float(np.max(np.abs(transform.power_sum(weights))))
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0

@@ -7,16 +7,17 @@ of integer powers
     c_k(alpha) = (1/N) sum_m w**(m (alpha - k)),   w = exp(-2 pi i / N),
 
 which interpolates the integer powers, is additive in alpha, and is
-N-periodic. :func:`fractional_oracle` evaluates it densely: for a certified
-built-in, as one gather of its Shih-weighted roots table, with no kernel
-and no power built. :func:`build_qfru_circuit` realizes the same operator
-coherently with an n-qubit ancilla register that is returned to |0...0> at
-the end, and :func:`build_qfrin_circuit` is its n = 1 case, for
-involutions. All three first call :meth:`BaseTransform.check`, the one
-proof, once per transform, that U and its powers are unitary and U**N = I:
-from a built-in's roots table in O(N), with no matrix product and no
-kernel; for a hand-built kernel by one product U^dagger U and one O(N**2)
-comparison of U**(N-1) with U^dagger.
+N-periodic. :func:`fractional_oracle` evaluates it densely, by the
+transform's own :meth:`BaseTransform.power_sum`: for a built-in, one gather
+of its Shih-weighted roots table, with no kernel and no power built.
+:func:`build_qfru_circuit` realizes the same operator coherently with an
+n-qubit ancilla register that is returned to |0...0> at the end, and
+:func:`build_qfrin_circuit` is its n = 1 case, for involutions. All three
+first call :meth:`BaseTransform.check`, the one proof, once per transform,
+that U and its powers are unitary and U**N = I: from a built-in's roots
+table in O(N), with no matrix product and no kernel; for a hand-built
+kernel by one product U^dagger U and one O(N**2) comparison of U**(N-1)
+with U^dagger.
 """
 from __future__ import annotations
 
@@ -100,44 +101,10 @@ class FractionalSpec:
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k, by
-    :func:`_power_sum`. Raises :class:`NotDyadicOrderError` unless
-    :meth:`BaseTransform.check` passes."""
+    :meth:`BaseTransform.power_sum`. Raises :class:`NotDyadicOrderError`
+    unless :meth:`BaseTransform.check` passes."""
     spec.base.check()
-    return _power_sum(spec.base, spec.coefficients.weights)
-
-
-def _power_sum(t: BaseTransform, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] U**k over k < t.order, for a checked transform t.
-
-    A certified built-in (``table_dev`` not None) is an involution or the
-    DFT, and every entry of its U**k is one entry of the roots table the
-    certificate measured, so the sum is one gather of a weighted table
-    through the kernel's index layout: w_1 T, plus, for the DFT, w_3 T[p],
-    since F**3 = F[p] and (-j l) mod N = p((j l) mod N); then w_0 on the
-    diagonal and, for the DFT, w_2 at [j, p_j] (F**2 = I[p]). Neither the
-    kernel nor a power is built. Otherwise the check read ``dense``, and so
-    does the sum: w_1 U, w_0 on the diagonal, then w_k U**k by
-    :meth:`BaseTransform.power` for k = order - 1 down to 2, with I[p] as
-    one scatter.
-    """
-    p = t.square_perm
-    if t.table_dev is None:
-        out = weights[1] * t.dense
-        higher = range(t.order - 1, 1, -1)
-    else:
-        table = t._values(np.float64)
-        weighted = weights[1] * table
-        if p is not None:
-            weighted += weights[3] * table[p]
-        out = weighted[t._layout()]
-        higher = () if p is None else (2,)
-    out.flat[:: len(out) + 1] += weights[0]  # I
-    for k in higher:
-        if k == 2 and p is not None:
-            out[np.arange(len(out)), p] += weights[2]  # I[p]
-        else:
-            out += weights[k] * t.power(k)
-    return out
+    return spec.base.power_sum(spec.coefficients.weights)
 
 
 def _shifted(ops, offset: int):

@@ -16,6 +16,7 @@ variable); exceeding it raises instead of silently truncating.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 
 import numpy as np
@@ -57,6 +58,11 @@ def check_qubit_budget(num_qubits: int) -> None:
         raise QubitBudgetError(f"{num_qubits} qubits exceed the {budget}-qubit budget")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an integer, a numpy one included; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a non-empty 2-D array with finite entries: ``float64`` for
     bool, integer and floating input, ``complex128`` for anything else."""
@@ -79,11 +85,6 @@ def sealed(a: np.ndarray) -> np.ndarray:
 def frozen(a) -> np.ndarray:
     """A sealed copy of a: nothing a caller keeps can change it."""
     return sealed(np.array(a))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
 
 
 def max_norm_diff(a, b) -> float:
@@ -134,7 +135,7 @@ def apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def matrix_power(m, k: int) -> np.ndarray:
-    """m**k by repeated squaring; negative k only for unitary m (via adjoint)."""
+    """m**k by repeated squaring; negative k only for unitary m (via m^dagger)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix_power needs a square matrix, got {m.shape}")
@@ -142,7 +143,7 @@ def matrix_power(m, k: int) -> np.ndarray:
     if k < 0:
         if not is_unitary(m):
             raise ValueError("negative powers are defined only for unitary matrices")
-        m, k = adjoint(m), -k
+        m, k = m.conj().T, -k
     result = np.eye(m.shape[0], dtype=m.dtype)
     square = m
     while k:

@@ -6,20 +6,21 @@ kernel :func:`qfrt.circuits.circuit_unitary` runs on identity columns, built
 once per circuit and set of traced boundaries and applied in place through
 strided views of the state tensor. Between two traced boundaries, each run
 of small gates on at most :data:`qfrt.circuits.FUSE_WIRES` wires is one
-fused dense step; a ``power`` payload is never fused, and goes to its transform's matrix-free ``apply``
-(``numpy.fft``, O(N log N) per column) where a builder set one, so
-``circuit_unitary`` stays the independent op-by-op dense reference. A
-traced run copies the state at each wanted mark into a row of one array it
-allocates up front. Probabilities are computed exactly from amplitudes;
-there is no shot sampling.
+fused dense step; a ``power`` payload is never fused, and goes to its
+transform's ``apply`` (``numpy.fft``, O(N log N) per column, for a built-in;
+its power's matrix for a hand-built kernel), so ``circuit_unitary`` stays
+the independent op-by-op dense reference. A traced run copies the state at
+each wanted mark into a row of one array it allocates up front.
+Probabilities are computed exactly from amplitudes; there is no shot
+sampling.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .circuits import Circuit
 
 #: Amplitudes below this modulus are dropped from state dumps.
@@ -118,7 +119,7 @@ def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> flo
     reading all zeros."""
     state = np.asarray(state).ravel()
     n = _num_qubits(state)
-    if isinstance(num_ancillas, bool) or not isinstance(num_ancillas, numbers.Integral):
+    if not linalg.is_integer(num_ancillas):
         raise ValueError(f"num_ancillas must be an integer, got {num_ancillas!r}")
     if not 0 <= num_ancillas <= n:
         raise ValueError(f"{num_ancillas} ancillas out of range for {n} qubits")

@@ -1,9 +1,11 @@
 """A built-in transform is certified from its roots table in O(N), and its
 dense kernel is built only when something reads it."""
+from functools import partial
+
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, random_dyadic_unitary
 from qfrt import base_transforms, linalg, simulator
 from qfrt.base_transforms import BaseTransform, hartley_matrix, make_transform
 from qfrt.circuits import GateOp, circuit_unitary
@@ -14,6 +16,7 @@ from qfrt.fractional import (
     build_qfru_circuit,
     extract_data_block,
     fractional_oracle,
+    shih_coefficients,
 )
 
 LD = np.longdouble
@@ -165,29 +168,83 @@ def test_certified_oracle_is_a_gather_of_the_table(transform_id, size):
             assert np.max(np.abs(got - expected)) <= 1e-15
 
 
+def _unread(*args):
+    raise AssertionError("table read")
+
+
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
 @pytest.mark.parametrize("certified", [False, True])
-def test_oracle_reads_the_kernel_only_without_a_certificate(transform_id, certified, monkeypatch):
-    # Without a certificate the proof reads the kernel, so the oracle does
-    # too: once the kernel is built, its table and layout are never read.
-    # With one, the same transform gathers from them.
-    def unread(*args):
-        raise AssertionError("table read")
-
-    if not certified:
-        double_longdouble(monkeypatch)
+def test_oracle_reads_the_kernel_only_without_a_certificate(transform_id, certified):
+    # A builder's transform gathers its oracle from its table and layout,
+    # even once its kernel is built. Only a hand-built kernel, which has
+    # neither a table nor a certificate, is summed from the kernel and its
+    # powers: here the builder's own kernel, handed in.
     t = make_transform(transform_id, 3)
+    if not certified:
+        t = BaseTransform(t.id, t.data_qubits, t.order_exponent, t.dense)
     t.check()
     assert t.dense is not None
-    object.__setattr__(t, "_values", unread)
-    object.__setattr__(t, "_layout", unread)
     spec = FractionalSpec(t, 0.3)
     if certified:
+        object.__setattr__(t, "_values", _unread)
+        object.__setattr__(t, "_layout", _unread)
         with pytest.raises(AssertionError, match="table read"):
             fractional_oracle(spec)
     else:
+        assert t.table_dev is None
         assert fractional_oracle(spec).tobytes() == _dense_oracle(
             t, spec.coefficients.weights).tobytes()
+
+
+@pytest.mark.parametrize("transform_id,size", [
+    (t, s) for t in ("fourier", "hartley", "cst1", "cst4") for s in (1, 3, 6)])
+def test_builtin_oracle_does_not_depend_on_the_certificate(transform_id, size, monkeypatch):
+    # Without a certificate the proof reads the kernel, which is the table
+    # gathered through the layout, so the oracle gathers from the table all
+    # the same: the same bytes whether or not np.longdouble can certify it.
+    alphas = (0.37, 1.3, -2.9, 3.0, 1e9 + 0.37)
+
+    def oracles(t):
+        return [fractional_oracle(FractionalSpec(t, a)).tobytes() for a in alphas]
+
+    certified = oracles(make_transform(transform_id, size))
+    double_longdouble(monkeypatch)
+    t = make_transform(transform_id, size)
+    assert oracles(t) == certified and t.table_dev is None
+    object.__setattr__(t, "_values", _unread)
+    with pytest.raises(AssertionError, match="table read"):
+        fractional_oracle(FractionalSpec(t, 0.3))
+
+
+def _hand_built(order_exponent, q):
+    u = random_dyadic_unitary(1 << q, order_exponent, np.random.default_rng(q))
+    return BaseTransform(f"order{1 << order_exponent}", q, order_exponent, u)
+
+
+#: The builders on up to 6 qubits, with and without a certificate, and
+#: hand-built kernels of order 4 and 8, which have none: id -> (make, certified).
+POWER_SUMS = {
+    **{f"{t}{s}-{'certified' if c else 'uncertified'}": (partial(make_transform, t, s), c)
+       for t, sizes in (("fourier", range(1, 7)), ("hartley", range(1, 7)),
+                        ("cst1", range(1, 6)), ("cst4", range(1, 6)))
+       for s in sizes for c in (True, False)},
+    **{f"order{1 << e}_q{q}": (partial(_hand_built, e, q), False)
+       for e in (2, 3) for q in (1, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("make,certified", POWER_SUMS.values(), ids=POWER_SUMS.keys())
+def test_power_sum_matches_the_matrix_powers(make, certified, monkeypatch):
+    if not certified:
+        double_longdouble(monkeypatch)
+    t = make()
+    t.check()
+    assert (t.table_dev is not None) == certified
+    powers = [np.linalg.matrix_power(t.dense, k) for k in range(t.order)]
+    for alpha in (0.0, 0.37, 1.0, 2.5, -1.3, 7.25, 1e6 + 0.3, -4.4e9, 3.3e15):
+        weights = shih_coefficients(t.order, alpha).weights
+        expected = sum(w * power for w, power in zip(weights, powers))
+        assert np.max(np.abs(t.power_sum(weights) - expected)) <= 1e-12
 
 
 KERNEL_FUNCTIONS = ("dft_matrix", "hartley_matrix", "dct4_matrix", "dst4_matrix",
@@ -256,3 +313,7 @@ def test_repr_reads_only_what_is_built(transform_id, size):
     if size <= 3:  # once built, the repr shows it
         assert op.matrix is t.dense
         assert "dense=array" in repr(t) and "matrix=array" in repr(op)
+    # A transform built any other way holds no square_perm; its default shows.
+    hand = BaseTransform("mine", 1, 1, hartley_matrix(2))
+    op = GateOp("unitary", targets=(0,), power=(hand, 1))
+    assert "square_perm=None" in repr(hand) and repr(hand) in repr(op)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,9 @@ class TestStandardGates:
     def test_phase_at_half_pi_is_s(self):
         assert linalg.max_norm_diff(phase(math.pi / 2), S) <= 1e-15
 
+    def test_phase_adjoint_negates_the_angle(self):
+        assert linalg.max_norm_diff(phase(0.7).conj().T, phase(-0.7)) <= 1e-15
+
     def test_r_value_and_decomposition(self):
         expected = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
         assert np.array_equal(R, expected)
@@ -83,7 +87,7 @@ class TestStandardGates:
         assert linalg.max_norm_diff(B, H @ S) <= 1e-12
 
     def test_bdag_value_and_decomposition(self):
-        assert linalg.max_norm_diff(BDAG, linalg.adjoint(B)) <= 1e-15
+        assert linalg.max_norm_diff(BDAG, B.conj().T) <= 1e-15
         assert linalg.max_norm_diff(BDAG, phase(-math.pi / 2) @ H) <= 1e-12
 
     def test_phase_needs_angle(self):
@@ -187,6 +191,26 @@ class TestGateOpValidation:
     def test_mark_bounds(self):
         with pytest.raises(ValueError):
             Circuit(1, (GateOp("h", targets=(0,)),), marks=(("late", 2),))
+
+    @pytest.mark.parametrize("make,bad", [
+        (lambda v: GateOp("h", targets=(v,)), 1.5),
+        (lambda v: GateOp("h", targets=(v,)), True),
+        (lambda v: GateOp("h", targets=(v,)), "1"),
+        (lambda v: GateOp("x", targets=(0,), controls=(v,)), 1.0),
+        (lambda v: GateOp("x", targets=(0,), controls=(v,)), np.bool_(True)),
+        (lambda v: Circuit(v), 2.5),
+        (lambda v: Circuit(v), True),
+        (lambda v: Circuit(v), "3"),
+    ])
+    def test_wire_or_size_that_is_not_an_integer(self, make, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            make(bad)
+
+    def test_numpy_integer_wires_and_size(self):
+        op = GateOp("x", targets=(np.int64(1),), controls=(np.int32(0),))
+        c = Circuit(np.int64(2), (op,))
+        assert (op.targets, op.controls, c.num_qubits) == ((1,), (0,), 2)
+        assert all(type(v) is int for v in (*op.targets, *op.controls, c.num_qubits))
 
 
 def direct_multiplexed(u, n):

@@ -1,7 +1,8 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
 ``__init__`` re-exports, so it is left out), no private module-level name is
-left that nothing under ``src/qfrt/`` refers to, and only ``linalg`` sets an
-array's flags. Uses only the stdlib ``ast``."""
+left that nothing under ``src/qfrt/`` refers to, only ``linalg`` sets an
+array's flags, and only ``base_transforms`` reads a transform's internals.
+Uses only the stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -96,3 +97,40 @@ NOT_LINALG = sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py")
 def test_only_linalg_sets_array_flags(path):
     # linalg.sealed is the one read-only rule; nothing else may set or clear a flag.
     assert setflags_calls(path.read_text(encoding="utf-8")) == []
+
+
+#: A transform's internals: what it stores to answer power, apply and
+#: power_sum, and its proof's working. Only base_transforms may read them.
+TRANSFORM_INTERNALS = frozenset(
+    {"square_perm", "table_dev", "_values", "_layout", "_fft", "_products", "_fault"})
+
+
+def internal_reads(source: str) -> list[str]:
+    """The lines that read a transform's internal, as an attribute or as a
+    name string (``vars(t)["_layout"]``, ``getattr(t, "_fft")``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if isinstance(name, str) and name in TRANSFORM_INTERNALS:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_catches_a_read_of_a_transforms_internals():
+    source = "def f(t, w):\n    p = t.square_perm\n    return vars(t)['_layout'], t.power_sum(w)\n"
+    assert internal_reads(source) == ["line 2: square_perm", "line 3: _layout"]
+    assert internal_reads("t.apply(x, 1)\n'square_perm is private'\n") == []
+
+
+NOT_BASE_TRANSFORMS = sorted(p for p in SRC.glob("*.py") if p.name != "base_transforms.py")
+
+
+@pytest.mark.parametrize("path", NOT_BASE_TRANSFORMS, ids=[p.name for p in NOT_BASE_TRANSFORMS])
+def test_only_base_transforms_reads_a_transforms_internals(path):
+    # Every other module reaches U**k through power, apply and power_sum.
+    assert internal_reads(path.read_text(encoding="utf-8")) == []

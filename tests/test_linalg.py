@@ -6,26 +6,10 @@ import pytest
 from helpers import random_unitary
 from qfrt import linalg
 from qfrt.base_transforms import dft_matrix, hartley_matrix
-from qfrt.circuits import B, BDAG, H, S, phase
+from qfrt.circuits import H, S, phase
 from qfrt.errors import DimensionError, QfrtError, QubitBudgetError
 
 I2 = np.eye(2, dtype=complex)
-
-
-class TestAdjoint:
-    def test_identity(self):
-        assert np.array_equal(linalg.adjoint(I2), I2)
-
-    def test_phase_conjugation(self):
-        assert linalg.max_norm_diff(linalg.adjoint(phase(0.7)), phase(-0.7)) <= 1e-15
-
-    def test_b_gate(self):
-        assert linalg.max_norm_diff(linalg.adjoint(B), BDAG) <= 1e-15
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.array_equal(linalg.adjoint(linalg.adjoint(m)), m)
 
 
 class TestMaxNormDiff:

@@ -1,7 +1,7 @@
 """Every transform's controlled powers are ``power`` payloads on one sealed,
-once-proven kernel; the simulator applies a built-in's matrix-free through
-numpy.fft and a hand-built one's through its matrix; ``circuit_unitary``
-stays the dense reference."""
+once-proven kernel; the simulator applies each through its transform's
+``apply``, numpy.fft for a built-in and the power's matrix for a hand-built
+kernel; ``circuit_unitary`` stays the dense reference."""
 import numpy as np
 import pytest
 
@@ -79,17 +79,22 @@ def test_run_matches_circuit_unitary(transform_id, size, alphas):
             assert np.max(np.abs(final - expected[:, i])) <= 1e-10
 
 
-#: Hand-built kernels, with no ``apply``: (kernel, order exponent, data qubits).
+#: Hand-built kernels, applied through their powers' matrices: (kernel,
+#: order exponent, data qubits).
 HAND_BUILT = [("random", 2, 1), ("random", 2, 4), ("random", 3, 2), ("random", 3, 3),
               ("random", 4, 1), ("random", 4, 2), ("dft", 2, 1), ("dft", 2, 3)]
+
+
+def _hand_built(kernel, order_exponent, q, rng):
+    u = dft_matrix(1 << q) if kernel == "dft" else random_dyadic_unitary(
+        1 << q, order_exponent, rng)
+    return BaseTransform("mine", q, order_exponent, u)
 
 
 @pytest.mark.parametrize("kernel,order_exponent,q", HAND_BUILT)
 def test_hand_built_power_payloads_match_the_oracle(kernel, order_exponent, q):
     rng = np.random.default_rng(10 * order_exponent + q)
-    u = dft_matrix(1 << q) if kernel == "dft" else random_dyadic_unitary(
-        1 << q, order_exponent, rng)
-    t = BaseTransform("mine", q, order_exponent, u)
+    t = _hand_built(kernel, order_exponent, q, rng)
     data = 1 << q
     for alpha in (0.37, 1.0, -2.9, 4e12 + 0.5):
         spec = FractionalSpec(t, alpha)
@@ -106,6 +111,27 @@ def test_hand_built_power_payloads_match_the_oracle(kernel, order_exponent, q):
         final, _ = simulator.run(circuit, x)
         assert np.max(np.abs(final[:data] - oracle @ x[:data])) <= 1e-10
         assert np.linalg.norm(final[data:]) <= 1e-10
+
+
+@pytest.mark.parametrize("kernel,order_exponent,q", HAND_BUILT)
+def test_hand_built_apply_is_its_matrix_bit_for_bit(kernel, order_exponent, q):
+    # A hand-built transform applies U**k as the matrix of power(k mod
+    # order), so the simulator's matrix-free step of a power op is the
+    # dense reference's step, bit for bit.
+    rng = np.random.default_rng(q)
+    t = _hand_built(kernel, order_exponent, q, rng)
+    x = rng.standard_normal((1 << q, 3)) + 1j * rng.standard_normal((1 << q, 3))
+    for k in range(-t.order, 2 * t.order):
+        assert t.apply(x, k).tobytes() == linalg.apply(t.power(k % t.order), x).tobytes()
+    circuit = build_qfru_circuit(FractionalSpec(t, 0.37))
+    shape = [2] * circuit.num_qubits + [2]
+    for op in circuit.ops:
+        if op.power is not None:
+            reg = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            by_apply, by_matrix = reg.copy(), reg.copy()
+            circuits._apply_op(by_apply, op, matrix_free=True)
+            circuits._apply_op(by_matrix, op, matrix_free=False)
+            assert by_apply.tobytes() == by_matrix.tobytes()
 
 
 class TestReadOnlyKernel:
@@ -193,9 +219,12 @@ class TestOneProof:
         # One unitarity proof of U; the power bound covers U**2 .. U**7.
         assert (len(checks), len(products)) == (0, 1)
 
-    def test_hand_built_fourier_gets_no_matrix_free_path(self):
+    def test_hand_built_fourier_gets_no_matrix_free_path(self, monkeypatch):
         t = BaseTransform("fourier", 2, 2, dft_matrix(4))
-        assert t.apply is None
+        x = np.eye(4, 2, dtype=complex)
+        monkeypatch.setattr(np, "fft", None)  # its apply is its matrix, not an FFT
+        assert np.array_equal(t.apply(x, 1), t.dense @ x)
+        monkeypatch.undo()
         c = build_qfru_circuit(FractionalSpec(t, 0.3))
         # Each payload names the transform, and its matrix is the transform's
         # own sealed power, not a copy.
