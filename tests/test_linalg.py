@@ -6,10 +6,16 @@ import pytest
 from helpers import random_unitary
 from qfrt import linalg
 from qfrt.base_transforms import dft_matrix, hartley_matrix
-from qfrt.circuits import H, S, phase
+from qfrt.circuits import BDAG, B, H, S, phase
 from qfrt.errors import DimensionError, QfrtError, QubitBudgetError
 
 I2 = np.eye(2, dtype=complex)
+
+
+class TestAdjoint:
+    def test_b_gate(self):
+        # A negative power of a unitary is taken through its adjoint.
+        assert linalg.max_norm_diff(linalg.matrix_power(B, -1), BDAG) <= 1e-15
 
 
 class TestMaxNormDiff:
