@@ -186,15 +186,14 @@ def _entry_dev(values: Callable) -> float:
 
 
 # Matrix-free kernels: U**k x along axis 0 of a complex (N, cols) block, by
-# numpy.fft only. The real kernels act on the float64 view of x, its real and
-# imaginary parts as separate columns.
+# numpy.fft only, for 1 <= k < order (BaseTransform.apply reduces k and
+# answers k = 0), so an involution's kernel sees only k = 1. The real kernels
+# act on the float64 view of x, its real and imaginary parts as separate
+# columns.
 
 
 def _fourier_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """F, F**2 = I[p] and F**3 = F**-1: the FFT, a row gather, the inverse FFT."""
-    k %= 4
-    if k == 0:
-        return x.copy()
     if k == 2:
         return x[parity]
     return (np.fft.fft if k == 1 else np.fft.ifft)(x, axis=0, norm="ortho")
@@ -202,8 +201,6 @@ def _fourier_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 
 def _hartley_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """H = ((1+i) F + (1-i) F**3) / 2, with F**3 x = (F x)[p]: one FFT."""
-    if k % 2 == 0:
-        return x.copy()
     y = np.fft.fft(x, axis=0, norm="ortho")
     return ((1 + 1j) * y + (1 - 1j) * y[parity]) / 2
 
@@ -211,8 +208,6 @@ def _hartley_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
 def _cst1_apply(x: np.ndarray, k: int) -> np.ndarray:
     """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the even
     extension of the cosine block and the odd extension of the sine block."""
-    if k % 2 == 0:
-        return x.copy()
     big_n = x.shape[0] // 2
     y = np.ascontiguousarray(x).view(np.float64)
     ext = np.zeros((2, 2 * big_n, y.shape[1]))
@@ -234,8 +229,6 @@ def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray, k: int) -> np.
     IEEE TASSP 1980): sum_k y_k exp(-i pi (2j+1)(2k+1) / 4N) is
     post_j FFT_2N(pre * y)_j, whose real part is the cosine and whose
     negated imaginary part is the sine transform of a real y."""
-    if k % 2 == 0:
-        return x.copy()
     big_n = len(pre)
     y = np.ascontiguousarray(x).view(np.float64).reshape(2, big_n, -1)
     a = post * np.fft.fft(pre * y, n=2 * big_n, axis=1)[:, :big_n]
@@ -320,10 +313,8 @@ class BaseTransform:
 
     def __post_init__(self):
         for name in ("data_qubits", "order_exponent"):
-            value = getattr(self, name)
-            if not linalg.is_integer(value) or value < 1:
-                raise DimensionError(f"{self.id!r}: {name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, linalg.check_int(f"{self.id!r}: {name}",
+                                                            getattr(self, name), 1))
         if self._layout is not None:
             return
         dense = linalg.frozen(self.dense)
@@ -424,8 +415,7 @@ class BaseTransform:
         ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
         gathers I[p] and U[p]; otherwise U**k, k >= 2, is read from one table
         of repeated products, made once per transform (never by a builder's)."""
-        if not 0 <= k < self.order:
-            raise ValueError(f"{self.id!r}: power {k} outside 0..{self.order - 1}")
+        k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
         if k == 1:
             return self.dense
         if k > 1 and self.square_perm is None:
@@ -440,11 +430,20 @@ class BaseTransform:
         return linalg.sealed(out)
 
     def apply(self, x: np.ndarray, k: int) -> np.ndarray:
-        """U**k x, any integer k, along axis 0 of a complex (N, cols) block x:
-        a builder's ``numpy.fft`` kernel, else ``linalg.apply(power(k % order), x)``."""
+        """U**k x, any integer k, along axis 0 of an (N, cols) block x, a new
+        complex array. k is reduced mod order once, here: k = 0 copies x, and
+        1 <= k < order goes to a builder's ``numpy.fft`` kernel, else to
+        ``linalg.apply(power(k), x)``."""
+        k = linalg.check_int("k", k) % self.order
+        x = np.asarray(x, dtype=complex)
+        if x.ndim != 2 or len(x) != 1 << self.data_qubits:
+            raise DimensionError(f"{self.id!r}: apply needs a ({1 << self.data_qubits}, "
+                                 f"cols) block, got shape {x.shape}")
+        if k == 0:
+            return x.copy()
         if self._fft is not None:
             return self._fft(x, k)
-        return linalg.apply(self.power(k % self.order), x)
+        return linalg.apply(self.power(k), x)
 
     def power_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] U**k over k < order, a new array, for a checked U.
@@ -457,6 +456,10 @@ class BaseTransform:
         I[p]). No kernel or power is built. A hand-built kernel's sum is w_1
         U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order - 1..2.
         """
+        weights = np.asarray(weights)
+        if weights.shape != (self.order,):
+            raise DimensionError(f"{self.id!r}: power_sum needs {self.order} weights, "
+                                 f"got shape {weights.shape}")
         if self._layout is None:
             out = weights[1] * self.dense
             out.flat[:: len(out) + 1] += weights[0]  # I
@@ -498,8 +501,7 @@ def _builtin(transform_id: str, data_qubits: int, order_exponent: int, layout, v
 def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4; F**2 is the parity
     permutation j -> -j mod 2**q."""
-    if q < 1:
-        raise ValueError("need at least one data qubit")
+    q = linalg.check_int("q", q, 1)
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
@@ -509,8 +511,7 @@ def fourier_transform(q: int) -> BaseTransform:
 
 def hartley_transform(q: int) -> BaseTransform:
     """The 2**q-point Hartley transform (cas kernel), an involution."""
-    if q < 1:
-        raise ValueError("need at least one data qubit")
+    q = linalg.check_int("q", q, 1)
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
@@ -520,8 +521,7 @@ def hartley_transform(q: int) -> BaseTransform:
 
 def cst1_transform(n: int) -> BaseTransform:
     """Type-I cosine-sine block DCT-I(N+1) (+) DST-I(N-1) on n+1 qubits."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = linalg.check_int("n", n, 1)
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     return _builtin("cst1", n + 1, 1, lambda: _cst1_layout(big_n),
@@ -531,8 +531,7 @@ def cst1_transform(n: int) -> BaseTransform:
 def cst4_transform(n: int) -> BaseTransform:
     """Type-IV cosine-sine block DCT-IV(N) (+) DST-IV(N) on n+1 qubits; the
     top qubit selects the cosine (|0>) or sine (|1>) block."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = linalg.check_int("n", n, 1)
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
     j = np.arange(big_n)[:, None]
@@ -564,8 +563,7 @@ def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, fl
     distance from an eigenvalue of the kernel to a 2**e-th root of unity, and
     |U**order - I|_max at the declared order, read off the same squarings
     (squaring past e only when the declared exponent is larger)."""
-    if not 0 <= max_exponent <= 6:
-        raise ValueError("max_exponent must be between 0 and 6")
+    max_exponent = linalg.check_int("max_exponent", max_exponent, 0, 6)
     dim = t.dense.shape[0]
     eye = np.eye(dim, dtype=t.dense.dtype)
     power = t.dense

@@ -79,10 +79,10 @@ def qct4_gate(name: str, j: int | None = None, n: int = 1) -> np.ndarray:
     ``m``: the global-phase factor exp(-i pi / 4N) times the identity.
     """
     key = name.lower()
+    n = linalg.check_int("n", n, 1)
     big_n = 1 << n
     if key in ("l", "k"):
-        if j is None or not 1 <= j <= n:
-            raise ValueError(f"level j={j} out of range 1..{n}")
+        j = linalg.check_int("j", j, 1, n)
         l_j = phase(math.pi * 2 ** (j - 1) / big_n)
         return l_j if key == "l" else X @ l_j @ X
     if key == "c":
@@ -126,16 +126,12 @@ class GateOp:
 
     def __post_init__(self):
         for name in ("targets", "controls"):
-            wires = tuple(getattr(self, name))
-            if not all(map(linalg.is_integer, wires)):
-                raise ValueError(f"{name} must be integer qubit indices, got {wires!r}")
-            object.__setattr__(self, name, tuple(map(int, wires)))
+            object.__setattr__(self, name, tuple(
+                linalg.check_int(f"{name}[{i}]", w, 0) for i, w in enumerate(getattr(self, name))))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         wires = self.targets + self.controls
         if not self.targets:
             raise ValueError("gate needs at least one target")
-        if min(wires) < 0:
-            raise ValueError(f"negative qubit index in {wires}")
         if len(set(wires)) != len(wires):
             raise ValueError(f"targets {self.targets} and controls {self.controls} overlap")
         if self.name == "unitary" and self.power is not None:
@@ -174,14 +170,13 @@ class GateOp:
             raise ValueError("a 'power' op takes no matrix payload")
         if not isinstance(t, BaseTransform):
             raise ValueError(f"a power payload needs a BaseTransform, got {type(t).__name__}")
-        if not linalg.is_integer(k) or not 0 < k < t.order:
-            raise ValueError(f"power of {t.id!r} must be an integer in 1..{t.order - 1}, got {k!r}")
+        k = linalg.check_int(f"power of {t.id!r}", k, 1, t.order - 1)
         if len(self.targets) != t.data_qubits:
             raise ValueError(
                 f"power of {t.id!r} needs {t.data_qubits} targets, got {len(self.targets)}"
             )
         t.check()
-        object.__setattr__(self, "power", (t, int(k)))
+        object.__setattr__(self, "power", (t, k))
 
     def _build_matrix(self) -> np.ndarray | None:
         """A ``power`` op's matrix, on its first read."""
@@ -238,9 +233,7 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
         object.__setattr__(self, "marks", tuple(self.marks))
-        if not linalg.is_integer(self.num_qubits) or self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be an integer >= 1, got {self.num_qubits!r}")
-        object.__setattr__(self, "num_qubits", int(self.num_qubits))
+        object.__setattr__(self, "num_qubits", linalg.check_int("num_qubits", self.num_qubits, 1))
         for op in self.ops:
             if op.span > self.num_qubits:
                 raise ValueError(
@@ -330,8 +323,7 @@ def multiplexed_powers(powers) -> Circuit:
 def phase_block(n: int, alpha: float, theta0: float) -> Circuit:
     """Diagonal modulation diag(1, w**alpha, ..., w**((2**n - 1) alpha)) with
     w = exp(i theta0): qubit j gets a phase gate of angle 2**j * alpha * theta0."""
-    if n < 1:
-        raise ValueError("phase_block needs at least one qubit")
+    n = linalg.check_int("n", n, 1)
     ops = tuple(
         GateOp("p", targets=(j,), params=(2**j * alpha * theta0,)) for j in range(n)
     )
@@ -345,8 +337,7 @@ def qft_circuit(n: int, inverse: bool = False) -> Circuit:
     The inverse flag conjugates the kernel. Built from Hadamards and
     controlled phases, with a final qubit-reversal swap layer.
     """
-    if n < 1:
-        raise ValueError("qft_circuit needs at least one qubit")
+    n = linalg.check_int("n", n, 1)
     sign = 1.0 if inverse else -1.0
     ops = []
     for t in range(n - 1, -1, -1):
@@ -362,8 +353,7 @@ def qft_circuit(n: int, inverse: bool = False) -> Circuit:
 def increment_circuit(n: int) -> Circuit:
     """Cyclic shift |x> -> |x+1 mod 2**n>: a cascade of X gates, each
     controlled on every lower-significance qubit."""
-    if n < 1:
-        raise ValueError("increment_circuit needs at least one qubit")
+    n = linalg.check_int("n", n, 1)
     ops = tuple(
         GateOp("x", targets=(t,), controls=tuple(range(t))) for t in range(n - 1, -1, -1)
     )
@@ -462,10 +452,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     """
     linalg.check_qubit_budget(c.num_qubits)
     dim = 1 << c.num_qubits
-    if columns is None:
-        columns = dim
-    elif not linalg.is_integer(columns) or not 1 <= columns <= dim:
-        raise ValueError(f"columns must be an integer in 1..{dim}, got {columns!r}")
+    columns = dim if columns is None else linalg.check_int("columns", columns, 1, dim)
     acc = np.eye(dim, columns, dtype=complex)
     reg = acc.reshape([2] * c.num_qubits + [columns])
     for op in c.ops:

@@ -221,13 +221,11 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
         exponent, residue, declared = _order_and_residue(transform)
         dev = residue if declared <= ORDER_TOL else max(residue, declared)
         rows.append(ReportRow(f"exponent{exponent}", None, None, dev, tol))
-    elif suite == "coefficients":
+    else:  # "coefficients", the last of SUITES, which --suite is one of
         for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):
             c = shih_coefficients(order, alpha).weights
             dev = max(abs(c.sum() - 1.0), abs(np.sum(np.abs(c) ** 2) - 1.0))
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, float(dev), tol))
-    else:
-        raise ValueError(f"unknown suite {suite!r}; valid: {', '.join(SUITES)}")
     return rows
 
 

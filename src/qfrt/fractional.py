@@ -22,6 +22,7 @@ with U^dagger.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +36,9 @@ from .errors import DimensionError
 
 def _reduce_alpha(alpha: float, order: int) -> float:
     """alpha mod order, exactly (``math.fmod``), so that the phases keep full
-    precision at large |alpha|; rejects a non-finite alpha."""
+    precision at large |alpha|; rejects an alpha that is not a finite real."""
+    if not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     return math.fmod(alpha, order)
@@ -56,7 +59,8 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
     At integer alpha = m the weights collapse to the indicator of m mod
     order; they always satisfy sum c_k = 1 and sum |c_k|**2 = 1.
     """
-    if order < 2 or order & (order - 1):
+    order = linalg.check_int("order", order, 2)
+    if order & (order - 1):
         raise ValueError(f"order must be a power of two >= 2, got {order}")
     reduced = _reduce_alpha(alpha, order)
     m = np.arange(order)
@@ -73,7 +77,9 @@ class FractionalSpec:
     alpha: float
 
     def __post_init__(self):
-        _reduce_alpha(self.alpha, self.order)  # rejects a non-finite alpha
+        if not isinstance(self.base, BaseTransform):
+            raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
+        _reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
         linalg.check_qubit_budget(self.num_ancillas + self.data_qubits)
 
     @property
@@ -183,6 +189,8 @@ def extract_data_block(full, num_ancillas: int, data_qubits: int):
     fractionalization circuit has leakage 0.
     """
     full = linalg.as_matrix(full)
+    num_ancillas = linalg.check_int("num_ancillas", num_ancillas, 0)
+    data_qubits = linalg.check_int("data_qubits", data_qubits, 0)
     dim = 1 << (num_ancillas + data_qubits)
     block_dim = 1 << data_qubits
     if full.shape not in ((dim, dim), (dim, block_dim)):

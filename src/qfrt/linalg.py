@@ -58,9 +58,16 @@ def check_qubit_budget(num_qubits: int) -> None:
         raise QubitBudgetError(f"{num_qubits} qubits exceed the {budget}-qubit budget")
 
 
-def is_integer(value) -> bool:
-    """Whether value is an integer, a numpy one included; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """value as an int: the one integer rule for sizes, wires, indices and
+    exponents. An integer is one, a numpy one included, but a bool is not;
+    a :class:`DimensionError` names ``name`` and value's repr unless value is
+    one with low <= value <= high (a bound that is None does not apply)."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (low is None or low <= value) and (high is None or value <= high)):
+        return int(value)
+    bound = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+    raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def as_matrix(m) -> np.ndarray:
@@ -139,7 +146,7 @@ def matrix_power(m, k: int) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix_power needs a square matrix, got {m.shape}")
-    k = int(k)
+    k = check_int("k", k)
     if k < 0:
         if not is_unitary(m):
             raise ValueError("negative powers are defined only for unitary matrices")

@@ -38,18 +38,17 @@ class TraceRecord:
 
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
     """|index> on num_qubits qubits."""
-    if not 0 <= index < 1 << num_qubits:
-        raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
+    num_qubits = linalg.check_int("num_qubits", num_qubits, 0)
+    index = linalg.check_int("index", index, 0, (1 << num_qubits) - 1)
     state = np.zeros(1 << num_qubits, dtype=complex)
     state[index] = 1.0
     return state
 
 
 def _num_qubits(state: np.ndarray) -> int:
-    n = state.size.bit_length() - 1
-    if state.size != 1 << n:
+    if state.size < 1 or state.size & (state.size - 1):
         raise ValueError(f"state length {state.size} is not a power of two")
-    return n
+    return state.size.bit_length() - 1
 
 
 def run(circuit: Circuit, state: np.ndarray, trace=None):
@@ -118,11 +117,7 @@ def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> flo
     """Total probability of the ancillas (the top num_ancillas qubits)
     reading all zeros."""
     state = np.asarray(state).ravel()
-    n = _num_qubits(state)
-    if not linalg.is_integer(num_ancillas):
-        raise ValueError(f"num_ancillas must be an integer, got {num_ancillas!r}")
-    if not 0 <= num_ancillas <= n:
-        raise ValueError(f"{num_ancillas} ancillas out of range for {n} qubits")
+    num_ancillas = linalg.check_int("num_ancillas", num_ancillas, 0, _num_qubits(state))
     block = state.size >> num_ancillas
     return float(np.sum(np.abs(state[:block]) ** 2))
 

@@ -184,6 +184,21 @@ class TestGateOpValidation:
         with pytest.raises(ValueError):
             GateOp("hh", targets=(0,))
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [(lambda: GateOp("h", targets=()), "gate needs at least one target"),
+         (lambda: GateOp("x", targets=[], controls=(0,)), "gate needs at least one target"),
+         (lambda: GateOp("unitary", targets=(0,)), "'unitary' op needs a matrix payload"),
+         (lambda: GateOp("h", targets=(0,), params=(0.5,)), "gate 'h' takes no parameters"),
+         (lambda: GateOp("swap", targets=(0, 1), params=(0.0, 1.0)),
+          "gate 'swap' takes no parameters")],
+        ids=["no_targets", "controls_only", "unitary_without_payload", "h_with_angle",
+             "swap_with_angles"],
+    )
+    def test_malformed_op_names_what_is_wrong(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_circuit_index_bounds(self):
         with pytest.raises(ValueError):
             Circuit(1, (GateOp("h", targets=(1,)),))

@@ -148,6 +148,17 @@ def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys,
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("alpha_range", ["0,1", "0,1,0.5,2", "0,x,1", ""],
+                         ids=["two_fields", "four_fields", "not_a_number", "empty"])
+def test_malformed_alpha_range_names_the_expected_form(alpha_range, capsys):
+    assert main(["sweep", "--transform", "hartley", "--qubits", "1",
+                 f"--alpha-range={alpha_range}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: bad --alpha-range {alpha_range!r}; expected START,STOP,STEP"]
+
+
 @pytest.mark.parametrize("command", [["verify", "--suite", "unitarity"], ["sweep"]],
                          ids=["verify", "sweep"])
 def test_empty_alpha_range_fails_verify(command, capsys):

@@ -1,8 +1,8 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
 ``__init__`` re-exports, so it is left out), no private module-level name is
 left that nothing under ``src/qfrt/`` refers to, only ``linalg`` sets an
-array's flags, and only ``base_transforms`` reads a transform's internals.
-Uses only the stdlib ``ast``."""
+array's flags or decides what is an integer, and only ``base_transforms``
+reads a transform's internals. Uses only the stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -134,3 +134,38 @@ NOT_BASE_TRANSFORMS = sorted(p for p in SRC.glob("*.py") if p.name != "base_tran
 def test_only_base_transforms_reads_a_transforms_internals(path):
     # Every other module reaches U**k through power, apply and power_sum.
     assert internal_reads(path.read_text(encoding="utf-8")) == []
+
+
+def integer_rule_reads(source: str) -> list[str]:
+    """The lines that reach for an integer test of their own: ``is_integer``
+    as a name, an attribute or an imported name, or ``numbers.Integral``
+    (or ``Integral`` imported from ``numbers``)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "is_integer":
+            found.append(f"line {node.lineno}: is_integer")
+        elif isinstance(node, ast.Attribute) and node.attr == "is_integer":
+            found.append(f"line {node.lineno}: is_integer")
+        elif (isinstance(node, ast.Attribute) and node.attr == "Integral"
+              and isinstance(node.value, ast.Name) and node.value.id == "numbers"):
+            found.append(f"line {node.lineno}: numbers.Integral")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"line {node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name == "is_integer"
+                      or (node.module == "numbers" and alias.name == "Integral")]
+    return found
+
+
+def test_checker_catches_an_integer_test_of_its_own():
+    source = ("import numbers\nfrom numbers import Integral\nfrom .linalg import is_integer\n"
+              "def f(k, t):\n    return isinstance(k, numbers.Integral) or linalg.is_integer(t)\n")
+    assert integer_rule_reads(source) == [
+        "line 2: Integral", "line 3: is_integer", "line 5: numbers.Integral",
+        "line 5: is_integer"]
+    assert integer_rule_reads("k = linalg.check_int('k', k)\nisinstance(a, numbers.Real)\n") == []
+
+
+@pytest.mark.parametrize("path", NOT_LINALG, ids=[p.name for p in NOT_LINALG])
+def test_only_linalg_decides_what_is_an_integer(path):
+    # linalg.check_int is the one integer rule for sizes, wires, indices and exponents.
+    assert integer_rule_reads(path.read_text(encoding="utf-8")) == []

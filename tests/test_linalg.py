@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,19 @@ def test_non_finite_entries_rejected():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
         linalg.as_matrix(bad)
+
+
+@pytest.mark.parametrize("m,shape", [(np.ones(3), "(3,)"), (np.ones((2, 0)), "(2, 0)"),
+                                     (np.ones((1, 2, 2)), "(1, 2, 2)"), (1.0, "()")])
+def test_as_matrix_takes_only_a_non_empty_2d_array(m, shape):
+    with pytest.raises(DimensionError,
+                       match=rf"^expected a non-empty 2-D matrix, got shape {re.escape(shape)}$"):
+        linalg.as_matrix(m)
+
+
+def test_matrix_power_needs_a_square_matrix():
+    with pytest.raises(DimensionError, match=r"^matrix_power needs a square matrix, got \(2, 3\)$"):
+        linalg.matrix_power(np.ones((2, 3)), 2)
 
 
 class TestMaxQubits:
@@ -161,3 +175,17 @@ class TestMatrixText:
     def test_bad_row_count(self):
         with pytest.raises(DimensionError):
             linalg.parse_matrix("2 2\n1,0 0,0\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("", "empty matrix text"), ("  \n\n", "empty matrix text"),
+         ("2\n1,0\n1,0\n", "bad header line: '2'"),
+         ("1 1 1\n1,0\n", "bad header line: '1 1 1'"),
+         ("1 2\n1,0\n", "row 0: expected 2 entries, got 1"),
+         ("2 1\n1,0\n1,0 0,0\n", "row 1: expected 1 entries, got 2")],
+        ids=["empty", "blank", "one_field_header", "three_field_header", "short_row",
+             "long_row"],
+    )
+    def test_malformed_text_names_what_is_wrong(self, text, message):
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            linalg.parse_matrix(text)

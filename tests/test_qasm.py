@@ -131,6 +131,18 @@ def test_import_rejects_second_declaration(statements):
         import_circuit("\n".join(statements) + "\n")
 
 
+def test_import_rejects_a_payload_on_a_named_gate():
+    with pytest.raises(ValueError, match=r"^line 2: only 'unitary' carries a payload$"):
+        import_circuit("qubit[1] q;\nh { 1,0 } q[0];\n")
+
+
+@pytest.mark.parametrize("text", ["", "OPENQASM 3.0;\ninclude \"stdgates.inc\";\n// none\n"],
+                         ids=["empty", "header_only"])
+def test_import_needs_a_qubit_declaration(text):
+    with pytest.raises(ValueError, match="^missing qubit declaration$"):
+        import_circuit(text)
+
+
 def test_import_ignores_comments_and_blanks():
     text = "qubit[1] q;\n\n// a comment\nh q[0]; // trailing\n"
     c = import_circuit(text)

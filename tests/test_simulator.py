@@ -361,6 +361,15 @@ class TestRestorationProbability:
         assert abs(ancilla_restoration_probability(state, np.int64(1)) - 0.5) <= 1e-15
 
 
+@pytest.mark.parametrize("read", [format_state,
+                                  lambda s: ancilla_restoration_probability(s, 0)],
+                         ids=["format_state", "ancilla_restoration_probability"])
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_a_state_length_must_be_a_power_of_two(read, size):
+    with pytest.raises(ValueError, match=f"^state length {size} is not a power of two$"):
+        read(np.ones(size, dtype=complex))
+
+
 class TestFormatState:
     def test_bitstrings_are_msb_first(self):
         state = np.zeros(4, dtype=complex)
