@@ -128,25 +128,10 @@ def dft_matrix(n_points: int) -> np.ndarray:
 
     The exponent j k is reduced exactly, in integers, and indexes a table of
     the N roots, so no angle loses precision as j k grows and F**2 is the
-    permutation j -> -j mod N to within a few ulps. The real kernels index
-    their tables the same way.
+    permutation j -> -j mod N to within a few ulps. The builders' kernels
+    index their tables the same way.
     """
     return _dft_table(n_points)[_mod_layout(n_points)]
-
-
-def hartley_matrix(n_points: int) -> np.ndarray:
-    """cas kernel: entry (j, k) = cas(2 pi ((j k) mod N) / N) / sqrt(N), cas = cos + sin."""
-    return _hartley_table(n_points)[_mod_layout(n_points)]
-
-
-def dct4_matrix(n_points: int) -> np.ndarray:
-    """Orthonormal DCT-IV: entry (j, k) = sqrt(2/N) cos(pi (j+1/2)(k+1/2) / N)."""
-    return _type4_table(np.cos, n_points)[_type4_layout(n_points)]
-
-
-def dst4_matrix(n_points: int) -> np.ndarray:
-    """Orthonormal DST-IV: entry (j, k) = sqrt(2/N) sin(pi (j+1/2)(k+1/2) / N)."""
-    return _type4_table(np.sin, n_points)[_type4_layout(n_points)]
 
 
 def _cst1_values(big_n: int, dtype=np.float64) -> np.ndarray:
@@ -290,24 +275,25 @@ class BaseTransform:
     do. Its :attr:`table_dev` certifies the stored entries against their
     closed form in O(N), so :meth:`check` multiplies no matrix; without that
     certificate the proof reads ``dense``. A builder also gives its
-    ``numpy.fft`` kernel to :meth:`apply` and, for Fourier, sets
-    ``square_perm``, the row permutation p = j -> -j mod N with dense**2 =
-    I[p], None on a transform built any other way, whatever its id. Other
-    modules reach U**k only by :meth:`power`, :meth:`apply` and :meth:`power_sum`.
+    ``numpy.fft`` kernel to :meth:`apply` and, for Fourier, the row
+    permutation p = j -> -j mod N with dense**2 = I[p]. Other modules reach
+    U**k only by :meth:`power`, :meth:`apply` and :meth:`power_sum`.
     """
 
     id: str
     data_qubits: int
     order_exponent: int
     dense: np.ndarray = _OnFirstRead()
-    square_perm: np.ndarray | None = field(default=None, init=False)
-    # A builder's index layout, its table's entries in a given dtype and its
-    # numpy.fft U**k x (see _builtin).
+    # A builder's index layout into its table, the table's distinct entries in
+    # a given dtype (float64: dense is values(np.float64)[layout()];
+    # np.longdouble: the certificate's reference), its numpy.fft U**k x, and
+    # Fourier's row permutation p, dense**2 = I[p].
     _layout: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
     _values: Callable[[type], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
     _fft: Callable[[np.ndarray, int], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
+    _perm: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     __repr__ = _built_repr
 
@@ -376,7 +362,7 @@ class BaseTransform:
         if not dev <= bound:  # a NaN fails too
             return f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
         g = self.unitarity_dev  # the power bound, see check()
-        if (self.square_perm is None and self.order > 2
+        if (self._perm is None and self.order > 2
                 and (1 + dim * g) ** (self.order - 1) - 1 > GATE_TOL):
             for k, power in enumerate(self._products, 2):
                 if not linalg.unitarity_dev(power) <= GATE_TOL:
@@ -399,12 +385,12 @@ class BaseTransform:
         U have norm <= sqrt(1 + g) <= 1 + G/2, and Cauchy-Schwarz on the rows
         of D gives |last U - I|_max <= sqrt(N) |D|_max (1 + G/2) + G, so
         |D|_max <= (ORDER_TOL - 2G) / sqrt(N) keeps it <= ORDER_TOL (< 2).
-        With ``square_perm`` p, last = U[p]: U**2 = I[p], and U**4 = I as p
+        With Fourier's p, last = U[p]: U**2 = I[p], and U**4 = I as p
         is an involution.
 
         Powers: D_k = U**k^dagger U**k - I = D_(k-1) + U**(k-1)^dagger E U**(k-1),
         E = U^dagger U - I, ||E||_2 <= N g, gives |D_k|_max <= (1 + N g)**k - 1.
-        With ``square_perm`` each power permutes the rows of U or I; otherwise
+        With Fourier's p each power permutes the rows of U or I; otherwise
         U**2 .. U**(order-1) are measured, only where that bound exceeds G.
         """
         if self._fault is not None:
@@ -412,19 +398,19 @@ class BaseTransform:
 
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, sealed, in the kernel's dtype. U**1 is
-        ``dense`` itself; with ``square_perm`` p, U**2 and U**3 are the row
+        ``dense`` itself; for Fourier's p, U**2 and U**3 are the row
         gathers I[p] and U[p]; otherwise U**k, k >= 2, is read from one table
         of repeated products, made once per transform (never by a builder's)."""
         k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
         if k == 1:
             return self.dense
-        if k > 1 and self.square_perm is None:
+        if k > 1 and self._perm is None:
             return self._products[k - 2]
         if k == 3:
-            out = self.dense[self.square_perm]
+            out = self.dense[self._perm]
         else:
             dim = self.dense.shape[0]
-            cols = np.arange(dim) if k == 0 else self.square_perm
+            cols = np.arange(dim) if k == 0 else self._perm
             out = np.zeros((dim, dim), self.dense.dtype)
             out[np.arange(dim), cols] = 1  # I, or I[p]
         return linalg.sealed(out)
@@ -466,7 +452,7 @@ class BaseTransform:
             for k in range(self.order - 1, 1, -1):
                 out += weights[k] * self.power(k)
             return out
-        p, table = self.square_perm, self._values(np.float64)
+        p, table = self._perm, self._values(np.float64)
         weighted = weights[1] * table
         if p is not None:
             weighted += weights[3] * table[p]
@@ -485,19 +471,6 @@ class BaseTransform:
         return tuple(table[1:])
 
 
-def _builtin(transform_id: str, data_qubits: int, order_exponent: int, layout, values,
-             fft, square_perm=None) -> BaseTransform:
-    """A builder's transform: ``values(dtype)`` evaluates its table's
-    distinct entries, for the certificate in np.longdouble, and ``layout()``
-    indexes the float64 table, so that its dense kernel is
-    ``values(np.float64)[layout()]``, gathered on first read; ``fft(x, k)``
-    is its :meth:`BaseTransform.apply`, and Fourier gets ``square_perm``."""
-    t = BaseTransform(transform_id, data_qubits, order_exponent, _layout=layout,
-                      _values=values, _fft=fft)
-    object.__setattr__(t, "square_perm", square_perm)
-    return t
-
-
 def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4; F**2 is the parity
     permutation j -> -j mod 2**q."""
@@ -505,8 +478,9 @@ def fourier_transform(q: int) -> BaseTransform:
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
-    return _builtin("fourier", q, 2, lambda: _mod_layout(n_points),
-                    partial(_dft_table, n_points), partial(_fourier_apply, parity), parity)
+    return BaseTransform("fourier", q, 2, _layout=lambda: _mod_layout(n_points),
+                         _values=partial(_dft_table, n_points),
+                         _fft=partial(_fourier_apply, parity), _perm=parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:
@@ -515,8 +489,9 @@ def hartley_transform(q: int) -> BaseTransform:
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
-    return _builtin("hartley", q, 1, lambda: _mod_layout(n_points),
-                    partial(_hartley_table, n_points), partial(_hartley_apply, parity))
+    return BaseTransform("hartley", q, 1, _layout=lambda: _mod_layout(n_points),
+                         _values=partial(_hartley_table, n_points),
+                         _fft=partial(_hartley_apply, parity))
 
 
 def cst1_transform(n: int) -> BaseTransform:
@@ -524,8 +499,8 @@ def cst1_transform(n: int) -> BaseTransform:
     n = linalg.check_int("n", n, 1)
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    return _builtin("cst1", n + 1, 1, lambda: _cst1_layout(big_n),
-                    partial(_cst1_values, big_n), _cst1_apply)
+    return BaseTransform("cst1", n + 1, 1, _layout=lambda: _cst1_layout(big_n),
+                         _values=partial(_cst1_values, big_n), _fft=_cst1_apply)
 
 
 def cst4_transform(n: int) -> BaseTransform:
@@ -537,8 +512,9 @@ def cst4_transform(n: int) -> BaseTransform:
     j = np.arange(big_n)[:, None]
     pre = np.exp(-1j * np.pi * j / (2 * big_n))
     post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (2 * j + 1) / (4 * big_n))
-    return _builtin("cst4", n + 1, 1, lambda: _cst4_layout(big_n),
-                    partial(_cst4_values, big_n), partial(_cst4_apply, pre, post))
+    return BaseTransform("cst4", n + 1, 1, _layout=lambda: _cst4_layout(big_n),
+                         _values=partial(_cst4_values, big_n),
+                         _fft=partial(_cst4_apply, pre, post))
 
 
 #: Each builder by its CLI identifier.
@@ -596,4 +572,6 @@ def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
     1e-6; the matrix-power identity is the normative test, the eigenvalue
     residue a consistency diagnostic.
     """
+    if not isinstance(t, BaseTransform):
+        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
     return _order_and_residue(t, max_exponent)[0]

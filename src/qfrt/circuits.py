@@ -296,25 +296,22 @@ def _fused(ops) -> GateOp:
     return GateOp("unitary", targets=wires, matrix=acc)
 
 
-def multiplexed_powers(powers) -> Circuit:
-    """Circuit for the multiplexed powers diag(u**0, u**1, ..., u**(2**n - 1)).
+def multiplexed_powers(t: BaseTransform, inverse: bool = False) -> Circuit:
+    """Circuit for the multiplexed powers diag(u**0, u**s, ..., u**(s (2**n - 1)))
+    of a :class:`BaseTransform` t of order 2**n, with s = -1 if ``inverse``
+    else 1.
 
-    ``powers`` is the power table as (t, k) pairs, each naming t**k of a
-    :class:`BaseTransform` t; only its entries for u**(2**j) become gates,
-    each a ``power`` payload op (see :class:`GateOp`), and every payload op
-    of the fractionalization circuits is made here. The data register sits
-    on qubits 0..q-1 and the n selector qubits above it; selector bit j
-    (qubit q+j) controls u**(2**j), so selector value m applies u**m
-    whatever the order of u.
+    The data register sits on qubits 0..q-1 and the n selector qubits above
+    it; selector bit j (qubit q+j) controls the ``power`` payload op (t,
+    s 2**j mod 2**n) (see :class:`GateOp`), so selector value m applies
+    u**(s m). Every payload op of the fractionalization circuits is made here.
     """
-    size = len(powers)
-    if size < 1 or size & (size - 1):
-        raise ValueError(f"power table has {size} entries, not a power of two")
-    n = size.bit_length() - 1
-    q = powers[0][0].data_qubits
+    if not isinstance(t, BaseTransform):
+        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
+    n, q, sign = t.order_exponent, t.data_qubits, -1 if inverse else 1
     data = tuple(range(q))
     ops = [
-        GateOp("unitary", targets=data, controls=(q + j,), power=powers[1 << j])
+        GateOp("unitary", targets=data, controls=(q + j,), power=(t, sign * (1 << j) % t.order))
         for j in range(n)
     ]
     return Circuit(n + q, ops)

@@ -139,21 +139,17 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     FrU(alpha)|u>; the stage boundaries are marked psi0..psi7 for tracing.
     Raises :class:`NotDyadicOrderError` unless that check passes.
     """
-    n, q, t, order = spec.num_ancillas, spec.data_qubits, spec.base, spec.order
+    n, q, t = spec.num_ancillas, spec.data_qubits, spec.base
     t.check()
-    forward = multiplexed_powers([(t, k) for k in range(order)]).ops
-    # The inverse stage applies U**(order - m) on selector value m; its top bit's
-    # op, U**(order/2), is the forward stage's, so only lower bits get new ops.
-    lower = multiplexed_powers([(t, -m % order) for m in range(order // 2)]).ops
-    alpha = _reduce_alpha(spec.alpha, order)
+    alpha = _reduce_alpha(spec.alpha, spec.order)
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (
         hadamards,
-        forward,
+        multiplexed_powers(t).ops,
         _shifted(qft_circuit(n, inverse=True).ops, q),
         _shifted(phase_block(n, alpha, spec.theta0).ops, q),
         _shifted(qft_circuit(n).ops, q),
-        lower + forward[-1:],
+        multiplexed_powers(t, inverse=True).ops,
         hadamards,
     )
     ops: list[GateOp] = []
@@ -166,15 +162,14 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
 
 def build_qfrin_circuit(base: BaseTransform, alpha: float) -> Circuit:
     """:func:`build_qfru_circuit` at n = 1, for an involution (U**2 = I): H, CU,
-    H, P(-pi alpha), H, CU, H on the ancilla, one CU op serving as its own
-    inverse. Acting on |0>|u> it yields
+    H, P(-pi alpha), H, CU, H on the ancilla, U**-1 = U in both CU ops.
+    Acting on |0>|u> it yields
     |0> [ (1 + e^{-i pi alpha})/2 I + (1 - e^{-i pi alpha})/2 U ] |u>.
     """
-    if base.order_exponent != 1:
-        raise ValueError(
-            f"{base.id!r} is not an involution (order exponent {base.order_exponent})"
-        )
-    return build_qfru_circuit(FractionalSpec(base, alpha))
+    spec = FractionalSpec(base, alpha)
+    if spec.num_ancillas != 1:
+        raise ValueError(f"{base.id!r} is not an involution (order exponent {spec.num_ancillas})")
+    return build_qfru_circuit(spec)
 
 
 def extract_data_block(full, num_ancillas: int, data_qubits: int):

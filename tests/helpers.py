@@ -19,6 +19,40 @@ def random_dyadic_unitary(dim, n, rng):
     return v @ np.diag(phases) @ v.conj().T
 
 
+def _direct_sum(a, b):
+    out = np.zeros((len(a) + len(b),) * 2)
+    out[: len(a), : len(a)] = a
+    out[len(a):, len(a):] = b
+    return out
+
+
+def _type4(trig, big_n):
+    """Orthonormal DCT-IV or DST-IV: sqrt(2/N) trig(pi (j+1/2)(k+1/2) / N)."""
+    j = np.arange(big_n) + 0.5
+    return np.sqrt(2 / big_n) * trig(np.pi * np.outer(j, j) / big_n)
+
+
+def closed_form(transform_id, size):
+    """The kernel of ``make_transform(transform_id, size)`` from its closed
+    form, each entry a trigonometric function of its own angle: a reference
+    independent of the builders' roots tables and exactly reduced exponents."""
+    big_n = 1 << size
+    if transform_id in ("fourier", "hartley"):
+        angle = 2 * np.pi * np.outer(np.arange(big_n), np.arange(big_n)) / big_n
+        if transform_id == "fourier":
+            return np.exp(-1j * angle) / np.sqrt(big_n)
+        return (np.cos(angle) + np.sin(angle)) / np.sqrt(big_n)
+    if transform_id == "cst4":
+        return _direct_sum(_type4(np.cos, big_n), _type4(np.sin, big_n))
+    # cst1: DCT-I(N+1), its rows and columns 0 and N scaled by 1/sqrt(2),
+    # (+) DST-I(N-1)
+    j, m = np.arange(big_n + 1), np.arange(1, big_n)
+    beta = np.where((j == 0) | (j == big_n), np.sqrt(0.5), 1.0)
+    dct1 = np.outer(beta, beta) * np.cos(np.pi * np.outer(j, j) / big_n)
+    dst1 = np.sin(np.pi * np.outer(m, m) / big_n)
+    return np.sqrt(2 / big_n) * _direct_sum(dct1, dst1)
+
+
 def random_state(num_qubits, rng):
     v = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     return v / np.linalg.norm(v)

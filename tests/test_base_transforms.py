@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_dyadic_unitary, random_state
+from helpers import closed_form, random_dyadic_unitary, random_state
 from qfrt import linalg
 from qfrt.base_transforms import (
+    TRANSFORM_IDS,
     BaseTransform,
     _order_and_residue,
     cst1_transform,
     cst4_transform,
-    dct4_matrix,
     dft_matrix,
-    dst4_matrix,
     fourier_transform,
     hartley_transform,
     make_transform,
@@ -142,15 +141,23 @@ class TestCst4:
         rng = np.random.default_rng(20 + n)
         t = cst4_transform(n)
         big_n = 1 << n
+        blocks = closed_form("cst4", n)
         u = random_state(n, rng)
         cos_in = np.concatenate([u, np.zeros(big_n)])
         cos_out = t.dense @ cos_in
         assert np.max(np.abs(cos_out[big_n:])) == 0.0
-        assert np.max(np.abs(cos_out[:big_n] - dct4_matrix(big_n) @ u)) <= 1e-10
+        assert np.max(np.abs(cos_out[:big_n] - blocks[:big_n, :big_n] @ u)) <= 1e-10
         sin_in = np.concatenate([np.zeros(big_n), u])
         sin_out = t.dense @ sin_in
         assert np.max(np.abs(sin_out[:big_n])) == 0.0
-        assert np.max(np.abs(sin_out[big_n:] - dst4_matrix(big_n) @ u)) <= 1e-10
+        assert np.max(np.abs(sin_out[big_n:] - blocks[big_n:, big_n:] @ u)) <= 1e-10
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+@pytest.mark.parametrize("transform_id", TRANSFORM_IDS)
+def test_kernel_matches_closed_form(transform_id, size):
+    got = make_transform(transform_id, size).dense
+    assert linalg.max_norm_diff(got, closed_form(transform_id, size)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -246,7 +253,7 @@ class TestPowers:
         t = fourier_transform(q)
         eye, f, f2, f3 = [t.power(k) for k in range(t.order)]
         perm = -np.arange(1 << q) % (1 << q)
-        assert np.array_equal(t.square_perm, perm)
+        assert np.array_equal(t._perm, perm)
         assert np.array_equal(f2, eye[perm]) and np.array_equal(f3, f[perm])
         assert linalg.max_norm_diff(f2, np.linalg.matrix_power(f, 2)) <= 1e-12
         assert linalg.max_norm_diff(f3, np.linalg.matrix_power(f, 3)) <= 1e-12
@@ -254,7 +261,7 @@ class TestPowers:
     def test_order_four_operator_without_permutation_gets_products(self):
         u = random_dyadic_unitary(8, 2, np.random.default_rng(405))
         t = BaseTransform("custom", 3, 2, u)
-        assert t.square_perm is None
+        assert t._perm is None
         table = [t.power(k) for k in range(t.order)]
         assert np.array_equal(table[2], u @ u)
         assert np.array_equal(table[3], u @ u @ u)
@@ -263,15 +270,14 @@ class TestPowers:
     def test_permutation_of_another_kernel_rejected(self, kernel):
         # The table (I, U, I[p], U[p]) is only as good as p; without a
         # certificate, check() reads p U U = I and must catch a kernel whose
-        # square is not I[p]. Only fourier_transform sets p, after
-        # construction; here it is set the same way on the wrong kernel.
+        # square is not I[p]. Only fourier_transform passes p; here it comes
+        # with the wrong kernel.
         if kernel == "random":
             u = random_dyadic_unitary(8, 2, np.random.default_rng(406))
-            perm = fourier_transform(3).square_perm
+            perm = fourier_transform(3)._perm
         else:
             u, perm = fourier_transform(3).dense, np.arange(8)
-        impostor = BaseTransform("impostor", 3, 2, u)
-        object.__setattr__(impostor, "square_perm", perm)
+        impostor = BaseTransform("impostor", 3, 2, u, _perm=perm)
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
             fractional_oracle(FractionalSpec(impostor, 0.5))
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
@@ -281,7 +287,7 @@ class TestPowers:
         dense = fourier_transform(2).dense
         with pytest.raises(TypeError, match="square_perm"):
             BaseTransform("bad", 2, 2, dense, square_perm=np.array([0, 3, 2, 1]))
-        assert BaseTransform("mine", 2, 2, dense).square_perm is None
+        assert BaseTransform("mine", 2, 2, dense)._perm is None
 
     def test_wrong_order_names_the_transform(self):
         # The table itself is unchecked; its two callers raise the named error.

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import count_calls, random_dyadic_unitary
 from qfrt import base_transforms, linalg, simulator
-from qfrt.base_transforms import BaseTransform, hartley_matrix, make_transform
+from qfrt.base_transforms import BaseTransform, hartley_transform, make_transform
 from qfrt.circuits import GateOp, circuit_unitary
 from qfrt.errors import NotDyadicOrderError
 from qfrt.fractional import (
@@ -162,7 +162,7 @@ def test_certified_oracle_is_a_gather_of_the_table(transform_id, size):
     assert vars(t)["dense"] is None
     for weights, got in oracles:
         expected = _dense_oracle(t, weights)
-        if t.square_perm is None:
+        if t._perm is None:
             assert got.tobytes() == expected.tobytes()
         else:
             assert np.max(np.abs(got - expected)) <= 1e-15
@@ -247,8 +247,7 @@ def test_power_sum_matches_the_matrix_powers(make, certified, monkeypatch):
         assert np.max(np.abs(t.power_sum(weights) - expected)) <= 1e-12
 
 
-KERNEL_FUNCTIONS = ("dft_matrix", "hartley_matrix", "dct4_matrix", "dst4_matrix",
-                    "_exponents", "_mod_layout", "_type4_layout", "_block_layout",
+KERNEL_FUNCTIONS = ("dft_matrix", "_exponents", "_mod_layout", "_type4_layout", "_block_layout",
                     "_cst1_layout", "_cst4_layout")
 
 
@@ -299,7 +298,7 @@ def test_power_op_matrix_is_built_once_and_read_only():
 
 
 def test_hand_built_kernel_is_not_certified():
-    t = BaseTransform("mine", 2, 1, hartley_matrix(4))
+    t = BaseTransform("mine", 2, 1, hartley_transform(2).dense)
     assert t.table_dev is None
     assert t.unitarity_dev == linalg.unitarity_dev(t.dense)
 
@@ -313,7 +312,7 @@ def test_repr_reads_only_what_is_built(transform_id, size):
     if size <= 3:  # once built, the repr shows it
         assert op.matrix is t.dense
         assert "dense=array" in repr(t) and "matrix=array" in repr(op)
-    # A transform built any other way holds no square_perm; its default shows.
-    hand = BaseTransform("mine", 1, 1, hartley_matrix(2))
+    # A hand-built kernel is stored when made, so its repr shows it.
+    hand = BaseTransform("mine", 1, 1, hartley_transform(1).dense)
     op = GateOp("unitary", targets=(0,), power=(hand, 1))
-    assert "square_perm=None" in repr(hand) and repr(hand) in repr(op)
+    assert "dense=array" in repr(hand) and repr(hand) in repr(op)

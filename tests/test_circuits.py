@@ -21,7 +21,6 @@ from qfrt.base_transforms import (
     cst4_transform,
     dft_matrix,
     fourier_transform,
-    hartley_matrix,
     hartley_transform,
 )
 from qfrt.circuits import (
@@ -228,56 +227,61 @@ class TestGateOpValidation:
         assert all(type(v) is int for v in (*op.targets, *op.controls, c.num_qubits))
 
 
-def direct_multiplexed(u, n):
-    """Independent assembly of diag(I, u, ..., u^(2^n - 1)) block by block."""
+def direct_multiplexed(u, n, inverse=False):
+    """Independent assembly of diag(I, v, ..., v^(2^n - 1)) block by block,
+    v = u or, with ``inverse``, its inverse u^dagger."""
     dim = u.shape[0]
+    v = u.conj().T if inverse else u
     out = np.zeros((dim << n, dim << n), dtype=complex)
     power = np.eye(dim, dtype=complex)
     for k in range(1 << n):
         out[k * dim:(k + 1) * dim, k * dim:(k + 1) * dim] = power
-        power = power @ u
+        power = power @ v
     return out
 
 
-def power_refs(u, order_exponent, n):
-    """The table ((t, 0), ..., (t, 2**n - 1)) over a hand-built transform t
-    of u, so every payload is a power from t's own table of products."""
+def hand_built(u, order_exponent):
+    """A hand-built transform of u, so every payload is a power from its own
+    table of products."""
     q = u.shape[0].bit_length() - 1
-    t = BaseTransform(f"hand{u.shape[0]}", q, order_exponent, u)
-    return [(t, k) for k in range(1 << n)]
+    return BaseTransform(f"hand{u.shape[0]}", q, order_exponent, u)
 
 
 class TestMultiplexedPowers:
     def test_fourier_powers(self):
         f = dft_matrix(4)
-        got = circuit_unitary(multiplexed_powers(power_refs(f, 2, 2)))
+        got = circuit_unitary(multiplexed_powers(hand_built(f, 2)))
         assert linalg.max_norm_diff(got, direct_multiplexed(f, 2)) <= 1e-10
 
     def test_hartley_single_selector(self):
-        dht = hartley_matrix(4)
-        got = circuit_unitary(multiplexed_powers(power_refs(dht, 1, 1)))
+        dht = hartley_transform(2).dense
+        got = circuit_unitary(multiplexed_powers(hand_built(dht, 1)))
         assert linalg.max_norm_diff(got, direct_multiplexed(dht, 1)) <= 1e-10
-
-    def test_zero_selectors_is_empty(self):
-        c = multiplexed_powers(power_refs(dft_matrix(4), 2, 0))
-        assert c.ops == ()
-        assert c.num_qubits == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_random_dyadic_operators(self, n):
         rng = np.random.default_rng(100 + n)
         u = random_dyadic_unitary(2, n, rng)
-        c = multiplexed_powers(power_refs(u, n, n))
+        c = multiplexed_powers(hand_built(u, n))
         for j, op in enumerate(c.ops):
             expected = np.linalg.matrix_power(u, 1 << j)
             assert linalg.max_norm_diff(op.matrix, expected) <= 1e-10
         got = circuit_unitary(c)
         assert linalg.max_norm_diff(got, direct_multiplexed(u, n)) <= 1e-10
 
-    def test_table_length_must_be_power_of_two(self):
-        for bad in ((), power_refs(dft_matrix(2), 2, 2)[:3]):
-            with pytest.raises(ValueError, match="power of two"):
-                multiplexed_powers(bad)
+    @pytest.mark.parametrize("n", [1, 2, 3, None], ids=["order2", "order4", "order8", "fourier"])
+    def test_inverse_puts_negative_powers_on_the_selector_bits(self, n):
+        if n is None:
+            t = fourier_transform(3)
+        else:
+            t = hand_built(random_dyadic_unitary(2, n, np.random.default_rng(110 + n)), n)
+        n, q = t.order_exponent, t.data_qubits
+        c = multiplexed_powers(t, inverse=True)
+        assert c.num_qubits == n + q
+        assert [op.controls for op in c.ops] == [(q + j,) for j in range(n)]
+        assert [op.power for op in c.ops] == [(t, -(1 << j) % t.order) for j in range(n)]
+        got = circuit_unitary(c)
+        assert linalg.max_norm_diff(got, direct_multiplexed(t.dense, n, inverse=True)) <= 1e-10
 
 
 class TestPhaseBlock:
@@ -401,8 +405,8 @@ class TestCircuitUnitary:
             qft_circuit(4, inverse=True),
             increment_circuit(3),
             phase_block(3, 1.3, -2 * math.pi / 8),
-            multiplexed_powers(power_refs(hartley_matrix(4), 1, 1)),
-            multiplexed_powers(power_refs(dft_matrix(2), 2, 2)),
+            multiplexed_powers(hand_built(hartley_transform(2).dense, 1)),
+            multiplexed_powers(hand_built(dft_matrix(2), 2)),
         ],
     )
     def test_builders_produce_unitaries(self, circuit):

@@ -3,13 +3,11 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import count_cached, count_calls
+from helpers import closed_form, count_cached, count_calls
 from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
     BaseTransform,
-    dct4_matrix,
     dft_matrix,
-    dst4_matrix,
     hartley_transform,
     make_transform,
 )
@@ -78,7 +76,8 @@ class TestDump:
         assert len(read(full_out).strip().splitlines()) == 4
 
     def test_cst4_selector_blocks(self, tmp_path):
-        for selector, expected in (("cos", dct4_matrix(4)), ("sin", dst4_matrix(4))):
+        blocks = closed_form("cst4", 2)
+        for selector, expected in (("cos", blocks[:4, :4]), ("sin", blocks[4:, 4:])):
             out = tmp_path / f"{selector}.txt"
             assert main(["dump", "--transform", "cst4", "--n", "2",
                          "--cst4-selector", selector, "--out", str(out)]) == 0
@@ -366,7 +365,7 @@ class TestSweep:
         assert self._count_tables(monkeypatch) == 0
 
     def test_hand_built_kernel_one_power_table_per_row(self, monkeypatch, capsys):
-        # The DFT kernel without square_perm: every row's oracle and distance
+        # The DFT kernel without its permutation: every row's oracle and distance
         # to the nearest integer power read the one product table its
         # transform keeps.
         monkeypatch.setattr(cli, "make_transform",

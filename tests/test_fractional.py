@@ -18,8 +18,9 @@ from qfrt.base_transforms import (
     fourier_transform,
     hartley_transform,
     make_transform,
+    verify_order,
 )
-from qfrt.circuits import GATE_TOL, GateOp, H, circuit_unitary, phase
+from qfrt.circuits import GATE_TOL, GateOp, H, circuit_unitary, multiplexed_powers, phase
 from qfrt.errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
@@ -175,7 +176,7 @@ def _product_table_oracle(base, alpha):
 
 
 def _hand_built(transform_id, order_exponent, q):
-    if transform_id == "fourier":  # the DFT kernel without square_perm
+    if transform_id == "fourier":  # the DFT kernel without Fourier's permutation
         return BaseTransform("fourier", q, 2, dft_matrix(1 << q))
     u = random_dyadic_unitary(1 << q, order_exponent, np.random.default_rng(q))
     return BaseTransform(transform_id, q, order_exponent, u)
@@ -234,8 +235,8 @@ def _no_fft(x, k):
 def _uncertified_builtin(transform_id, kernel):
     """A one-qubit builder's transform, layout, table and ``apply``, whose
     table has no certificate, as where np.longdouble is no wider than float64."""
-    t = base_transforms._builtin(transform_id, 1, 1, lambda: np.arange(4).reshape(2, 2),
-                                 lambda dtype: kernel.ravel(), _no_fft)
+    t = BaseTransform(transform_id, 1, 1, _layout=lambda: np.arange(4).reshape(2, 2),
+                      _values=lambda dtype: kernel.ravel(), _fft=_no_fft)
     vars(t)["table_dev"] = None
     return t
 
@@ -282,6 +283,14 @@ def test_every_entry_point_rejects_a_failing_transform(fault, message, entry):
         assert vars(t)["dense"] is None  # rejected from the certificate alone
 
 
+@pytest.mark.parametrize("entry", [lambda t: build_qfrin_circuit(t, 0.3), verify_order,
+                                   multiplexed_powers],
+                         ids=["build_qfrin_circuit", "verify_order", "multiplexed_powers"])
+def test_entry_point_names_an_argument_that_is_no_transform(entry):
+    with pytest.raises(ValueError, match="must be a BaseTransform, got ndarray"):
+        entry(np.eye(4))
+
+
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
 def test_one_unitary_payload_per_controlled_power(transform_id):
     # size is the data-qubit count for fourier/hartley, n = qubits - 1 for cst
@@ -290,10 +299,13 @@ def test_one_unitary_payload_per_controlled_power(transform_id):
         base = make_transform(transform_id, size)
         circuit = build_qfru_circuit(FractionalSpec(base, 0.7))
         payload_ops = [op for op in circuit.ops if op.name == "unitary"]
-        n = base.order_exponent
-        # n forward ops and n inverse ops, the top bit's op shared by both
-        assert len(payload_ops) == 2 * n
-        assert len({id(op) for op in payload_ops}) == 2 * n - 1
+        n, order = base.order_exponent, base.order
+        # n forward ops U**(2**j) and n inverse ops U**(-2**j mod order); the
+        # top bit's exponent, order/2, is the same in both
+        exponents = [op.power[1] for op in payload_ops]
+        assert exponents == [1 << j for j in range(n)] + [-(1 << j) % order for j in range(n)]
+        assert len(set(exponents)) == 2 * n - 1
+        assert all(op.power[0] is base for op in payload_ops)
         assert all(linalg.is_unitary(op.matrix, GATE_TOL) for op in payload_ops)
 
 
@@ -328,10 +340,10 @@ def test_periodic_at_large_alpha(shift):
 )
 def test_fourier_permuted_table_matches_product_table(q, alpha):
     # fourier_transform(q) builds F**2 and F**3 by row permutation; the same
-    # kernel without square_perm takes the repeated-product path.
+    # kernel without its permutation takes the repeated-product path.
     structured = FractionalSpec(fourier_transform(q), alpha)
     products = FractionalSpec(BaseTransform("fourier", q, 2, dft_matrix(1 << q)), alpha)
-    assert products.base.square_perm is None
+    assert products.base._perm is None
     oracles = [fractional_oracle(spec) for spec in (structured, products)]
     assert linalg.max_norm_diff(*oracles) <= 1e-12
     blocks = [
@@ -545,7 +557,7 @@ class TestQfrinCircuit:
         t = hartley_transform(2)
         c = build_qfrin_circuit(t, 0.3)
         assert [op.name for op in c.ops] == ["h", "unitary", "h", "p", "h", "unitary", "h"]
-        assert c.ops[1] is c.ops[5]
+        assert c.ops[1].power == c.ops[5].power == (t, 1)
         assert (c.ops[1].targets, c.ops[1].controls) == ((0, 1), (2,))
         assert np.array_equal(c.ops[1].matrix, t.dense)
         assert all(op.targets == (2,) for i, op in enumerate(c.ops) if i not in (1, 5))
@@ -553,7 +565,7 @@ class TestQfrinCircuit:
         assert c.marks == tuple((f"psi{i}", i) for i in range(8))
 
     def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'fourier' is not an involution"):
             build_qfrin_circuit(fourier_transform(2), 0.5)
 
 

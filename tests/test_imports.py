@@ -1,8 +1,9 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
 ``__init__`` re-exports, so it is left out), no private module-level name is
 left that nothing under ``src/qfrt/`` refers to, only ``linalg`` sets an
-array's flags or decides what is an integer, and only ``base_transforms``
-reads a transform's internals. Uses only the stdlib ``ast``."""
+array's flags or decides what is an integer, only ``base_transforms``
+reads a transform's internals, and only ``circuits.multiplexed_powers``
+makes a ``power`` payload op. Uses only the stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -102,7 +103,7 @@ def test_only_linalg_sets_array_flags(path):
 #: A transform's internals: what it stores to answer power, apply and
 #: power_sum, and its proof's working. Only base_transforms may read them.
 TRANSFORM_INTERNALS = frozenset(
-    {"square_perm", "table_dev", "_values", "_layout", "_fft", "_products", "_fault"})
+    {"_perm", "table_dev", "_values", "_layout", "_fft", "_products", "_fault"})
 
 
 def internal_reads(source: str) -> list[str]:
@@ -122,9 +123,9 @@ def internal_reads(source: str) -> list[str]:
 
 
 def test_checker_catches_a_read_of_a_transforms_internals():
-    source = "def f(t, w):\n    p = t.square_perm\n    return vars(t)['_layout'], t.power_sum(w)\n"
-    assert internal_reads(source) == ["line 2: square_perm", "line 3: _layout"]
-    assert internal_reads("t.apply(x, 1)\n'square_perm is private'\n") == []
+    source = "def f(t, w):\n    p = t._perm\n    return vars(t)['_layout'], t.power_sum(w)\n"
+    assert internal_reads(source) == ["line 2: _perm", "line 3: _layout"]
+    assert internal_reads("t.apply(x, 1)\n'_perm is private'\n") == []
 
 
 NOT_BASE_TRANSFORMS = sorted(p for p in SRC.glob("*.py") if p.name != "base_transforms.py")
@@ -169,3 +170,33 @@ def test_checker_catches_an_integer_test_of_its_own():
 def test_only_linalg_decides_what_is_an_integer(path):
     # linalg.check_int is the one integer rule for sizes, wires, indices and exponents.
     assert integer_rule_reads(path.read_text(encoding="utf-8")) == []
+
+
+def power_op_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing module-level definition, "" at module level) of each
+    call of ``GateOp`` or ``<module>.GateOp`` that passes ``power=``."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GateOp"
+                    and any(kw.arg == "power" for kw in node.keywords)):
+                found.append((node.lineno, where))
+    return found
+
+
+def test_checker_catches_a_power_op_made_elsewhere():
+    source = ("def multiplexed_powers(t):\n    return [GateOp('unitary', (0,), power=(t, 1))]\n"
+              "def f(t):\n    return circuits.GateOp('unitary', (0,), power=(t, 1))\n"
+              "op = GateOp('unitary', (0,), power=(t, 2))\nGateOp('h', (0,))\n")
+    assert power_op_calls(source) == [(2, "multiplexed_powers"), (4, "f"), (5, "")]
+    assert power_op_calls("GateOp('unitary', (0,), matrix=m)\nf(power=(t, 1))\n") == []
+
+
+def test_only_multiplexed_powers_makes_a_power_op():
+    # circuits.multiplexed_powers makes every payload op of the
+    # fractionalization circuits.
+    found = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for _, where in power_op_calls(path.read_text(encoding="utf-8"))]
+    assert found == [("circuits.py", "multiplexed_powers")]

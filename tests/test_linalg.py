@@ -6,7 +6,7 @@ import pytest
 
 from helpers import random_unitary
 from qfrt import linalg
-from qfrt.base_transforms import dft_matrix, hartley_matrix
+from qfrt.base_transforms import dft_matrix, hartley_transform
 from qfrt.circuits import BDAG, B, H, S, phase
 from qfrt.errors import DimensionError, QfrtError, QubitBudgetError
 
@@ -46,7 +46,7 @@ class TestMatrixPower:
         assert linalg.max_norm_diff(linalg.matrix_power(f, 4), np.eye(8)) <= 1e-10
 
     def test_hartley_is_involution(self):
-        dht = hartley_matrix(8)
+        dht = hartley_transform(3).dense
         assert linalg.max_norm_diff(linalg.matrix_power(dht, 2), np.eye(8)) <= 1e-10
 
     def test_negative_power_of_unitary(self):

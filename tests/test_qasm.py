@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_circuit
 from qfrt import linalg
-from qfrt.base_transforms import hartley_matrix, hartley_transform
+from qfrt.base_transforms import hartley_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary, increment_circuit, qft_circuit
 from qfrt.errors import ExportError
 from qfrt.fractional import build_qfrin_circuit
@@ -56,7 +56,7 @@ def test_random_circuits_round_trip():
 
 
 def test_wide_matrix_gate_rejected_with_diagnostic():
-    op = GateOp("unitary", targets=(0, 1, 2), matrix=hartley_matrix(8))
+    op = GateOp("unitary", targets=(0, 1, 2), matrix=hartley_transform(3).dense)
     with pytest.raises(ExportError, match=r"op 0: unitary on 3 qubits"):
         export_circuit(Circuit(3, (op,)))
 
