@@ -184,42 +184,57 @@ def _fourier_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return (np.fft.fft if k == 1 else np.fft.ifft)(x, axis=0, norm="ortho")
 
 
-def _hartley_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """H = ((1+i) F + (1-i) F**3) / 2, with F**3 x = (F x)[p]: one FFT."""
-    y = np.fft.fft(x, axis=0, norm="ortho")
-    return ((1 + 1j) * y + (1 - 1j) * y[parity]) / 2
+def _hartley_apply(x: np.ndarray, k: int) -> np.ndarray:
+    """H by one real FFT of x's float64 view y: for a real y, H y = Re(F y)
+    - Im(F y), and bin j > N/2 of F y is the conjugate of bin N - j, so rfft's
+    N/2 + 1 bins give every row."""
+    half = x.shape[0] // 2
+    f = np.fft.rfft(np.ascontiguousarray(x).view(np.float64), axis=0, norm="ortho")
+    out = np.empty((2 * half, 2 * x.shape[1]))
+    np.subtract(f.real, f.imag, out=out[: half + 1])
+    np.add(f.real[half - 1:0:-1], f.imag[half - 1:0:-1], out=out[half + 1:])
+    return out.view(complex)
 
 
 def _cst1_apply(x: np.ndarray, k: int) -> np.ndarray:
-    """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the even
-    extension of the cosine block and the odd extension of the sine block."""
+    """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the sum of the
+    even extension of the cosine block and the odd extension of the sine
+    block: the first's transform is real and the second's imaginary, so the
+    real part gives DCT-I and the imaginary part -DST-I."""
     big_n = x.shape[0] // 2
     y = np.ascontiguousarray(x).view(np.float64)
-    ext = np.zeros((2, 2 * big_n, y.shape[1]))
-    ext[0, : big_n + 1] = y[: big_n + 1]
-    ext[0, [0, big_n]] *= np.sqrt(2.0)  # 2 beta at the ends
-    ext[0, big_n + 1:] = ext[0, big_n - 1:0:-1]
-    ext[1, 1:big_n] = y[big_n + 1:]
-    ext[1, big_n + 1:] = -y[:big_n:-1]
-    spec = np.fft.rfft(ext, axis=1) / np.sqrt(2.0 * big_n)
+    ext = np.empty((2 * big_n, y.shape[1]))
+    ext[: big_n + 1] = y[: big_n + 1]
+    ext[[0, big_n]] *= np.sqrt(2.0)  # 2 beta at the ends
+    ext[big_n + 1:] = ext[big_n - 1:0:-1]
+    ext[1:big_n] += y[big_n + 1:]
+    ext[big_n + 1:] -= y[:big_n:-1]
+    spec = np.fft.rfft(ext, axis=0) / np.sqrt(2.0 * big_n)
     out = np.empty_like(y)
-    out[: big_n + 1] = spec[0].real
+    out[: big_n + 1] = spec.real
     out[[0, big_n]] /= np.sqrt(2.0)
-    out[big_n + 1:] = -spec[1, 1:big_n].imag
+    out[big_n + 1:] = -spec[1:big_n].imag
     return out.view(complex)
 
 
 def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """DCT-IV(N) (+) DST-IV(N) by one zero-padded 2N-point FFT (Makhoul,
-    IEEE TASSP 1980): sum_k y_k exp(-i pi (2j+1)(2k+1) / 4N) is
-    post_j FFT_2N(pre * y)_j, whose real part is the cosine and whose
-    negated imaginary part is the sine transform of a real y."""
-    big_n = len(pre)
+    """DCT-IV(N) (+) DST-IV(N) by one N/2-point complex FFT per block
+    (Makhoul, IEEE TASSP 1980). For a real y, with v_m = y_2m + i y_(N-1-2m),
+    V = post FFT_(N/2)(pre v) holds DCT-IV(y)_2p in Re V_p and
+    DCT-IV(y)_(N-1-2p) in -Im V_p; and DST-IV(y)_k = (-1)**k DCT-IV(y
+    reversed)_k, whose v swaps the two parts."""
+    big_n = 2 * len(pre)
     y = np.ascontiguousarray(x).view(np.float64).reshape(2, big_n, -1)
-    a = post * np.fft.fft(pre * y, n=2 * big_n, axis=1)[:, :big_n]
+    v = np.empty((2, big_n // 2, y.shape[2]), complex)
+    v.real[0], v.imag[0] = y[0, ::2], y[0, ::-2]
+    v.real[1], v.imag[1] = y[1, ::-2], y[1, ::2]
+    v *= pre
+    v = np.fft.fft(v, axis=1)
+    v *= post
     out = np.empty(y.shape)
-    out[0] = a[0].real
-    out[1] = -a[1].imag
+    out[:, ::2] = v.real
+    out[:, ::-2] = v.imag
+    out[0, ::-2] *= -1
     return out.reshape(2 * big_n, -1).view(complex)
 
 
@@ -488,10 +503,8 @@ def hartley_transform(q: int) -> BaseTransform:
     q = linalg.check_int("q", q, 1)
     linalg.check_qubit_budget(q)
     n_points = 1 << q
-    parity = -np.arange(n_points) % n_points
     return BaseTransform("hartley", q, 1, _layout=lambda: _mod_layout(n_points),
-                         _values=partial(_hartley_table, n_points),
-                         _fft=partial(_hartley_apply, parity))
+                         _values=partial(_hartley_table, n_points), _fft=_hartley_apply)
 
 
 def cst1_transform(n: int) -> BaseTransform:
@@ -509,9 +522,9 @@ def cst4_transform(n: int) -> BaseTransform:
     n = linalg.check_int("n", n, 1)
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    j = np.arange(big_n)[:, None]
-    pre = np.exp(-1j * np.pi * j / (2 * big_n))
-    post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (2 * j + 1) / (4 * big_n))
+    m = np.arange(big_n // 2)[:, None]
+    pre = np.exp(-1j * np.pi * m / big_n)
+    post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (4 * m + 1) / (4 * big_n))
     return BaseTransform("cst4", n + 1, 1, _layout=lambda: _cst4_layout(big_n),
                          _values=partial(_cst4_values, big_n),
                          _fft=partial(_cst4_apply, pre, post))

@@ -16,12 +16,15 @@ simulator is validated against. Its ``columns`` argument builds only the
 images of the first basis states: an ancilla circuit on ancilla |0...0>
 inputs needs just the first ``2**data_qubits``.
 
-The simulator runs a circuit's :meth:`Circuit.plan` instead: the same
-kernel's steps with their index work done once per circuit and set of
-traced boundaries, each maximal run of small gates between two such
-boundaries fused into one dense payload of at most :data:`FUSE_WIRES`
-wires, and each ``power`` op sent to its transform's
+The simulator runs a circuit's :meth:`Circuit.plan` instead, on one state
+or a block of columns: the same kernel's steps with their index work done
+once per circuit and set of traced boundaries, each maximal run of small
+gates between two such boundaries fused into one dense payload of at most
+:data:`FUSE_WIRES` wires, and each ``power`` op sent to its transform's
 :meth:`BaseTransform.apply`: a builder's FFT, a hand-built kernel's power.
+``verify --suite equivalence`` checks the circuit by that path, against the
+oracle; ``circuit_unitary`` stays the reference for the tests, ``dump
+--circuit-unitary`` and export checks.
 """
 from __future__ import annotations
 

@@ -176,25 +176,29 @@ def extract_data_block(full, num_ancillas: int, data_qubits: int):
     """Sub-matrix mapping ancilla-|0...0> inputs to ancilla-|0...0> outputs.
 
     ``full`` is either the circuit's whole (dim, dim) unitary, dim =
-    2**(num_ancillas + data_qubits), or just its (dim, 2**data_qubits) column
-    slice, the ancilla-|0...0> input columns that
-    ``circuit_unitary(c, columns=2**data_qubits)`` builds; both give the same
-    result. Returns ``(block, leakage)`` where leakage is the worst amplitude
-    norm any ancilla-|0...0> input column places outside that block; a correct
-    fractionalization circuit has leakage 0.
+    2**(num_ancillas + data_qubits), or the images of w of its
+    ancilla-|0...0> input columns, a (dim, w) block with 1 <= w <=
+    2**data_qubits: ``circuit_unitary(c, columns=w)``, or ``simulator.run``
+    of a block of such basis columns. Returns ``(block, leakage)``: block is
+    the data rows of those inputs, (2**data_qubits, w) (the square data block
+    for the whole unitary), and leakage the worst amplitude norm any of them
+    places outside it; a correct fractionalization circuit has leakage 0.
     """
     full = linalg.as_matrix(full)
     num_ancillas = linalg.check_int("num_ancillas", num_ancillas, 0)
     data_qubits = linalg.check_int("data_qubits", data_qubits, 0)
     dim = 1 << (num_ancillas + data_qubits)
     block_dim = 1 << data_qubits
-    if full.shape not in ((dim, dim), (dim, block_dim)):
+    rows, width = full.shape
+    if rows != dim or not (width <= block_dim or width == dim):
         raise DimensionError(
-            f"expected a {dim}x{dim} matrix or its {dim}x{block_dim} column slice "
-            f"for {num_ancillas}+{data_qubits} qubits, got {full.shape}"
+            f"expected a {dim}x{dim} matrix or its {dim}x{block_dim} column slice, or "
+            f"its first w < {block_dim} columns, for {num_ancillas}+{data_qubits} qubits, "
+            f"got {full.shape}"
         )
-    block = full[:block_dim, :block_dim].copy()
+    width = min(width, block_dim)
+    block = full[:block_dim, :width].copy()
     if dim == block_dim:
         return block, 0.0
-    leakage = float(np.max(np.linalg.norm(full[block_dim:, :block_dim], axis=0)))
+    leakage = float(np.max(np.linalg.norm(full[block_dim:, :width], axis=0)))
     return block, leakage

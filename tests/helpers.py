@@ -2,6 +2,7 @@
 import numpy as np
 
 from qfrt.circuits import Circuit, GateOp
+from qfrt.errors import DimensionError
 
 
 def random_unitary(dim, rng):
@@ -145,3 +146,25 @@ def count_cached(monkeypatch, cls, name):
 
     monkeypatch.setattr(prop, "func", counted)
     return calls
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Inverse of :func:`qfrt.linalg.format_matrix`."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise DimensionError("empty matrix text")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise DimensionError(f"bad header line: {lines[0]!r}")
+    rows, cols = int(header[0]), int(header[1])
+    if len(lines) - 1 != rows:
+        raise DimensionError(f"expected {rows} rows, got {len(lines) - 1}")
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, ln in enumerate(lines[1:]):
+        entries = ln.split()
+        if len(entries) != cols:
+            raise DimensionError(f"row {i}: expected {cols} entries, got {len(entries)}")
+        for j, tok in enumerate(entries):
+            re, im = tok.split(",")
+            out[i, j] = complex(float(re), float(im))
+    return out

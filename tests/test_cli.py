@@ -3,7 +3,7 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import closed_form, count_cached, count_calls
+from helpers import closed_form, count_cached, count_calls, parse_matrix
 from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
     BaseTransform,
@@ -12,7 +12,13 @@ from qfrt.base_transforms import (
     make_transform,
 )
 from qfrt.cli import main
-from qfrt.fractional import FractionalSpec, fractional_oracle
+from qfrt.circuits import Circuit, GateOp, circuit_unitary
+from qfrt.fractional import (
+    FractionalSpec,
+    build_qfru_circuit,
+    extract_data_block,
+    fractional_oracle,
+)
 from qfrt.qasm import import_circuit
 
 
@@ -31,7 +37,7 @@ class TestDump:
         out = tmp_path / "dht.txt"
         assert main(["dump", "--transform", "hartley", "--qubits", "2",
                      "--out", str(out)]) == 0
-        got = linalg.parse_matrix(read(out))
+        got = parse_matrix(read(out))
         expected = 0.5 * np.array(
             [[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]]
         )
@@ -44,20 +50,20 @@ class TestDump:
         expected = 0.5 * np.array(
             [[1, 1, 1, 1], [1, -1j, -1, 1j], [1, -1, 1, -1], [1, 1j, -1, -1j]]
         )
-        assert linalg.max_norm_diff(linalg.parse_matrix(read(out)), expected) <= 1e-12
+        assert linalg.max_norm_diff(parse_matrix(read(out)), expected) <= 1e-12
 
     def test_alpha_zero_oracle_is_identity(self, tmp_path):
         out = tmp_path / "id.txt"
         assert main(["dump", "--transform", "hartley", "--qubits", "2",
                      "--alpha", "0", "--out", str(out)]) == 0
-        got = linalg.parse_matrix(read(out))
+        got = parse_matrix(read(out))
         assert linalg.max_norm_diff(got, np.eye(4)) <= 1e-13
 
     def test_circuit_unitary_payload(self, tmp_path):
         out = tmp_path / "u.txt"
         assert main(["dump", "--transform", "hartley", "--qubits", "1",
                      "--alpha", "0.5", "--circuit-unitary", "--out", str(out)]) == 0
-        got = linalg.parse_matrix(read(out))
+        got = parse_matrix(read(out))
         assert got.shape == (4, 4)
         oracle = fractional_oracle(FractionalSpec(hartley_transform(1), 0.5))
         assert linalg.max_norm_diff(got[:2, :2], oracle) <= 1e-10
@@ -81,7 +87,7 @@ class TestDump:
             out = tmp_path / f"{selector}.txt"
             assert main(["dump", "--transform", "cst4", "--n", "2",
                          "--cst4-selector", selector, "--out", str(out)]) == 0
-            assert linalg.max_norm_diff(linalg.parse_matrix(read(out)), expected) <= 1e-14
+            assert linalg.max_norm_diff(parse_matrix(read(out)), expected) <= 1e-14
 
     def test_selector_needs_cst4(self, capsys):
         assert main(["dump", "--transform", "hartley", "--qubits", "1",
@@ -318,6 +324,42 @@ class TestVerify:
                      "--out", str(out)])
         assert code == 1
         assert any(r["pass"] == "false" for r in csv_rows(read(out)))
+
+    @pytest.mark.parametrize("transform_id,size", [
+        ("fourier", 3), ("hartley", 3), ("cst1", 2), ("cst4", 2)])
+    @pytest.mark.parametrize("chunk_columns", [0.5, 1, 3])
+    def test_equivalence_chunks_match_the_dense_reference(self, transform_id, size,
+                                                          chunk_columns, monkeypatch, capsys):
+        spec = FractionalSpec(make_transform(transform_id, size), 0.37)
+        dim, data = 1 << (spec.num_ancillas + spec.data_qubits), 1 << spec.data_qubits
+        monkeypatch.setattr(cli, "EQUIVALENCE_CHUNK", int(chunk_columns * dim))
+        runs = count_calls(monkeypatch, simulator, "run")
+        flag = "--qubits" if transform_id in ("fourier", "hartley") else "--n"
+        assert main(["verify", "--suite", "equivalence", "--transform", transform_id,
+                     flag, str(size), "--alpha", "0.37"]) == 0
+        got = float(csv_rows(capsys.readouterr().out)[0]["deviation"])
+        cols = circuit_unitary(build_qfru_circuit(spec), columns=data)
+        block, leakage = extract_data_block(cols, spec.num_ancillas, spec.data_qubits)
+        want = max(linalg.max_norm_diff(block, fractional_oracle(spec)), leakage)
+        assert abs(got - want) <= 1e-13
+        width = max(1, int(chunk_columns))
+        assert [a[1].shape for a in runs] == [
+            (dim, min(width, data - start)) for start in range(0, data, width)]
+
+    def test_equivalence_sees_a_phase_in_a_later_chunk(self, monkeypatch, capsys):
+        # A phase on the top data qubit moves only the upper half of the input
+        # columns, which the first of the 3-column chunks does not hold.
+        def perturbed(spec):
+            c = build_qfru_circuit(spec)
+            top = GateOp("p", targets=(spec.data_qubits - 1,), params=(1e-6,))
+            return Circuit(c.num_qubits, (top,) + c.ops)
+
+        monkeypatch.setattr(cli, "build_qfru_circuit", perturbed)
+        monkeypatch.setattr(cli, "EQUIVALENCE_CHUNK", 3 << 4)
+        assert main(["verify", "--suite", "equivalence", "--transform", "hartley",
+                     "--qubits", "3", "--alpha", "0.37"]) == 1
+        row = csv_rows(capsys.readouterr().out)[0]
+        assert row["pass"] == "false" and float(row["deviation"]) > 1e-7
 
     def test_tolerance_range_enforced(self, capsys):
         assert main(["verify", "--suite", "unitarity", "--transform", "hartley",

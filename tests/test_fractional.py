@@ -591,7 +591,7 @@ class TestExtractDataBlock:
         with pytest.raises(DimensionError):
             extract_data_block(np.eye(4), 2, 2)
 
-    @pytest.mark.parametrize("shape", [(16, 5), (16, 3), (4, 16), (16, 1)])
+    @pytest.mark.parametrize("shape", [(16, 5), (16, 15), (4, 16), (8, 1)])
     def test_shape_neither_square_nor_data_columns(self, shape):
         with pytest.raises(DimensionError, match=r"16x16 matrix or its 16x4 column slice"):
             extract_data_block(np.ones(shape), 2, 2)
@@ -612,6 +612,12 @@ class TestExtractDataBlock:
         block_s, leakage_s = extract_data_block(sliced, num_ancillas, data_qubits)
         assert np.array_equal(block_s, block)
         assert leakage_s == leakage
+        # Any leading w columns give the block's first w columns and their
+        # own worst leakage.
+        for w in range(1, 1 << data_qubits):
+            block_w, leakage_w = extract_data_block(full[:, :w], num_ancillas, data_qubits)
+            assert np.array_equal(block_w, block[:, :w])
+            assert leakage_w == max(np.linalg.norm(full[block.shape[0]:, :w], axis=0))
 
 
 def test_generic_dyadic_operator_with_three_ancillas():

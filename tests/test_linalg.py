@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import parse_matrix, random_unitary
 from qfrt import linalg
 from qfrt.base_transforms import dft_matrix, hartley_transform
 from qfrt.circuits import BDAG, B, H, S, phase
@@ -166,7 +166,7 @@ class TestMatrixText:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(42)
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.array_equal(linalg.parse_matrix(linalg.format_matrix(m)), m)
+        assert np.array_equal(parse_matrix(linalg.format_matrix(m)), m)
 
     def test_header_and_entry_layout(self):
         text = linalg.format_matrix(np.array([[1.0, 0.5j]]))
@@ -174,7 +174,7 @@ class TestMatrixText:
 
     def test_bad_row_count(self):
         with pytest.raises(DimensionError):
-            linalg.parse_matrix("2 2\n1,0 0,0\n")
+            parse_matrix("2 2\n1,0 0,0\n")
 
     @pytest.mark.parametrize(
         "text,message",
@@ -188,4 +188,4 @@ class TestMatrixText:
     )
     def test_malformed_text_names_what_is_wrong(self, text, message):
         with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-            linalg.parse_matrix(text)
+            parse_matrix(text)

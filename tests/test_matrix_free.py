@@ -29,13 +29,29 @@ def test_apply_matches_dense_power(transform_id, size):
     t = make_transform(transform_id, size)
     rng = np.random.default_rng(size)
     dim = t.dense.shape[0]
-    for cols in (1, 2, 64):
+    for cols in (1, 2, 3, 64):
         x = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
         x /= np.linalg.norm(x, axis=0)
         for k in range(1, t.order):
             got = t.apply(x, k)
             assert got.shape == x.shape and got.dtype == complex
             assert np.max(np.abs(got - t.power(k) @ x)) <= 1e-12
+
+
+@pytest.mark.parametrize("transform_id,size", [
+    ("fourier", 1), ("hartley", 1), ("cst1", 1), ("cst4", 1), ("cst1", 4), ("cst4", 4)])
+def test_apply_to_a_block_is_apply_to_each_column(transform_id, size):
+    # At n = 1, cst4's half-length FFT has length 1 and cst1's extension 4
+    # points; a built-in's apply takes its FFT at every size, with no kernel.
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    dim = 1 << t.data_qubits
+    x = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    for k in range(1, t.order):
+        got = t.apply(x, k)
+        for j in range(x.shape[1]):
+            assert np.max(np.abs(got[:, j:j + 1] - t.apply(x[:, j:j + 1], k))) <= 1e-12
+    assert vars(t)["dense"] is None
 
 
 def test_apply_reads_a_strided_block_without_writing_it():
@@ -77,6 +93,25 @@ def test_run_matches_circuit_unitary(transform_id, size, alphas):
             state[:data] = x[:, i]
             final, _ = simulator.run(circuit, state)
             assert np.max(np.abs(final - expected[:, i])) <= 1e-10
+
+
+#: One circuit per transform at up to 8 data qubits: (transform id, size).
+BLOCKS = [("fourier", 2), ("fourier", 8), ("hartley", 3), ("hartley", 8),
+          ("cst1", 2), ("cst1", 7), ("cst4", 2), ("cst4", 7)]
+
+
+@pytest.mark.parametrize("transform_id,size", BLOCKS)
+def test_run_on_a_block_matches_circuit_unitary(transform_id, size):
+    spec = FractionalSpec(make_transform(transform_id, size), 0.37)
+    circuit = build_qfru_circuit(spec)
+    data = 1 << spec.data_qubits
+    basis = np.eye(1 << circuit.num_qubits, data, dtype=complex)
+    final, _ = simulator.run(circuit, basis)
+    assert final.shape == basis.shape
+    assert np.max(np.abs(final - circuit_unitary(circuit, columns=data))) <= 1e-13
+    for j in range(data):
+        column, _ = simulator.run(circuit, basis[:, j])
+        assert np.max(np.abs(final[:, j] - column)) <= 1e-13
 
 
 #: Hand-built kernels, applied through their powers' matrices: (kernel,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,26 @@ class TestRun:
         state = random_state(4, np.random.default_rng(3)).reshape(4, 4)
         with pytest.raises(ValueError, match=r"shape \(4, 4\)"):
             run(Circuit(4, (GateOp("h", targets=(0,)),)), state)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (8, 0), (8, 1, 1), ()])
+    def test_a_state_or_block_needs_one_row_per_basis_state(self, shape):
+        # A wrong row count, a block of no columns, a 3-D array or a scalar.
+        with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
+            run(Circuit(3, (GateOp("h", targets=(0,)),)), np.ones(shape, dtype=complex))
+
+    def test_a_block_runs_each_column_and_keeps_its_shape(self):
+        rng = np.random.default_rng(12)
+        c = build_qfru_circuit(FractionalSpec(fourier_transform(2), 0.37))
+        block = np.stack([random_state(c.num_qubits, rng) for _ in range(3)], axis=1)
+        before = block.copy()
+        final, records = run(c, block, trace=True)
+        assert final.shape == block.shape and np.array_equal(block, before)
+        assert [r.state.shape for r in records] == [block.shape] * len(c.marks)
+        for j in range(block.shape[1]):
+            column, column_records = run(c, block[:, j], trace=True)
+            assert np.max(np.abs(final[:, j] - column)) <= 1e-13
+            for r, cr in zip(records, column_records):
+                assert r.label == cr.label and np.max(np.abs(r.state[:, j] - cr.state)) <= 1e-13
 
     def test_norm_preserved_through_long_random_circuit(self):
         rng = np.random.default_rng(8)
@@ -368,6 +390,15 @@ class TestRestorationProbability:
 def test_a_state_length_must_be_a_power_of_two(read, size):
     with pytest.raises(ValueError, match=f"^state length {size} is not a power of two$"):
         read(np.ones(size, dtype=complex))
+
+
+@pytest.mark.parametrize("read", [format_state,
+                                  lambda s: ancilla_restoration_probability(s, 1)],
+                         ids=["format_state", "ancilla_restoration_probability"])
+@pytest.mark.parametrize("shape", [(4, 4), (8, 1), ()])
+def test_a_block_or_scalar_is_not_a_state(read, shape):
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
+        read(np.ones(shape, dtype=complex))
 
 
 class TestFormatState:
