@@ -292,7 +292,8 @@ class BaseTransform:
     certificate the proof reads ``dense``. A builder also gives its
     ``numpy.fft`` kernel to :meth:`apply` and, for Fourier, the row
     permutation p = j -> -j mod N with dense**2 = I[p]. Other modules reach
-    U**k only by :meth:`power`, :meth:`apply` and :meth:`power_sum`.
+    U**k only by :meth:`power`, :meth:`apply`, :meth:`apply_sum` and
+    :meth:`power_sum`.
     """
 
     id: str
@@ -436,15 +437,56 @@ class BaseTransform:
         1 <= k < order goes to a builder's ``numpy.fft`` kernel, else to
         ``linalg.apply(power(k), x)``."""
         k = linalg.check_int("k", k) % self.order
-        x = np.asarray(x, dtype=complex)
-        if x.ndim != 2 or len(x) != 1 << self.data_qubits:
-            raise DimensionError(f"{self.id!r}: apply needs a ({1 << self.data_qubits}, "
-                                 f"cols) block, got shape {x.shape}")
+        x = self._block("apply", x)
         if k == 0:
             return x.copy()
         if self._fft is not None:
             return self._fft(x, k)
         return linalg.apply(self.power(k), x)
+
+    def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] U**k x over k < order, along axis 0 of an (N,
+        cols) block x, a new complex array: :meth:`power_sum` applied to x
+        with no N x N array, by one kernel application per block. With
+        Fourier's p, F**2 x = x[p] and F**3 x = F x[p], so the sum is w_0 x
+        + w_2 x[p] + F (w_1 x + w_3 x[p]), one FFT; otherwise it is the sum
+        of w_k :meth:`apply` (x, k)."""
+        weights = self._weights("apply_sum", weights)
+        x = self._block("apply_sum", x)
+        if self._perm is None:
+            out = weights[0] * x
+            for k in range(1, self.order):
+                term = self.apply(x, k)  # a new array, so scaled in place
+                term *= weights[k]
+                out += term
+            return out
+        xp = x[self._perm]
+        inner = weights[1] * x
+        inner += weights[3] * xp
+        out = self._fft(inner, 1)
+        del inner  # at most three arrays of x's size are alive at once
+        out += weights[0] * x
+        xp *= weights[2]
+        out += xp
+        return out
+
+    def _weights(self, caller: str, weights) -> np.ndarray:
+        """weights as an array of exactly ``order`` entries, else a
+        :class:`DimensionError` naming the transform and their shape."""
+        weights = np.asarray(weights)
+        if weights.shape != (self.order,):
+            raise DimensionError(f"{self.id!r}: {caller} needs {self.order} weights, "
+                                 f"got shape {weights.shape}")
+        return weights
+
+    def _block(self, caller: str, x) -> np.ndarray:
+        """x as a complex (N, cols) block, else a :class:`DimensionError`
+        naming the transform and x's shape."""
+        x = np.asarray(x, dtype=complex)
+        if x.ndim != 2 or len(x) != 1 << self.data_qubits:
+            raise DimensionError(f"{self.id!r}: {caller} needs a ({1 << self.data_qubits}, "
+                                 f"cols) block, got shape {x.shape}")
+        return x
 
     def power_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_k weights[k] U**k over k < order, a new array, for a checked U.
@@ -457,10 +499,7 @@ class BaseTransform:
         I[p]). No kernel or power is built. A hand-built kernel's sum is w_1
         U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order - 1..2.
         """
-        weights = np.asarray(weights)
-        if weights.shape != (self.order,):
-            raise DimensionError(f"{self.id!r}: power_sum needs {self.order} weights, "
-                                 f"got shape {weights.shape}")
+        weights = self._weights("power_sum", weights)
         if self._layout is None:
             out = weights[1] * self.dense
             out.flat[:: len(out) + 1] += weights[0]  # I

@@ -40,8 +40,10 @@ from .fractional import (
     build_qfrin_circuit,
     build_qfru_circuit,
     extract_data_block,
+    fractional_apply,
     fractional_oracle,
     shih_coefficients,
+    unitarity_bound,
 )
 
 SUITES = ("additivity", "unitarity", "equivalence", "restoration", "order",
@@ -211,11 +213,13 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     if suite == "additivity":
         for i in range(25):
             a, b = rng.uniform(0.0, order, size=2)
-            dev = linalg.max_norm_diff(oracle(a) @ oracle(b), oracle(a + b))
+            ab = fractional_apply(FractionalSpec(transform, a), oracle(b))
+            dev = linalg.max_norm_diff(ab, oracle(a + b))
             rows.append(ReportRow(f"pair{i:02d}", a, b, dev, tol))
     elif suite == "unitarity":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
-            dev = linalg.unitarity_dev(oracle(alpha))
+            spec = FractionalSpec(transform, alpha)
+            dev = unitarity_bound(spec, fractional_oracle(spec))
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev, tol))
     elif suite == "equivalence":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
@@ -292,7 +296,7 @@ def cmd_sweep(args) -> int:
         spec = FractionalSpec(transform, alpha)
         m = fractional_oracle(spec)
         coeff_sq = float(np.sum(np.abs(spec.coefficients.weights) ** 2))
-        unit_dev = linalg.unitarity_dev(m)
+        unit_dev = unitarity_bound(spec, m)
         weights = spec.coefficients.weights.copy()
         weights[int(round(alpha)) % order] -= 1  # FrU(alpha) - U**k, gathered
         dist = float(np.max(np.abs(transform.power_sum(weights))))

@@ -10,9 +10,13 @@ which interpolates the integer powers, is additive in alpha, and is
 N-periodic. :func:`fractional_oracle` evaluates it densely, by the
 transform's own :meth:`BaseTransform.power_sum`: for a built-in, one gather
 of its Shih-weighted roots table, with no kernel and no power built.
+:func:`fractional_apply` applies it to a block of columns matrix-free, by
+:meth:`BaseTransform.apply_sum`: for a built-in, one FFT per block. The same
+kernel applies FrU(alpha)^dagger in :func:`unitarity_bound`, which bounds
+max|m^dagger m - I| of an oracle with no Gram product.
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
-:func:`build_qfrin_circuit` is its n = 1 case, for involutions. All three
+:func:`build_qfrin_circuit` is its n = 1 case, for involutions. All five
 first call :meth:`BaseTransform.check`, the one proof, once per transform,
 that U and its powers are unitary and U**N = I: from a built-in's roots
 table in O(N), with no matrix product and no kernel; for a hand-built
@@ -111,6 +115,65 @@ def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     unless :meth:`BaseTransform.check` passes."""
     spec.base.check()
     return spec.base.power_sum(spec.coefficients.weights)
+
+
+def fractional_apply(spec: FractionalSpec, x: np.ndarray) -> np.ndarray:
+    """FrU(alpha) x along axis 0 of an (N, cols) block x, matrix-free, by
+    :meth:`BaseTransform.apply_sum` of the Shih weights. Raises
+    :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check` passes."""
+    spec.base.check()
+    return spec.base.apply_sum(spec.coefficients.weights, x)
+
+
+#: Most amplitudes of one column block of :func:`unitarity_bound`.
+_BOUND_BLOCK = 1 << 14
+
+
+def unitarity_bound(spec: FractionalSpec, m) -> float:
+    """An upper bound on max|m^dagger m - I| for m, a claimed FrU(alpha),
+    with no Gram product: O(N**2 log N) for a built-in.
+
+    A = FrU(alpha)^dagger = sum_k conj(c_k) U**-k is applied to column blocks
+    of m of at most ``_BOUND_BLOCK`` amplitudes by
+    :meth:`BaseTransform.apply_sum`, giving G = A m - I a block at a time.
+    For U unitary with U**order = I, as :meth:`BaseTransform.check` proves
+    within its tolerances, A A^dagger = I + E, E = sum_j (r_j - delta_j0)
+    U**j with r_j = sum_k conj(c_k) c_(k+j), so ||E||_2 <= eps = sum_j |r_j
+    - delta_j0|, and m^dagger m - I = G + G^dagger + G^dagger G +
+    (I+G)^dagger D (I+G) with D = (A A^dagger)**-1 - I, ||D||_2 <= eps / (1
+    - eps). Hence the bound 2 max|G| + s**2 + (1 + s)**2 eps / (1 - eps), s
+    the largest column norm of G; +inf if eps >= 1. Up to rounding it is
+    never below the dense value, and it also fails an m that is unitary but
+    not FrU(alpha).
+    """
+    t = spec.base
+    t.check()
+    m = linalg.as_matrix(m)
+    dim = 1 << t.data_qubits
+    if m.shape != (dim, dim):
+        raise DimensionError(f"{t.id!r}: unitarity_bound needs a ({dim}, {dim}) matrix, "
+                             f"got shape {m.shape}")
+    c = spec.coefficients.weights
+    k = np.arange(t.order)
+    auto = c.conj() @ c[(k[:, None] + k) % t.order]  # r_j, j along axis 1
+    auto[0] -= 1
+    eps = float(np.sum(np.abs(auto)))
+    if eps >= 1:
+        return math.inf
+    adjoint = c.conj()[-k % t.order]
+    width = max(1, _BOUND_BLOCK // dim)
+    g_sq = s_sq = 0.0  # the largest |G_ij|**2 and column norm**2 so far
+    for start in range(0, dim, width):
+        # A contiguous copy of the block: the gather and the FFT run faster on it.
+        g = t.apply_sum(adjoint, np.ascontiguousarray(m[:, start:start + width]))
+        cols = np.arange(g.shape[1])
+        g[start + cols, cols] -= 1
+        sq = g.real**2
+        sq += g.imag**2
+        g_sq = max(g_sq, float(sq.max()))
+        s_sq = max(s_sq, float(sq.sum(axis=0).max()))
+    s = math.sqrt(s_sq)
+    return 2 * math.sqrt(g_sq) + s_sq + (1 + s) ** 2 * eps / (1 - eps)
 
 
 def _shifted(ops, offset: int):

@@ -361,6 +361,32 @@ class TestVerify:
         row = csv_rows(capsys.readouterr().out)[0]
         assert row["pass"] == "false" and float(row["deviation"]) > 1e-7
 
+    @pytest.mark.parametrize("command", [
+        ["verify", "--suite", "unitarity", "--alpha-range=-1,3,0.7"],
+        ["sweep", "--alpha-range=-1,3,0.7"]], ids=["verify", "sweep"])
+    def test_unitarity_forms_no_gram_product(self, command, monkeypatch, capsys):
+        grams = count_calls(monkeypatch, linalg, "unitarity_dev")
+        bounds = count_calls(monkeypatch, cli, "unitarity_bound")
+        assert main(command + ["--transform", "cst1", "--n", "3"]) == 0
+        assert (len(grams), len(bounds)) == (0, 6)
+
+    @pytest.mark.parametrize("fault", ["scaled_row", "nearest_power"])
+    def test_unitarity_row_fails_a_faulty_oracle(self, fault, monkeypatch, capsys):
+        # A row scaled by 1 + 1e-6 is not unitary; U**round(alpha) is, so
+        # only a check against FrU(alpha) itself fails it.
+        def faulty(spec):
+            if fault == "nearest_power":
+                return spec.base.power(round(spec.alpha) % spec.order)
+            m = fractional_oracle(spec)
+            m[3] *= 1 + 1e-6
+            return m
+
+        monkeypatch.setattr(cli, "fractional_oracle", faulty)
+        assert main(["verify", "--suite", "unitarity", "--transform", "fourier",
+                     "--qubits", "3", "--alpha", "0.37"]) == 1
+        row = csv_rows(capsys.readouterr().out)[0]
+        assert row["pass"] == "false" and float(row["deviation"]) > 1e-8
+
     def test_tolerance_range_enforced(self, capsys):
         assert main(["verify", "--suite", "unitarity", "--transform", "hartley",
                      "--qubits", "1", "--tol", "0.5"]) == 2

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_cached, count_calls, random_dyadic_unitary, random_state
-from qfrt import base_transforms, cli, linalg
+from qfrt import base_transforms, cli, fractional, linalg
 from qfrt.base_transforms import (
     TRANSFORM_IDS,
     BaseTransform,
@@ -24,11 +24,14 @@ from qfrt.circuits import GATE_TOL, GateOp, H, circuit_unitary, multiplexed_powe
 from qfrt.errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
+    ShihCoefficients,
     build_qfrin_circuit,
     build_qfru_circuit,
     extract_data_block,
+    fractional_apply,
     fractional_oracle,
     shih_coefficients,
+    unitarity_bound,
 )
 
 DESK_TRANSFORMS = [
@@ -261,6 +264,10 @@ def _failing_transform(fault):
 
 ENTRY_POINTS = {
     "oracle": lambda t: fractional_oracle(FractionalSpec(t, 0.5)),
+    "apply": lambda t: fractional_apply(FractionalSpec(t, 0.5),
+                                        np.eye(1 << t.data_qubits, 1)),
+    # check() comes before the shape check, so any m reaches it.
+    "bound": lambda t: unitarity_bound(FractionalSpec(t, 0.5), np.eye(2)),
     "builder": lambda t: build_qfru_circuit(FractionalSpec(t, 0.5)),
     "power_op": lambda t: GateOp("unitary", targets=tuple(range(t.data_qubits)),
                                  power=(t, 1)),
@@ -653,3 +660,89 @@ def test_restoration_for_random_inputs():
         assert abs(prob - 1.0) <= 1e-10
         expected = fractional_oracle(spec) @ data
         assert np.max(np.abs(final[: data.size] - expected)) <= 1e-10
+
+
+#: Every transform at up to 8 data qubits (cst sizes are n, on n + 1 qubits).
+SMALL = [("fourier", q) for q in (1, 2, 3, 5, 8)] + [
+    ("hartley", q) for q in (1, 2, 4, 8)] + [
+    (t, n) for t in ("cst1", "cst4") for n in (1, 2, 4, 7)]
+
+#: Exponents for the matrix-free checks, several past 1e6 in magnitude.
+ALPHAS = (-4.6, -1.0, 0.0, 0.37, 1.5, 2.0, 3.3, 7.9, 1e6 + 0.37, -3e7 - 0.5, 4e12 + 0.5)
+
+
+@pytest.mark.parametrize("transform_id,size", SMALL)
+def test_fractional_apply_matches_the_dense_product(transform_id, size):
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    for _ in range(4):
+        a, b = rng.uniform(-t.order, 2 * t.order, size=2)
+        x = fractional_oracle(FractionalSpec(t, b))
+        want = fractional_oracle(FractionalSpec(t, a)) @ x
+        assert linalg.max_norm_diff(fractional_apply(FractionalSpec(t, a), x), want) <= 1e-13
+
+
+@pytest.mark.parametrize("transform_id,size", SMALL)
+def test_unitarity_bound_matches_the_dense_value(transform_id, size):
+    t = make_transform(transform_id, size)
+    for alpha in ALPHAS:
+        spec = FractionalSpec(t, alpha)
+        m = fractional_oracle(spec)
+        assert abs(unitarity_bound(spec, m) - linalg.unitarity_dev(m)) <= 1e-13
+
+
+@pytest.mark.parametrize("order_exponent,q", [(1, 2), (2, 3), (3, 2)])
+def test_unitarity_bound_of_a_hand_built_kernel(order_exponent, q):
+    rng = np.random.default_rng(order_exponent)
+    t = BaseTransform("mine", q, order_exponent,
+                      random_dyadic_unitary(1 << q, order_exponent, rng))
+    for alpha in ALPHAS:
+        spec = FractionalSpec(t, alpha)
+        m = fractional_oracle(spec)
+        assert abs(unitarity_bound(spec, m) - linalg.unitarity_dev(m)) <= 1e-13
+
+
+@pytest.mark.parametrize("transform_id,size", SMALL)
+def test_unitarity_bound_is_as_strict_as_the_dense_value(transform_id, size):
+    # One oracle row scaled by 1 + 1e-6: the bound reads the dense value,
+    # not half of it (2 max|G| is the leading term), and both fail 1e-10.
+    t = make_transform(transform_id, size)
+    for alpha in (0.37, 1.5, -2.9, 1e6 + 0.37):
+        spec = FractionalSpec(t, alpha)
+        m = fractional_oracle(spec)
+        m[len(m) // 3] *= 1 + 1e-6
+        dense, bound = linalg.unitarity_dev(m), unitarity_bound(spec, m)
+        assert dense > 1e-10 and 0.9 * dense <= bound <= 1.1 * dense
+
+
+@pytest.mark.parametrize("transform_id,size", SMALL)
+def test_unitarity_bound_fails_a_unitary_but_wrong_oracle(transform_id, size):
+    # U**round(alpha) is unitary, so the dense value passes it.
+    t = make_transform(transform_id, size)
+    for alpha in (0.37, 1.3, 2.6):
+        spec = FractionalSpec(t, alpha)
+        m = t.power(round(alpha) % t.order)
+        assert linalg.unitarity_dev(m) <= 1e-10 and unitarity_bound(spec, m) > 1e-3
+
+
+def test_unitarity_bound_reads_every_column_block(monkeypatch):
+    # Blocks of 3 columns, the last one short; a fault in the last column.
+    monkeypatch.setattr(fractional, "_BOUND_BLOCK", 3 << 4)
+    spec = FractionalSpec(make_transform("hartley", 4), 0.37)
+    m = fractional_oracle(spec)
+    assert unitarity_bound(spec, m) <= 1e-13
+    m[5, 15] += 1e-7
+    assert unitarity_bound(spec, m) > 1e-7
+
+
+def test_unitarity_bound_certifies_nothing_for_weights_far_from_unitary():
+    # With eps >= 1 the adjoint need not be invertible, so no bound holds.
+    spec = FractionalSpec(make_transform("hartley", 1), 0.37)
+    vars(spec)["coefficients"] = ShihCoefficients(2, 0.37, np.ones(2))
+    assert unitarity_bound(spec, np.eye(2)) == math.inf
+
+
+def test_unitarity_bound_rejects_a_wrong_shape():
+    spec = FractionalSpec(make_transform("cst4", 2), 0.37)
+    with pytest.raises(DimensionError, match=r"^'cst4': unitarity_bound needs a \(8, 8\) matrix"):
+        unitarity_bound(spec, np.eye(8, 4))

@@ -100,8 +100,9 @@ def test_only_linalg_sets_array_flags(path):
     assert setflags_calls(path.read_text(encoding="utf-8")) == []
 
 
-#: A transform's internals: what it stores to answer power, apply and
-#: power_sum, and its proof's working. Only base_transforms may read them.
+#: A transform's internals: what it stores to answer power, apply,
+#: apply_sum and power_sum, and its proof's working. Only base_transforms
+#: may read them.
 TRANSFORM_INTERNALS = frozenset(
     {"_perm", "table_dev", "_values", "_layout", "_fft", "_products", "_fault"})
 
@@ -133,7 +134,7 @@ NOT_BASE_TRANSFORMS = sorted(p for p in SRC.glob("*.py") if p.name != "base_tran
 
 @pytest.mark.parametrize("path", NOT_BASE_TRANSFORMS, ids=[p.name for p in NOT_BASE_TRANSFORMS])
 def test_only_base_transforms_reads_a_transforms_internals(path):
-    # Every other module reaches U**k through power, apply and power_sum.
+    # Every other module reaches U**k through power, apply, apply_sum and power_sum.
     assert internal_reads(path.read_text(encoding="utf-8")) == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from qfrt import base_transforms, circuits, linalg, simulator
 from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
+from qfrt.errors import DimensionError
 from qfrt.fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -62,6 +63,70 @@ def test_apply_reads_a_strided_block_without_writing_it():
     x = wide[:, ::3]
     assert np.max(np.abs(t.apply(x, 1) - t.dense @ x)) <= 1e-12
     assert np.array_equal(wide, before)
+
+
+#: (transform id, size) up to 8 data qubits, for apply_sum.
+SUM_KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8)] + [
+    ("hartley", q) for q in (1, 2, 3, 8)] + [
+    (t, n) for t in ("cst1", "cst4") for n in (1, 2, 3, 7)]
+
+
+def _block(rng, dim, cols):
+    x = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+    return x / np.linalg.norm(x, axis=0)
+
+
+def _weights(rng, order):
+    return rng.standard_normal(order) + 1j * rng.standard_normal(order)
+
+
+@pytest.mark.parametrize("transform_id,size", SUM_KERNELS)
+def test_apply_sum_matches_power_sum(transform_id, size):
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    dim = 1 << t.data_qubits
+    for cols in (1, 3, 64):
+        x = _block(rng, dim, cols)
+        for w in (_weights(rng, t.order), np.eye(t.order)[t.order - 1], np.ones(t.order)):
+            got = t.apply_sum(w, x)
+            assert got.shape == x.shape and got.dtype == complex
+            assert np.max(np.abs(got - t.power_sum(w) @ x)) <= 1e-13
+
+
+def test_apply_sum_reads_a_strided_block_without_writing_it():
+    rng = np.random.default_rng(2)
+    for t in (make_transform("fourier", 4), make_transform("cst1", 3)):
+        wide = _block(rng, 16, 6)
+        before = wide.copy()
+        x = wide[:, ::3]
+        w = _weights(rng, t.order)
+        assert np.max(np.abs(t.apply_sum(w, x) - t.power_sum(w) @ x)) <= 1e-13
+        assert np.array_equal(wide, before)
+
+
+@pytest.mark.parametrize("order_exponent,q", [(1, 3), (2, 2), (3, 3)])
+def test_apply_sum_of_a_hand_built_kernel(order_exponent, q):
+    # Orders 2, 4 and 8 with no _perm and no FFT: the sum of w_k apply(x, k).
+    rng = np.random.default_rng(order_exponent)
+    t = BaseTransform("mine", q, order_exponent,
+                      random_dyadic_unitary(1 << q, order_exponent, rng))
+    for cols in (1, 5):
+        x = _block(rng, 1 << q, cols)
+        w = _weights(rng, t.order)
+        assert np.max(np.abs(t.apply_sum(w, x) - t.power_sum(w) @ x)) <= 1e-13
+
+
+@pytest.mark.parametrize("weights", [np.ones(3), np.ones(8), np.ones((4, 1)), 1.0])
+def test_apply_sum_rejects_a_wrong_weight_shape(weights):
+    t = make_transform("fourier", 2)
+    with pytest.raises(DimensionError, match=r"^'fourier': apply_sum needs 4 weights, got shape"):
+        t.apply_sum(weights, np.eye(4, 1))
+
+
+def test_apply_sum_rejects_a_wrong_block_shape():
+    t = make_transform("hartley", 2)
+    with pytest.raises(DimensionError, match=r"^'hartley': apply_sum needs a \(4, cols\) block"):
+        t.apply_sum(np.ones(2), np.ones(4))
 
 
 #: Circuits of at most 10 qubits in all: (transform id, size, exponents).
