@@ -25,12 +25,10 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, NotDyadicOrderError, QfrtError
+from .linalg import GATE_TOL
 
 #: Tolerance for the order check U**(2**n) = I.
 ORDER_TOL = 1e-8
-
-#: Unitarity tolerance for a transform's kernel and for gate payloads.
-GATE_TOL = 1e-10
 
 #: Tolerance for eigenvalue residues against roots of unity.
 EIGEN_RESIDUE_TOL = 1e-6
@@ -170,21 +168,13 @@ def _entry_dev(values: Callable) -> float:
     return float(dev + margin)
 
 
-# Matrix-free kernels: U**k x along axis 0 of a complex (N, cols) block, by
-# numpy.fft only, for 1 <= k < order (BaseTransform.apply reduces k and
-# answers k = 0), so an involution's kernel sees only k = 1. The real kernels
-# act on the float64 view of x, its real and imaginary parts as separate
-# columns.
+# Matrix-free kernels: U x along axis 0 of a complex (N, cols) block, by
+# numpy.fft only; BaseTransform.apply makes every other power from them. The
+# real kernels act on the float64 view of x, its real and imaginary parts as
+# separate columns.
 
 
-def _fourier_apply(parity: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """F, F**2 = I[p] and F**3 = F**-1: the FFT, a row gather, the inverse FFT."""
-    if k == 2:
-        return x[parity]
-    return (np.fft.fft if k == 1 else np.fft.ifft)(x, axis=0, norm="ortho")
-
-
-def _hartley_apply(x: np.ndarray, k: int) -> np.ndarray:
+def _hartley_apply(x: np.ndarray) -> np.ndarray:
     """H by one real FFT of x's float64 view y: for a real y, H y = Re(F y)
     - Im(F y), and bin j > N/2 of F y is the conjugate of bin N - j, so rfft's
     N/2 + 1 bins give every row."""
@@ -196,7 +186,7 @@ def _hartley_apply(x: np.ndarray, k: int) -> np.ndarray:
     return out.view(complex)
 
 
-def _cst1_apply(x: np.ndarray, k: int) -> np.ndarray:
+def _cst1_apply(x: np.ndarray) -> np.ndarray:
     """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the sum of the
     even extension of the cosine block and the odd extension of the sine
     block: the first's transform is real and the second's imaginary, so the
@@ -217,7 +207,7 @@ def _cst1_apply(x: np.ndarray, k: int) -> np.ndarray:
     return out.view(complex)
 
 
-def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray) -> np.ndarray:
     """DCT-IV(N) (+) DST-IV(N) by one N/2-point complex FFT per block
     (Makhoul, IEEE TASSP 1980). For a real y, with v_m = y_2m + i y_(N-1-2m),
     V = post FFT_(N/2)(pre v) holds DCT-IV(y)_2p in Re V_p and
@@ -290,10 +280,11 @@ class BaseTransform:
     do. Its :attr:`table_dev` certifies the stored entries against their
     closed form in O(N), so :meth:`check` multiplies no matrix; without that
     certificate the proof reads ``dense``. A builder also gives its
-    ``numpy.fft`` kernel to :meth:`apply` and, for Fourier, the row
-    permutation p = j -> -j mod N with dense**2 = I[p]. Other modules reach
-    U**k only by :meth:`power`, :meth:`apply`, :meth:`apply_sum` and
-    :meth:`power_sum`.
+    ``numpy.fft`` kernel for U x and, for Fourier, the row permutation p = j
+    -> -j mod N with dense**2 = I[p]: every power of a built-in is U**(k mod
+    2) after p**(k div 2). A hand-built kernel's powers are its repeated
+    products. Other modules reach U**k only by :meth:`power`, :meth:`apply`,
+    :meth:`apply_sum` and :meth:`power_sum`.
     """
 
     id: str
@@ -302,12 +293,12 @@ class BaseTransform:
     dense: np.ndarray = _OnFirstRead()
     # A builder's index layout into its table, the table's distinct entries in
     # a given dtype (float64: dense is values(np.float64)[layout()];
-    # np.longdouble: the certificate's reference), its numpy.fft U**k x, and
+    # np.longdouble: the certificate's reference), its numpy.fft U x, and
     # Fourier's row permutation p, dense**2 = I[p].
     _layout: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
     _values: Callable[[type], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
-    _fft: Callable[[np.ndarray, int], np.ndarray] | None = field(
+    _fft: Callable[[np.ndarray], np.ndarray] | None = field(
         default=None, kw_only=True, repr=False)
     _perm: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
@@ -378,7 +369,7 @@ class BaseTransform:
         if not dev <= bound:  # a NaN fails too
             return f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
         g = self.unitarity_dev  # the power bound, see check()
-        if (self._perm is None and self.order > 2
+        if (self._layout is None and self.order > 2
                 and (1 + dim * g) ** (self.order - 1) - 1 > GATE_TOL):
             for k, power in enumerate(self._products, 2):
                 if not linalg.unitarity_dev(power) <= GATE_TOL:
@@ -401,12 +392,12 @@ class BaseTransform:
         U have norm <= sqrt(1 + g) <= 1 + G/2, and Cauchy-Schwarz on the rows
         of D gives |last U - I|_max <= sqrt(N) |D|_max (1 + G/2) + G, so
         |D|_max <= (ORDER_TOL - 2G) / sqrt(N) keeps it <= ORDER_TOL (< 2).
-        With Fourier's p, last = U[p]: U**2 = I[p], and U**4 = I as p
-        is an involution.
+        For a builder with Fourier's p, last = U[p]: U**2 = I[p], and U**4
+        = I as p is an involution.
 
         Powers: D_k = U**k^dagger U**k - I = D_(k-1) + U**(k-1)^dagger E U**(k-1),
         E = U^dagger U - I, ||E||_2 <= N g, gives |D_k|_max <= (1 + N g)**k - 1.
-        With Fourier's p each power permutes the rows of U or I; otherwise
+        A builder's powers permute the rows of U or I; a hand-built kernel's
         U**2 .. U**(order-1) are measured, only where that bound exceeds G.
         """
         if self._fault is not None:
@@ -414,60 +405,61 @@ class BaseTransform:
 
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, sealed, in the kernel's dtype. U**1 is
-        ``dense`` itself; for Fourier's p, U**2 and U**3 are the row
-        gathers I[p] and U[p]; otherwise U**k, k >= 2, is read from one table
-        of repeated products, made once per transform (never by a builder's)."""
+        ``dense`` itself; a builder's U**0 and U**2 are I and I[p], built
+        from its table's dtype with no kernel, and U**3 the row gather U[p];
+        a hand-built kernel's U**k, k >= 2, is read from one table of
+        repeated products, made once per transform."""
         k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
         if k == 1:
             return self.dense
-        if k > 1 and self._perm is None:
+        if k > 1 and self._layout is None:
             return self._products[k - 2]
         if k == 3:
-            out = self.dense[self._perm]
-        else:
-            dim = self.dense.shape[0]
-            cols = np.arange(dim) if k == 0 else self._perm
-            out = np.zeros((dim, dim), self.dense.dtype)
-            out[np.arange(dim), cols] = 1  # I, or I[p]
-        return linalg.sealed(out)
+            return linalg.sealed(self.dense[self._perm])
+        dtype = (self.dense if self._layout is None else self._values(np.float64)).dtype
+        eye = np.eye(1 << self.data_qubits, dtype=dtype)
+        return linalg.sealed(eye[self._perm] if k else eye)
 
     def apply(self, x: np.ndarray, k: int) -> np.ndarray:
         """U**k x, any integer k, along axis 0 of an (N, cols) block x, a new
-        complex array. k is reduced mod order once, here: k = 0 copies x, and
-        1 <= k < order goes to a builder's ``numpy.fft`` kernel, else to
+        complex array. k is reduced mod order once, here: k = 0 copies x; a
+        builder gathers x by p for k >= 2, then applies its ``numpy.fft``
+        kernel once for an odd k; a hand-built kernel is
         ``linalg.apply(power(k), x)``."""
         k = linalg.check_int("k", k) % self.order
         x = self._block("apply", x)
         if k == 0:
             return x.copy()
-        if self._fft is not None:
-            return self._fft(x, k)
-        return linalg.apply(self.power(k), x)
+        if self._layout is None:
+            return linalg.apply(self.power(k), x)
+        if k > 1:
+            x = x[self._perm]  # U**2 x, a new array
+        return self._fft(x) if k & 1 else x
 
     def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         """sum_k weights[k] U**k x over k < order, along axis 0 of an (N,
-        cols) block x, a new complex array: :meth:`power_sum` applied to x
-        with no N x N array, by one kernel application per block. With
-        Fourier's p, F**2 x = x[p] and F**3 x = F x[p], so the sum is w_0 x
-        + w_2 x[p] + F (w_1 x + w_3 x[p]), one FFT; otherwise it is the sum
-        of w_k :meth:`apply` (x, k)."""
+        cols) block x, a new complex array: :meth:`power_sum` applied to x.
+        A builder's sum takes one ``numpy.fft`` pass and no N x N array:
+        w_0 x + w_1 U x for an involution, w_0 x + w_2 x[p] + U (w_1 x + w_3
+        x[p]) with Fourier's p. A hand-built kernel's is
+        ``linalg.apply(power_sum(weights), x)``."""
         weights = self._weights("apply_sum", weights)
         x = self._block("apply_sum", x)
+        if self._layout is None:
+            return linalg.apply(self.power_sum(weights), x)
         if self._perm is None:
-            out = weights[0] * x
-            for k in range(1, self.order):
-                term = self.apply(x, k)  # a new array, so scaled in place
-                term *= weights[k]
-                out += term
-            return out
-        xp = x[self._perm]
-        inner = weights[1] * x
-        inner += weights[3] * xp
-        out = self._fft(inner, 1)
-        del inner  # at most three arrays of x's size are alive at once
+            out = self._fft(x)
+            out *= weights[1]
+        else:
+            xp = x[self._perm]
+            inner = weights[1] * x
+            inner += weights[3] * xp
+            out = self._fft(inner)
+            del inner  # at most three arrays of x's size are alive at once
         out += weights[0] * x
-        xp *= weights[2]
-        out += xp
+        if self._perm is not None:
+            xp *= weights[2]
+            out += xp
         return out
 
     def _weights(self, caller: str, weights) -> np.ndarray:
@@ -534,7 +526,7 @@ def fourier_transform(q: int) -> BaseTransform:
     parity = -np.arange(n_points) % n_points
     return BaseTransform("fourier", q, 2, _layout=lambda: _mod_layout(n_points),
                          _values=partial(_dft_table, n_points),
-                         _fft=partial(_fourier_apply, parity), _perm=parity)
+                         _fft=partial(np.fft.fft, axis=0, norm="ortho"), _perm=parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:

@@ -148,7 +148,7 @@ class GateOp:
                     f"payload shape {m.shape} does not fit {len(self.targets)} targets"
                 )
             if not linalg.is_unitary(m, GATE_TOL):
-                raise ValueError("matrix payload is not unitary within 1e-10")
+                raise ValueError(f"matrix payload is not unitary within {GATE_TOL}")
             object.__setattr__(self, "matrix", linalg.frozen(m))
         else:
             if self.name not in GATE_ARITY:

@@ -27,6 +27,8 @@ import numpy as np
 
 from . import linalg, qasm, simulator
 from .base_transforms import (
+    EIGEN_RESIDUE_TOL,
+    GATE_TOL,
     ORDER_TOL,
     BaseTransform,
     TRANSFORM_IDS,
@@ -36,6 +38,7 @@ from .base_transforms import (
 from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
+    _BOUND_BLOCK,
     FractionalSpec,
     build_qfrin_circuit,
     build_qfru_circuit,
@@ -49,7 +52,7 @@ from .fractional import (
 SUITES = ("additivity", "unitarity", "equivalence", "restoration", "order",
           "coefficients")
 
-_SUITE_DEFAULT_TOL = {"order": 1e-6}
+_SUITE_DEFAULT_TOL = {"order": EIGEN_RESIDUE_TOL}
 
 #: Most rows an ``--alpha-range`` may expand to; each row is at least one
 #: dense oracle, so a larger range is a typo, not a workload.
@@ -203,7 +206,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     if suite in ("additivity", "order") and (args.alpha, args.alpha_range) != (None, None):
         flag = "--alpha" if args.alpha is not None else "--alpha-range"
         raise ValueError(f"{flag} does not apply to --suite {suite}")
-    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(suite, 1e-10)
+    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(suite, GATE_TOL)
     order = transform.order
     rows = []
 
@@ -213,8 +216,11 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     if suite == "additivity":
         for i in range(25):
             a, b = rng.uniform(0.0, order, size=2)
-            ab = fractional_apply(FractionalSpec(transform, a), oracle(b))
-            dev = linalg.max_norm_diff(ab, oracle(a + b))
+            spec, ob, oab = FractionalSpec(transform, a), oracle(b), oracle(a + b)
+            # Column blocks as in unitarity_bound: no N x N temporaries.
+            width = max(1, _BOUND_BLOCK // len(ob))
+            dev = max(linalg.max_norm_diff(fractional_apply(spec, ob[:, j:j + width]),
+                                           oab[:, j:j + width]) for j in range(0, len(ob), width))
             rows.append(ReportRow(f"pair{i:02d}", a, b, dev, tol))
     elif suite == "unitarity":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):

@@ -17,11 +17,11 @@ max|m^dagger m - I| of an oracle with no Gram product.
 :func:`build_qfru_circuit` realizes the same operator coherently with an
 n-qubit ancilla register that is returned to |0...0> at the end, and
 :func:`build_qfrin_circuit` is its n = 1 case, for involutions. All five
-first call :meth:`BaseTransform.check`, the one proof, once per transform,
-that U and its powers are unitary and U**N = I: from a built-in's roots
-table in O(N), with no matrix product and no kernel; for a hand-built
-kernel by one product U^dagger U and one O(N**2) comparison of U**(N-1)
-with U^dagger.
+read a :class:`FractionalSpec`, which calls :meth:`BaseTransform.check` when
+made: the one proof, once per transform, that U and its powers are unitary
+and U**N = I, from a built-in's roots table in O(N), with no matrix product
+and no kernel; for a hand-built kernel by one product U^dagger U and one
+O(N**2) comparison of U**(N-1) with U^dagger.
 """
 from __future__ import annotations
 
@@ -75,7 +75,9 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
 
 @dataclass(frozen=True)
 class FractionalSpec:
-    """One fractional-transform instance: a base operator plus exponent alpha."""
+    """One fractional-transform instance: a base operator plus exponent alpha.
+    Making one proves the base by :meth:`BaseTransform.check`, so it raises
+    :class:`NotDyadicOrderError` unless that check passes."""
 
     base: BaseTransform
     alpha: float
@@ -85,6 +87,7 @@ class FractionalSpec:
             raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
         _reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
         linalg.check_qubit_budget(self.num_ancillas + self.data_qubits)
+        self.base.check()
 
     @property
     def num_ancillas(self) -> int:
@@ -111,17 +114,13 @@ class FractionalSpec:
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k, by
-    :meth:`BaseTransform.power_sum`. Raises :class:`NotDyadicOrderError`
-    unless :meth:`BaseTransform.check` passes."""
-    spec.base.check()
+    :meth:`BaseTransform.power_sum`."""
     return spec.base.power_sum(spec.coefficients.weights)
 
 
 def fractional_apply(spec: FractionalSpec, x: np.ndarray) -> np.ndarray:
     """FrU(alpha) x along axis 0 of an (N, cols) block x, matrix-free, by
-    :meth:`BaseTransform.apply_sum` of the Shih weights. Raises
-    :class:`NotDyadicOrderError` unless :meth:`BaseTransform.check` passes."""
-    spec.base.check()
+    :meth:`BaseTransform.apply_sum` of the Shih weights."""
     return spec.base.apply_sum(spec.coefficients.weights, x)
 
 
@@ -147,7 +146,6 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
     not FrU(alpha).
     """
     t = spec.base
-    t.check()
     m = linalg.as_matrix(m)
     dim = 1 << t.data_qubits
     if m.shape != (dim, dim):
@@ -200,10 +198,8 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     the one :meth:`BaseTransform.check`; none reads a matrix, so a built-in's
     kernel stays unbuilt. Acting on |0...0>|u> the result is |0...0>
     FrU(alpha)|u>; the stage boundaries are marked psi0..psi7 for tracing.
-    Raises :class:`NotDyadicOrderError` unless that check passes.
     """
     n, q, t = spec.num_ancillas, spec.data_qubits, spec.base
-    t.check()
     alpha = _reduce_alpha(spec.alpha, spec.order)
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (

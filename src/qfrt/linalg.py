@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DimensionError, QubitBudgetError
 
-#: Default tolerance for equality and unitarity checks.
-DEFAULT_TOL = 1e-10
+#: Unitarity tolerance for a transform's kernel and gate payloads, and the
+#: default of :func:`is_unitary` and of the CLI's ``verify`` rows.
+GATE_TOL = 1e-10
 
 #: Environment variable overriding the total-qubit budget.
 BUDGET_ENV_VAR = "QFRT_MAX_QUBITS"
@@ -118,7 +119,7 @@ def unitarity_dev(m) -> float:
     return float(dev)
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(m, tol: float = GATE_TOL) -> bool:
     """:func:`unitarity_dev` <= tol."""
     return unitarity_dev(m) <= tol
 

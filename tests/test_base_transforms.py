@@ -268,20 +268,57 @@ class TestPowers:
 
     @pytest.mark.parametrize("kernel", ["random", "fourier_identity_perm"])
     def test_permutation_of_another_kernel_rejected(self, kernel):
-        # The table (I, U, I[p], U[p]) is only as good as p; without a
-        # certificate, check() reads p U U = I and must catch a kernel whose
-        # square is not I[p]. Only fourier_transform passes p; here it comes
-        # with the wrong kernel.
+        # A builder's powers (I, U, I[p], U[p]) are only as good as p;
+        # without a certificate, check() reads p U U = I and must catch a
+        # builder-style transform whose square is not I[p]. Here p comes
+        # with the wrong table.
+        fourier = fourier_transform(3)
         if kernel == "random":
             u = random_dyadic_unitary(8, 2, np.random.default_rng(406))
-            perm = fourier_transform(3)._perm
+            layout, values, perm = (lambda: np.arange(64).reshape(8, 8),
+                                    lambda dtype: u.ravel(), fourier._perm)
         else:
-            u, perm = fourier_transform(3).dense, np.arange(8)
-        impostor = BaseTransform("impostor", 3, 2, u, _perm=perm)
+            layout, values, perm = fourier._layout, fourier._values, np.arange(8)
+        impostor = BaseTransform("impostor", 3, 2, _layout=layout, _values=values,
+                                 _fft=fourier._fft, _perm=perm)
+        vars(impostor)["table_dev"] = None
+        with pytest.raises(NotDyadicOrderError, match="'impostor' does not satisfy U"):
+            FractionalSpec(impostor, 0.5)
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
-            fractional_oracle(FractionalSpec(impostor, 0.5))
-        with pytest.raises(NotDyadicOrderError, match="'impostor'"):
-            build_qfru_circuit(FractionalSpec(impostor, 0.5))
+            impostor.check()
+
+    def test_hand_built_kernel_ignores_a_permutation(self):
+        # A hand-built kernel's powers are its products, with or without p.
+        u = random_dyadic_unitary(8, 2, np.random.default_rng(407))
+        t = BaseTransform("mine", 3, 2, u, _perm=fourier_transform(3)._perm)
+        t.check()
+        x = random_state(3, np.random.default_rng(408))[:, None]
+        for k in range(t.order):
+            product = np.linalg.matrix_power(u, k)
+            assert linalg.max_norm_diff(t.power(k), product) <= 1e-12
+            assert np.max(np.abs(t.apply(x, k) - product @ x)) <= 1e-12
+        plain = BaseTransform("mine", 3, 2, u)
+        assert np.array_equal(t.power(2), plain.power(2))
+        w = np.array([0.1, 0.2j, -0.3, 0.4])
+        assert np.array_equal(t.apply_sum(w, x), plain.apply_sum(w, x))
+        # Its proof measures those products too: U is unitary within 1e-10,
+        # U**2 is not.
+        leaky = BaseTransform("s", 2, 2, (1 + 4e-11) * dft_matrix(4),
+                              _perm=fourier_transform(2)._perm)
+        with pytest.raises(NotDyadicOrderError, match=r"'s' has U\*\*2 not unitary"):
+            leaky.check()
+
+    @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
+    def test_builtin_powers_build_no_kernel(self, transform_id):
+        t = make_transform(transform_id, 6 if transform_id in ("fourier", "hartley") else 5)
+        eye = t.power(0)
+        assert vars(t)["dense"] is None
+        assert np.array_equal(eye, np.eye(len(eye)))
+        if t.order == 4:
+            f2 = t.power(2)
+            assert vars(t)["dense"] is None
+            assert np.array_equal(f2, eye[-np.arange(64) % 64])
+        assert eye.dtype == t.dense.dtype
 
     def test_square_perm_is_not_a_constructor_argument(self):
         dense = fourier_transform(2).dense

@@ -298,6 +298,21 @@ class TestVerify:
         assert len(rows) == 25
         assert all(r["pass"] == "true" for r in rows)
 
+    @pytest.mark.parametrize("transform_id", ["fourier", "hartley"])
+    def test_additivity_in_column_blocks(self, transform_id, monkeypatch, capsys):
+        # Blocks of 3 columns of 16, the last one short: the CSV is the
+        # unblocked one, byte for byte.
+        args = ["verify", "--suite", "additivity", "--transform", transform_id,
+                "--qubits", "4"]
+        assert main(args) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_BOUND_BLOCK", 3 << 4)
+        blocks = count_calls(monkeypatch, cli, "fractional_apply")
+        assert main(args) == 0
+        assert capsys.readouterr().out == whole
+        assert len(blocks) == 25 * 6
+        assert {args[1].shape for args in blocks} == {(16, 3), (16, 1)}
+
     def test_order_suite_reports_exponent(self, tmp_path):
         out = tmp_path / "order.csv"
         assert main(["verify", "--suite", "order", "--transform", "cst4",

@@ -231,7 +231,7 @@ def test_additivity_suite_proves_the_kernel_once(monkeypatch, capsys):
         assert tables == [t] * len(tables)
 
 
-def _no_fft(x, k):
+def _no_fft(x):
     raise AssertionError("apply called")
 
 
@@ -263,10 +263,12 @@ def _failing_transform(fault):
 
 
 ENTRY_POINTS = {
+    # Making the spec proves its base, before oracle, apply, bound or builder runs.
+    "spec": lambda t: FractionalSpec(t, 0.5),
     "oracle": lambda t: fractional_oracle(FractionalSpec(t, 0.5)),
     "apply": lambda t: fractional_apply(FractionalSpec(t, 0.5),
                                         np.eye(1 << t.data_qubits, 1)),
-    # check() comes before the shape check, so any m reaches it.
+    # The spec's check() comes before the shape check, so any m reaches it.
     "bound": lambda t: unitarity_bound(FractionalSpec(t, 0.5), np.eye(2)),
     "builder": lambda t: build_qfru_circuit(FractionalSpec(t, 0.5)),
     "power_op": lambda t: GateOp("unitary", targets=tuple(range(t.data_qubits)),

@@ -2,8 +2,9 @@
 ``__init__`` re-exports, so it is left out), no private module-level name is
 left that nothing under ``src/qfrt/`` refers to, only ``linalg`` sets an
 array's flags or decides what is an integer, only ``base_transforms``
-reads a transform's internals, and only ``circuits.multiplexed_powers``
-makes a ``power`` payload op. Uses only the stdlib ``ast``."""
+reads a transform's internals, only ``circuits.multiplexed_powers``
+makes a ``power`` payload op, and only ``FractionalSpec`` and a ``power``
+op call a transform's ``check``. Uses only the stdlib ``ast``."""
 import ast
 from pathlib import Path
 
@@ -201,3 +202,40 @@ def test_only_multiplexed_powers_makes_a_power_op():
     found = [(path.name, where) for path in sorted(SRC.glob("*.py"))
              for _, where in power_op_calls(path.read_text(encoding="utf-8"))]
     assert found == [("circuits.py", "multiplexed_powers")]
+
+
+def check_calls(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing definitions joined by dots, "" at module level) of
+    each call of a ``check`` method."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "check"):
+                found.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_checker_catches_a_check_call():
+    source = ("class A:\n    def f(self):\n        g(self.base.check())\n"
+              "def h(t):\n    return t.check\n"
+              "t.check()\n")
+    assert check_calls(source) == [(3, "A.f"), (6, "")]
+    assert check_calls("check(t)\nt.checked()\n") == []
+
+
+def test_only_the_spec_and_a_power_op_prove_a_transform():
+    # FractionalSpec proves its base when made, for every fractional entry
+    # point; GateOp proves a power op's transform, which multiplexed_powers
+    # takes bare.
+    found = [(path.name, where) for path in sorted(SRC.glob("*.py"))
+             for _, where in check_calls(path.read_text(encoding="utf-8"))]
+    assert found == [("circuits.py", "GateOp._check_power"),
+                     ("fractional.py", "FractionalSpec.__post_init__")]
