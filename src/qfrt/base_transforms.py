@@ -35,12 +35,10 @@ EIGEN_RESIDUE_TOL = 1e-6
 
 
 def _exponents(j: np.ndarray, modulus: int) -> np.ndarray:
-    """The exponent table (j_a j_b) mod modulus, reduced exactly in integers."""
+    """The exponent table (j_a j_b) mod modulus, reduced exactly in integers
+    by a mask: every builder's modulus is a power of two."""
     exponents = np.outer(j, j)
-    if modulus & (modulus - 1):
-        exponents %= modulus
-    else:  # a power of two, as for every builder: the same, with no division
-        exponents &= modulus - 1
+    exponents &= modulus - 1
     return exponents
 
 
@@ -119,17 +117,6 @@ def _cst4_layout(big_n: int) -> np.ndarray:
     """The layout of DCT-IV(N) (+) DST-IV(N) into :func:`_cst4_values`."""
     layout = _type4_layout(big_n)
     return _block_layout(layout, layout + 4 * big_n, 8 * big_n)
-
-
-def dft_matrix(n_points: int) -> np.ndarray:
-    """DFT with kernel w = exp(-2 pi i / N): entry (j, k) = w**((j k) mod N) / sqrt(N).
-
-    The exponent j k is reduced exactly, in integers, and indexes a table of
-    the N roots, so no angle loses precision as j k grows and F**2 is the
-    permutation j -> -j mod N to within a few ulps. The builders' kernels
-    index their tables the same way.
-    """
-    return _dft_table(n_points)[_mod_layout(n_points)]
 
 
 def _cst1_values(big_n: int, dtype=np.float64) -> np.ndarray:
@@ -578,22 +565,25 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
     return _BUILDERS[transform_id](size)
 
 
-def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, float, float]:
+#: Largest exponent e :func:`verify_order` squares up to, U**(2**e) = I.
+MAX_ORDER_EXPONENT = 6
+
+
+def _order_and_residue(t: BaseTransform) -> tuple[int, float, float]:
     """:func:`verify_order`'s checks; returns its exponent e, the largest
     distance from an eigenvalue of the kernel to a 2**e-th root of unity, and
     |U**order - I|_max at the declared order, read off the same squarings
     (squaring past e only when the declared exponent is larger)."""
-    max_exponent = linalg.check_int("max_exponent", max_exponent, 0, 6)
     dim = t.dense.shape[0]
     eye = np.eye(dim, dtype=t.dense.dtype)
     power = t.dense
     devs = [linalg.max_norm_diff(power, eye)]  # devs[e] = |U**(2**e) - I|_max
-    while devs[-1] > ORDER_TOL and len(devs) <= max_exponent:
+    while devs[-1] > ORDER_TOL and len(devs) <= MAX_ORDER_EXPONENT:
         power = power @ power
         devs.append(linalg.max_norm_diff(power, eye))
     if devs[-1] > ORDER_TOL:
         raise NotDyadicOrderError(
-            f"{t.id}: no exponent e <= {max_exponent} with U**(2**e) = I"
+            f"{t.id}: no exponent e <= {MAX_ORDER_EXPONENT} with U**(2**e) = I"
         )
     found = len(devs) - 1
     while len(devs) <= t.order_exponent:
@@ -609,8 +599,8 @@ def _order_and_residue(t: BaseTransform, max_exponent: int = 6) -> tuple[int, fl
     return found, residue, devs[t.order_exponent]
 
 
-def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
-    """Smallest e with dense**(2**e) = I within 1e-8.
+def verify_order(t: BaseTransform) -> int:
+    """Smallest e <= :data:`MAX_ORDER_EXPONENT` with dense**(2**e) = I within 1e-8.
 
     Also checks that the spectrum sits on 2**e-th roots of unity within
     1e-6; the matrix-power identity is the normative test, the eigenvalue
@@ -618,4 +608,4 @@ def verify_order(t: BaseTransform, max_exponent: int = 6) -> int:
     """
     if not isinstance(t, BaseTransform):
         raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
-    return _order_and_residue(t, max_exponent)[0]
+    return _order_and_residue(t)[0]

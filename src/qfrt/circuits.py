@@ -6,10 +6,11 @@ highest index (the top wire of a diagram). A multi-qubit gate's ``targets``
 are ordered the same way: ``targets[i]`` holds the gate matrix's bit of
 place value ``2**i``. Controls fire on |1>.
 
-:func:`_apply_op` is the one gate-application kernel: it applies an op in
-place to a register held as a qubit tensor, through strided views, with no
-axis shuffling copy: a one-qubit gate updates its target's two halves in
-place, and any other op maps a targets-first transpose of the register.
+:func:`_op_step` is the one gate-application kernel: it builds an op's
+in-place update of a register held as a qubit tensor, through strided
+views, with no axis shuffling copy: a one-qubit gate updates its target's
+two halves in place, and any other op maps a targets-first transpose of
+the register.
 :func:`circuit_unitary` runs it op by op, sending every payload, ``power``
 ops included, through its matrix: it is the slow dense reference the
 simulator is validated against. Its ``columns`` argument builds only the
@@ -211,7 +212,7 @@ class Step:
     """One in-place update of a register in a circuit's plan: the circuit's
     ops[start:stop] as one op, the op itself or the fused ``"unitary"`` op
     of a group, with its index work done. ``apply(reg)`` runs it on a
-    [2]*n + [columns] register tensor (see :func:`_apply_op`)."""
+    [2]*n + [columns] register tensor (see :func:`_op_step`)."""
 
     op: GateOp
     start: int
@@ -295,7 +296,7 @@ def _fused(ops) -> GateOp:
     for op in ops:
         moved = replace(op, targets=[local[w] for w in op.targets],
                         controls=[local[w] for w in op.controls])
-        _apply_op(reg, moved, matrix_free=False)
+        _op_step(moved, len(wires), matrix_free=False)(reg)
     return GateOp("unitary", targets=wires, matrix=acc)
 
 
@@ -320,10 +321,12 @@ def multiplexed_powers(t: BaseTransform, inverse: bool = False) -> Circuit:
     return Circuit(n + q, ops)
 
 
-def phase_block(n: int, alpha: float, theta0: float) -> Circuit:
+def phase_block(n: int, alpha: float) -> Circuit:
     """Diagonal modulation diag(1, w**alpha, ..., w**((2**n - 1) alpha)) with
-    w = exp(i theta0): qubit j gets a phase gate of angle 2**j * alpha * theta0."""
+    w = exp(i theta0), theta0 = -2 pi / 2**n: qubit j gets a phase gate of
+    angle 2**j * alpha * theta0."""
     n = linalg.check_int("n", n, 1)
+    theta0 = -2.0 * math.pi / (1 << n)
     ops = tuple(
         GateOp("p", targets=(j,), params=(2**j * alpha * theta0,)) for j in range(n)
     )
@@ -360,21 +363,14 @@ def increment_circuit(n: int) -> Circuit:
     return Circuit(n, ops)
 
 
-def _apply_op(reg: np.ndarray, op: GateOp, matrix_free: bool) -> None:
-    """Apply op in place to a register held as a [2]*n + [columns] tensor:
-    axis a < n is qubit n-1-a (a C-order reshape of 2**n rows), the last
-    axis is carried along (1 for a single state). It builds the op's step
-    (:func:`_op_step`) and runs it: the one gate-application kernel, which
-    :func:`circuit_unitary` runs op by op and a :class:`Step` of a plan
-    holds ready made."""
-    _op_step(op, reg.ndim - 1, matrix_free)(reg)
-
-
 def _op_step(op: GateOp, n: int, matrix_free: bool) -> Callable[[np.ndarray], None]:
-    """The in-place update op makes of an n-qubit register tensor, with its
-    index work done: controls pick the |1> slice of their axes, and the op
-    then takes one of three paths, each writing through views of the
-    register:
+    """The in-place update op makes of an n-qubit register held as a [2]*n +
+    [columns] tensor, with its index work done: the one gate-application
+    kernel, which :func:`circuit_unitary` runs op by op and a :class:`Step`
+    of a plan holds ready made. Axis a < n is qubit n-1-a (a C-order
+    reshape of 2**n rows); the last axis is carried along (1 for a single
+    state). Controls pick the |1> slice of their axes, and the op then takes
+    one of three paths, each writing through views of the register:
 
     * a one-qubit gate that is not a ``power`` op updates the target's |0>
       and |1> halves of that slice in place (:func:`_mix_halves`);
@@ -443,7 +439,7 @@ def _mix_halves(g: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> None:
 def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     """Dense unitary of the whole circuit (the slow reference path): every
     op, a ``power`` op included, multiplies the identity columns by its
-    matrix through :func:`_apply_op`.
+    matrix through :func:`_op_step`.
 
     With ``columns=k`` (1 <= k <= 2**num_qubits) only the first k columns are
     built, starting from the first k columns of the identity: the result
@@ -456,5 +452,5 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     acc = np.eye(dim, columns, dtype=complex)
     reg = acc.reshape([2] * c.num_qubits + [columns])
     for op in c.ops:
-        _apply_op(reg, op, matrix_free=False)
+        _op_step(op, c.num_qubits, matrix_free=False)(reg)
     return acc

@@ -129,14 +129,6 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
     return _parse_alpha_range(args.alpha_range, "verify")
 
 
-def _build_circuit(transform: BaseTransform, alpha: float, kind: str):
-    # One circuit for every kind: qfrin is the qfru circuit behind an
-    # involution check, and auto applies that check to every involution.
-    if kind == "qfrin" or (kind == "auto" and transform.order_exponent == 1):
-        return build_qfrin_circuit(transform, alpha)
-    return build_qfru_circuit(FractionalSpec(transform, alpha))
-
-
 def _equivalence_dev(spec: FractionalSpec) -> float:
     """The largest deviation of the circuit's data block from the oracle, or
     leakage out of ancilla |0...0>, over the ancilla-|0...0> basis columns,
@@ -189,9 +181,6 @@ def cmd_dump(args) -> int:
         circuit = build_qfru_circuit(spec)
         final, _ = simulator.run(circuit, simulator.basis_state(circuit.num_qubits))
         _write(args.out, simulator.format_state(final, full=args.full))
-        return 0
-    if args.format == "circuit-text":
-        _write(args.out, qasm.export_circuit(_build_circuit(transform, args.alpha, "auto")))
         return 0
     if args.circuit_unitary:
         payload = circuit_unitary(build_qfru_circuit(spec))
@@ -320,7 +309,12 @@ def cmd_export(args) -> int:
     if args.kind == "qfrin" and transform.order_exponent != 1:
         raise ValueError(f"--kind qfrin does not apply to --transform {transform.id} "
                          f"(order {transform.order})")
-    circuit = _build_circuit(transform, args.alpha, args.kind)
+    # One circuit for every kind: qfrin is the qfru circuit behind an
+    # involution check, and auto applies that check to every involution.
+    if args.kind == "qfrin" or (args.kind == "auto" and transform.order_exponent == 1):
+        circuit = build_qfrin_circuit(transform, args.alpha)
+    else:
+        circuit = build_qfru_circuit(FractionalSpec(transform, args.alpha))
     _write(args.out, qasm.export_circuit(circuit))
     return 0
 
@@ -346,8 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump", help="write a dense matrix or a final state")
     add_common(p_dump)
     p_dump.add_argument(
-        "--format", choices=("matrix-text", "state-text", "circuit-text"),
-        default="matrix-text",
+        "--format", choices=("matrix-text", "state-text"), default="matrix-text",
     )
     p_dump.add_argument(
         "--circuit-unitary", action="store_true",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -106,11 +106,6 @@ class FractionalSpec:
         """The interpolation weights, :func:`shih_coefficients`, made once."""
         return shih_coefficients(self.order, self.alpha)
 
-    @property
-    def theta0(self) -> float:
-        """Phase-block unit angle: -2 pi / order."""
-        return -2.0 * math.pi / self.order
-
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k, by
@@ -177,15 +172,8 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
 def _shifted(ops, offset: int):
     """Re-home named-gate ops to qubits offset..: used to place
     ancilla-register circuits above the data register."""
-    return [
-        GateOp(
-            op.name,
-            targets=tuple(t + offset for t in op.targets),
-            controls=tuple(c + offset for c in op.controls),
-            params=op.params,
-        )
-        for op in ops
-    ]
+    return [replace(op, targets=[t + offset for t in op.targets],
+                    controls=[c + offset for c in op.controls]) for op in ops]
 
 
 def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
@@ -206,7 +194,7 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
         hadamards,
         multiplexed_powers(t).ops,
         _shifted(qft_circuit(n, inverse=True).ops, q),
-        _shifted(phase_block(n, alpha, spec.theta0).ops, q),
+        _shifted(phase_block(n, alpha).ops, q),
         _shifted(qft_circuit(n).ops, q),
         multiplexed_powers(t, inverse=True).ops,
         hadamards,

@@ -1,7 +1,7 @@
 """Statevector execution of circuits.
 
 :func:`run` executes the circuit's plan (:meth:`qfrt.circuits.Circuit.plan`)
-for the marks it traces: the steps of :func:`qfrt.circuits._apply_op`, the
+for the marks it traces: the steps of :func:`qfrt.circuits._op_step`, the
 kernel :func:`qfrt.circuits.circuit_unitary` runs on identity columns, built
 once per circuit and set of traced boundaries and applied in place through
 strided views of the state tensor. It takes one state or a (2**n, cols)

@@ -20,6 +20,14 @@ def random_dyadic_unitary(dim, n, rng):
     return v @ np.diag(phases) @ v.conj().T
 
 
+def dft_matrix(n_points):
+    """The n_points-point DFT, w**((j k) mod N) / sqrt(N) with w = exp(-2 pi
+    i / N), its exponent reduced in integers: for a power-of-two N, bit for
+    bit ``fourier_transform(log2 N).dense``."""
+    j = np.arange(n_points)
+    return np.exp(-2j * np.pi * (np.outer(j, j) % n_points) / n_points) / np.sqrt(n_points)
+
+
 def _direct_sum(a, b):
     out = np.zeros((len(a) + len(b),) * 2)
     out[: len(a), : len(a)] = a

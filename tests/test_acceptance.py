@@ -15,7 +15,6 @@ from qfrt import linalg, simulator
 from qfrt.base_transforms import (
     cst1_transform,
     cst4_transform,
-    dft_matrix,
     fourier_transform,
     hartley_transform,
     verify_order,
@@ -135,7 +134,7 @@ def test_criterion_6_gate_matrix_spot_checks():
     )
     f2_inv = f2.conj()
     devs = [
-        linalg.max_norm_diff(dft_matrix(4), f2),
+        linalg.max_norm_diff(fourier_transform(2).dense, f2),
         linalg.max_norm_diff(circuit_unitary(qft_circuit(2)), f2),
         linalg.max_norm_diff(circuit_unitary(qft_circuit(2, inverse=True)), f2_inv),
         linalg.max_norm_diff(R, H @ S @ H),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import closed_form, random_dyadic_unitary, random_state
+from helpers import closed_form, dft_matrix, random_dyadic_unitary, random_state
 from qfrt import linalg
 from qfrt.base_transforms import (
     TRANSFORM_IDS,
@@ -9,7 +9,6 @@ from qfrt.base_transforms import (
     _order_and_residue,
     cst1_transform,
     cst4_transform,
-    dft_matrix,
     fourier_transform,
     hartley_transform,
     make_transform,
@@ -72,11 +71,10 @@ class TestFourier:
         got = circuit_unitary(qft_circuit(q))
         assert linalg.max_norm_diff(got, fourier_transform(q).dense) <= 1e-8
 
-    @pytest.mark.parametrize("n_points", [1, 2, 3, 6, 8, 64, 1024])
+    @pytest.mark.parametrize("n_points", [1 << q for q in range(1, 11)])
     def test_entries_from_exponent_mod_n(self, n_points):
-        j = np.arange(n_points)
-        expected = np.exp(-2j * np.pi * (np.outer(j, j) % n_points) / n_points)
-        assert np.array_equal(dft_matrix(n_points), expected / np.sqrt(n_points))
+        got = fourier_transform(n_points.bit_length() - 1).dense
+        assert np.array_equal(got, dft_matrix(n_points))  # the closed form, bit for bit
 
     @pytest.mark.parametrize("q", [9, 10])
     def test_square_is_parity_permutation(self, q):
@@ -225,9 +223,24 @@ class TestVerifyOrder:
         expected = linalg.max_norm_diff(np.linalg.matrix_power(t.dense, t.order), np.eye(dim))
         assert abs(declared - expected) <= 1e-14
 
-    def test_max_exponent_cap(self):
-        with pytest.raises(ValueError):
-            verify_order(hartley_transform(1), max_exponent=7)
+    @pytest.mark.parametrize("e", [5, 6, 7])
+    def test_exponent_cap(self, e):
+        # diag(1, exp(2 pi i / 2**e)) has order exactly 2**e; 6 is the cap.
+        t = BaseTransform("rot", 1, 1, phase(2 * np.pi / (1 << e)))
+        if e <= 6:
+            assert verify_order(t) == e
+        else:
+            with pytest.raises(NotDyadicOrderError,
+                               match=r"^rot: no exponent e <= 6 with U\*\*\(2\*\*e\) = I$"):
+                verify_order(t)
+
+    def test_eigenvalue_residue_off_the_roots(self):
+        # |U - I|_max = 0.9e-8 is within ORDER_TOL, so e = 0, but the
+        # eigenvalue 1 + 256 * 0.9e-8 is 2.3e-6 off 1, past EIGEN_RESIDUE_TOL.
+        t = BaseTransform("skew", 8, 1, np.eye(256) + 0.9e-8 * np.ones((256, 256)))
+        with pytest.raises(NotDyadicOrderError) as info:
+            verify_order(t)
+        assert str(info.value) == "skew: eigenvalue residue 2.304e-06 off the 2**0-th roots"
 
 
 class TestPowers:

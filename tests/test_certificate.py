@@ -247,7 +247,7 @@ def test_power_sum_matches_the_matrix_powers(make, certified, monkeypatch):
         assert np.max(np.abs(t.power_sum(weights) - expected)) <= 1e-12
 
 
-KERNEL_FUNCTIONS = ("dft_matrix", "_exponents", "_mod_layout", "_type4_layout", "_block_layout",
+KERNEL_FUNCTIONS = ("_exponents", "_mod_layout", "_type4_layout", "_block_layout",
                     "_cst1_layout", "_cst4_layout")
 
 

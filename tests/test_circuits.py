@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dft_matrix,
     random_dyadic_unitary,
     random_state,
     random_unitary,
@@ -19,7 +20,6 @@ from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
     cst4_transform,
-    dft_matrix,
     fourier_transform,
     hartley_transform,
 )
@@ -34,7 +34,7 @@ from qfrt.circuits import (
     X,
     Y,
     Z,
-    _apply_op,
+    _op_step,
     circuit_unitary,
     increment_circuit,
     multiplexed_powers,
@@ -287,23 +287,23 @@ class TestMultiplexedPowers:
 class TestPhaseBlock:
     def test_two_qubit_factorization(self):
         alpha, theta0 = 0.7, -2 * math.pi / 4
-        got = circuit_unitary(phase_block(2, alpha, theta0))
+        got = circuit_unitary(phase_block(2, alpha))
         expected = np.kron(phase(2 * alpha * theta0), phase(alpha * theta0))
         assert linalg.max_norm_diff(got, expected) <= 1e-15
 
     def test_zero_alpha_is_identity(self):
-        got = circuit_unitary(phase_block(3, 0.0, -1.0))
+        got = circuit_unitary(phase_block(3, 0.0))
         assert linalg.max_norm_diff(got, np.eye(8)) == 0.0
 
     def test_single_qubit_pi_is_z(self):
-        got = circuit_unitary(phase_block(1, 1.0, -math.pi))
+        got = circuit_unitary(phase_block(1, 1.0))
         assert linalg.max_norm_diff(got, Z) <= 1e-15
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(-8, 8, allow_nan=False), n=st.integers(1, 3))
     def test_diagonal_entries(self, alpha, n):
         theta0 = -2 * math.pi / (1 << n)
-        got = circuit_unitary(phase_block(n, alpha, theta0))
+        got = circuit_unitary(phase_block(n, alpha))
         k = np.arange(1 << n)
         expected = np.diag(np.exp(1j * k * alpha * theta0))
         assert linalg.max_norm_diff(got, expected) <= 1e-12
@@ -404,7 +404,7 @@ class TestCircuitUnitary:
             qft_circuit(3),
             qft_circuit(4, inverse=True),
             increment_circuit(3),
-            phase_block(3, 1.3, -2 * math.pi / 8),
+            phase_block(3, 1.3),
             multiplexed_powers(hand_built(hartley_transform(2).dense, 1)),
             multiplexed_powers(hand_built(dft_matrix(2), 2)),
         ],
@@ -545,7 +545,7 @@ def test_kernel_allocates_at_most_one_accumulator_per_op():
         for op in circuit.ops:
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _apply_op(reg, op, matrix_free=False)
+            _op_step(op, circuit.num_qubits, matrix_free=False)(reg)
             peak = tracemalloc.get_traced_memory()[1] - start
             diagonal = op.name in ("z", "s", "p")
             assert peak <= (slack if diagonal else acc.nbytes + slack), (op, peak)

@@ -1,13 +1,15 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 
-from helpers import closed_form, count_cached, count_calls, parse_matrix
+from helpers import closed_form, count_cached, count_calls, dft_matrix, parse_matrix
 from qfrt import cli, fractional, linalg, simulator
 from qfrt.base_transforms import (
+    EIGEN_RESIDUE_TOL,
+    GATE_TOL,
     BaseTransform,
-    dft_matrix,
     hartley_transform,
     make_transform,
 )
@@ -206,18 +208,12 @@ def test_alpha_flags_a_command_ignores_are_rejected(command, flag, capsys):
     [(["--transform", "cst4", "--n", "1", "--alpha", "0.5", "--cst4-selector", "cos"],
       "--alpha does not apply to --cst4-selector"),
      (["--format", "state-text"], "--format state-text does not apply without --alpha"),
-     (["--format", "circuit-text"], "--format circuit-text does not apply without --alpha"),
      (["--circuit-unitary"], "--circuit-unitary does not apply without --alpha"),
      (["--alpha", "0.5", "--circuit-unitary", "--format", "state-text"],
       "--circuit-unitary does not apply to --format state-text"),
-     (["--alpha", "0.5", "--circuit-unitary", "--format", "circuit-text"],
-      "--circuit-unitary does not apply to --format circuit-text"),
-     (["--alpha", "0.5", "--full"], "--full does not apply to --format matrix-text"),
-     (["--alpha", "0.5", "--full", "--format", "circuit-text"],
-      "--full does not apply to --format circuit-text")],
-    ids=["selector_with_alpha", "state_text_no_alpha", "circuit_text_no_alpha",
-         "circuit_unitary_no_alpha", "circuit_unitary_state_text",
-         "circuit_unitary_circuit_text", "full_matrix_text", "full_circuit_text"],
+     (["--alpha", "0.5", "--full"], "--full does not apply to --format matrix-text")],
+    ids=["selector_with_alpha", "state_text_no_alpha", "circuit_unitary_no_alpha",
+         "circuit_unitary_state_text", "full_matrix_text"],
 )
 def test_dump_flags_the_output_ignores_are_rejected(argv, message, capsys):
     if "--transform" not in argv:
@@ -402,6 +398,14 @@ class TestVerify:
         row = csv_rows(capsys.readouterr().out)[0]
         assert row["pass"] == "false" and float(row["deviation"]) > 1e-8
 
+    def test_tol_help_gives_the_default_tolerances(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+        gate, order = re.search(r"\(default (\S+); order suite (\S+)\)", text).groups()
+        assert (float(gate), float(order)) == (GATE_TOL, EIGEN_RESIDUE_TOL)
+
     def test_tolerance_range_enforced(self, capsys):
         assert main(["verify", "--suite", "unitarity", "--transform", "hartley",
                      "--qubits", "1", "--tol", "0.5"]) == 2
@@ -543,14 +547,25 @@ class TestExport:
         assert capsys.readouterr().err == (
             "error: --kind qfrin does not apply to --transform fourier (order 4)\n")
 
-    def test_dump_circuit_text_matches_export(self, tmp_path):
-        a, b = tmp_path / "a.qasm", tmp_path / "b.qasm"
-        assert main(["dump", "--transform", "hartley", "--qubits", "1",
-                     "--alpha", "0.5", "--format", "circuit-text",
-                     "--out", str(a)]) == 0
-        assert main(["export", "--transform", "hartley", "--qubits", "1",
-                     "--alpha", "0.5", "--out", str(b)]) == 0
-        assert read(a) == read(b)
+    def test_dump_has_no_circuit_text_format(self, capsys):
+        # export is the one way to write a circuit
+        with pytest.raises(SystemExit) as info:
+            main(["dump", "--transform", "hartley", "--qubits", "1",
+                  "--alpha", "0.5", "--format", "circuit-text"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'circuit-text'" in captured.err
+
+    @pytest.mark.parametrize("size", [["hartley", "--qubits", "2"], ["cst4", "--n", "1"]],
+                             ids=["hartley", "cst4"])
+    def test_every_kind_exports_one_circuit_for_an_involution(self, size, monkeypatch, capsys):
+        qfrin = count_calls(monkeypatch, cli, "build_qfrin_circuit")
+        outs = []
+        for kind in ("auto", "qfru", "qfrin"):
+            assert main(["export", "--transform", *size, "--alpha", "1.3", "--kind", kind]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2] and outs[0].startswith("OPENQASM")
+        assert len(qfrin) == 2  # auto and qfrin build through the involution check
 
     def test_alpha_required(self, capsys):
         assert main(["export", "--transform", "hartley", "--qubits", "1"]) == 2

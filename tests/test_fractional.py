@@ -7,14 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import count_cached, count_calls, random_dyadic_unitary, random_state
+from helpers import count_cached, count_calls, dft_matrix, random_dyadic_unitary, random_state
 from qfrt import base_transforms, cli, fractional, linalg
 from qfrt.base_transforms import (
     TRANSFORM_IDS,
     BaseTransform,
     cst1_transform,
     cst4_transform,
-    dft_matrix,
     fourier_transform,
     hartley_transform,
     make_transform,
@@ -511,8 +510,15 @@ class TestQfruCircuit:
             FractionalSpec(hartley_transform(4), 0.5)
 
     def test_theta0(self):
-        assert FractionalSpec(hartley_transform(1), 0.5).theta0 == -math.pi
-        assert FractionalSpec(fourier_transform(1), 0.5).theta0 == -math.pi / 2
+        # The phase block (psi3..psi4) on ancilla j has angle 2**j alpha
+        # theta0, theta0 = -2 pi / order: -pi for n = 1, -pi / 2 for n = 2.
+        for t, theta0 in ((hartley_transform(1), -math.pi), (fourier_transform(1), -math.pi / 2)):
+            c = build_qfru_circuit(FractionalSpec(t, 0.5))
+            marks = dict(c.marks)
+            block = c.ops[marks["psi3"]:marks["psi4"]]
+            n = t.order_exponent
+            assert [(op.name, op.targets) for op in block] == [("p", (1 + j,)) for j in range(n)]
+            assert [op.params for op in block] == [(2**j * 0.5 * theta0,) for j in range(n)]
 
 
 class TestQfrinCircuit:

@@ -17,7 +17,6 @@ from qfrt.base_transforms import (
     fourier_transform,
     hartley_transform,
     make_transform,
-    verify_order,
 )
 from qfrt.circuits import (
     Circuit,
@@ -81,7 +80,7 @@ ENTRY_POINTS = [
     ("GateOp_power", lambda v: GateOp("unitary", targets=(0, 1), power=(fourier_transform(2), v)),
      "power of 'fourier'", 1, 4),
     ("Circuit", Circuit, "num_qubits", 2, 0),
-    ("phase_block", lambda v: phase_block(v, 0.3, 0.5), "n", 2, 0),
+    ("phase_block", lambda v: phase_block(v, 0.3), "n", 2, 0),
     ("qft_circuit", qft_circuit, "n", 2, 0),
     ("increment_circuit", increment_circuit, "n", 2, 0),
     ("circuit_unitary", lambda v: circuit_unitary(qft_circuit(2), columns=v), "columns", 2, 5),
@@ -94,7 +93,6 @@ ENTRY_POINTS = [
     ("extract_data_block_data_qubits", lambda v: extract_data_block(_EIGHT, 1, v),
      "data_qubits", 2, -1),
     ("shih_coefficients", lambda v: shih_coefficients(v, 0.3), "order", 4, 1),
-    ("verify_order", lambda v: verify_order(hartley_transform(1), v), "max_exponent", 1, 7),
     ("qct4_gate_level", lambda v: qct4_gate("l", v, 2), "j", 1, 3),
     ("qct4_gate_n", lambda v: qct4_gate("c", n=v), "n", 2, 0),
     ("matrix_power", lambda v: linalg.matrix_power(np.eye(2), v), "k", 2, None),

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import parse_matrix, random_unitary
+from helpers import dft_matrix, parse_matrix, random_unitary
 from qfrt import linalg
-from qfrt.base_transforms import dft_matrix, hartley_transform
+from qfrt.base_transforms import hartley_transform
 from qfrt.circuits import BDAG, B, H, S, phase
 from qfrt.errors import DimensionError, QfrtError, QubitBudgetError
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfrt import base_transforms, circuits, linalg, simulator
-from qfrt.base_transforms import BaseTransform, dft_matrix, make_transform
+from qfrt.base_transforms import BaseTransform, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.errors import DimensionError
 from qfrt.fractional import (
@@ -17,7 +17,7 @@ from qfrt.fractional import (
     fractional_oracle,
 )
 
-from helpers import count_cached, count_calls, random_dyadic_unitary
+from helpers import count_cached, count_calls, dft_matrix, random_dyadic_unitary
 
 #: (transform id, size) up to 10 data qubits; cst sizes are n, on n + 1 qubits.
 KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8, 10)] + [
@@ -229,8 +229,8 @@ def test_hand_built_apply_is_its_matrix_bit_for_bit(kernel, order_exponent, q):
         if op.power is not None:
             reg = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             by_apply, by_matrix = reg.copy(), reg.copy()
-            circuits._apply_op(by_apply, op, matrix_free=True)
-            circuits._apply_op(by_matrix, op, matrix_free=False)
+            circuits._op_step(op, circuit.num_qubits, matrix_free=True)(by_apply)
+            circuits._op_step(op, circuit.num_qubits, matrix_free=False)(by_matrix)
             assert by_apply.tobytes() == by_matrix.tobytes()
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from helpers import (
     count_calls,
+    dft_matrix,
     embedded_op_matrix,
     random_circuit,
     random_state,
 )
 from qfrt import circuits, linalg
-from qfrt.base_transforms import BaseTransform, dft_matrix, fourier_transform, hartley_transform
-from qfrt.circuits import FUSE_WIRES, Circuit, GateOp, _apply_op, circuit_unitary
+from qfrt.base_transforms import BaseTransform, fourier_transform, hartley_transform
+from qfrt.circuits import FUSE_WIRES, Circuit, GateOp, _op_step, circuit_unitary
 from qfrt.fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -299,7 +300,7 @@ class TestPlan:
         reg = state.reshape([2] * n + [1]).copy()
         for op in circuit.ops:
             prefix_u.append(embedded_op_matrix(op, n) @ prefix_u[-1])
-            _apply_op(reg, op, matrix_free=True)
+            _op_step(op, n, matrix_free=True)(reg)
             op_by_op.append(reg.ravel().copy())
         for trace in _selections(circuit, rng):
             final, records = run(circuit, state, trace=trace)
