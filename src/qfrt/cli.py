@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, qasm, simulator
+from . import fractional, linalg, qasm, simulator
 from .base_transforms import (
     EIGEN_RESIDUE_TOL,
     GATE_TOL,
@@ -38,11 +38,10 @@ from .base_transforms import (
 from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
-    _BOUND_BLOCK,
+    _COLUMN_BLOCK,
     FractionalSpec,
     build_qfrin_circuit,
     build_qfru_circuit,
-    extract_data_block,
     fractional_apply,
     fractional_oracle,
     shih_coefficients,
@@ -58,9 +57,8 @@ _SUITE_DEFAULT_TOL = {"order": EIGEN_RESIDUE_TOL}
 #: dense oracle, so a larger range is a typo, not a workload.
 MAX_ALPHA_ROWS = 100_000
 
-#: Most amplitudes one chunk of ``verify --suite equivalence`` runs through
-#: the circuit at once, 1 MiB of complex128; a chunk holds at least one column.
-EQUIVALENCE_CHUNK = 1 << 16
+#: Not called here; ``bench/tracer.py`` traces it by the name ``cli.extract_data_block``.
+extract_data_block = fractional.extract_data_block
 
 
 @dataclass(frozen=True)
@@ -130,34 +128,34 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
 
 
 def _equivalence_dev(spec: FractionalSpec) -> float:
-    """The largest deviation of the circuit's data block from the oracle, or
-    leakage out of ancilla |0...0>, over the ancilla-|0...0> basis columns,
-    run through ``simulator.run`` in chunks of at most
-    :data:`EQUIVALENCE_CHUNK` amplitudes."""
+    """The largest deviation max|final[:2**q] - oracle columns| or leakage
+    (column norm of final[2**q:]) of ``simulator.run`` on the 2**q
+    ancilla-|0...0> basis columns, in blocks of max(1, _COLUMN_BLOCK // 2**q)
+    columns compared in place; NaN if any block's output holds a NaN."""
     circuit, oracle = build_qfru_circuit(spec), fractional_oracle(spec)
     dim, data = 1 << circuit.num_qubits, 1 << spec.data_qubits
-    width = max(1, EQUIVALENCE_CHUNK // dim)
-    dev = 0.0
+    width = max(1, _COLUMN_BLOCK // data)
+    devs = []
     for start in range(0, data, width):
         stop = min(start + width, data)
         final, _ = simulator.run(circuit, np.eye(dim, stop - start, -start, dtype=complex))
-        block, leakage = extract_data_block(final, spec.num_ancillas, spec.data_qubits)
-        dev = max(dev, linalg.max_norm_diff(block, oracle[:, start:stop]), leakage)
-    return dev
+        devs.append(np.abs(final[:data] - oracle[:, start:stop]).max())
+        devs.append(np.linalg.norm(final[data:], axis=0).max())
+    return float(np.max(devs))
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_dump(args) -> int:
-    fmt, fractional = f"--format {args.format}", args.alpha is not None
+    fmt, has_alpha = f"--format {args.format}", args.alpha is not None
     # Each flag a dump would ignore is an error, the first one found reported.
     for ignored, message in (
         (args.alpha_range is not None, "--alpha-range does not apply to dump"),
-        (fractional and args.cst4_selector is not None,
+        (has_alpha and args.cst4_selector is not None,
          "--alpha does not apply to --cst4-selector"),
-        (not fractional and args.format != "matrix-text", f"{fmt} does not apply without --alpha"),
-        (not fractional and args.circuit_unitary,
+        (not has_alpha and args.format != "matrix-text", f"{fmt} does not apply without --alpha"),
+        (not has_alpha and args.circuit_unitary,
          "--circuit-unitary does not apply without --alpha"),
         (args.circuit_unitary and args.format != "matrix-text",
          f"--circuit-unitary does not apply to {fmt}"),
@@ -206,8 +204,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
         for i in range(25):
             a, b = rng.uniform(0.0, order, size=2)
             spec, ob, oab = FractionalSpec(transform, a), oracle(b), oracle(a + b)
-            # Column blocks as in unitarity_bound: no N x N temporaries.
-            width = max(1, _BOUND_BLOCK // len(ob))
+            width = max(1, _COLUMN_BLOCK // len(ob))
             dev = max(linalg.max_norm_diff(fractional_apply(spec, ob[:, j:j + width]),
                                            oab[:, j:j + width]) for j in range(0, len(ob), width))
             rows.append(ReportRow(f"pair{i:02d}", a, b, dev, tol))

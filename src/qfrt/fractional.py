@@ -119,8 +119,9 @@ def fractional_apply(spec: FractionalSpec, x: np.ndarray) -> np.ndarray:
     return spec.base.apply_sum(spec.coefficients.weights, x)
 
 
-#: Most amplitudes of one column block of :func:`unitarity_bound`.
-_BOUND_BLOCK = 1 << 14
+#: Data amplitudes (256 KiB) of one block of ``max(1, _COLUMN_BLOCK // 2**q)``
+#: columns in :func:`unitarity_bound` and the additivity and equivalence suites.
+_COLUMN_BLOCK = 1 << 14
 
 
 def unitarity_bound(spec: FractionalSpec, m) -> float:
@@ -128,7 +129,7 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
     with no Gram product: O(N**2 log N) for a built-in.
 
     A = FrU(alpha)^dagger = sum_k conj(c_k) U**-k is applied to column blocks
-    of m of at most ``_BOUND_BLOCK`` amplitudes by
+    of m of at most ``_COLUMN_BLOCK`` amplitudes by
     :meth:`BaseTransform.apply_sum`, giving G = A m - I a block at a time.
     For U unitary with U**order = I, as :meth:`BaseTransform.check` proves
     within its tolerances, A A^dagger = I + E, E = sum_j (r_j - delta_j0)
@@ -154,7 +155,7 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
     if eps >= 1:
         return math.inf
     adjoint = c.conj()[-k % t.order]
-    width = max(1, _BOUND_BLOCK // dim)
+    width = max(1, _COLUMN_BLOCK // dim)
     g_sq = s_sq = 0.0  # the largest |G_ij|**2 and column norm**2 so far
     for start in range(0, dim, width):
         # A contiguous copy of the block: the gather and the FFT run faster on it.
@@ -245,7 +246,5 @@ def extract_data_block(full, num_ancillas: int, data_qubits: int):
         )
     width = min(width, block_dim)
     block = full[:block_dim, :width].copy()
-    if dim == block_dim:
-        return block, 0.0
     leakage = float(np.max(np.linalg.norm(full[block_dim:, :width], axis=0)))
     return block, leakage

@@ -7,7 +7,7 @@ once per circuit and set of traced boundaries and applied in place through
 strided views of the state tensor. It takes one state or a (2**n, cols)
 block of states, which the steps carry along the register's last axis, so
 a block of basis columns gives those columns of the circuit's unitary by
-the fast path; ``verify --suite equivalence`` runs its chunks so. Between
+the fast path; ``verify --suite equivalence`` runs its blocks so. Between
 two traced boundaries, each run of small gates on at most
 :data:`qfrt.circuits.FUSE_WIRES` wires is one fused dense step; a ``power``
 payload is never fused, and goes to its transform's ``apply``
@@ -25,6 +25,7 @@ import numpy as np
 
 from . import linalg
 from .circuits import Circuit
+from .errors import QubitBudgetError
 
 #: Amplitudes below this modulus are dropped from state dumps.
 DUMP_EPS = 1e-14
@@ -40,8 +41,10 @@ class TraceRecord:
 
 
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
-    """|index> on num_qubits qubits."""
+    """|index> on num_qubits qubits, at most :func:`qfrt.linalg.max_qubits`."""
     num_qubits = linalg.check_int("num_qubits", num_qubits, 0)
+    if num_qubits > (budget := linalg.max_qubits()):
+        raise QubitBudgetError(f"num_qubits {num_qubits} exceeds the {budget}-qubit budget")
     index = linalg.check_int("index", index, 0, (1 << num_qubits) - 1)
     state = np.zeros(1 << num_qubits, dtype=complex)
     state[index] = 1.0

@@ -302,7 +302,7 @@ class TestVerify:
                 "--qubits", "4"]
         assert main(args) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_BOUND_BLOCK", 3 << 4)
+        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 4)
         blocks = count_calls(monkeypatch, cli, "fractional_apply")
         assert main(args) == 0
         assert capsys.readouterr().out == whole
@@ -343,7 +343,7 @@ class TestVerify:
                                                           chunk_columns, monkeypatch, capsys):
         spec = FractionalSpec(make_transform(transform_id, size), 0.37)
         dim, data = 1 << (spec.num_ancillas + spec.data_qubits), 1 << spec.data_qubits
-        monkeypatch.setattr(cli, "EQUIVALENCE_CHUNK", int(chunk_columns * dim))
+        monkeypatch.setattr(cli, "_COLUMN_BLOCK", int(chunk_columns * data))
         runs = count_calls(monkeypatch, simulator, "run")
         flag = "--qubits" if transform_id in ("fourier", "hartley") else "--n"
         assert main(["verify", "--suite", "equivalence", "--transform", transform_id,
@@ -357,6 +357,14 @@ class TestVerify:
         assert [a[1].shape for a in runs] == [
             (dim, min(width, data - start)) for start in range(0, data, width)]
 
+    def test_equivalence_blocks_hold_2_to_the_14_data_amplitudes(self, monkeypatch, capsys):
+        # Hartley q=9: 512 columns in blocks of 2**14 // 2**9 = 32, each run
+        # on the whole 10-qubit register.
+        runs = count_calls(monkeypatch, simulator, "run")
+        assert main(["verify", "--suite", "equivalence", "--transform", "hartley",
+                     "--qubits", "9", "--alpha", "0.37"]) == 0
+        assert [a[1].shape for a in runs] == [(1024, 32)] * 16
+
     def test_equivalence_sees_a_phase_in_a_later_chunk(self, monkeypatch, capsys):
         # A phase on the top data qubit moves only the upper half of the input
         # columns, which the first of the 3-column chunks does not hold.
@@ -366,11 +374,31 @@ class TestVerify:
             return Circuit(c.num_qubits, (top,) + c.ops)
 
         monkeypatch.setattr(cli, "build_qfru_circuit", perturbed)
-        monkeypatch.setattr(cli, "EQUIVALENCE_CHUNK", 3 << 4)
+        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 3)
         assert main(["verify", "--suite", "equivalence", "--transform", "hartley",
                      "--qubits", "3", "--alpha", "0.37"]) == 1
         row = csv_rows(capsys.readouterr().out)[0]
         assert row["pass"] == "false" and float(row["deviation"]) > 1e-7
+
+    @pytest.mark.parametrize("rows", ["ancilla", "data"])
+    def test_equivalence_fails_a_nan_in_the_run_output(self, rows, monkeypatch, capsys):
+        # One NaN in the output of the last of the 3, 3 and 2-column blocks,
+        # in the ancilla rows (leakage) or the data rows (deviation): the row
+        # fails rather than drop it.
+        run = simulator.run
+
+        def nan_run(circuit, state):
+            final, records = run(circuit, state)
+            if state.shape[1] == 2:
+                final[-1 if rows == "ancilla" else 0, -1] = np.nan
+            return final, records
+
+        monkeypatch.setattr(simulator, "run", nan_run)
+        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 3)
+        assert main(["verify", "--suite", "equivalence", "--transform", "fourier",
+                     "--qubits", "3", "--alpha", "0.37"]) == 1
+        row = csv_rows(capsys.readouterr().out)[0]
+        assert (row["pass"], row["deviation"]) == ("false", "nan")
 
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "unitarity", "--alpha-range=-1,3,0.7"],

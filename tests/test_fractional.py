@@ -735,7 +735,7 @@ def test_unitarity_bound_fails_a_unitary_but_wrong_oracle(transform_id, size):
 
 def test_unitarity_bound_reads_every_column_block(monkeypatch):
     # Blocks of 3 columns, the last one short; a fault in the last column.
-    monkeypatch.setattr(fractional, "_BOUND_BLOCK", 3 << 4)
+    monkeypatch.setattr(fractional, "_COLUMN_BLOCK", 3 << 4)
     spec = FractionalSpec(make_transform("hartley", 4), 0.37)
     m = fractional_oracle(spec)
     assert unitarity_bound(spec, m) <= 1e-13

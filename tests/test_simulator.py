@@ -13,6 +13,7 @@ from helpers import (
 from qfrt import circuits, linalg
 from qfrt.base_transforms import BaseTransform, fourier_transform, hartley_transform
 from qfrt.circuits import FUSE_WIRES, Circuit, GateOp, _op_step, circuit_unitary
+from qfrt.errors import QubitBudgetError
 from qfrt.fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -400,6 +401,19 @@ def test_a_state_length_must_be_a_power_of_two(read, size):
 def test_a_block_or_scalar_is_not_a_state(read, shape):
     with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
         read(np.ones(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("budget", [None, "3"], ids=["default", "QFRT_MAX_QUBITS"])
+def test_basis_state_refuses_a_register_over_the_qubit_budget(monkeypatch, budget):
+    # basis_state(64) once died inside numpy: "Maximum allowed dimension exceeded".
+    if budget is not None:
+        monkeypatch.setenv(linalg.BUDGET_ENV_VAR, budget)
+    top = linalg.max_qubits()
+    assert basis_state(top, 1)[1] == 1
+    for num_qubits in (top + 1, 64):
+        with pytest.raises(QubitBudgetError, match=f"^num_qubits {num_qubits} exceeds "
+                                                   f"the {top}-qubit budget$"):
+            basis_state(num_qubits)
 
 
 class TestFormatState:
