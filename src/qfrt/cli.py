@@ -10,6 +10,10 @@ Examples::
     qfrt sweep --transform fourier --qubits 1 --alpha-range 0,4,0.1 --out sweep.csv
     qfrt export --transform hartley --qubits 2 --alpha 0.5 --out frht.qasm
 
+Each command declares only the flags it reads, and argparse refuses the rest
+with exit 2: ``--alpha`` goes to dump, verify and export, ``--alpha-range`` to
+verify and sweep, and verify takes at most one of the two.
+
 Verification reports are CSV with a ``# key=value`` header line recording
 the seed and tolerance; the process exits 0 only if every row passes. The
 qubit budget can be raised or lowered with the ``QFRT_MAX_QUBITS``
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -151,9 +156,6 @@ def cmd_dump(args) -> int:
     fmt, has_alpha = f"--format {args.format}", args.alpha is not None
     # Each flag a dump would ignore is an error, the first one found reported.
     for ignored, message in (
-        (args.alpha_range is not None, "--alpha-range does not apply to dump"),
-        (has_alpha and args.cst4_selector is not None,
-         "--alpha does not apply to --cst4-selector"),
         (not has_alpha and args.format != "matrix-text", f"{fmt} does not apply without --alpha"),
         (not has_alpha and args.circuit_unitary,
          "--circuit-unitary does not apply without --alpha"),
@@ -255,29 +257,14 @@ def cmd_verify(args) -> int:
         "suite,case_id,alpha,beta,deviation,tolerance,pass",
     ]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    args.suite,
-                    r.case_id,
-                    _fmt(r.alpha),
-                    _fmt(r.beta),
-                    f"{r.deviation:.17g}",
-                    f"{r.tolerance:.17g}",
-                    "true" if r.passed else "false",
-                ]
-            )
-        )
+        lines.append(f"{args.suite},{r.case_id},{_fmt(r.alpha)},{_fmt(r.beta)},{r.deviation:.17g},"
+                     f"{r.tolerance:.17g},{'true' if r.passed else 'false'}")
     _write(args.out, "\n".join(lines) + "\n")
     return 0 if all(r.passed for r in rows) else 1
 
 
 def cmd_sweep(args) -> int:
-    if args.alpha is not None:
-        raise ValueError("--alpha does not apply to sweep")
     transform = _resolve_transform(args)
-    if args.alpha_range is None:
-        raise ValueError("sweep needs --alpha-range START,STOP,STEP")
     alphas = _parse_alpha_range(args.alpha_range, "sweep")
     order = transform.order
     lines = [
@@ -298,11 +285,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    if args.alpha_range is not None:
-        raise ValueError("--alpha-range does not apply to export")
     transform = _resolve_transform(args)
-    if args.alpha is None:
-        raise ValueError("export needs --alpha")
     if args.kind == "qfrin" and transform.order_exponent != 1:
         raise ValueError(f"--kind qfrin does not apply to --transform {transform.id} "
                          f"(order {transform.order})")
@@ -330,12 +313,16 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--transform", required=True, choices=TRANSFORM_IDS)
         p.add_argument("--qubits", type=int, help="data qubits (fourier/hartley)")
         p.add_argument("--n", type=int, help="block exponent n (cst1/cst4)")
-        p.add_argument("--alpha", type=float, help="fractional exponent")
-        p.add_argument("--alpha-range", help="START,STOP,STEP (STOP exclusive)")
         p.add_argument("--out", help="output path (default: stdout)")
 
     p_dump = sub.add_parser("dump", help="write a dense matrix or a final state")
     add_common(p_dump)
+    base_or_power = p_dump.add_mutually_exclusive_group()
+    base_or_power.add_argument("--alpha", type=float, help="fractional exponent")
+    base_or_power.add_argument(
+        "--cst4-selector", choices=("cos", "sin"),
+        help="dump only the cosine or sine sub-block of cst4",
+    )
     p_dump.add_argument(
         "--format", choices=("matrix-text", "state-text"), default="matrix-text",
     )
@@ -343,28 +330,30 @@ def make_parser() -> argparse.ArgumentParser:
         "--circuit-unitary", action="store_true",
         help="dump the full ancilla-circuit unitary instead of the oracle",
     )
-    p_dump.add_argument(
-        "--cst4-selector", choices=("cos", "sin"),
-        help="dump only the cosine or sine sub-block of cst4",
-    )
     p_dump.add_argument("--full", action="store_true",
                         help="keep zero amplitudes in state dumps")
     p_dump.set_defaults(func=cmd_dump)
 
     p_verify = sub.add_parser("verify", help="run a verification suite, emit CSV")
     add_common(p_verify)
+    alphas = p_verify.add_mutually_exclusive_group()
+    alphas.add_argument("--alpha", type=float, help="fractional exponent")
+    alphas.add_argument("--alpha-range", help="START,STOP,STEP (STOP exclusive)")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--tol", type=float, help="pass tolerance (default 1e-10; "
                           "order suite 1e-6)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="tabulate the interpolation curve")
+    # allow_abbrev=False, or sweep would read --alpha as short for --alpha-range
+    p_sweep = sub.add_parser("sweep", help="tabulate the interpolation curve", allow_abbrev=False)
     add_common(p_sweep)
+    p_sweep.add_argument("--alpha-range", required=True, help="START,STOP,STEP (STOP exclusive)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_export = sub.add_parser("export", help="write the circuit in text form")
     add_common(p_export)
+    p_export.add_argument("--alpha", type=float, required=True, help="fractional exponent")
     p_export.add_argument("--kind", choices=("auto", "qfru", "qfrin"), default="auto")
     p_export.set_defaults(func=cmd_export)
 
@@ -384,10 +373,13 @@ def main(argv=None) -> int:
         return 2
     try:
         linalg.max_qubits()  # a malformed QFRT_MAX_QUBITS fails here, on every command
-        if args.alpha is not None and not math.isfinite(args.alpha):
+        if getattr(args, "alpha", None) is not None and not math.isfinite(args.alpha):
             raise ValueError(f"--alpha must be finite, got {args.alpha}")
+        if args.out is not None and (os.path.isdir(args.out)
+                                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out {args.out!r} is not a file in an existing directory")
         return args.func(args)
-    except (QfrtError, ValueError, KeyError) as exc:
+    except (QfrtError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

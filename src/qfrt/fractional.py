@@ -52,8 +52,6 @@ def _reduce_alpha(alpha: float, order: int) -> float:
 class ShihCoefficients:
     """The N interpolation weights c_k for one (order, alpha) pair."""
 
-    order: int
-    alpha: float
     weights: np.ndarray
 
 
@@ -70,7 +68,7 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
     m = np.arange(order)
     k = np.arange(order)
     terms = np.exp(-2j * np.pi * np.outer(reduced - k, m) / order)
-    return ShihCoefficients(order, float(alpha), terms.mean(axis=1))
+    return ShihCoefficients(terms.mean(axis=1))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,16 @@ def csv_rows(text):
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+def argparse_refuses(argv, capsys):
+    """The last stderr line of an argv that argparse refuses with exit 2
+    (``SystemExit``), having written nothing to stdout."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
 class TestDump:
     def test_base_matrix(self, tmp_path, capsys):
         out = tmp_path / "dht.txt"
@@ -194,19 +204,36 @@ def test_alpha_flags_rejected_by_alpha_free_suites(suite, flag, capsys):
      ("dump", "--alpha-range=0,1,0.5")],
 )
 def test_alpha_flags_a_command_ignores_are_rejected(command, flag, capsys):
-    # sweep reads only --alpha-range; dump and export only --alpha
+    # sweep declares only --alpha-range, dump and export only --alpha
     other = "--alpha=0.5" if command != "sweep" else "--alpha-range=0,1,0.5"
-    assert main([command, "--transform", "hartley", "--qubits", "1", other, flag]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    name = flag.split("=")[0]
-    assert captured.err.splitlines() == [f"error: {name} does not apply to {command}"]
+    line = argparse_refuses([command, "--transform", "hartley", "--qubits", "1", other, flag],
+                            capsys)
+    assert line == f"qfrt: error: unrecognized arguments: {flag}"
+
+
+def test_verify_takes_alpha_or_alpha_range_not_both(capsys):
+    line = argparse_refuses(["verify", "--suite", "unitarity", "--transform", "fourier",
+                             "--qubits", "2", "--alpha", "0.3", "--alpha-range", "0,1,0.5"], capsys)
+    assert line.endswith("error: argument --alpha-range: not allowed with argument --alpha")
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [("dump", {"--alpha"}), ("verify", {"--alpha", "--alpha-range"}),
+     ("sweep", {"--alpha-range"}), ("export", {"--alpha"})],
+    ids=["dump", "verify", "sweep", "export"],
+)
+def test_help_lists_the_alpha_flags_a_command_reads(command, flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"--alpha[\w-]*", capsys.readouterr().out)) == flags
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [(["--transform", "cst4", "--n", "1", "--alpha", "0.5", "--cst4-selector", "cos"],
-      "--alpha does not apply to --cst4-selector"),
+      "argument --cst4-selector: not allowed with argument --alpha"),
      (["--format", "state-text"], "--format state-text does not apply without --alpha"),
      (["--circuit-unitary"], "--circuit-unitary does not apply without --alpha"),
      (["--alpha", "0.5", "--circuit-unitary", "--format", "state-text"],
@@ -218,6 +245,9 @@ def test_alpha_flags_a_command_ignores_are_rejected(command, flag, capsys):
 def test_dump_flags_the_output_ignores_are_rejected(argv, message, capsys):
     if "--transform" not in argv:
         argv = ["--transform", "hartley", "--qubits", "1", *argv]
+    if message.startswith("argument "):  # argparse's own error: one group holds both flags
+        assert argparse_refuses(["dump", *argv], capsys) == f"qfrt dump: error: {message}"
+        return
     assert main(["dump", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -537,7 +567,8 @@ class TestSweep:
         assert capsys.readouterr().err == "error: --alpha-range '1,1,0.5' gives no rows to sweep\n"
 
     def test_range_required(self, capsys):
-        assert main(["sweep", "--transform", "hartley", "--qubits", "1"]) == 2
+        line = argparse_refuses(["sweep", "--transform", "hartley", "--qubits", "1"], capsys)
+        assert line == "qfrt sweep: error: the following arguments are required: --alpha-range"
 
     def test_bad_step(self, capsys):
         assert main(["sweep", "--transform", "hartley", "--qubits", "1",
@@ -577,12 +608,9 @@ class TestExport:
 
     def test_dump_has_no_circuit_text_format(self, capsys):
         # export is the one way to write a circuit
-        with pytest.raises(SystemExit) as info:
-            main(["dump", "--transform", "hartley", "--qubits", "1",
-                  "--alpha", "0.5", "--format", "circuit-text"])
-        assert info.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "invalid choice: 'circuit-text'" in captured.err
+        line = argparse_refuses(["dump", "--transform", "hartley", "--qubits", "1",
+                                 "--alpha", "0.5", "--format", "circuit-text"], capsys)
+        assert "invalid choice: 'circuit-text'" in line
 
     @pytest.mark.parametrize("size", [["hartley", "--qubits", "2"], ["cst4", "--n", "1"]],
                              ids=["hartley", "cst4"])
@@ -596,7 +624,33 @@ class TestExport:
         assert len(qfrin) == 2  # auto and qfrin build through the involution check
 
     def test_alpha_required(self, capsys):
-        assert main(["export", "--transform", "hartley", "--qubits", "1"]) == 2
+        line = argparse_refuses(["export", "--transform", "hartley", "--qubits", "1"], capsys)
+        assert line == "qfrt export: error: the following arguments are required: --alpha"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing_directory"])
+def test_unwritable_out_fails_before_any_transform_is_built(where, tmp_path, monkeypatch,
+                                                            capsys):
+    out = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.csv")
+    built = count_calls(monkeypatch, cli, "make_transform")
+    assert main(["verify", "--suite", "unitarity", "--transform", "fourier", "--qubits", "2",
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert built == [] and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: --out {out!r} is not a file in an existing directory"]
+
+
+def test_a_failed_write_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)  # shadows the builtin in cli
+    out = str(tmp_path / "x.csv")
+    assert main(["dump", "--transform", "hartley", "--qubits", "1", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: [Errno 13] Permission denied: {out!r}"]
 
 
 def test_stdout_output(capsys):

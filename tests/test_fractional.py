@@ -746,7 +746,7 @@ def test_unitarity_bound_reads_every_column_block(monkeypatch):
 def test_unitarity_bound_certifies_nothing_for_weights_far_from_unitary():
     # With eps >= 1 the adjoint need not be invertible, so no bound holds.
     spec = FractionalSpec(make_transform("hartley", 1), 0.37)
-    vars(spec)["coefficients"] = ShihCoefficients(2, 0.37, np.ones(2))
+    vars(spec)["coefficients"] = ShihCoefficients(np.ones(2))
     assert unitarity_bound(spec, np.eye(2)) == math.inf
 
 
