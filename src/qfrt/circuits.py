@@ -19,9 +19,9 @@ inputs needs just the first ``2**data_qubits``.
 
 The simulator runs a circuit's :meth:`Circuit.plan` instead, on one state
 or a block of columns: the same kernel's steps with their index work done
-once per circuit and set of traced boundaries, each maximal run of small
-gates between two such boundaries fused into one dense payload of at most
-:data:`FUSE_WIRES` wires, and each ``power`` op sent to its transform's
+once per circuit and trace setting, each maximal run of small gates between
+two traced marks fused into one dense payload of at most :data:`FUSE_WIRES`
+wires, and each ``power`` op sent to its transform's
 :meth:`BaseTransform.apply`: a builder's FFT, a hand-built kernel's power.
 ``verify --suite equivalence`` checks the circuit by that path, against the
 oracle; ``circuit_unitary`` stays the reference for the tests, ``dump
@@ -231,7 +231,7 @@ class Circuit:
     num_qubits: int
     ops: tuple[GateOp, ...] = ()
     marks: tuple[tuple[str, int], ...] = ()
-    # One plan per sorted tuple of wanted boundaries, built on first use.
+    # The untraced and the traced plan, keyed False and True, each built on first use.
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -248,9 +248,9 @@ class Circuit:
             if not 0 <= idx <= len(self.ops):
                 raise ValueError(f"mark {label!r} at invalid boundary {idx}")
 
-    def plan(self, boundaries: tuple[int, ...] = ()) -> tuple[Step, ...]:
-        """The steps :func:`qfrt.simulator.run` executes, stopping at each
-        of the sorted op ``boundaries``; built once per ``boundaries``.
+    def plan(self, traced: bool = False) -> tuple[Step, ...]:
+        """The steps :func:`qfrt.simulator.run` executes, stopping at every
+        mark's boundary if ``traced``, else at none; each built once.
 
         Each maximal run of consecutive ops that are not ``power`` ops and
         touch at most :data:`FUSE_WIRES` wires between them, and that no
@@ -258,13 +258,15 @@ class Circuit:
         (:func:`_fused`); any other op is its own step. ``power`` payloads
         go to their transform's :meth:`BaseTransform.apply`.
         """
-        plan = self._plans.get(boundaries)
+        traced = bool(traced)
+        plan = self._plans.get(traced)
         if plan is None:
-            plan = self._plans[boundaries] = _build_plan(self, frozenset(boundaries))
+            plan = self._plans[traced] = _build_plan(self, traced)
         return plan
 
 
-def _build_plan(c: Circuit, cuts: frozenset[int]) -> tuple[Step, ...]:
+def _build_plan(c: Circuit, traced: bool) -> tuple[Step, ...]:
+    cuts = {i for _, i in c.marks} if traced else set()
     groups: list[list[int]] = []  # [start, stop) op ranges
     wires: set[int] = set()
     fusable = False  # whether the last group may take the next op

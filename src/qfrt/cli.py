@@ -43,8 +43,8 @@ from .base_transforms import (
 from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
-    _COLUMN_BLOCK,
     FractionalSpec,
+    _column_blocks,
     build_qfrin_circuit,
     build_qfru_circuit,
     fractional_apply,
@@ -72,11 +72,6 @@ class ReportRow:
     alpha: float | None
     beta: float | None
     deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
 
 
 def _fmt(x: float | None) -> str:
@@ -135,16 +130,15 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
 def _equivalence_dev(spec: FractionalSpec) -> float:
     """The largest deviation max|final[:2**q] - oracle columns| or leakage
     (column norm of final[2**q:]) of ``simulator.run`` on the 2**q
-    ancilla-|0...0> basis columns, in blocks of max(1, _COLUMN_BLOCK // 2**q)
-    columns compared in place; NaN if any block's output holds a NaN."""
+    ancilla-|0...0> basis columns, in the blocks of ``_column_blocks(2**q)``
+    compared in place; NaN if any block's output holds a NaN."""
     circuit, oracle = build_qfru_circuit(spec), fractional_oracle(spec)
     dim, data = 1 << circuit.num_qubits, 1 << spec.data_qubits
-    width = max(1, _COLUMN_BLOCK // data)
     devs = []
-    for start in range(0, data, width):
-        stop = min(start + width, data)
-        final, _ = simulator.run(circuit, np.eye(dim, stop - start, -start, dtype=complex))
-        devs.append(np.abs(final[:data] - oracle[:, start:stop]).max())
+    for block in _column_blocks(data):
+        columns = np.eye(dim, block.stop - block.start, -block.start, dtype=complex)
+        final, _ = simulator.run(circuit, columns)
+        devs.append(np.abs(final[:data] - oracle[:, block]).max())
         devs.append(np.linalg.norm(final[data:], axis=0).max())
     return float(np.max(devs))
 
@@ -195,7 +189,6 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
     if suite in ("additivity", "order") and (args.alpha, args.alpha_range) != (None, None):
         flag = "--alpha" if args.alpha is not None else "--alpha-range"
         raise ValueError(f"{flag} does not apply to --suite {suite}")
-    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(suite, GATE_TOL)
     order = transform.order
     rows = []
 
@@ -206,19 +199,18 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
         for i in range(25):
             a, b = rng.uniform(0.0, order, size=2)
             spec, ob, oab = FractionalSpec(transform, a), oracle(b), oracle(a + b)
-            width = max(1, _COLUMN_BLOCK // len(ob))
-            dev = max(linalg.max_norm_diff(fractional_apply(spec, ob[:, j:j + width]),
-                                           oab[:, j:j + width]) for j in range(0, len(ob), width))
-            rows.append(ReportRow(f"pair{i:02d}", a, b, dev, tol))
+            dev = max(linalg.max_norm_diff(fractional_apply(spec, ob[:, block]), oab[:, block])
+                      for block in _column_blocks(len(ob)))
+            rows.append(ReportRow(f"pair{i:02d}", a, b, dev))
     elif suite == "unitarity":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
             spec = FractionalSpec(transform, alpha)
             dev = unitarity_bound(spec, fractional_oracle(spec))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev, tol))
+            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev))
     elif suite == "equivalence":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
             dev = _equivalence_dev(FractionalSpec(transform, alpha))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev, tol))
+            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev))
     elif suite == "restoration":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
             spec = FractionalSpec(transform, alpha)
@@ -231,16 +223,16 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             state[: data.size] = data
             final, _ = simulator.run(circuit, state)
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob), tol))
+            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob)))
     elif suite == "order":
         exponent, residue, declared = _order_and_residue(transform)
         dev = residue if declared <= ORDER_TOL else max(residue, declared)
-        rows.append(ReportRow(f"exponent{exponent}", None, None, dev, tol))
+        rows.append(ReportRow(f"exponent{exponent}", None, None, dev))
     else:  # "coefficients", the last of SUITES, which --suite is one of
         for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):
             c = shih_coefficients(order, alpha).weights
             dev = max(abs(c.sum() - 1.0), abs(np.sum(np.abs(c) ** 2) - 1.0))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, float(dev), tol))
+            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, float(dev)))
     return rows
 
 
@@ -250,7 +242,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = _suite_rows(args, transform, rng)
-    tol = rows[0].tolerance
+    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(args.suite, GATE_TOL)
     lines = [
         f"# suite={args.suite} transform={transform.id} data_qubits="
         f"{transform.data_qubits} seed={args.seed} tolerance={tol:.17g}",
@@ -258,9 +250,9 @@ def cmd_verify(args) -> int:
     ]
     for r in rows:
         lines.append(f"{args.suite},{r.case_id},{_fmt(r.alpha)},{_fmt(r.beta)},{r.deviation:.17g},"
-                     f"{r.tolerance:.17g},{'true' if r.passed else 'false'}")
+                     f"{tol:.17g},{'true' if r.deviation <= tol else 'false'}")
     _write(args.out, "\n".join(lines) + "\n")
-    return 0 if all(r.passed for r in rows) else 1
+    return 0 if all(r.deviation <= tol for r in rows) else 1
 
 
 def cmd_sweep(args) -> int:

@@ -40,8 +40,8 @@ from .errors import DimensionError
 
 def _reduce_alpha(alpha: float, order: int) -> float:
     """alpha mod order, exactly (``math.fmod``), so that the phases keep full
-    precision at large |alpha|; rejects an alpha that is not a finite real."""
-    if not isinstance(alpha, numbers.Real):
+    precision at large |alpha|; rejects a bool or an alpha not a finite real."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
@@ -122,6 +122,13 @@ def fractional_apply(spec: FractionalSpec, x: np.ndarray) -> np.ndarray:
 _COLUMN_BLOCK = 1 << 14
 
 
+def _column_blocks(n: int) -> list[slice]:
+    """The column slices of an (n, n) matrix in blocks of ``max(1,
+    _COLUMN_BLOCK // n)`` columns, the last one short if n needs it."""
+    width = max(1, _COLUMN_BLOCK // n)
+    return [slice(start, min(start + width, n)) for start in range(0, n, width)]
+
+
 def unitarity_bound(spec: FractionalSpec, m) -> float:
     """An upper bound on max|m^dagger m - I| for m, a claimed FrU(alpha),
     with no Gram product: O(N**2 log N) for a built-in.
@@ -153,13 +160,12 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
     if eps >= 1:
         return math.inf
     adjoint = c.conj()[-k % t.order]
-    width = max(1, _COLUMN_BLOCK // dim)
     g_sq = s_sq = 0.0  # the largest |G_ij|**2 and column norm**2 so far
-    for start in range(0, dim, width):
+    for block in _column_blocks(dim):
         # A contiguous copy of the block: the gather and the FFT run faster on it.
-        g = t.apply_sum(adjoint, np.ascontiguousarray(m[:, start:start + width]))
+        g = t.apply_sum(adjoint, np.ascontiguousarray(m[:, block]))
         cols = np.arange(g.shape[1])
-        g[start + cols, cols] -= 1
+        g[block.start + cols, cols] -= 1
         sq = g.real**2
         sq += g.imag**2
         g_sq = max(g_sq, float(sq.max()))

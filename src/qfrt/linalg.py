@@ -127,18 +127,12 @@ def is_unitary(m, tol: float = GATE_TOL) -> bool:
 def apply(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     """g @ x for a complex (rows, cols) block x, without casting g.
 
-    A real g acts on the real and imaginary parts as real products: two
-    matvecs for one column, else one product on the float64 view of x. Letting
-    numpy mix the dtypes would copy the whole of g to complex on every call.
+    A real g acts on the real and imaginary parts as one product on the
+    float64 view of x: letting numpy mix dtypes would copy g to complex.
     """
     x = np.asarray(x, dtype=complex)
     if np.iscomplexobj(g):
         return g @ x
-    if x.shape[1] == 1:
-        out = np.empty(x.shape, dtype=complex)
-        out.real = g @ x.real
-        out.imag = g @ x.imag
-        return out
     return (g @ np.ascontiguousarray(x).view(np.float64)).view(complex)
 
 

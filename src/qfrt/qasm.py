@@ -79,6 +79,8 @@ def _parse_op(line: str, num_qubits: int | None) -> GateOp:
     num_controls = 0
     if m.group(0).startswith("ctrl"):
         num_controls = int(ctrl_count) if ctrl_count else 1
+        if num_controls == 0:
+            raise ValueError("ctrl(0) names no control qubit")
     wires = [int(w) for w in _QUBIT_RE.findall(qubit_list)]
     if max(wires) >= num_qubits:
         raise ValueError(f"q[{max(wires)}] is outside the {num_qubits}-qubit register")

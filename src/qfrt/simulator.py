@@ -1,20 +1,20 @@
 """Statevector execution of circuits.
 
 :func:`run` executes the circuit's plan (:meth:`qfrt.circuits.Circuit.plan`)
-for the marks it traces: the steps of :func:`qfrt.circuits._op_step`, the
+for all marks or none: the steps of :func:`qfrt.circuits._op_step`, the
 kernel :func:`qfrt.circuits.circuit_unitary` runs on identity columns, built
-once per circuit and set of traced boundaries and applied in place through
-strided views of the state tensor. It takes one state or a (2**n, cols)
-block of states, which the steps carry along the register's last axis, so
-a block of basis columns gives those columns of the circuit's unitary by
-the fast path; ``verify --suite equivalence`` runs its blocks so. Between
-two traced boundaries, each run of small gates on at most
+once per circuit and trace setting and applied in place through strided
+views of the state tensor. It takes one state or a (2**n, cols) block of
+states, which the steps carry along the register's last axis, so a block of
+basis columns gives those columns of the circuit's unitary by the fast path;
+``verify --suite equivalence`` runs its blocks so. Between two traced
+marks, each run of small gates on at most
 :data:`qfrt.circuits.FUSE_WIRES` wires is one fused dense step; a ``power``
 payload is never fused, and goes to its transform's ``apply``
 (``numpy.fft``, O(N log N) per column, for a built-in; its power's matrix
 for a hand-built kernel), so ``circuit_unitary`` stays the independent
-op-by-op dense reference. A traced run copies the state at each wanted mark
-into a row of one array it allocates up front. Probabilities are computed
+op-by-op dense reference. A traced run copies the state at each mark into
+a row of one array it allocates up front. Probabilities are computed
 exactly from amplitudes; there is no shot sampling.
 """
 from __future__ import annotations
@@ -66,13 +66,13 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     ``state`` is a 1-D array of 2**num_qubits finite amplitudes, or a
     (2**num_qubits, cols) block of cols >= 1 such columns, each run as its
     own state; it is copied, not changed, and the final state and every
-    record's state have its shape. ``trace`` selects which marked boundaries
-    to record: None or False for none, True for all of the circuit's marks,
-    or an iterable of the circuit's mark labels (a string, anything else
-    that is not iterable, or an unknown label is a ValueError). The run
-    executes the circuit's plan for the wanted boundaries
-    (:meth:`Circuit.plan`). The records' states are the rows of one array
-    allocated per run, so each is its own copy of the state at its mark.
+    record's state have its shape. ``trace`` is None, False or True, numpy
+    bools too (anything else, a set of labels included, is a ValueError): a
+    traced run records the state at every mark, in boundary order, and a
+    caller that wants some picks them from the records. The run executes
+    the circuit's plan for that setting (:meth:`Circuit.plan`). The records'
+    states are the rows of one array allocated per run, so each is its own
+    copy of the state at its mark.
     """
     state = np.asarray(state, dtype=complex)
     dim = 1 << circuit.num_qubits
@@ -81,14 +81,14 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
                          f"cols >= 1 for {circuit.num_qubits} qubits, got shape {state.shape}")
     if not np.isfinite(state).all():
         raise ValueError("state has a NaN or Inf amplitude")
-    labels = frozenset(label for label, _ in circuit.marks)
-    wanted = _wanted_labels(trace, labels)
+    if trace is not None and not isinstance(trace, (bool, np.bool_)):
+        raise ValueError(f"trace takes None, False or True, not {trace!r}")
+    marks = circuit.marks if trace else ()
     boundaries: dict[int, list[str]] = {}
-    for label, idx in circuit.marks:
-        if label in wanted:
-            boundaries.setdefault(idx, []).append(label)
+    for label, idx in marks:
+        boundaries.setdefault(idx, []).append(label)
 
-    snapshots = np.empty((sum(map(len, boundaries.values())),) + state.shape, dtype=complex)
+    snapshots = np.empty((len(marks),) + state.shape, dtype=complex)
     records: list[TraceRecord] = []
     psi = state.reshape([2] * circuit.num_qubits + [-1]).copy()
     flat = psi.reshape(state.shape)
@@ -100,26 +100,10 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
             records.append(TraceRecord(label, row, idx))
 
     snapshot(0)
-    for step in circuit.plan(tuple(sorted(boundaries))):
+    for step in circuit.plan(bool(trace)):
         step.apply(psi)
         snapshot(step.stop)
     return flat, records
-
-
-def _wanted_labels(trace, labels: frozenset[str]) -> frozenset[str]:
-    """The mark labels ``trace`` selects from ``labels``, per :func:`run`."""
-    if trace is None or isinstance(trace, (bool, np.bool_)):
-        return labels if trace else frozenset()
-    try:
-        wanted = None if isinstance(trace, str) else frozenset(trace)
-    except TypeError:  # not iterable, or an unhashable label
-        wanted = None
-    unknown = [trace] if wanted is None else sorted(wanted - labels, key=repr)
-    if unknown:
-        raise ValueError(
-            f"trace takes True or an iterable of the circuit's mark labels, not {unknown[0]!r}"
-        )
-    return wanted
 
 
 def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> float:

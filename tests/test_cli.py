@@ -332,7 +332,7 @@ class TestVerify:
                 "--qubits", "4"]
         assert main(args) == 0
         whole = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 4)
+        monkeypatch.setattr(fractional, "_COLUMN_BLOCK", 3 << 4)
         blocks = count_calls(monkeypatch, cli, "fractional_apply")
         assert main(args) == 0
         assert capsys.readouterr().out == whole
@@ -373,7 +373,7 @@ class TestVerify:
                                                           chunk_columns, monkeypatch, capsys):
         spec = FractionalSpec(make_transform(transform_id, size), 0.37)
         dim, data = 1 << (spec.num_ancillas + spec.data_qubits), 1 << spec.data_qubits
-        monkeypatch.setattr(cli, "_COLUMN_BLOCK", int(chunk_columns * data))
+        monkeypatch.setattr(fractional, "_COLUMN_BLOCK", int(chunk_columns * data))
         runs = count_calls(monkeypatch, simulator, "run")
         flag = "--qubits" if transform_id in ("fourier", "hartley") else "--n"
         assert main(["verify", "--suite", "equivalence", "--transform", transform_id,
@@ -404,7 +404,7 @@ class TestVerify:
             return Circuit(c.num_qubits, (top,) + c.ops)
 
         monkeypatch.setattr(cli, "build_qfru_circuit", perturbed)
-        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 3)
+        monkeypatch.setattr(fractional, "_COLUMN_BLOCK", 3 << 3)
         assert main(["verify", "--suite", "equivalence", "--transform", "hartley",
                      "--qubits", "3", "--alpha", "0.37"]) == 1
         row = csv_rows(capsys.readouterr().out)[0]
@@ -424,7 +424,7 @@ class TestVerify:
             return final, records
 
         monkeypatch.setattr(simulator, "run", nan_run)
-        monkeypatch.setattr(cli, "_COLUMN_BLOCK", 3 << 3)
+        monkeypatch.setattr(fractional, "_COLUMN_BLOCK", 3 << 3)
         assert main(["verify", "--suite", "equivalence", "--transform", "fourier",
                      "--qubits", "3", "--alpha", "0.37"]) == 1
         row = csv_rows(capsys.readouterr().out)[0]

@@ -196,7 +196,7 @@ class TestFractionalSpecFields:
         with pytest.raises(ValueError, match="^base must be a BaseTransform, got ndarray$"):
             FractionalSpec(np.eye(4), 0.3)
 
-    @pytest.mark.parametrize("alpha", ["0.3", 0.3j, None, [0.3]])
+    @pytest.mark.parametrize("alpha", ["0.3", 0.3j, None, [0.3], True, np.True_])
     def test_alpha_must_be_a_real_number(self, alpha):
         with pytest.raises(ValueError,
                            match=f"^alpha must be a real number, got {re.escape(repr(alpha))}$"):

@@ -78,20 +78,12 @@ class TestRun:
         with pytest.raises(ValueError, match="state"):
             run(Circuit(3, (GateOp("h", targets=(0,)),)), state)
 
-    def test_trace_label_selection(self):
+    @pytest.mark.parametrize("trace", ["psi1", ["psi2"], {"psi2"}, 1, 2.5],
+                             ids=["string", "list", "set", "int", "float"])
+    def test_trace_labels_must_be_marks(self, trace):
+        # A caller that wants some marks traces all and picks from the records.
         c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
-        _, records = run(c, basis_state(c.num_qubits), trace={"psi2", "psi7"})
-        assert [r.label for r in records] == ["psi2", "psi7"]
-
-    @pytest.mark.parametrize(
-        "trace,label",
-        [("psi1", "'psi1'"), (["psi9"], "'psi9'"), (["psi2", "psi9"], "'psi9'"),
-         (1, "not 1$"), (2.5, "not 2.5$")],
-        ids=["string", "unknown", "one_unknown", "int", "float"],
-    )
-    def test_trace_labels_must_be_marks(self, trace, label):
-        c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
-        with pytest.raises(ValueError, match=label):
+        with pytest.raises(ValueError, match=f"not {re.escape(repr(trace))}$"):
             run(c, basis_state(c.num_qubits), trace=trace)
 
     @pytest.mark.parametrize("trace,count", [(np.True_, 8), (np.False_, 0)],
@@ -276,12 +268,6 @@ def _marked_circuit(rng):
     return Circuit(n, tuple(ops), tuple(marks))
 
 
-def _selections(circuit, rng):
-    labels = [label for label, _ in circuit.marks]
-    return [None, True] + [set(rng.choice(labels, size=int(rng.integers(1, 4)), replace=False))
-                           for _ in range(2)]
-
-
 def _wires(ops):
     return {w for op in ops for w in op.targets + op.controls}
 
@@ -303,11 +289,10 @@ class TestPlan:
             prefix_u.append(embedded_op_matrix(op, n) @ prefix_u[-1])
             _op_step(op, n, matrix_free=True)(reg)
             op_by_op.append(reg.ravel().copy())
-        for trace in _selections(circuit, rng):
+        for trace in (None, False, True):
             final, records = run(circuit, state, trace=trace)
-            wanted = {label for label, _ in circuit.marks} if trace is True else trace or set()
             assert [(r.label, r.step_index) for r in records] == sorted(
-                (m for m in circuit.marks if m[0] in wanted), key=lambda m: m[1])
+                circuit.marks if trace else (), key=lambda m: m[1])
             for label, state_at, idx in [(r.label, r.state, r.step_index) for r in records] + [
                     ("final", final, len(circuit.ops))]:
                 assert np.max(np.abs(state_at - prefix_u[idx] @ state)) <= 1e-14, label
@@ -319,10 +304,9 @@ class TestPlan:
         circuit = _marked_circuit(rng)
         ops = circuit.ops
         small = [op.power is None and len(_wires([op])) <= FUSE_WIRES for op in ops]
-        for trace in _selections(circuit, rng):
-            key = tuple(sorted({i for label, i in circuit.marks
-                                if trace is True or label in (trace or ())}))
-            plan = circuit.plan(key)
+        for traced in (False, True):
+            cuts = {i for _, i in circuit.marks} if traced else set()
+            plan = circuit.plan(traced)
             assert [s.start for s in plan] == [0] + [s.stop for s in plan[:-1]]
             assert plan[-1].stop == len(ops)
             for s in plan:
@@ -331,24 +315,23 @@ class TestPlan:
                     assert s.op is group[0]
                     continue
                 assert all(small[s.start:s.stop])
-                assert not any(s.start < b < s.stop for b in key)
+                assert not any(s.start < b < s.stop for b in cuts)
                 assert s.op.name == "unitary" and s.op.power is None
                 assert s.op.targets == tuple(sorted(_wires(group)))
                 assert len(s.op.targets) <= FUSE_WIRES
             # each fused run is maximal: the next step could not have joined it
             for a, b in zip(plan, plan[1:]):
-                if all(small[a.start:b.stop]) and b.start not in key:
+                if all(small[a.start:b.stop]) and b.start not in cuts:
                     assert len(_wires(ops[a.start:b.stop])) > FUSE_WIRES
 
     def test_plan_built_once_per_selection(self, monkeypatch):
         built = count_calls(monkeypatch, circuits, "_build_plan")
         c = build_qfru_circuit(FractionalSpec(fourier_transform(2), 0.3))
         state = basis_state(c.num_qubits)
-        every = {label for label, _ in c.marks}
-        for trace in (True, None, True, every, None, False, {"psi2"}, ["psi2"]):
+        for trace in (True, None, True, np.True_, None, False, np.False_):
             run(c, state, trace=trace)
-        assert len(built) == 3
-        assert c.plan(()) is c.plan(())
+        assert c.plan(False) is c.plan(False) and c.plan(True) is c.plan(True)
+        assert len(built) == 2
 
     @pytest.mark.parametrize("build,ops,traced,untraced", [
         (lambda: build_qfru_circuit(FractionalSpec(fourier_transform(3), 0.3)), 18, 9, 7),
@@ -356,8 +339,7 @@ class TestPlan:
     ], ids=["fourier_qfru", "hartley_qfrin"])
     def test_step_counts(self, build, ops, traced, untraced):
         c = build()
-        every = tuple(sorted({i for _, i in c.marks}))
-        assert (len(c.ops), len(c.plan(every)), len(c.plan())) == (ops, traced, untraced)
+        assert (len(c.ops), len(c.plan(True)), len(c.plan(False))) == (ops, traced, untraced)
 
 
 class TestRestorationProbability:
