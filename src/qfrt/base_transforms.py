@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -215,35 +215,6 @@ def _cst4_apply(pre: np.ndarray, post: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.reshape(2 * big_n, -1).view(complex)
 
 
-class _OnFirstRead:
-    """A dataclass field, None by default, that its object builds on first
-    read: while it holds None, reading it calls the object's
-    ``_build_<name>()`` and keeps a result other than None."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None  # the field's default
-        value = obj.__dict__[self.name]
-        if value is None:
-            value = getattr(obj, "_build_" + self.name)()
-            if value is not None:
-                obj.__dict__[self.name] = value
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.name] = value
-
-
-def _built_repr(obj) -> str:
-    """The dataclass repr, but reading each field as stored (or its default,
-    if never stored), so an :class:`_OnFirstRead` field shows None until built."""
-    shown = (f"{f.name}={vars(obj).get(f.name, f.default)!r}" for f in fields(obj) if f.repr)
-    return f"{type(obj).__name__}({', '.join(shown)})"
-
-
 def _adjoint_dev(a: np.ndarray, u: np.ndarray) -> float:
     """max|a - u^dagger|, in row blocks so that the transposed reads of u
     stay in cache."""
@@ -256,16 +227,17 @@ class BaseTransform:
     """A named dyadic-order unitary, as its dense kernel: dense**(2**order_exponent) = I.
 
     ``data_qubits`` and ``order_exponent`` are integers >= 1. A hand-built
-    kernel must be a finite (2**data_qubits)-square matrix, kept as a sealed
-    copy (:func:`linalg.frozen`), so what :meth:`check` proves holds for good.
+    ``kernel``, the fourth argument, must be a finite (2**data_qubits)-square
+    matrix; ``dense`` holds a sealed copy (:func:`linalg.frozen`) from then
+    on, so what :meth:`check` proves holds for good.
 
     A transform from one of the four builders of this module carries its
     roots table and an index layout into it instead. Its ``dense``, the
-    table gathered through the layout, is built on first read and then kept,
-    sealed: making the transform, building its circuits, simulating them
-    and the oracle never build it; ``circuit_unitary``, export and ``dump``
-    do. Its :attr:`table_dev` certifies the stored entries against their
-    closed form in O(N), so :meth:`check` multiplies no matrix; without that
+    table gathered through the layout, is a cached property, sealed: making
+    the transform, building its circuits, simulating them and the oracle
+    never build it; ``circuit_unitary``, export and ``dump`` do. Its
+    :attr:`table_dev` certifies the stored entries against their closed
+    form in O(N), so :meth:`check` multiplies no matrix; without that
     certificate the proof reads ``dense``. A builder also gives its
     ``numpy.fft`` kernel for U x and, for Fourier, the row permutation p = j
     -> -j mod N with dense**2 = I[p]: every power of a built-in is U**(k mod
@@ -277,7 +249,7 @@ class BaseTransform:
     id: str
     data_qubits: int
     order_exponent: int
-    dense: np.ndarray = _OnFirstRead()
+    kernel: InitVar[np.ndarray | None] = None
     # A builder's index layout into its table, the table's distinct entries in
     # a given dtype (float64: dense is values(np.float64)[layout()];
     # np.longdouble: the certificate's reference), its numpy.fft U x, and
@@ -289,16 +261,13 @@ class BaseTransform:
         default=None, kw_only=True, repr=False)
     _perm: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
-    __repr__ = _built_repr
-
-    def __post_init__(self):
+    def __post_init__(self, kernel):
         for name in ("data_qubits", "order_exponent"):
             object.__setattr__(self, name, linalg.check_int(f"{self.id!r}: {name}",
                                                             getattr(self, name), 1))
         if self._layout is not None:
             return
-        dense = linalg.frozen(self.dense)
-        object.__setattr__(self, "dense", dense)
+        dense = linalg.frozen(kernel)
         dim = 1 << self.data_qubits
         if dense.shape != (dim, dim):
             raise DimensionError(
@@ -307,10 +276,11 @@ class BaseTransform:
             )
         if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
+        object.__setattr__(self, "dense", dense)
 
-    def _build_dense(self) -> np.ndarray | None:
-        if self._layout is None:
-            return None
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """A builder's kernel, its table gathered through its layout, sealed."""
         return linalg.sealed(self._values(np.float64)[self._layout()])
 
     @property

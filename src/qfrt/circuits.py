@@ -12,10 +12,10 @@ views, with no axis shuffling copy: a one-qubit gate updates its target's
 two halves in place, and any other op maps a targets-first transpose of
 the register.
 :func:`circuit_unitary` runs it op by op, sending every payload, ``power``
-ops included, through its matrix: it is the slow dense reference the
-simulator is validated against. Its ``columns`` argument builds only the
-images of the first basis states: an ancilla circuit on ancilla |0...0>
-inputs needs just the first ``2**data_qubits``.
+ops included, through :meth:`GateOp.base_matrix`: it is the slow dense
+reference the simulator is validated against. Its ``columns`` argument
+builds only the images of the first basis states: an ancilla circuit on
+ancilla |0...0> inputs needs just the first ``2**data_qubits``.
 
 The simulator runs a circuit's :meth:`Circuit.plan` instead, on one state
 or a block of columns: the same kernel's steps with their index work done
@@ -30,6 +30,7 @@ oracle; ``circuit_unitary`` stays the reference for the tests, ``dump
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -37,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .base_transforms import GATE_TOL, BaseTransform, _built_repr, _OnFirstRead
+from .base_transforms import GATE_TOL, BaseTransform
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -108,9 +109,9 @@ class GateOp:
       kept as a sealed copy (:func:`linalg.frozen`), real when it is real;
     * ``power=(t, k)``: U**k of any :class:`BaseTransform` t, 1 <= k <
       t.order, on ``t.data_qubits`` targets, proven by t's one memoised
-      :meth:`BaseTransform.check`. ``matrix`` is then ``t.power(k)``, shared
-      with t and built on first read; the simulator applies the op through
-      ``t.apply``, ``circuit_unitary`` through that matrix.
+      :meth:`BaseTransform.check`. ``matrix`` is then None: the simulator
+      applies the op through ``t.apply``, ``circuit_unitary`` and export
+      through :meth:`base_matrix`, which reads ``t.power(k)``.
 
     ``targets[i]`` is the qubit holding the gate's bit of place value ``2**i``.
     Targets and controls must be distinct integers >= 0 (a bool is not one).
@@ -120,18 +121,19 @@ class GateOp:
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
     params: tuple[float, ...] = ()
-    matrix: np.ndarray | None = _OnFirstRead()
+    matrix: np.ndarray | None = None
     power: tuple[BaseTransform, int] | None = None
     # A 'p' op's sealed 2x2 gate, built once: not kept in matrix, which holds
-    # only a 'unitary' op's payload.
+    # only a 'unitary' op's literal payload.
     _phase: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    __repr__ = _built_repr
 
     def __post_init__(self):
         for name in ("targets", "controls"):
             object.__setattr__(self, name, tuple(
                 linalg.check_int(f"{name}[{i}]", w, 0) for i, w in enumerate(getattr(self, name))))
+        for i, p in enumerate(self.params):
+            if isinstance(p, bool) or not isinstance(p, numbers.Real):
+                raise ValueError(f"params[{i}] must be a real number, got {p!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         wires = self.targets + self.controls
         if not self.targets:
@@ -169,9 +171,13 @@ class GateOp:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
 
     def _check_power(self) -> None:
-        t, k = self.power
-        if self.__dict__["matrix"] is not None:  # as given: reading it would build it
+        if self.matrix is not None:
             raise ValueError("a 'power' op takes no matrix payload")
+        try:
+            t, k = self.power
+        except (TypeError, ValueError):
+            raise ValueError(f"a power payload is a (transform, k) pair, "
+                             f"got {self.power!r}") from None
         if not isinstance(t, BaseTransform):
             raise ValueError(f"a power payload needs a BaseTransform, got {type(t).__name__}")
         k = linalg.check_int(f"power of {t.id!r}", k, 1, t.order - 1)
@@ -182,15 +188,12 @@ class GateOp:
         t.check()
         object.__setattr__(self, "power", (t, k))
 
-    def _build_matrix(self) -> np.ndarray | None:
-        """A ``power`` op's matrix, on its first read."""
-        if self.power is None:
-            return None
-        t, k = self.power
-        return t.power(k)
-
     def base_matrix(self) -> np.ndarray:
-        """The gate's matrix on its targets, controls not included."""
+        """The gate's matrix on its targets, controls not included: a
+        ``power`` op's is ``t.power(k)``, read from t."""
+        if self.power is not None:
+            t, k = self.power
+            return t.power(k)
         if self.name == "unitary":
             return self.matrix
         if self.name == "p":
@@ -225,7 +228,7 @@ class Circuit:
     """An ordered list of gate applications on a sized qubit register.
 
     ``marks`` are labeled op boundaries for state tracing: ``(label, i)``
-    names the state reached after the first ``i`` ops.
+    names the state reached after the first ``i`` ops, 0 <= i <= len(ops).
     """
 
     num_qubits: int
@@ -236,17 +239,18 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
-        object.__setattr__(self, "marks", tuple(self.marks))
         object.__setattr__(self, "num_qubits", linalg.check_int("num_qubits", self.num_qubits, 1))
-        for op in self.ops:
+        for i, op in enumerate(self.ops):
+            if not isinstance(op, GateOp):
+                raise ValueError(f"op {i} must be a GateOp, got {type(op).__name__}")
             if op.span > self.num_qubits:
                 raise ValueError(
                     f"op {op.name!r} touches qubit {op.span - 1}, register has "
                     f"{self.num_qubits}"
                 )
-        for label, idx in self.marks:
-            if not 0 <= idx <= len(self.ops):
-                raise ValueError(f"mark {label!r} at invalid boundary {idx}")
+        object.__setattr__(self, "marks", tuple(
+            (label, linalg.check_int(f"mark {label!r}", idx, 0, len(self.ops)))
+            for label, idx in self.marks))
 
     def plan(self, traced: bool = False) -> tuple[Step, ...]:
         """The steps :func:`qfrt.simulator.run` executes, stopping at every

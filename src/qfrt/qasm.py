@@ -28,7 +28,7 @@ _STMT_RE = re.compile(
     r"([a-z]+)"                          # mnemonic
     r"(?:\(([^()]*)\))?"                 # optional parameter list
     r"(?:\s*\{([^{}]*)\})?"              # optional matrix payload
-    r"\s*((?:q\[\d+\]\s*,?\s*)+);$"
+    r"\s*(q\[\d+\](?:\s*,\s*q\[\d+\])*)\s*;$"  # qubits, one comma apart
 )
 _QUBIT_RE = re.compile(r"q\[(\d+)\]")
 _DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+q;$")
@@ -36,18 +36,11 @@ _DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+q;$")
 
 def export_circuit(c: Circuit) -> str:
     """Render a circuit in the text dialect."""
-    wide = [
-        (i, op) for i, op in enumerate(c.ops)
-        if op.name == "unitary" and len(op.targets) > 2
-    ]
+    wide = [f"op {i}: unitary on {len(op.targets)} qubits {op.targets}"
+            for i, op in enumerate(c.ops) if op.name == "unitary" and len(op.targets) > 2]
     if wide:
-        detail = "; ".join(
-            f"op {i}: unitary on {len(op.targets)} qubits {op.targets}"
-            for i, op in wide
-        )
-        raise ExportError(
-            "matrix gates wider than 2 qubits cannot be exported: " + detail
-        )
+        raise ExportError("matrix gates wider than 2 qubits cannot be exported: "
+                          + "; ".join(wide))
     lines = list(_HEADER)
     lines.append(f"qubit[{c.num_qubits}] q;")
     for op in c.ops:
@@ -61,7 +54,7 @@ def export_circuit(c: Circuit) -> str:
             stmt += f"({op.params[0]:.17g})"
         elif op.name == "unitary":
             entries = " ".join(
-                f"{v.real:.17g},{v.imag:.17g}" for v in op.matrix.ravel()
+                f"{v.real:.17g},{v.imag:.17g}" for v in op.base_matrix().ravel()
             )
             stmt += " { " + entries + " }"
         qubits = ", ".join(f"q[{w}]" for w in (*op.controls, *op.targets))

@@ -11,6 +11,7 @@ import pytest
 import qfrt
 import qfrt.cli
 from qfrt.base_transforms import make_transform
+from qfrt.circuits import SWAP, Circuit, GateOp
 from qfrt.fractional import FractionalSpec, build_qfrin_circuit, build_qfru_circuit
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -37,20 +38,27 @@ def test_every_traced_name_resolves(tracer):
 
 @pytest.mark.parametrize("transform_id", ["fourier", "hartley", "cst1", "cst4"])
 def test_computed_counts_read_every_circuit(tracer, transform_id):
+    # payload_bytes sums the literal matrix payloads; counting reads no power
+    # op's payload, so none is kept on its op and no kernel is built.
     t = make_transform(transform_id, 1)
     circuits = [build_qfru_circuit(FractionalSpec(t, 0.3))]
     if t.order == 2:
         circuits.append(build_qfrin_circuit(t, 0.3))
+    literal = Circuit(2, (GateOp("h", (0,)), GateOp("unitary", (0, 1), matrix=SWAP)))
+    circuits.append(literal)
     for circuit in circuits:
-        payload_bytes = sum(op.matrix.nbytes for op in circuit.ops if op.name == "unitary")
-        assert payload_bytes > 0
+        payload_bytes = sum(op.matrix.nbytes for op in circuit.ops if op.matrix is not None)
+        assert payload_bytes == (SWAP.nbytes if circuit is literal else 0)
         for name, (keys, counts) in tracer.COMPUTED.items():
             if name == "qasm.export_circuit":
-                got = counts((circuit,), qfrt.qasm.export_circuit(circuit))
-                assert got["bytes"] > 0
                 continue
             got = counts((circuit,), None)
             assert set(got) == set(keys)
             assert got["gates"] == len(circuit.ops)
             if "payload_bytes" in got:
                 assert got["payload_bytes"] == payload_bytes
+        assert all(vars(op)["matrix"] is None for op in circuit.ops if op.power is not None)
+    assert "dense" not in vars(t)
+    _, counts = tracer.COMPUTED["qasm.export_circuit"]
+    for circuit in circuits:
+        assert counts((circuit,), qfrt.qasm.export_circuit(circuit))["bytes"] > 0

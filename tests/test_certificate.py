@@ -159,7 +159,7 @@ def test_certified_oracle_is_a_gather_of_the_table(transform_id, size):
     for alpha in (0.37, 1.3, -2.9, 3.0, 1e9 + 0.37):
         spec = FractionalSpec(t, alpha)
         oracles.append((spec.coefficients.weights, fractional_oracle(spec)))
-    assert vars(t)["dense"] is None
+    assert "dense" not in vars(t)
     for weights, got in oracles:
         expected = _dense_oracle(t, weights)
         if t._perm is None:
@@ -273,7 +273,7 @@ def test_builds_and_runs_never_build_the_kernel(transform_id, size, monkeypatch)
         state = np.zeros(1 << circuit.num_qubits, dtype=complex)
         state[:data] = x
         finals.append(simulator.run(circuit, state, trace=True)[0])
-    assert vars(t)["dense"] is None  # never built
+    assert "dense" not in vars(t)  # never built
 
     monkeypatch.undo()
     oracle = fractional_oracle(FractionalSpec(t, alpha))
@@ -285,16 +285,18 @@ def test_builds_and_runs_never_build_the_kernel(transform_id, size, monkeypatch)
         assert np.max(np.abs(final[:data] - oracle @ x)) <= 1e-10
 
 
-def test_power_op_matrix_is_built_once_and_read_only():
+def test_power_op_has_no_matrix_and_reads_its_power_from_the_transform():
     t = make_transform("fourier", 2)
     c = build_qfru_circuit(FractionalSpec(t, 0.3))
     ops = [op for op in c.ops if op.power is not None]
-    assert vars(t)["dense"] is None  # never built
+    assert ops and all(op.matrix is None for op in ops)
+    assert "dense" not in vars(t)  # never built
     for op in ops:
-        first = op.matrix
-        assert op.matrix is first and not first.flags.writeable
-        assert np.array_equal(first, t.power(op.power[1]))
-    assert ops[0].matrix is t.dense
+        got, expected = op.base_matrix(), t.power(op.power[1])
+        assert not got.flags.writeable
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert ops[0].power[1] == 1 and ops[0].base_matrix() is t.dense
+    assert all(op.matrix is None for op in ops)  # reading it kept nothing
 
 
 def test_hand_built_kernel_is_not_certified():
@@ -305,14 +307,17 @@ def test_hand_built_kernel_is_not_certified():
 
 @pytest.mark.parametrize("transform_id,size", [("fourier", 12), ("hartley", 3)])
 def test_repr_reads_only_what_is_built(transform_id, size):
+    # Both reprs are the dataclass defaults: no field holds the kernel.
     t = make_transform(transform_id, size)
     op = GateOp("unitary", targets=tuple(range(t.data_qubits)), power=(t, 1))
-    assert "dense=None" in repr(t) and "matrix=None" in repr(op)
-    assert vars(t)["dense"] is None and vars(op)["matrix"] is None
-    if size <= 3:  # once built, the repr shows it
-        assert op.matrix is t.dense
-        assert "dense=array" in repr(t) and "matrix=array" in repr(op)
-    # A hand-built kernel is stored when made, so its repr shows it.
+    shown = repr(t) + repr(op)
+    assert repr(t) == (f"BaseTransform(id={transform_id!r}, data_qubits={size}, "
+                       f"order_exponent={t.order_exponent})")
+    assert "array" not in shown and "matrix=None" in repr(op) and repr(t) in repr(op)
+    assert "dense" not in vars(t)  # printing built nothing
+    if size <= 3:  # nor does a built kernel show
+        assert op.base_matrix() is t.dense
+        assert repr(t) + repr(op) == shown
     hand = BaseTransform("mine", 1, 1, hartley_transform(1).dense)
     op = GateOp("unitary", targets=(0,), power=(hand, 1))
-    assert "dense=array" in repr(hand) and repr(hand) in repr(op)
+    assert "array" not in repr(hand) and repr(hand) in repr(op)

@@ -190,9 +190,19 @@ class TestGateOpValidation:
          (lambda: GateOp("unitary", targets=(0,)), "'unitary' op needs a matrix payload"),
          (lambda: GateOp("h", targets=(0,), params=(0.5,)), "gate 'h' takes no parameters"),
          (lambda: GateOp("swap", targets=(0, 1), params=(0.0, 1.0)),
-          "gate 'swap' takes no parameters")],
+          "gate 'swap' takes no parameters"),
+         (lambda: Circuit(1, (X,)), "op 0 must be a GateOp, got ndarray"),
+         (lambda: Circuit(2, (GateOp("h", (0,)), "h")), "op 1 must be a GateOp, got str"),
+         (lambda: GateOp("unitary", targets=(0,), power=fourier_transform(1)),
+          "a power payload is a (transform, k) pair, got "
+          "BaseTransform(id='fourier', data_qubits=1, order_exponent=2)"),
+         (lambda: GateOp("p", targets=(0,), params=(1j,)),
+          "params[0] must be a real number, got 1j"),
+         (lambda: GateOp("p", targets=(0,), params=(None,)),
+          "params[0] must be a real number, got None")],
         ids=["no_targets", "controls_only", "unitary_without_payload", "h_with_angle",
-             "swap_with_angles"],
+             "swap_with_angles", "array_as_op", "name_as_op", "power_without_pair",
+             "complex_angle", "none_angle"],
     )
     def test_malformed_op_names_what_is_wrong(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -215,6 +225,9 @@ class TestGateOpValidation:
         (lambda v: Circuit(v), 2.5),
         (lambda v: Circuit(v), True),
         (lambda v: Circuit(v), "3"),
+        (lambda v: Circuit(1, (GateOp("h", (0,)),) * 2, marks=(("m", v),)), 1.5),
+        (lambda v: Circuit(1, (GateOp("h", (0,)),) * 2, marks=(("m", v),)), True),
+        (lambda v: Circuit(1, (GateOp("h", (0,)),) * 2, marks=(("m", v),)), 1.0),
     ])
     def test_wire_or_size_that_is_not_an_integer(self, make, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -265,7 +278,7 @@ class TestMultiplexedPowers:
         c = multiplexed_powers(hand_built(u, n))
         for j, op in enumerate(c.ops):
             expected = np.linalg.matrix_power(u, 1 << j)
-            assert linalg.max_norm_diff(op.matrix, expected) <= 1e-10
+            assert linalg.max_norm_diff(op.base_matrix(), expected) <= 1e-10
         got = circuit_unitary(c)
         assert linalg.max_norm_diff(got, direct_multiplexed(u, n)) <= 1e-10
 
@@ -535,17 +548,17 @@ def test_kernel_allocates_at_most_one_accumulator_per_op():
     # product, and a diagonal one nothing. The 1% is for array headers and
     # index lists.
     circuit = build_qfru_circuit(FractionalSpec(fourier_transform(8), 0.37))
-    for op in circuit.ops:
-        op.base_matrix()  # build the payloads outside the measurement
+    # Each step, with the payload it reads, is built outside the measurement.
+    steps = [_op_step(op, circuit.num_qubits, matrix_free=False) for op in circuit.ops]
     acc = np.eye(1 << circuit.num_qubits, 256, dtype=complex)
     reg = acc.reshape([2] * circuit.num_qubits + [256])
     slack = acc.nbytes // 100
     tracemalloc.start()
     try:
-        for op in circuit.ops:
+        for op, step in zip(circuit.ops, steps):
             start = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _op_step(op, circuit.num_qubits, matrix_free=False)(reg)
+            step(reg)
             peak = tracemalloc.get_traced_memory()[1] - start
             diagonal = op.name in ("z", "s", "p")
             assert peak <= (slack if diagonal else acc.nbytes + slack), (op, peak)

@@ -542,7 +542,7 @@ class TestSweep:
         assert main(["sweep", "--transform", tid, flag, str(size), f"--alpha-range={alphas}",
                      "--out", str(out)]) == 0
         (t,) = made
-        assert vars(t)["dense"] is None
+        assert "dense" not in vars(t)
         for row in csv_rows(read(out)):
             alpha = float(row["alpha"])
             k = int(round(alpha)) % t.order

@@ -2,6 +2,8 @@
 once-proven kernel; the simulator applies each through its transform's
 ``apply``, numpy.fft for a built-in and the power's matrix for a hand-built
 kernel; ``circuit_unitary`` stays the dense reference."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.errors import DimensionError
 from qfrt.fractional import (
     FractionalSpec,
-    build_qfrin_circuit,
     build_qfru_circuit,
     extract_data_block,
     fractional_oracle,
@@ -52,7 +53,7 @@ def test_apply_to_a_block_is_apply_to_each_column(transform_id, size):
         got = t.apply(x, k)
         for j in range(x.shape[1]):
             assert np.max(np.abs(got[:, j:j + 1] - t.apply(x[:, j:j + 1], k))) <= 1e-12
-    assert vars(t)["dense"] is None
+    assert "dense" not in vars(t)
 
 
 def test_apply_reads_a_strided_block_without_writing_it():
@@ -281,10 +282,16 @@ class TestReadOnlyKernel:
         assert t.dense[0, 0] != 7.0
 
     def test_power_payloads_share_the_kernel(self):
-        t = make_transform("hartley", 3)
-        c = build_qfrin_circuit(t, 0.3)
-        assert c.ops[1].matrix is t.dense
-        assert c.ops[1].power == (t, 1)
+        # A power op keeps no matrix: it reads t's own sealed power.
+        t = make_transform("fourier", 3)
+        c = build_qfru_circuit(FractionalSpec(t, 0.3))
+        payloads = [op for op in c.ops if op.power is not None]
+        assert [op.power for op in payloads] == [(t, 1), (t, 2), (t, 3), (t, 2)]
+        for op in payloads:
+            got, expected = op.base_matrix(), t.power(op.power[1])
+            assert op.matrix is None and not got.flags.writeable
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert payloads[0].base_matrix() is t.dense
 
 
 class TestOneProof:
@@ -328,25 +335,33 @@ class TestOneProof:
         # Each payload names the transform, and its matrix is the transform's
         # own sealed power, not a copy.
         payloads = [op for op in c.ops if op.name == "unitary"]
-        assert all(op.power[0] is t and op.matrix is t.power(op.power[1]) for op in payloads)
+        assert all(op.power[0] is t and op.matrix is None
+                   and op.base_matrix() is t.power(op.power[1]) for op in payloads)
         # A literal matrix is copied.
         u = dft_matrix(4)
         assert GateOp("unitary", targets=(0, 1), matrix=u).matrix is not u
 
 
 class TestPowerOp:
+    def test_replace_re_homes_it_and_builds_nothing(self):
+        t = make_transform("fourier", 2)
+        op = GateOp("unitary", targets=(0, 1), controls=(2,), power=(t, 3))
+        moved = replace(op, targets=(1, 2), controls=(0,))
+        assert (moved.targets, moved.controls, moved.power) == ((1, 2), (0,), (t, 3))
+        assert moved.matrix is None and "dense" not in vars(t)
+
     def test_accepts_each_power_of_a_builtin(self):
         t = make_transform("fourier", 2)
         for k in (1, 2, 3, np.int64(3)):
             op = GateOp("unitary", targets=(0, 1), controls=(2,), power=(t, k))
-            assert op.power == (t, int(k)) and op.matrix is not None
-            assert np.array_equal(op.matrix, t.power(int(k)))
+            assert op.power == (t, int(k)) and op.matrix is None
+            assert np.array_equal(op.base_matrix(), t.power(int(k)))
 
     def test_accepts_a_hand_built_transform(self):
         t = BaseTransform("fourier", 2, 2, dft_matrix(4))
         for k in (1, 2, 3):
             op = GateOp("unitary", targets=(0, 1), power=(t, k))
-            assert op.power == (t, k) and op.matrix is t.power(k)
+            assert op.power == (t, k) and op.matrix is None and op.base_matrix() is t.power(k)
 
     def test_rejects_a_power_of_something_else(self):
         with pytest.raises(ValueError, match="needs a BaseTransform, got ndarray"):

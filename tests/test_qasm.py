@@ -110,9 +110,12 @@ def test_import_gate_errors_name_the_line(statement, message):
      ("h q[5];", r"q\[5\] is outside the 2-qubit register"),
      ("qubit[0] q;", "the register needs at least one qubit$"),
      ("unitary { 1,0,0 0,0 0,0 1,0 } q[0];", "payload entry '1,0,0' is not re,im$"),
-     ("ctrl(0) @ h q[0];", r"ctrl\(0\) names no control qubit$")],
+     ("ctrl(0) @ h q[0];", r"ctrl\(0\) names no control qubit$"),
+     ("swap q[0] q[1];", r"cannot parse 'swap q\[0\] q\[1\];'$"),
+     ("h q[0],;", r"cannot parse 'h q\[0\],;'$")],
     ids=["bad_angle", "payload_token_without_comma", "qubit_out_of_range", "empty_register",
-         "payload_token_with_two_commas", "zero_controls"],
+         "payload_token_with_two_commas", "zero_controls", "qubits_without_comma",
+         "trailing_comma"],
 )
 def test_import_statement_errors_name_the_line(statement, message):
     text = f"qubit[2] q;\nh q[0];\n{statement}\n"

@@ -48,10 +48,11 @@ class TestApply:
 
 
 def _complexified(c: Circuit) -> Circuit:
-    """The same circuit with every payload cast to complex128."""
+    """The same circuit with every payload, a power op's too, a literal
+    complex128 matrix."""
     ops = tuple(
-        op if op.matrix is None else GateOp(
-            op.name, op.targets, op.controls, op.params, op.matrix.astype(complex)
+        op if op.name != "unitary" else GateOp(
+            op.name, op.targets, op.controls, op.params, op.base_matrix().astype(complex)
         )
         for op in c.ops
     )
@@ -68,7 +69,7 @@ REAL_CASES = [("hartley", 1), ("hartley", 3), ("hartley", 7),
 def test_real_payload_circuit_matches_complex_payload_circuit(transform_id, size, alpha):
     spec = FractionalSpec(make_transform(transform_id, size), alpha)
     circuit = build_qfru_circuit(spec)
-    payloads = [op.matrix for op in circuit.ops if op.matrix is not None]
+    payloads = [op.base_matrix() for op in circuit.ops if op.name == "unitary"]
     assert payloads and all(m.dtype == np.float64 for m in payloads)
     reference = _complexified(circuit)
     cols = 1 << spec.data_qubits
