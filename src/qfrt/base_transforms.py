@@ -24,7 +24,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, NotDyadicOrderError, QfrtError
+from .errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
 from .linalg import GATE_TOL
 
 #: Tolerance for the order check U**(2**n) = I.
@@ -267,7 +267,10 @@ class BaseTransform:
                                                             getattr(self, name), 1))
         if self._layout is not None:
             return
-        dense = linalg.frozen(kernel)
+        if self.order_exponent + self.data_qubits > linalg.max_qubits():
+            raise QubitBudgetError(f"{self.id!r}: order_exponent {self.order_exponent} on "
+                                   f"{self.data_qubits} data qubits exceeds the qubit budget")
+        dense = np.asarray(kernel)
         dim = 1 << self.data_qubits
         if dense.shape != (dim, dim):
             raise DimensionError(
@@ -276,7 +279,7 @@ class BaseTransform:
             )
         if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
-        object.__setattr__(self, "dense", dense)
+        object.__setattr__(self, "dense", linalg.frozen(dense))
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -539,7 +542,7 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
 MAX_ORDER_EXPONENT = 6
 
 
-def _order_and_residue(t: BaseTransform) -> tuple[int, float, float]:
+def order_and_residue(t: BaseTransform) -> tuple[int, float, float]:
     """:func:`verify_order`'s checks; returns its exponent e, the largest
     distance from an eigenvalue of the kernel to a 2**e-th root of unity, and
     |U**order - I|_max at the declared order, read off the same squarings
@@ -578,4 +581,4 @@ def verify_order(t: BaseTransform) -> int:
     """
     if not isinstance(t, BaseTransform):
         raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
-    return _order_and_residue(t)[0]
+    return order_and_residue(t)[0]

@@ -123,9 +123,6 @@ class GateOp:
     params: tuple[float, ...] = ()
     matrix: np.ndarray | None = None
     power: tuple[BaseTransform, int] | None = None
-    # A 'p' op's sealed 2x2 gate, built once: not kept in matrix, which holds
-    # only a 'unitary' op's literal payload.
-    _phase: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("targets", "controls"):
@@ -166,7 +163,6 @@ class GateOp:
             if self.name == "p":
                 if len(self.params) != 1 or not math.isfinite(self.params[0]):
                     raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
-                object.__setattr__(self, "_phase", linalg.sealed(phase(self.params[0])))
             elif self.params:
                 raise ValueError(f"gate {self.name!r} takes no parameters")
 
@@ -197,7 +193,7 @@ class GateOp:
         if self.name == "unitary":
             return self.matrix
         if self.name == "p":
-            return self._phase
+            return linalg.sealed(phase(self.params[0]))
         return _FIXED_GATES[self.name]
 
     @property

@@ -30,23 +30,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fractional, linalg, qasm, simulator
+from . import linalg, qasm, simulator
 from .base_transforms import (
     EIGEN_RESIDUE_TOL,
     GATE_TOL,
     ORDER_TOL,
     BaseTransform,
     TRANSFORM_IDS,
-    _order_and_residue,
     make_transform,
+    order_and_residue,
 )
 from .circuits import circuit_unitary
 from .errors import QfrtError
 from .fractional import (
     FractionalSpec,
-    _column_blocks,
     build_qfrin_circuit,
     build_qfru_circuit,
+    column_blocks,
+    extract_data_block,
     fractional_apply,
     fractional_oracle,
     shih_coefficients,
@@ -61,9 +62,6 @@ _SUITE_DEFAULT_TOL = {"order": EIGEN_RESIDUE_TOL}
 #: Most rows an ``--alpha-range`` may expand to; each row is at least one
 #: dense oracle, so a larger range is a typo, not a workload.
 MAX_ALPHA_ROWS = 100_000
-
-#: Not called here; ``bench/tracer.py`` traces it by the name ``cli.extract_data_block``.
-extract_data_block = fractional.extract_data_block
 
 
 @dataclass(frozen=True)
@@ -128,18 +126,18 @@ def _alpha_list(args, default: np.ndarray) -> np.ndarray:
 
 
 def _equivalence_dev(spec: FractionalSpec) -> float:
-    """The largest deviation max|final[:2**q] - oracle columns| or leakage
-    (column norm of final[2**q:]) of ``simulator.run`` on the 2**q
-    ancilla-|0...0> basis columns, in the blocks of ``_column_blocks(2**q)``
-    compared in place; NaN if any block's output holds a NaN."""
+    """The largest deviation max|data rows - oracle columns| or leakage, by
+    :func:`extract_data_block`, of ``simulator.run`` on the 2**q
+    ancilla-|0...0> basis columns, in the blocks of ``column_blocks(2**q)``;
+    NaN if any block's output holds a NaN."""
     circuit, oracle = build_qfru_circuit(spec), fractional_oracle(spec)
-    dim, data = 1 << circuit.num_qubits, 1 << spec.data_qubits
+    dim = 1 << circuit.num_qubits
     devs = []
-    for block in _column_blocks(data):
+    for block in column_blocks(1 << spec.data_qubits):
         columns = np.eye(dim, block.stop - block.start, -block.start, dtype=complex)
         final, _ = simulator.run(circuit, columns)
-        devs.append(np.abs(final[:data] - oracle[:, block]).max())
-        devs.append(np.linalg.norm(final[data:], axis=0).max())
+        rows, leakage = extract_data_block(final, spec.num_ancillas, spec.data_qubits)
+        devs += [np.abs(rows - oracle[:, block]).max(), leakage]
     return float(np.max(devs))
 
 
@@ -200,7 +198,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             a, b = rng.uniform(0.0, order, size=2)
             spec, ob, oab = FractionalSpec(transform, a), oracle(b), oracle(a + b)
             dev = max(linalg.max_norm_diff(fractional_apply(spec, ob[:, block]), oab[:, block])
-                      for block in _column_blocks(len(ob)))
+                      for block in column_blocks(len(ob)))
             rows.append(ReportRow(f"pair{i:02d}", a, b, dev))
     elif suite == "unitarity":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
@@ -225,7 +223,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob)))
     elif suite == "order":
-        exponent, residue, declared = _order_and_residue(transform)
+        exponent, residue, declared = order_and_residue(transform)
         dev = residue if declared <= ORDER_TOL else max(residue, declared)
         rows.append(ReportRow(f"exponent{exponent}", None, None, dev))
     else:  # "coefficients", the last of SUITES, which --suite is one of
@@ -300,6 +298,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Fractional powers of dyadic-order quantum transforms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    alpha_range_help = ("START,STOP,STEP (STOP exclusive); a negative START needs the = "
+                        "form, --alpha-range=-1,1,0.5")
 
     def add_common(p):
         p.add_argument("--transform", required=True, choices=TRANSFORM_IDS)
@@ -330,7 +330,7 @@ def make_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     alphas = p_verify.add_mutually_exclusive_group()
     alphas.add_argument("--alpha", type=float, help="fractional exponent")
-    alphas.add_argument("--alpha-range", help="START,STOP,STEP (STOP exclusive)")
+    alphas.add_argument("--alpha-range", help=alpha_range_help)
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--tol", type=float, help="pass tolerance (default 1e-10; "
                           "order suite 1e-6)")
@@ -340,7 +340,7 @@ def make_parser() -> argparse.ArgumentParser:
     # allow_abbrev=False, or sweep would read --alpha as short for --alpha-range
     p_sweep = sub.add_parser("sweep", help="tabulate the interpolation curve", allow_abbrev=False)
     add_common(p_sweep)
-    p_sweep.add_argument("--alpha-range", required=True, help="START,STOP,STEP (STOP exclusive)")
+    p_sweep.add_argument("--alpha-range", required=True, help=alpha_range_help)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_export = sub.add_parser("export", help="write the circuit in text form")

@@ -90,9 +90,10 @@ def sealed(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-def frozen(a) -> np.ndarray:
-    """A sealed copy of a: nothing a caller keeps can change it."""
-    return sealed(np.array(a))
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A sealed copy of a in a read-only buffer of its own: nothing a caller
+    keeps can change it, nor make it or its ``.base`` writable."""
+    return sealed(np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape))
 
 
 def max_norm_diff(a, b) -> float:

@@ -6,12 +6,12 @@ from qfrt import linalg
 from qfrt.base_transforms import (
     TRANSFORM_IDS,
     BaseTransform,
-    _order_and_residue,
     cst1_transform,
     cst4_transform,
     fourier_transform,
     hartley_transform,
     make_transform,
+    order_and_residue,
     verify_order,
 )
 from qfrt.circuits import H, circuit_unitary, phase, qft_circuit
@@ -218,7 +218,7 @@ class TestVerifyOrder:
         ids=["fourier1", "fourier3", "hartley3", "cst4_2", "id_order4", "fourier2_as_order2"],
     )
     def test_declared_deviation_from_the_squarings(self, t):
-        _, _, declared = _order_and_residue(t)
+        _, _, declared = order_and_residue(t)
         dim = t.dense.shape[0]
         expected = linalg.max_norm_diff(np.linalg.matrix_power(t.dense, t.order), np.eye(dim))
         assert abs(declared - expected) <= 1e-14
@@ -369,13 +369,17 @@ class TestPowers:
         (1, -1, np.eye(2), DimensionError, "order_exponent must be an integer >= 1, got -1$"),
         (1, True, np.eye(2), DimensionError,
          "order_exponent must be an integer >= 1, got True$"),
+        # Once a products table of 2**30 - 2 entries, built by check().
+        (1, 30, np.eye(2), QubitBudgetError,
+         "order_exponent 30 on 1 data qubits exceeds the qubit budget$"),
     ],
     ids=["nan", "real_inf", "text", "eye3", "eye8", "vector", "none", "no_data_qubits",
          "bool_data_qubits", "float_data_qubits", "order_one", "negative_order_exponent",
-         "bool_order_exponent"],
+         "bool_order_exponent", "order_over_budget"],
 )
 def test_rejects_a_kernel_that_is_no_finite_register_square(
-        data_qubits, order_exponent, dense, error, message):
+        data_qubits, order_exponent, dense, error, message, monkeypatch):
+    monkeypatch.delenv(linalg.BUDGET_ENV_VAR, raising=False)
     with pytest.raises(error, match=f"^'bad': {message}"):
         BaseTransform("bad", data_qubits, order_exponent, dense)
 

@@ -187,6 +187,19 @@ def test_empty_alpha_range_fails_verify(command, capsys):
         f"error: --alpha-range '1,0,0.5' gives no rows to {command[0]}"]
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "coefficients"], ["sweep"]],
+                         ids=["verify", "sweep"])
+def test_a_negative_alpha_range_start_needs_the_equals_form(command, capsys):
+    # argparse reads a separate "-1,1,0.5" as a flag, not as the value.
+    argv = command + ["--transform", "fourier", "--qubits", "1"]
+    line = argparse_refuses(argv + ["--alpha-range", "-1,1,0.5"], capsys)
+    assert line.endswith("error: argument --alpha-range: expected one argument")
+    assert main(argv + ["--alpha-range=-1,1,0.5"]) == 0
+    alphas = [row.split(",")[-4 if command[0] == "sweep" else 2]
+              for row in capsys.readouterr().out.splitlines()[2:]]
+    assert [float(a) for a in alphas] == [-1.0, -0.5, 0.0, 0.5]
+
+
 @pytest.mark.parametrize("suite", ["additivity", "order"])
 @pytest.mark.parametrize("flag", ["--alpha=0.5", "--alpha-range=0,1,0.5"])
 def test_alpha_flags_rejected_by_alpha_free_suites(suite, flag, capsys):

@@ -72,34 +72,33 @@ class TestShihCoefficients:
         got = shih_coefficients(2, 0.5).weights
         assert linalg.max_norm_diff(got[None, :], expected[None, :]) <= 1e-14
 
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(17)
-        for order in (2, 4, 8):
-            for alpha in rng.uniform(-order, 2 * order, size=4):
-                expected = [brute_force_weight(order, alpha, k) for k in range(order)]
-                got = shih_coefficients(order, alpha).weights
-                assert np.max(np.abs(got - expected)) <= 1e-13
+    # Property tests: every power-of-two order the default budget allows a
+    # hand-built kernel, 2 .. 2**13, at a fixed seed.
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(exponent=st.integers(1, 13), alpha=st.floats(-1e6, 1e6))
+    def test_sum_identities(self, exponent, alpha):
+        c = shih_coefficients(1 << exponent, alpha).weights
+        assert abs(c.sum() - 1.0) <= 1e-14
+        assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-14
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        order=st.sampled_from([2, 4, 8, 16]),
-        alpha=st.floats(-20, 20, allow_nan=False),
-    )
-    def test_sum_identities(self, order, alpha):
-        c = shih_coefficients(order, alpha).weights
-        assert abs(c.sum() - 1.0) <= 1e-12
-        assert abs(np.sum(np.abs(c) ** 2) - 1.0) <= 1e-12
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(exponent=st.integers(1, 13), m=st.integers(-(2**40), 2**40))
+    def test_integer_alpha_is_kronecker_delta(self, exponent, m):
+        order = 1 << exponent
+        expected = np.zeros(order)
+        expected[m % order] = 1.0
+        assert np.max(np.abs(shih_coefficients(order, float(m)).weights - expected)) <= 1e-15
 
-    def test_integer_alpha_is_kronecker_delta(self):
-        for order in (2, 4, 8):
-            for m in range(-order, 2 * order):
-                c = shih_coefficients(order, float(m)).weights
-                expected = np.zeros(order)
-                expected[m % order] = 1.0
-                assert np.max(np.abs(c - expected)) <= 1e-12
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(exponent=st.integers(1, 4), alpha=st.floats(-64, 64))
+    def test_matches_brute_force(self, exponent, alpha):
+        order = 1 << exponent
+        expected = [brute_force_weight(order, alpha, k) for k in range(order)]
+        assert np.max(np.abs(shih_coefficients(order, alpha).weights - expected)) <= 1e-13
 
     def test_order_must_be_dyadic(self):
-        for bad in (0, 1, 3, 6, 12):
+        # 2**40, past the qubit budget, was once an 8 TiB MemoryError in numpy.
+        for bad in (0, 1, 3, 6, 12, 2**40):
             with pytest.raises(ValueError):
                 shih_coefficients(bad, 0.5)
 
@@ -586,9 +585,17 @@ class TestQfrinCircuit:
 
 class TestExtractDataBlock:
     def test_identity(self):
-        block, leakage = extract_data_block(np.eye(8), 1, 2)
-        assert np.array_equal(block, np.eye(4))
+        full = np.eye(8)
+        block, leakage = extract_data_block(full, 1, 2)
+        assert np.array_equal(block, np.eye(4)) and np.shares_memory(block, full)
         assert leakage == 0.0
+
+    def test_a_nan_reaches_the_block_and_the_leakage(self):
+        # Nothing is scanned: the caller's max sees the NaN and fails the row.
+        full = np.eye(8)
+        full[1, 0] = full[6, 3] = np.nan
+        block, leakage = extract_data_block(full, 1, 2)
+        assert np.isnan(block[1, 0]) and math.isnan(leakage)
 
     def test_ancilla_flip_leaks_everything(self):
         x_on_ancilla = np.kron(np.array([[0, 1], [1, 0]]), np.eye(2))
@@ -708,6 +715,47 @@ def test_unitarity_bound_of_a_hand_built_kernel(order_exponent, q):
         spec = FractionalSpec(t, alpha)
         m = fractional_oracle(spec)
         assert abs(unitarity_bound(spec, m) - linalg.unitarity_dev(m)) <= 1e-13
+
+
+def _claimed_oracle(t, alpha, case, size, data):
+    """m for :func:`test_unitarity_bound_is_never_below_the_dense_value`."""
+    if case == "integer_power":
+        return t.power(round(alpha) % t.order)
+    m = fractional_oracle(FractionalSpec(t, alpha))
+    i, j = (data.draw(st.integers(0, len(m) - 1)) for _ in range(2))
+    if case == "noise":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m += size * (rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape))
+    elif case == "column_scaling":
+        m[:, j] *= 1 + size
+    elif case == "changed_entry":
+        m[i, j] += size
+    return m
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    t=st.one_of(
+        st.builds(make_transform, st.sampled_from(TRANSFORM_IDS), st.integers(1, 7)),
+        st.builds(lambda q, e, seed: BaseTransform("mine", q, e, random_dyadic_unitary(
+            1 << q, e, np.random.default_rng(seed))),
+                  st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))),
+    alpha=st.floats(-1e6, 1e6),
+    case=st.sampled_from(["oracle", "noise", "column_scaling", "changed_entry",
+                          "integer_power"]),
+    size=st.floats(1e-14, 1e-3),
+    data=st.data(),
+)
+def test_unitarity_bound_is_never_below_the_dense_value(t, alpha, case, size, data):
+    # Up to N eps (1 + s)**2 of rounding, s the largest column norm of
+    # G = FrU(alpha)^dagger m - I, as the bound's docstring states.
+    spec = FractionalSpec(t, alpha)
+    m = _claimed_oracle(t, alpha, case, size, data)
+    c, dim = spec.coefficients.weights, len(m)
+    g = t.power_sum(c.conj()[-np.arange(t.order) % t.order]) @ m - np.eye(dim)
+    s = np.sqrt(np.max(np.sum(np.abs(g) ** 2, axis=0)))
+    slack = dim * np.finfo(float).eps * (1 + s) ** 2
+    assert unitarity_bound(spec, m) >= linalg.unitarity_dev(m) - slack
 
 
 @pytest.mark.parametrize("transform_id,size", SMALL)

@@ -1,6 +1,7 @@
 """No module under ``src/qfrt/`` imports a name it never uses (the package
 ``__init__`` re-exports, so it is left out), no private module-level name is
-left that nothing under ``src/qfrt/`` refers to, only ``linalg`` sets an
+left that nothing under ``src/qfrt/`` refers to, no module reaches for
+another module's private name, only ``linalg`` sets an
 array's flags or decides what is an integer, only ``base_transforms``
 reads a transform's internals, only ``circuits.multiplexed_powers``
 makes a ``power`` payload op, and only ``FractionalSpec`` and a ``power``
@@ -77,6 +78,39 @@ def test_every_private_name_is_referenced_under_src():
     used = set().union(*map(references, sources))
     assert len(defined) >= 40
     assert [name for name in defined if name not in used] == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The lines that take another qfrt module's _-prefixed name: ``from
+    .mod import _x`` (or ``from qfrt.mod``), or ``mod._x`` on a module
+    imported by ``from . import mod``."""
+    found, modules = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qfrt")):
+            if node.module in (None, "qfrt"):
+                modules.update(alias.asname or alias.name for alias in node.names)
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    found += [(node.lineno, f"{node.value.id}.{node.attr}")
+              for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_catches_a_private_import():
+    source = ("from . import linalg\nfrom .fractional import _column_blocks, column_blocks\n"
+              "from qfrt.cli import _fmt\nfrom numpy import _x\nlinalg._GRAM_ROWS, self._phase\n")
+    assert private_imports(source) == [
+        "line 2: _column_blocks", "line 3: _fmt", "line 5: linalg._GRAM_ROWS"]
+    assert private_imports("from __future__ import annotations\nimport numpy as np\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_takes_another_modules_private_name(path):
+    # What one module reads of another is public: base_transforms.order_and_residue
+    # and fractional.column_blocks once went by _-prefixed names.
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def setflags_calls(source: str) -> list[str]:

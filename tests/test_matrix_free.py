@@ -255,6 +255,17 @@ class TestReadOnlyKernel:
             with pytest.raises(ValueError, match="WRITEABLE"):
                 a.setflags(write=True)
 
+    def test_no_frozen_copy_can_be_made_writable_through_its_base(self):
+        t = BaseTransform("x", 2, 2, dft_matrix(4))
+        t.check()
+        literal = GateOp("unitary", targets=(0,), matrix=circuits.H.copy())
+        for a in (t.dense, literal.matrix):
+            while isinstance(a, np.ndarray):
+                with pytest.raises(ValueError, match="WRITEABLE"):
+                    a.setflags(write=True)
+                a = a.base
+        assert t.dense[0, 0] == dft_matrix(4)[0, 0]
+
     def test_caller_cannot_change_a_proven_kernel(self):
         u = dft_matrix(4)
         u.setflags(write=False)
