@@ -542,26 +542,26 @@ def make_transform(transform_id: str, size: int) -> BaseTransform:
 MAX_ORDER_EXPONENT = 6
 
 
-def order_and_residue(t: BaseTransform) -> tuple[int, float, float]:
-    """:func:`verify_order`'s checks; returns its exponent e, the largest
-    distance from an eigenvalue of the kernel to a 2**e-th root of unity, and
-    |U**order - I|_max at the declared order, read off the same squarings
-    (squaring past e only when the declared exponent is larger)."""
-    dim = t.dense.shape[0]
-    eye = np.eye(dim, dtype=t.dense.dtype)
-    power = t.dense
-    devs = [linalg.max_norm_diff(power, eye)]  # devs[e] = |U**(2**e) - I|_max
-    while devs[-1] > ORDER_TOL and len(devs) <= MAX_ORDER_EXPONENT:
-        power = power @ power
-        devs.append(linalg.max_norm_diff(power, eye))
-    if devs[-1] > ORDER_TOL:
-        raise NotDyadicOrderError(
-            f"{t.id}: no exponent e <= {MAX_ORDER_EXPONENT} with U**(2**e) = I"
-        )
-    found = len(devs) - 1
-    while len(devs) <= t.order_exponent:
-        power = power @ power
-        devs.append(linalg.max_norm_diff(power, eye))
+def _identity_dev(m: np.ndarray) -> float:
+    """|m - I|_max, read off |m| with its diagonal replaced by |diag - 1|."""
+    dev = np.abs(m)
+    dev.flat[:: len(m) + 1] = np.abs(m.diagonal() - 1)
+    return float(dev.max())
+
+
+def order_and_residue(t: BaseTransform) -> tuple[int, float]:
+    """:func:`verify_order`'s checks; returns its exponent e, found by
+    squaring U until U**(2**e) = I, and the largest distance from an
+    eigenvalue of the kernel to a 2**e-th root of unity."""
+    if not isinstance(t, BaseTransform):
+        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
+    power, found = t.dense, 0
+    while not _identity_dev(power) <= ORDER_TOL:  # a NaN squares on, to the cap
+        if found == MAX_ORDER_EXPONENT:
+            raise NotDyadicOrderError(
+                f"{t.id}: no exponent e <= {MAX_ORDER_EXPONENT} with U**(2**e) = I"
+            )
+        power, found = power @ power, found + 1
     eigs = np.linalg.eigvals(t.dense)
     roots = np.exp(2j * np.pi * np.arange(1 << found) / (1 << found))
     residue = float(np.max(np.min(np.abs(eigs[:, None] - roots[None, :]), axis=1)))
@@ -569,16 +569,11 @@ def order_and_residue(t: BaseTransform) -> tuple[int, float, float]:
         raise NotDyadicOrderError(
             f"{t.id}: eigenvalue residue {residue:.3e} off the 2**{found}-th roots"
         )
-    return found, residue, devs[t.order_exponent]
+    return found, residue
 
 
 def verify_order(t: BaseTransform) -> int:
-    """Smallest e <= :data:`MAX_ORDER_EXPONENT` with dense**(2**e) = I within 1e-8.
-
-    Also checks that the spectrum sits on 2**e-th roots of unity within
-    1e-6; the matrix-power identity is the normative test, the eigenvalue
-    residue a consistency diagnostic.
-    """
-    if not isinstance(t, BaseTransform):
-        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
+    """Smallest e <= :data:`MAX_ORDER_EXPONENT` with dense**(2**e) = I within
+    1e-8, its spectrum on the 2**e-th roots of unity within 1e-6: the power
+    identity is the normative test, the eigenvalue residue a diagnostic."""
     return order_and_residue(t)[0]

@@ -34,14 +34,13 @@ from . import linalg, qasm, simulator
 from .base_transforms import (
     EIGEN_RESIDUE_TOL,
     GATE_TOL,
-    ORDER_TOL,
     BaseTransform,
     TRANSFORM_IDS,
     make_transform,
     order_and_residue,
 )
 from .circuits import circuit_unitary
-from .errors import QfrtError
+from .errors import NotDyadicOrderError, QfrtError
 from .fractional import (
     FractionalSpec,
     build_qfrin_circuit,
@@ -102,7 +101,11 @@ def _parse_alpha_range(raw: str, command: str) -> np.ndarray:
         )
     if rows < 1:
         raise ValueError(f"--alpha-range {raw!r} gives no rows to {command}")
-    return start + step * np.arange(int(rows))
+    alphas = start + step * np.arange(int(rows))
+    alphas = alphas[alphas < stop]  # the count can round up to a value at STOP
+    if np.any(np.diff(alphas) <= 0):
+        raise ValueError(f"--alpha-range {raw!r}: STEP is below the float spacing of its values")
+    return alphas
 
 
 def _resolve_transform(args) -> BaseTransform:
@@ -223,9 +226,10 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
             rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob)))
     elif suite == "order":
-        exponent, residue, declared = order_and_residue(transform)
-        dev = residue if declared <= ORDER_TOL else max(residue, declared)
-        rows.append(ReportRow(f"exponent{exponent}", None, None, dev))
+        exponent, residue = order_and_residue(transform)
+        if exponent > transform.order_exponent:
+            raise NotDyadicOrderError(f"base {transform.id!r} does not satisfy U**{order} = I")
+        rows.append(ReportRow(f"exponent{exponent}", None, None, residue))
     else:  # "coefficients", the last of SUITES, which --suite is one of
         for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):
             c = shih_coefficients(order, alpha).weights
@@ -367,7 +371,7 @@ def main(argv=None) -> int:
         linalg.max_qubits()  # a malformed QFRT_MAX_QUBITS fails here, on every command
         if getattr(args, "alpha", None) is not None and not math.isfinite(args.alpha):
             raise ValueError(f"--alpha must be finite, got {args.alpha}")
-        if args.out is not None and (os.path.isdir(args.out)
+        if args.out is not None and (os.path.isdir(args.out or ".")
                                      or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ValueError(f"--out {args.out!r} is not a file in an existing directory")
         return args.func(args)

@@ -10,6 +10,7 @@ from qfrt.base_transforms import (
     EIGEN_RESIDUE_TOL,
     GATE_TOL,
     BaseTransform,
+    fourier_transform,
     hartley_transform,
     make_transform,
 )
@@ -149,8 +150,10 @@ def test_non_finite_alpha_is_one_error_line(argv, capsys, recwarn):
 )
 @pytest.mark.parametrize(
     "alpha_range,reason",
-    [("0,inf,1", "finite"), ("nan,1,1", "finite"), ("0,1e12,1e-6", "rows")],
-    ids=["inf_stop", "nan_start", "huge_count"],
+    # At 1e16 the float spacing is 2, so START + 1 rounds back to START.
+    [("0,inf,1", "finite"), ("nan,1,1", "finite"), ("0,1e12,1e-6", "rows"),
+     ("1e16,1.0000000000000004e16,1", "float spacing")],
+    ids=["inf_stop", "nan_start", "huge_count", "repeats"],
 )
 def test_bad_alpha_range_is_one_error_line(command, alpha_range, reason, capsys, recwarn):
     argv = command + ["--transform", "hartley", "--qubits", "1",
@@ -185,6 +188,24 @@ def test_empty_alpha_range_fails_verify(command, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: --alpha-range '1,0,0.5' gives no rows to {command[0]}"]
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "coefficients"], ["sweep"]],
+                         ids=["verify", "sweep"])
+@pytest.mark.parametrize("alpha_range,count", [
+    # 367.0262 - 367 rounds to 0.0262000000000171, 131.00000000009 steps, so
+    # the count is 132 and START + 131 STEP rounds to STOP.
+    ("367,367.0262,0.0002", 131),
+    # At 1e16 the float spacing is 2: START + 3 rounds up to STOP = START + 4.
+    ("1e16,1.0000000000000004e16,3", 1)], ids=["decimal", "spacing"])
+def test_alpha_range_values_stay_below_stop(command, alpha_range, count, capsys):
+    assert main(command + ["--transform", "fourier", "--qubits", "1",
+                           f"--alpha-range={alpha_range}"]) == 0
+    alphas = [float(row.split(",")[0 if command[0] == "sweep" else 2])
+              for row in capsys.readouterr().out.splitlines()[2:]]
+    start, stop, _ = map(float, alpha_range.split(","))
+    assert len(alphas) == count and alphas[0] == start and alphas[-1] < stop
+    assert all(a < b for a, b in zip(alphas, alphas[1:]))
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "coefficients"], ["sweep"]],
@@ -358,6 +379,17 @@ class TestVerify:
                      "--n", "2", "--out", str(out)]) == 0
         rows = csv_rows(read(out))
         assert rows[0]["case_id"] == "exponent1"
+
+    def test_order_suite_refuses_a_transform_above_its_declared_order(self, monkeypatch,
+                                                                      capsys):
+        # The 4-point DFT declared an involution: U**2 != I, so no row is written.
+        bad = BaseTransform("bad", 2, 1, fourier_transform(2).dense)
+        monkeypatch.setattr(cli, "make_transform", lambda *args: bad)
+        assert main(["verify", "--suite", "order", "--transform", "fourier",
+                     "--qubits", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: base 'bad' does not satisfy U**2 = I"]
 
     def test_unitarity_and_coefficients(self, tmp_path):
         for suite in ("unitarity", "coefficients"):
@@ -641,15 +673,20 @@ class TestExport:
         assert line == "qfrt export: error: the following arguments are required: --alpha"
 
 
-@pytest.mark.parametrize("where", ["directory", "missing_directory"])
+@pytest.mark.parametrize("where", ["directory", "missing_directory", "empty"])
 def test_unwritable_out_fails_before_any_transform_is_built(where, tmp_path, monkeypatch,
                                                             capsys):
-    out = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.csv")
-    built = count_calls(monkeypatch, cli, "make_transform")
-    assert main(["verify", "--suite", "unitarity", "--transform", "fourier", "--qubits", "2",
+    out = {"directory": str(tmp_path), "missing_directory": str(tmp_path / "missing" / "x.csv"),
+           "empty": ""}[where]
+
+    def refuse(*args):
+        raise AssertionError("a transform was built")
+
+    monkeypatch.setattr(cli, "make_transform", refuse)
+    assert main(["verify", "--suite", "unitarity", "--transform", "fourier", "--qubits", "9",
                  "--out", out]) == 2
     captured = capsys.readouterr()
-    assert built == [] and captured.out == ""
+    assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: --out {out!r} is not a file in an existing directory"]
 

@@ -17,6 +17,7 @@ from qfrt.base_transforms import (
     fourier_transform,
     hartley_transform,
     make_transform,
+    order_and_residue,
     verify_order,
 )
 from qfrt.circuits import GATE_TOL, GateOp, H, circuit_unitary, multiplexed_powers, phase
@@ -291,8 +292,9 @@ def test_every_entry_point_rejects_a_failing_transform(fault, message, entry):
 
 
 @pytest.mark.parametrize("entry", [lambda t: build_qfrin_circuit(t, 0.3), verify_order,
-                                   multiplexed_powers],
-                         ids=["build_qfrin_circuit", "verify_order", "multiplexed_powers"])
+                                   order_and_residue, multiplexed_powers],
+                         ids=["build_qfrin_circuit", "verify_order", "order_and_residue",
+                              "multiplexed_powers"])
 def test_entry_point_names_an_argument_that_is_no_transform(entry):
     with pytest.raises(ValueError, match="must be a BaseTransform, got ndarray"):
         entry(np.eye(4))

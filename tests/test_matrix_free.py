@@ -6,15 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfrt import base_transforms, circuits, linalg, simulator
-from qfrt.base_transforms import BaseTransform, make_transform
+from qfrt.base_transforms import TRANSFORM_IDS, BaseTransform, make_transform
 from qfrt.circuits import Circuit, GateOp, circuit_unitary
 from qfrt.errors import DimensionError
 from qfrt.fractional import (
     FractionalSpec,
     build_qfru_circuit,
     extract_data_block,
+    fractional_apply,
     fractional_oracle,
 )
 
@@ -431,3 +434,58 @@ def test_circuit_unitary_never_takes_the_fft_path(transform_id, size):
     cols = circuit_unitary(circuit, columns=1 << t.data_qubits)
     block, leakage = extract_data_block(cols, spec.num_ancillas, t.data_qubits)
     assert max(linalg.max_norm_diff(block, fractional_oracle(spec)), leakage) <= 1e-10
+
+
+# Property tests: each fast path against its dense reference, on drawn
+# transforms (the four built-ins, and hand-built kernels of orders 2, 4 and
+# 8), exponents and column counts, at a fixed seed.
+
+
+def _transforms(max_size: int, max_q: int):
+    """A built-in of size <= max_size, or a hand-built dyadic kernel on <= max_q qubits."""
+    return st.one_of(
+        st.builds(make_transform, st.sampled_from(TRANSFORM_IDS), st.integers(1, max_size)),
+        st.builds(lambda q, e, seed: BaseTransform("mine", q, e, random_dyadic_unitary(
+            1 << q, e, np.random.default_rng(seed))),
+                  st.integers(1, max_q), st.integers(1, 3), st.integers(0, 2**32 - 1)))
+
+
+#: Exponents: small, wide, and within 1e-9 of an integer (the integer itself included).
+EXPONENTS = st.one_of(
+    st.floats(-8, 8), st.floats(-1e15, 1e15),
+    st.builds(lambda m, d: m + d, st.integers(-64, 64), st.floats(-1e-9, 1e-9)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t=_transforms(7, 4), alpha=EXPONENTS, cols=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_fractional_apply_matches_the_oracle(t, alpha, cols, seed):
+    spec = FractionalSpec(t, alpha)
+    x = _block(np.random.default_rng(seed), 1 << t.data_qubits, cols)
+    assert np.max(np.abs(fractional_apply(spec, x) - fractional_oracle(spec) @ x)) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(t=_transforms(7, 4), k=st.integers(-(2**62), 2**62), cols=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_and_apply_sum_match_power_and_power_sum(t, k, cols, seed):
+    rng = np.random.default_rng(seed)
+    x = _block(rng, 1 << t.data_qubits, cols)
+    assert np.max(np.abs(t.apply(x, k) - t.power(k % t.order) @ x)) <= 1e-12
+    w = _weights(rng, t.order)
+    assert np.max(np.abs(t.apply_sum(w, x) - t.power_sum(w) @ x)) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t=_transforms(5, 3), alpha=EXPONENTS, data=st.data())
+def test_run_on_blocks_matches_circuit_unitary(t, alpha, data):
+    # The data-register basis columns in blocks of w, the last one short
+    # where w does not divide 2**q, as the equivalence suite runs them.
+    circuit = build_qfru_circuit(FractionalSpec(t, alpha))
+    dim, size = 1 << circuit.num_qubits, 1 << t.data_qubits
+    w = data.draw(st.integers(1, size), label="w")
+    want = circuit_unitary(circuit, columns=size)
+    for start in range(0, size, w):
+        stop = min(start + w, size)
+        final, _ = simulator.run(circuit, np.eye(dim, stop - start, -start, dtype=complex))
+        assert np.max(np.abs(final - want[:, start:stop])) <= 1e-13
