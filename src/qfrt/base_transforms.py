@@ -2,12 +2,14 @@
 
 Four operators: the Fourier transform (order 4) and three involutions: the
 discrete Hartley transform and the Type-I and Type-IV cosine-sine blocks.
-Each comes as a dense kernel: ``complex128`` for the Fourier transform,
-``float64`` for the three real involutions, so that every product and check
-on those runs as real arithmetic. The Fourier transform also carries its
-square, the permutation j -> -j mod N. Only the orthonormal kernel scalings
-appear here since those are the ones squaring to the identity, which the
-fractionalization machinery requires.
+Their builders return a :class:`_TableTransform`, the subclass of the
+hand-built kernel's class :class:`BaseTransform` that holds a roots table
+in place of a kernel. Its dense kernel is ``complex128`` for the Fourier
+transform, ``float64`` for the three real involutions, so that every
+product and check on those runs as real arithmetic. The Fourier transform
+also carries its square, the permutation j -> -j mod N. Only the
+orthonormal kernel scalings appear here since those are the ones squaring
+to the identity, which the fractionalization machinery requires.
 
 ``cst1`` is the direct sum of an (N+1)-point DCT-I and an (N-1)-point DST-I
 on n+1 qubits (N = 2**n); it is commonly named a Type-I cosine transform
@@ -20,6 +22,7 @@ import math
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -229,20 +232,10 @@ class BaseTransform:
     ``data_qubits`` and ``order_exponent`` are integers >= 1. A hand-built
     ``kernel``, the fourth argument, must be a finite (2**data_qubits)-square
     matrix; ``dense`` holds a sealed copy (:func:`linalg.frozen`) from then
-    on, so what :meth:`check` proves holds for good.
-
-    A transform from one of the four builders of this module carries its
-    roots table and an index layout into it instead. Its ``dense``, the
-    table gathered through the layout, is a cached property, sealed: making
-    the transform, building its circuits, simulating them and the oracle
-    never build it; ``circuit_unitary``, export and ``dump`` do. Its
-    :attr:`table_dev` certifies the stored entries against their closed
-    form in O(N), so :meth:`check` multiplies no matrix; without that
-    certificate the proof reads ``dense``. A builder also gives its
-    ``numpy.fft`` kernel for U x and, for Fourier, the row permutation p = j
-    -> -j mod N with dense**2 = I[p]: every power of a built-in is U**(k mod
-    2) after p**(k div 2). A hand-built kernel's powers are its repeated
-    products. Other modules reach U**k only by :meth:`power`, :meth:`apply`,
+    on, so what :meth:`check` proves holds for good. Its powers are its
+    repeated products, and its proof reads ``dense``. The four builders of
+    this module return the subclass :class:`_TableTransform` instead. Other
+    modules reach U**k only by :meth:`power`, :meth:`apply`,
     :meth:`apply_sum` and :meth:`power_sum`.
     """
 
@@ -250,23 +243,12 @@ class BaseTransform:
     data_qubits: int
     order_exponent: int
     kernel: InitVar[np.ndarray | None] = None
-    # A builder's index layout into its table, the table's distinct entries in
-    # a given dtype (float64: dense is values(np.float64)[layout()];
-    # np.longdouble: the certificate's reference), its numpy.fft U x, and
-    # Fourier's row permutation p, dense**2 = I[p].
-    _layout: Callable[[], np.ndarray] | None = field(default=None, kw_only=True, repr=False)
-    _values: Callable[[type], np.ndarray] | None = field(
-        default=None, kw_only=True, repr=False)
-    _fft: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, kw_only=True, repr=False)
-    _perm: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+    table_dev = None  # not a field: a hand-built kernel has no certificate
 
     def __post_init__(self, kernel):
         for name in ("data_qubits", "order_exponent"):
             object.__setattr__(self, name, linalg.check_int(f"{self.id!r}: {name}",
                                                             getattr(self, name), 1))
-        if self._layout is not None:
-            return
         if self.order_exponent + self.data_qubits > linalg.max_qubits():
             raise QubitBudgetError(f"{self.id!r}: order_exponent {self.order_exponent} on "
                                    f"{self.data_qubits} data qubits exceeds the qubit budget")
@@ -281,24 +263,9 @@ class BaseTransform:
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
         object.__setattr__(self, "dense", linalg.frozen(dense))
 
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """A builder's kernel, its table gathered through its layout, sealed."""
-        return linalg.sealed(self._values(np.float64)[self._layout()])
-
     @property
     def order(self) -> int:
         return 1 << self.order_exponent
-
-    @cached_property
-    def table_dev(self) -> float | None:
-        """A built-in kernel's certificate: delta >= max|stored - exact| over
-        its distinct entries (:func:`_entry_dev`), in O(N). None for a
-        hand-built kernel, and where np.longdouble is no wider than float64,
-        which leaves no exact reference to measure against."""
-        if self._values is None or np.finfo(np.longdouble).eps > 1e-18:
-            return None
-        return _entry_dev(self._values)
 
     @cached_property
     def unitarity_dev(self) -> float:
@@ -329,8 +296,7 @@ class BaseTransform:
         if not dev <= bound:  # a NaN fails too
             return f"does not satisfy U**{self.order} = I within {ORDER_TOL}"
         g = self.unitarity_dev  # the power bound, see check()
-        if (self._layout is None and self.order > 2
-                and (1 + dim * g) ** (self.order - 1) - 1 > GATE_TOL):
+        if self.order > 2 and (1 + dim * g) ** (self.order - 1) - 1 > GATE_TOL:
             for k, power in enumerate(self._products, 2):
                 if not linalg.unitarity_dev(power) <= GATE_TOL:
                     return f"has U**{k} not unitary within {GATE_TOL}"
@@ -365,62 +331,27 @@ class BaseTransform:
 
     def power(self, k: int) -> np.ndarray:
         """U**k for 0 <= k < order, sealed, in the kernel's dtype. U**1 is
-        ``dense`` itself; a builder's U**0 and U**2 are I and I[p], built
-        from its table's dtype with no kernel, and U**3 the row gather U[p];
-        a hand-built kernel's U**k, k >= 2, is read from one table of
-        repeated products, made once per transform."""
+        ``dense`` itself, U**0 the identity, and U**k, k >= 2, is read from
+        one table of repeated products, made once per transform."""
         k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
-        if k == 1:
-            return self.dense
-        if k > 1 and self._layout is None:
+        if k > 1:
             return self._products[k - 2]
-        if k == 3:
-            return linalg.sealed(self.dense[self._perm])
-        dtype = (self.dense if self._layout is None else self._values(np.float64)).dtype
-        eye = np.eye(1 << self.data_qubits, dtype=dtype)
-        return linalg.sealed(eye[self._perm] if k else eye)
+        return self.dense if k else linalg.sealed(np.eye(len(self.dense), dtype=self.dense.dtype))
 
     def apply(self, x: np.ndarray, k: int) -> np.ndarray:
         """U**k x, any integer k, along axis 0 of an (N, cols) block x, a new
-        complex array. k is reduced mod order once, here: k = 0 copies x; a
-        builder gathers x by p for k >= 2, then applies its ``numpy.fft``
-        kernel once for an odd k; a hand-built kernel is
-        ``linalg.apply(power(k), x)``."""
+        complex array: ``linalg.apply(power(k), x)``, with k reduced mod
+        order once, here, and k = 0 a copy of x."""
         k = linalg.check_int("k", k) % self.order
         x = self._block("apply", x)
-        if k == 0:
-            return x.copy()
-        if self._layout is None:
-            return linalg.apply(self.power(k), x)
-        if k > 1:
-            x = x[self._perm]  # U**2 x, a new array
-        return self._fft(x) if k & 1 else x
+        return linalg.apply(self.power(k), x) if k else x.copy()
 
     def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         """sum_k weights[k] U**k x over k < order, along axis 0 of an (N,
-        cols) block x, a new complex array: :meth:`power_sum` applied to x.
-        A builder's sum takes one ``numpy.fft`` pass and no N x N array:
-        w_0 x + w_1 U x for an involution, w_0 x + w_2 x[p] + U (w_1 x + w_3
-        x[p]) with Fourier's p. A hand-built kernel's is
-        ``linalg.apply(power_sum(weights), x)``."""
+        cols) block x, a new complex array: ``linalg.apply(power_sum(weights), x)``."""
         weights = self._weights("apply_sum", weights)
         x = self._block("apply_sum", x)
-        if self._layout is None:
-            return linalg.apply(self.power_sum(weights), x)
-        if self._perm is None:
-            out = self._fft(x)
-            out *= weights[1]
-        else:
-            xp = x[self._perm]
-            inner = weights[1] * x
-            inner += weights[3] * xp
-            out = self._fft(inner)
-            del inner  # at most three arrays of x's size are alive at once
-        out += weights[0] * x
-        if self._perm is not None:
-            xp *= weights[2]
-            out += xp
-        return out
+        return linalg.apply(self.power_sum(weights), x)
 
     def _weights(self, caller: str, weights) -> np.ndarray:
         """weights as an array of exactly ``order`` entries, else a
@@ -441,31 +372,14 @@ class BaseTransform:
         return x
 
     def power_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] U**k over k < order, a new array, for a checked U.
-
-        A builder's U is an involution or the DFT, and every entry of its
-        U**k is in its roots table T, so the sum is one gather of a weighted
-        table through the kernel's layout, certified or not: w_1 T, plus for
-        the DFT w_3 T[p], as F**3 = F[p] and (-j l) mod N = p((j l) mod N);
-        then w_0 on the diagonal and, for the DFT, w_2 at [j, p_j] (F**2 =
-        I[p]). No kernel or power is built. A hand-built kernel's sum is w_1
-        U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order - 1..2.
-        """
+        """sum_k weights[k] U**k over k < order, a new array, for a checked
+        U: w_1 U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order
+        - 1..2."""
         weights = self._weights("power_sum", weights)
-        if self._layout is None:
-            out = weights[1] * self.dense
-            out.flat[:: len(out) + 1] += weights[0]  # I
-            for k in range(self.order - 1, 1, -1):
-                out += weights[k] * self.power(k)
-            return out
-        p, table = self._perm, self._values(np.float64)
-        weighted = weights[1] * table
-        if p is not None:
-            weighted += weights[3] * table[p]
-        out = weighted[self._layout()]
+        out = weights[1] * self.dense
         out.flat[:: len(out) + 1] += weights[0]  # I
-        if p is not None:
-            out[np.arange(len(out)), p] += weights[2]  # I[p]
+        for k in range(self.order - 1, 1, -1):
+            out += weights[k] * self.power(k)
         return out
 
     @cached_property
@@ -477,6 +391,113 @@ class BaseTransform:
         return tuple(table[1:])
 
 
+@dataclass(frozen=True, eq=False)
+class _TableTransform(BaseTransform):
+    """A builder's transform: its roots table and an index layout into it,
+    in place of a kernel. Its ``dense``, the table gathered through the
+    layout, is a cached property, sealed: making the transform, building
+    its circuits, simulating them and the oracle never build it;
+    ``circuit_unitary``, export and ``dump`` do. Its :attr:`table_dev`
+    certifies the stored entries against their closed form in O(N), so
+    :meth:`check` multiplies no matrix; without that certificate the proof
+    reads ``dense``. It also holds its ``numpy.fft`` kernel for U x and, for
+    Fourier, the row permutation p = j -> -j mod N with dense**2 = I[p]:
+    every power is U**(k mod 2) after p**(k div 2), so it has no products.
+    """
+
+    kernel: ClassVar[None] = None  # no argument: the table gives the kernel
+    _products = ()  # its powers permute the rows of U or I: none to measure
+    # The index layout into the table, the table's distinct entries in a
+    # given dtype (float64: dense is values(np.float64)[layout()];
+    # np.longdouble: the certificate's reference), the numpy.fft U x, and
+    # Fourier's row permutation p, dense**2 = I[p].
+    _layout: Callable[[], np.ndarray] = field(kw_only=True, repr=False)
+    _values: Callable[[type], np.ndarray] = field(kw_only=True, repr=False)
+    _fft: Callable[[np.ndarray], np.ndarray] = field(kw_only=True, repr=False)
+    _perm: np.ndarray | None = field(default=None, kw_only=True, repr=False)
+
+    def __post_init__(self):
+        """Nothing to check: the builder checked the sizes and the qubit budget."""
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """The table gathered through the layout, sealed."""
+        return linalg.sealed(self._values(np.float64)[self._layout()])
+
+    @cached_property
+    def table_dev(self) -> float | None:
+        """The certificate: delta >= max|stored - exact| over the table's
+        distinct entries (:func:`_entry_dev`), in O(N). None where
+        np.longdouble is no wider than float64, which leaves no exact
+        reference to measure against."""
+        if np.finfo(np.longdouble).eps > 1e-18:
+            return None
+        return _entry_dev(self._values)
+
+    def power(self, k: int) -> np.ndarray:
+        """U**k for 0 <= k < order, sealed, in the table's dtype: U**1 is
+        ``dense`` itself, U**0 and U**2 are I and I[p], built with no
+        kernel, and U**3 the row gather U[p]."""
+        k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
+        if k == 1:
+            return self.dense
+        if k == 3:
+            return linalg.sealed(self.dense[self._perm])
+        eye = np.eye(1 << self.data_qubits, dtype=self._values(np.float64).dtype)
+        return linalg.sealed(eye[self._perm] if k else eye)
+
+    def apply(self, x: np.ndarray, k: int) -> np.ndarray:
+        """U**k x as :meth:`BaseTransform.apply`, by no matrix: x gathered by
+        p for k >= 2, then one ``numpy.fft`` pass for an odd k."""
+        k = linalg.check_int("k", k) % self.order
+        x = self._block("apply", x)
+        if k == 0:
+            return x.copy()
+        if k > 1:
+            x = x[self._perm]  # U**2 x, a new array
+        return self._fft(x) if k & 1 else x
+
+    def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] U**k x as :meth:`BaseTransform.apply_sum`, in one
+        ``numpy.fft`` pass and no N x N array: w_0 x + w_1 U x for an
+        involution, w_0 x + w_2 x[p] + U (w_1 x + w_3 x[p]) with Fourier's p."""
+        weights = self._weights("apply_sum", weights)
+        x = self._block("apply_sum", x)
+        if self._perm is None:
+            out = self._fft(x)
+            out *= weights[1]
+        else:
+            xp = x[self._perm]
+            inner = weights[1] * x
+            inner += weights[3] * xp
+            out = self._fft(inner)
+            del inner  # at most three arrays of x's size are alive at once
+        out += weights[0] * x
+        if self._perm is not None:
+            xp *= weights[2]
+            out += xp
+        return out
+
+    def power_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] U**k as :meth:`BaseTransform.power_sum`, by no
+        kernel or power: U is an involution or the DFT, and every entry of
+        its U**k is in its roots table T, so the sum is one gather of a
+        weighted table through the layout, certified or not: w_1 T, plus
+        for the DFT w_3 T[p], as F**3 = F[p] and (-j l) mod N = p((j l) mod
+        N); then w_0 on the diagonal and, for the DFT, w_2 at [j, p_j] (F**2
+        = I[p])."""
+        weights = self._weights("power_sum", weights)
+        p, table = self._perm, self._values(np.float64)
+        weighted = weights[1] * table
+        if p is not None:
+            weighted += weights[3] * table[p]
+        out = weighted[self._layout()]
+        out.flat[:: len(out) + 1] += weights[0]  # I
+        if p is not None:
+            out[np.arange(len(out)), p] += weights[2]  # I[p]
+        return out
+
+
 def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4; F**2 is the parity
     permutation j -> -j mod 2**q."""
@@ -484,9 +505,9 @@ def fourier_transform(q: int) -> BaseTransform:
     linalg.check_qubit_budget(q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
-    return BaseTransform("fourier", q, 2, _layout=lambda: _mod_layout(n_points),
-                         _values=partial(_dft_table, n_points),
-                         _fft=partial(np.fft.fft, axis=0, norm="ortho"), _perm=parity)
+    return _TableTransform("fourier", q, 2, _layout=lambda: _mod_layout(n_points),
+                           _values=partial(_dft_table, n_points),
+                           _fft=partial(np.fft.fft, axis=0, norm="ortho"), _perm=parity)
 
 
 def hartley_transform(q: int) -> BaseTransform:
@@ -494,8 +515,8 @@ def hartley_transform(q: int) -> BaseTransform:
     q = linalg.check_int("q", q, 1)
     linalg.check_qubit_budget(q)
     n_points = 1 << q
-    return BaseTransform("hartley", q, 1, _layout=lambda: _mod_layout(n_points),
-                         _values=partial(_hartley_table, n_points), _fft=_hartley_apply)
+    return _TableTransform("hartley", q, 1, _layout=lambda: _mod_layout(n_points),
+                           _values=partial(_hartley_table, n_points), _fft=_hartley_apply)
 
 
 def cst1_transform(n: int) -> BaseTransform:
@@ -503,8 +524,8 @@ def cst1_transform(n: int) -> BaseTransform:
     n = linalg.check_int("n", n, 1)
     linalg.check_qubit_budget(n + 1)
     big_n = 1 << n
-    return BaseTransform("cst1", n + 1, 1, _layout=lambda: _cst1_layout(big_n),
-                         _values=partial(_cst1_values, big_n), _fft=_cst1_apply)
+    return _TableTransform("cst1", n + 1, 1, _layout=lambda: _cst1_layout(big_n),
+                           _values=partial(_cst1_values, big_n), _fft=_cst1_apply)
 
 
 def cst4_transform(n: int) -> BaseTransform:
@@ -516,9 +537,9 @@ def cst4_transform(n: int) -> BaseTransform:
     m = np.arange(big_n // 2)[:, None]
     pre = np.exp(-1j * np.pi * m / big_n)
     post = np.sqrt(2.0 / big_n) * np.exp(-1j * np.pi * (4 * m + 1) / (4 * big_n))
-    return BaseTransform("cst4", n + 1, 1, _layout=lambda: _cst4_layout(big_n),
-                         _values=partial(_cst4_values, big_n),
-                         _fft=partial(_cst4_apply, pre, post))
+    return _TableTransform("cst4", n + 1, 1, _layout=lambda: _cst4_layout(big_n),
+                           _values=partial(_cst4_values, big_n),
+                           _fft=partial(_cst4_apply, pre, post))
 
 
 #: Each builder by its CLI identifier.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import closed_form, dft_matrix, random_dyadic_unitary, random_state
-from qfrt import linalg
+from qfrt import base_transforms, linalg
 from qfrt.base_transforms import (
     TRANSFORM_IDS,
     BaseTransform,
@@ -276,7 +276,7 @@ class TestPowers:
     def test_order_four_operator_without_permutation_gets_products(self):
         u = random_dyadic_unitary(8, 2, np.random.default_rng(405))
         t = BaseTransform("custom", 3, 2, u)
-        assert t._perm is None
+        assert type(t) is BaseTransform
         table = [t.power(k) for k in range(t.order)]
         assert np.array_equal(table[2], u @ u)
         assert np.array_equal(table[3], u @ u @ u)
@@ -294,32 +294,18 @@ class TestPowers:
                                     lambda dtype: u.ravel(), fourier._perm)
         else:
             layout, values, perm = fourier._layout, fourier._values, np.arange(8)
-        impostor = BaseTransform("impostor", 3, 2, _layout=layout, _values=values,
-                                 _fft=fourier._fft, _perm=perm)
+        impostor = base_transforms._TableTransform("impostor", 3, 2, _layout=layout,
+                                                   _values=values, _fft=fourier._fft,
+                                                   _perm=perm)
         vars(impostor)["table_dev"] = None
         with pytest.raises(NotDyadicOrderError, match="'impostor' does not satisfy U"):
             FractionalSpec(impostor, 0.5)
         with pytest.raises(NotDyadicOrderError, match="'impostor'"):
             impostor.check()
 
-    def test_hand_built_kernel_ignores_a_permutation(self):
-        # A hand-built kernel's powers are its products, with or without p.
-        u = random_dyadic_unitary(8, 2, np.random.default_rng(407))
-        t = BaseTransform("mine", 3, 2, u, _perm=fourier_transform(3)._perm)
-        t.check()
-        x = random_state(3, np.random.default_rng(408))[:, None]
-        for k in range(t.order):
-            product = np.linalg.matrix_power(u, k)
-            assert linalg.max_norm_diff(t.power(k), product) <= 1e-12
-            assert np.max(np.abs(t.apply(x, k) - product @ x)) <= 1e-12
-        plain = BaseTransform("mine", 3, 2, u)
-        assert np.array_equal(t.power(2), plain.power(2))
-        w = np.array([0.1, 0.2j, -0.3, 0.4])
-        assert np.array_equal(t.apply_sum(w, x), plain.apply_sum(w, x))
-        # Its proof measures those products too: U is unitary within 1e-10,
-        # U**2 is not.
-        leaky = BaseTransform("s", 2, 2, (1 + 4e-11) * dft_matrix(4),
-                              _perm=fourier_transform(2)._perm)
+    def test_hand_built_proof_measures_the_products(self):
+        # U is unitary within 1e-10, U**2 is not.
+        leaky = BaseTransform("s", 2, 2, (1 + 4e-11) * dft_matrix(4))
         with pytest.raises(NotDyadicOrderError, match=r"'s' has U\*\*2 not unitary"):
             leaky.check()
 
@@ -339,7 +325,7 @@ class TestPowers:
         dense = fourier_transform(2).dense
         with pytest.raises(TypeError, match="square_perm"):
             BaseTransform("bad", 2, 2, dense, square_perm=np.array([0, 3, 2, 1]))
-        assert BaseTransform("mine", 2, 2, dense)._perm is None
+        assert type(BaseTransform("mine", 2, 2, dense)) is BaseTransform
 
     def test_wrong_order_names_the_transform(self):
         # The table itself is unchecked; its two callers raise the named error.
@@ -351,6 +337,48 @@ class TestPowers:
             fractional_oracle(FractionalSpec(liar, 0.5))
         with pytest.raises(NotDyadicOrderError, match="'odd'"):
             build_qfru_circuit(FractionalSpec(liar, 0.5))
+
+
+BUILDERS = [fourier_transform, hartley_transform, cst1_transform, cst4_transform]
+
+
+class TestTwoClasses:
+    """A hand-built kernel is a BaseTransform; a builder's table transform is
+    its subclass, and neither takes the other's arguments."""
+
+    @staticmethod
+    def table_fields(t):
+        return {name: getattr(t, name) for name in ("_layout", "_values", "_fft", "_perm")}
+
+    @pytest.mark.parametrize("name", ["_layout", "_values", "_fft", "_perm"])
+    def test_hand_built_kernel_takes_no_table_field(self, name):
+        # Once accepted, a kernel passed with the table fields was dropped
+        # unchecked in favour of the table.
+        fourier = fourier_transform(2)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            BaseTransform("x", 2, 2, np.zeros((3, 3)), **{name: getattr(fourier, name)})
+
+    @pytest.mark.parametrize("missing", ["_values", "_fft"])
+    def test_table_transform_without_its_table_fails_when_made(self, missing):
+        # Once made, it failed only at check() by calling the missing None.
+        fields = self.table_fields(fourier_transform(2))
+        del fields[missing]
+        with pytest.raises(TypeError, match=f"missing 1 required keyword-only argument: "
+                                            f"'{missing}'"):
+            base_transforms._TableTransform("z", 2, 2, **fields)
+
+    def test_table_transform_takes_no_kernel(self):
+        fields = self.table_fields(fourier_transform(2))
+        with pytest.raises(TypeError, match="positional argument"):
+            base_transforms._TableTransform("z", 2, 2, dft_matrix(4), **fields)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'kernel'"):
+            base_transforms._TableTransform("z", 2, 2, kernel=dft_matrix(4), **fields)
+
+    @pytest.mark.parametrize("builder", BUILDERS, ids=lambda b: b.__name__)
+    def test_builders_return_the_table_transform(self, builder):
+        t = builder(2)
+        assert type(t) is base_transforms._TableTransform
+        assert isinstance(t, BaseTransform)
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,43 @@ def test_table_dev_is_the_kernels_deviation(transform_id, size):
         assert abs(t.table_dev - margin - full) <= 8 * EPS_LD * largest
 
 
+def exact_table(transform_id: str, size: int, mp) -> list:
+    """A builder's distinct entries in the order of its table, by the same
+    closed forms, evaluated in mpmath at mp.dps digits."""
+    big_n = 1 << size
+    if transform_id == "fourier":
+        return [mp.exp(-2j * mp.pi * j / big_n) / mp.sqrt(big_n) for j in range(big_n)]
+    if transform_id == "hartley":
+        angles = [2 * mp.pi * j / big_n for j in range(big_n)]
+        return [(mp.cos(a) + mp.sin(a)) / mp.sqrt(big_n) for a in angles]
+    scale = mp.sqrt(mp.mpf(2) / big_n)
+    if transform_id == "cst1":
+        cos, sin = ([scale * trig(mp.pi * m / big_n) for m in range(2 * big_n)]
+                    for trig in (mp.cos, mp.sin))
+        edges = [cos[0] / mp.sqrt(2), cos[big_n] / mp.sqrt(2)]
+        return cos + sin + edges + [cos[0] / 2, mp.mpf(0)]
+    return [scale * trig(mp.pi * m / (4 * big_n))
+            for trig in (mp.cos, mp.sin) for m in range(1, 8 * big_n, 2)] + [mp.mpf(0)]
+
+
+@pytest.mark.parametrize("transform_id,size",
+                         [(t, s) for t in ("fourier", "hartley", "cst1", "cst4")
+                          for s in range(1, 9)])
+def test_table_dev_bounds_the_tables_deviation_from_a_40_digit_reference(transform_id, size):
+    # The longdouble reference rounds too, and the certificate's margin
+    # covers that: without it, some tables read below their true deviation.
+    mpmath = pytest.importorskip("mpmath")
+    t = make_transform(transform_id, size)
+    if t.table_dev is None:
+        pytest.skip("np.longdouble is no wider than float64: no certificate")
+    stored = t._values(np.float64)
+    with mpmath.workdps(40):
+        exact = exact_table(transform_id, size, mpmath.mp)
+        assert len(exact) == len(stored)
+        dev = max(abs(mpmath.mpmathify(v) - e) for v, e in zip(stored, exact))
+        assert mpmath.mpf(t.table_dev) >= dev
+
+
 def double_longdouble(monkeypatch):
     """Make np.finfo report longdouble as float64, as on a host without an
     extended type."""
@@ -307,11 +344,12 @@ def test_hand_built_kernel_is_not_certified():
 
 @pytest.mark.parametrize("transform_id,size", [("fourier", 12), ("hartley", 3)])
 def test_repr_reads_only_what_is_built(transform_id, size):
-    # Both reprs are the dataclass defaults: no field holds the kernel.
+    # Both reprs are the dataclass defaults: no field holds the kernel, and
+    # a builder's table fields are not shown.
     t = make_transform(transform_id, size)
     op = GateOp("unitary", targets=tuple(range(t.data_qubits)), power=(t, 1))
     shown = repr(t) + repr(op)
-    assert repr(t) == (f"BaseTransform(id={transform_id!r}, data_qubits={size}, "
+    assert repr(t) == (f"_TableTransform(id={transform_id!r}, data_qubits={size}, "
                        f"order_exponent={t.order_exponent})")
     assert "array" not in shown and "matrix=None" in repr(op) and repr(t) in repr(op)
     assert "dense" not in vars(t)  # printing built nothing

@@ -194,7 +194,7 @@ class TestGateOpValidation:
          (lambda: Circuit(2, (GateOp("h", (0,)), "h")), "op 1 must be a GateOp, got str"),
          (lambda: GateOp("unitary", targets=(0,), power=fourier_transform(1)),
           "a power payload is a (transform, k) pair, got "
-          "BaseTransform(id='fourier', data_qubits=1, order_exponent=2)"),
+          "_TableTransform(id='fourier', data_qubits=1, order_exponent=2)"),
          (lambda: GateOp("p", targets=(0,), params=(1j,)),
           "params[0] must be a real number, got 1j"),
          (lambda: GateOp("p", targets=(0,), params=(None,)),

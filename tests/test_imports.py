@@ -136,21 +136,26 @@ def test_only_linalg_sets_array_flags(path):
 
 
 #: A transform's internals: what it stores to answer power, apply,
-#: apply_sum and power_sum, and its proof's working. Only base_transforms
-#: may read them.
-TRANSFORM_INTERNALS = frozenset(
-    {"_perm", "table_dev", "_values", "_layout", "_fft", "_products", "_fault"})
+#: apply_sum and power_sum, its proof's working, and the builders' private
+#: class. Only base_transforms may read them.
+TRANSFORM_INTERNALS = frozenset({"_perm", "table_dev", "_values", "_layout", "_fft",
+                                 "_products", "_fault", "_TableTransform"})
 
 
 def internal_reads(source: str) -> list[str]:
-    """The lines that read a transform's internal, as an attribute or as a
-    name string (``vars(t)["_layout"]``, ``getattr(t, "_fft")``)."""
+    """The lines that read a transform's internal, as an attribute, as a
+    name string (``vars(t)["_layout"]``, ``getattr(t, "_fft")``), as an
+    imported name or as a keyword argument (``_TableTransform(..., _fft=f)``)."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
             name = node.attr
         elif isinstance(node, ast.Constant):
             name = node.value
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.keyword):
+            name = node.arg
         else:
             continue
         if isinstance(name, str) and name in TRANSFORM_INTERNALS:
@@ -161,6 +166,8 @@ def internal_reads(source: str) -> list[str]:
 def test_checker_catches_a_read_of_a_transforms_internals():
     source = "def f(t, w):\n    p = t._perm\n    return vars(t)['_layout'], t.power_sum(w)\n"
     assert internal_reads(source) == ["line 2: _perm", "line 3: _layout"]
+    source = "from .base_transforms import _TableTransform as T\nT('x', 1, 1, _fft=f)\n"
+    assert internal_reads(source) == ["line 1: _TableTransform", "line 2: _fft"]
     assert internal_reads("t.apply(x, 1)\n'_perm is private'\n") == []
 
 
