@@ -14,18 +14,22 @@ Each command declares only the flags it reads, and argparse refuses the rest
 with exit 2: ``--alpha`` goes to dump, verify and export, ``--alpha-range`` to
 verify and sweep, and verify takes at most one of the two.
 
-Verification reports are CSV with a ``# key=value`` header line recording
-the seed and tolerance; the process exits 0 only if every row passes. The
-qubit budget can be raised or lowered with the ``QFRT_MAX_QUBITS``
-environment variable.
+Each command returns its exit code and its output lines, and :func:`main`
+writes the lines as they come, to ``--out`` or to stdout: ``dump`` never
+holds its whole text. Verification reports are CSV with a ``# key=value``
+header line recording the seed and tolerance; the process exits 0 only if
+every row passes. The qubit budget can be raised or lowered with the
+``QFRT_MAX_QUBITS`` environment variable.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +79,12 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.17g}"
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _write(path: str | None, lines: Iterable[str]) -> None:
+    """Write each line and a newline as it comes, to ``path`` or to stdout:
+    the one place that writes a command's output."""
+    with (open(path, "w", encoding="utf-8") if path is not None
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.writelines(line + "\n" for line in lines)
 
 
 def _parse_alpha_range(raw: str, command: str) -> np.ndarray:
@@ -147,7 +151,7 @@ def _equivalence_dev(spec: FractionalSpec) -> float:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_dump(args) -> int:
+def cmd_dump(args) -> tuple[int, Iterable[str]]:
     fmt, has_alpha = f"--format {args.format}", args.alpha is not None
     # Each flag a dump would ignore is an error, the first one found reported.
     for ignored, message in (
@@ -166,23 +170,19 @@ def cmd_dump(args) -> int:
             raise ValueError("--cst4-selector only applies to --transform cst4")
         half = transform.dense.shape[0] // 2  # DCT-IV (+) DST-IV: slice a block
         block = slice(None, half) if args.cst4_selector == "cos" else slice(half, None)
-        _write(args.out, linalg.format_matrix(transform.dense[block, block]))
-        return 0
+        return 0, linalg.format_matrix(transform.dense[block, block])
     if args.alpha is None:
-        _write(args.out, linalg.format_matrix(transform.dense))
-        return 0
+        return 0, linalg.format_matrix(transform.dense)
     spec = FractionalSpec(transform, args.alpha)
     if args.format == "state-text":
         circuit = build_qfru_circuit(spec)
         final, _ = simulator.run(circuit, simulator.basis_state(circuit.num_qubits))
-        _write(args.out, simulator.format_state(final, full=args.full))
-        return 0
+        return 0, simulator.format_state(final, full=args.full)
     if args.circuit_unitary:
         payload = circuit_unitary(build_qfru_circuit(spec))
     else:
         payload = fractional_oracle(spec)
-    _write(args.out, linalg.format_matrix(payload))
-    return 0
+    return 0, linalg.format_matrix(payload)
 
 
 def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
@@ -207,11 +207,11 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
             spec = FractionalSpec(transform, alpha)
             dev = unitarity_bound(spec, fractional_oracle(spec))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev))
+            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, dev))
     elif suite == "equivalence":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
             dev = _equivalence_dev(FractionalSpec(transform, alpha))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, dev))
+            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, dev))
     elif suite == "restoration":
         for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
             spec = FractionalSpec(transform, alpha)
@@ -224,7 +224,7 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
             state[: data.size] = data
             final, _ = simulator.run(circuit, state)
             prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, abs(1.0 - prob)))
+            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, abs(1.0 - prob)))
     elif suite == "order":
         exponent, residue = order_and_residue(transform)
         if exponent > transform.order_exponent:
@@ -234,11 +234,11 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
         for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):
             c = shih_coefficients(order, alpha).weights
             dev = max(abs(c.sum() - 1.0), abs(np.sum(np.abs(c) ** 2) - 1.0))
-            rows.append(ReportRow(f"alpha{alpha:.4f}", alpha, None, float(dev)))
+            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, float(dev)))
     return rows
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[str]]:
     transform = _resolve_transform(args)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
@@ -253,11 +253,10 @@ def cmd_verify(args) -> int:
     for r in rows:
         lines.append(f"{args.suite},{r.case_id},{_fmt(r.alpha)},{_fmt(r.beta)},{r.deviation:.17g},"
                      f"{tol:.17g},{'true' if r.deviation <= tol else 'false'}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0 if all(r.deviation <= tol for r in rows) else 1
+    return (0 if all(r.deviation <= tol for r in rows) else 1), lines
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, list[str]]:
     transform = _resolve_transform(args)
     alphas = _parse_alpha_range(args.alpha_range, "sweep")
     order = transform.order
@@ -274,11 +273,10 @@ def cmd_sweep(args) -> int:
         weights[int(round(alpha)) % order] -= 1  # FrU(alpha) - U**k, gathered
         dist = float(np.max(np.abs(transform.power_sum(weights))))
         lines.append(f"{alpha:.17g},{coeff_sq:.17g},{unit_dev:.17g},{dist:.17g}")
-    _write(args.out, "\n".join(lines) + "\n")
-    return 0
+    return 0, lines
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, list[str]]:
     transform = _resolve_transform(args)
     if args.kind == "qfrin" and transform.order_exponent != 1:
         raise ValueError(f"--kind qfrin does not apply to --transform {transform.id} "
@@ -289,8 +287,7 @@ def cmd_export(args) -> int:
         circuit = build_qfrin_circuit(transform, args.alpha)
     else:
         circuit = build_qfru_circuit(FractionalSpec(transform, args.alpha))
-    _write(args.out, qasm.export_circuit(circuit))
-    return 0
+    return 0, qasm.export_circuit(circuit).splitlines()
 
 
 # ------------------------------------------------------------------ parser
@@ -374,7 +371,9 @@ def main(argv=None) -> int:
         if args.out is not None and (os.path.isdir(args.out or ".")
                                      or not os.path.isdir(os.path.dirname(args.out) or ".")):
             raise ValueError(f"--out {args.out!r} is not a file in an existing directory")
-        return args.func(args)
+        code, lines = args.func(args)
+        _write(args.out, lines)
+        return code
     except (QfrtError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

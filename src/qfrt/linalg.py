@@ -15,9 +15,11 @@ variable); exceeding it raises instead of silently truncating.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -158,11 +160,10 @@ def matrix_power(m, k: int) -> np.ndarray:
     return result
 
 
-def format_matrix(m) -> str:
-    """Matrix text format: a ``rows cols`` header line, then one line per row
-    of space-separated ``re,im`` entries with 17 significant digits."""
+def format_matrix(m) -> Iterator[str]:
+    """Matrix text format, as lines without newlines, made one at a time: a
+    ``rows cols`` header, then one line per row of space-separated ``re,im``
+    entries with 17 significant digits. ``m`` is checked on the call."""
     m = as_matrix(m)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(f"{v.real:.17g},{v.imag:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows = (" ".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) for row in m)
+    return itertools.chain([f"{m.shape[0]} {m.shape[1]}"], rows)

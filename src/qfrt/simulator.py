@@ -19,6 +19,7 @@ exactly from amplitudes; there is no shot sampling.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +116,12 @@ def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> flo
     return float(np.sum(np.abs(state[:block]) ** 2))
 
 
-def format_state(state: np.ndarray, full: bool = False) -> str:
-    """State dump: one line per basis index as an MSB-first bit string plus
-    ``re,im``; amplitudes with modulus <= DUMP_EPS are skipped unless full."""
+def format_state(state: np.ndarray, full: bool = False) -> Iterator[str]:
+    """State dump, as lines without newlines, made one at a time: one line per
+    basis index as an MSB-first bit string plus ``re,im``; amplitudes with
+    modulus <= DUMP_EPS are skipped unless full, so a state with none above
+    it has no lines. ``state`` is checked on the call."""
     state = np.asarray(state, dtype=complex)
     n = _num_qubits(state)
-    lines = [
-        f"{i:0{n}b} {a.real:.17g},{a.imag:.17g}"
-        for i, a in enumerate(state)
-        if full or abs(a) > DUMP_EPS
-    ]
-    return "\n".join(lines) + "\n"
+    return (f"{i:0{n}b} {a.real:.17g},{a.imag:.17g}"
+            for i, a in enumerate(state) if full or abs(a) > DUMP_EPS)

@@ -1,5 +1,6 @@
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,25 @@ class TestDump:
             assert main(["dump", "--transform", "cst4", "--n", "2",
                          "--cst4-selector", selector, "--out", str(out)]) == 0
             assert linalg.max_norm_diff(parse_matrix(read(out)), expected) <= 1e-14
+
+    @pytest.mark.parametrize("qubits,extra", [
+        (8, []), (8, ["--alpha", "0.37"]),
+        (6, ["--alpha", "0.37", "--circuit-unitary"]),  # 8 qubits with its 2 ancillas
+    ], ids=["kernel", "alpha", "circuit-unitary"])
+    def test_dump_holds_one_row_of_text_at_a_time(self, qubits, extra, tmp_path):
+        # Each matrix is 256 x 256 complex, 1 MiB, and its text ~2.5 MB, so a
+        # peak under 3x the matrix means the text is never held whole.
+        out = tmp_path / "m.txt"
+        tracemalloc.start()
+        try:
+            assert main(["dump", "--transform", "fourier", "--qubits", str(qubits), *extra,
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, cols = map(int, read(out).splitlines()[0].split())
+        assert (rows, cols) == (256, 256)
+        assert peak < 3 * rows * cols * 16
 
     def test_selector_needs_cst4(self, capsys):
         assert main(["dump", "--transform", "hartley", "--qubits", "1",
@@ -402,6 +422,15 @@ class TestVerify:
         assert main(["verify", "--suite", "restoration", "--transform", "fourier",
                      "--qubits", "1", "--out", str(out)]) == 0
         assert all(r["pass"] == "true" for r in csv_rows(read(out)))
+
+    def test_alpha_case_ids_repeat_the_alpha_column(self, capsys):
+        # Alphas equal to four decimals once shared the case_id alpha0.0000.
+        assert main(["verify", "--suite", "coefficients", "--transform", "fourier",
+                     "--qubits", "1", "--alpha-range=0,0.00003,0.00001"]) == 0
+        rows = csv_rows(capsys.readouterr().out)
+        ids = [r["case_id"] for r in rows]
+        assert len(set(ids)) == 3
+        assert ids == ["alpha" + r["alpha"] for r in rows]
 
     def test_failing_row_sets_exit_status(self, tmp_path):
         out = tmp_path / "fail.csv"

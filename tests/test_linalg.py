@@ -166,11 +166,19 @@ class TestMatrixText:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(42)
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        assert np.array_equal(parse_matrix(linalg.format_matrix(m)), m)
+        assert np.array_equal(parse_matrix("\n".join(linalg.format_matrix(m))), m)
 
     def test_header_and_entry_layout(self):
-        text = linalg.format_matrix(np.array([[1.0, 0.5j]]))
-        assert text == "1 2\n1,0 0,0.5\n"
+        lines = linalg.format_matrix(np.array([[1.0, 0.5j]]))
+        assert list(lines) == ["1 2", "1,0 0,0.5"]
+
+    @pytest.mark.parametrize("bad,error", [([[1.0, np.nan]], ValueError),
+                                           (np.zeros((0, 3)), DimensionError)],
+                             ids=["nan", "empty"])
+    def test_bad_matrix_raises_on_the_call(self, bad, error):
+        # The check runs before any line is made, so `dump` opens no file.
+        with pytest.raises(error):
+            linalg.format_matrix(bad)
 
     def test_bad_row_count(self):
         with pytest.raises(DimensionError):

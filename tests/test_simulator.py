@@ -21,6 +21,7 @@ from qfrt.fractional import (
     fractional_oracle,
 )
 from qfrt.simulator import (
+    DUMP_EPS,
     ancilla_restoration_probability,
     basis_state,
     format_state,
@@ -402,10 +403,15 @@ class TestFormatState:
     def test_bitstrings_are_msb_first(self):
         state = np.zeros(4, dtype=complex)
         state[2] = 1.0
-        assert format_state(state) == "10 1,0\n"
+        assert list(format_state(state)) == ["10 1,0"]
 
     def test_small_amplitudes_dropped(self):
         state = np.array([1.0, 2.0 ** -60], dtype=complex)
-        assert format_state(state) == "0 1,0\n"
-        full = format_state(state, full=True).splitlines()
+        assert list(format_state(state)) == ["0 1,0"]
+        full = list(format_state(state, full=True))
         assert len(full) == 2 and full[0] == "0 1,0"
+
+    def test_no_amplitude_above_the_cutoff_gives_no_lines(self):
+        state = np.array([DUMP_EPS, 0.0], dtype=complex)
+        assert list(format_state(state)) == []
+        assert len(list(format_state(state, full=True))) == 2
