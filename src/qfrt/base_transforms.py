@@ -236,7 +236,10 @@ class BaseTransform:
     repeated products, and its proof reads ``dense``. The four builders of
     this module return the subclass :class:`_TableTransform` instead. Other
     modules reach U**k only by :meth:`power`, :meth:`apply`,
-    :meth:`apply_sum` and :meth:`power_sum`.
+    :meth:`apply_sum` and :meth:`power_sum`, defined here alone: each checks
+    its arguments once, then calls its kernel, :meth:`_power`, :meth:`_apply`
+    (k in 1..order-1), :meth:`_apply_sum` or :meth:`_power_sum`, the only
+    methods a subclass overrides.
     """
 
     id: str
@@ -330,28 +333,24 @@ class BaseTransform:
             raise NotDyadicOrderError(f"base {self.id!r} {self._fault}")
 
     def power(self, k: int) -> np.ndarray:
-        """U**k for 0 <= k < order, sealed, in the kernel's dtype. U**1 is
-        ``dense`` itself, U**0 the identity, and U**k, k >= 2, is read from
-        one table of repeated products, made once per transform."""
-        k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
-        if k > 1:
-            return self._products[k - 2]
-        return self.dense if k else linalg.sealed(np.eye(len(self.dense), dtype=self.dense.dtype))
+        """U**k for 0 <= k < order, sealed, in the kernel's dtype, by :meth:`_power`."""
+        return self._power(linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1))
 
     def apply(self, x: np.ndarray, k: int) -> np.ndarray:
-        """U**k x, any integer k, along axis 0 of an (N, cols) block x, a new
-        complex array: ``linalg.apply(power(k), x)``, with k reduced mod
-        order once, here, and k = 0 a copy of x."""
+        """U**k x along axis 0 of an (N, cols) block x, a new complex array: any
+        integer k, reduced mod order here, k = 0 a copy of x, else :meth:`_apply`."""
         k = linalg.check_int("k", k) % self.order
         x = self._block("apply", x)
-        return linalg.apply(self.power(k), x) if k else x.copy()
+        return self._apply(x, k) if k else x.copy()
 
     def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         """sum_k weights[k] U**k x over k < order, along axis 0 of an (N,
-        cols) block x, a new complex array: ``linalg.apply(power_sum(weights), x)``."""
-        weights = self._weights("apply_sum", weights)
-        x = self._block("apply_sum", x)
-        return linalg.apply(self.power_sum(weights), x)
+        cols) block x, a new complex array, by :meth:`_apply_sum`."""
+        return self._apply_sum(self._weights("apply_sum", weights), self._block("apply_sum", x))
+
+    def power_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights[k] U**k over k < order, a new array, by :meth:`_power_sum`."""
+        return self._power_sum(self._weights("power_sum", weights))
 
     def _weights(self, caller: str, weights) -> np.ndarray:
         """weights as an array of exactly ``order`` entries, else a
@@ -371,15 +370,24 @@ class BaseTransform:
                                  f"cols) block, got shape {x.shape}")
         return x
 
-    def power_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] U**k over k < order, a new array, for a checked
-        U: w_1 U, w_0 on the diagonal, then w_k :meth:`power` (k), k = order
-        - 1..2."""
-        weights = self._weights("power_sum", weights)
+    def _power(self, k: int) -> np.ndarray:
+        """U**0 = I, U**1 = ``dense``, and U**k, k >= 2, from :attr:`_products`."""
+        if k > 1:
+            return self._products[k - 2]
+        return self.dense if k else linalg.sealed(np.eye(len(self.dense), dtype=self.dense.dtype))
+
+    def _apply(self, x: np.ndarray, k: int) -> np.ndarray:
+        return linalg.apply(self._power(k), x)
+
+    def _apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return linalg.apply(self._power_sum(weights), x)
+
+    def _power_sum(self, weights: np.ndarray) -> np.ndarray:
+        """w_1 U, w_0 on the diagonal, then w_k U**k, k = order - 1..2."""
         out = weights[1] * self.dense
         out.flat[:: len(out) + 1] += weights[0]  # I
         for k in range(self.order - 1, 1, -1):
-            out += weights[k] * self.power(k)
+            out += weights[k] * self._power(k)
         return out
 
     @cached_property
@@ -400,8 +408,8 @@ class _TableTransform(BaseTransform):
     ``circuit_unitary``, export and ``dump`` do. Its :attr:`table_dev`
     certifies the stored entries against their closed form in O(N), so
     :meth:`check` multiplies no matrix; without that certificate the proof
-    reads ``dense``. It also holds its ``numpy.fft`` kernel for U x and, for
-    Fourier, the row permutation p = j -> -j mod N with dense**2 = I[p]:
+    reads ``dense``. It overrides only the kernels, by its ``numpy.fft`` U x
+    and, for Fourier, the row permutation p = j -> -j mod N, dense**2 = I[p]:
     every power is U**(k mod 2) after p**(k div 2), so it has no products.
     """
 
@@ -434,11 +442,9 @@ class _TableTransform(BaseTransform):
             return None
         return _entry_dev(self._values)
 
-    def power(self, k: int) -> np.ndarray:
-        """U**k for 0 <= k < order, sealed, in the table's dtype: U**1 is
-        ``dense`` itself, U**0 and U**2 are I and I[p], built with no
-        kernel, and U**3 the row gather U[p]."""
-        k = linalg.check_int(f"power of {self.id!r}", k, 0, self.order - 1)
+    def _power(self, k: int) -> np.ndarray:
+        """U**1 is ``dense`` itself, U**0 and U**2 are I and I[p], built with
+        no kernel, and U**3 the row gather U[p]."""
         if k == 1:
             return self.dense
         if k == 3:
@@ -446,23 +452,15 @@ class _TableTransform(BaseTransform):
         eye = np.eye(1 << self.data_qubits, dtype=self._values(np.float64).dtype)
         return linalg.sealed(eye[self._perm] if k else eye)
 
-    def apply(self, x: np.ndarray, k: int) -> np.ndarray:
-        """U**k x as :meth:`BaseTransform.apply`, by no matrix: x gathered by
-        p for k >= 2, then one ``numpy.fft`` pass for an odd k."""
-        k = linalg.check_int("k", k) % self.order
-        x = self._block("apply", x)
-        if k == 0:
-            return x.copy()
+    def _apply(self, x: np.ndarray, k: int) -> np.ndarray:
+        """By no matrix: x gathered by p for k >= 2, then one ``numpy.fft`` pass for an odd k."""
         if k > 1:
             x = x[self._perm]  # U**2 x, a new array
         return self._fft(x) if k & 1 else x
 
-    def apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] U**k x as :meth:`BaseTransform.apply_sum`, in one
-        ``numpy.fft`` pass and no N x N array: w_0 x + w_1 U x for an
-        involution, w_0 x + w_2 x[p] + U (w_1 x + w_3 x[p]) with Fourier's p."""
-        weights = self._weights("apply_sum", weights)
-        x = self._block("apply_sum", x)
+    def _apply_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """In one ``numpy.fft`` pass and no N x N array: w_0 x + w_1 U x for
+        an involution, w_0 x + w_2 x[p] + U (w_1 x + w_3 x[p]) with Fourier's p."""
         if self._perm is None:
             out = self._fft(x)
             out *= weights[1]
@@ -478,15 +476,13 @@ class _TableTransform(BaseTransform):
             out += xp
         return out
 
-    def power_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] U**k as :meth:`BaseTransform.power_sum`, by no
-        kernel or power: U is an involution or the DFT, and every entry of
-        its U**k is in its roots table T, so the sum is one gather of a
-        weighted table through the layout, certified or not: w_1 T, plus
+    def _power_sum(self, weights: np.ndarray) -> np.ndarray:
+        """By no kernel or power: U is an involution or the DFT, and every
+        entry of its U**k is in its roots table T, so the sum is one gather of
+        a weighted table through the layout, certified or not: w_1 T, plus
         for the DFT w_3 T[p], as F**3 = F[p] and (-j l) mod N = p((j l) mod
         N); then w_0 on the diagonal and, for the DFT, w_2 at [j, p_j] (F**2
         = I[p])."""
-        weights = self._weights("power_sum", weights)
         p, table = self._perm, self._values(np.float64)
         weighted = weights[1] * table
         if p is not None:

@@ -3,7 +3,8 @@
 left that nothing under ``src/qfrt/`` refers to, no module reaches for
 another module's private name, only ``linalg`` sets an
 array's flags or decides what is an integer, only ``base_transforms``
-reads a transform's internals, only ``circuits.multiplexed_powers``
+reads a transform's internals, only ``BaseTransform`` defines and checks
+the four operations that reach U**k, only ``circuits.multiplexed_powers``
 makes a ``power`` payload op, and only ``FractionalSpec`` and a ``power``
 op call a transform's ``check``. Uses only the stdlib ``ast``."""
 import ast
@@ -139,7 +140,8 @@ def test_only_linalg_sets_array_flags(path):
 #: apply_sum and power_sum, its proof's working, and the builders' private
 #: class. Only base_transforms may read them.
 TRANSFORM_INTERNALS = frozenset({"_perm", "table_dev", "_values", "_layout", "_fft",
-                                 "_products", "_fault", "_TableTransform"})
+                                 "_products", "_fault", "_TableTransform",
+                                 "_power", "_apply", "_apply_sum", "_power_sum"})
 
 
 def internal_reads(source: str) -> list[str]:
@@ -178,6 +180,54 @@ NOT_BASE_TRANSFORMS = sorted(p for p in SRC.glob("*.py") if p.name != "base_tran
 def test_only_base_transforms_reads_a_transforms_internals(path):
     # Every other module reaches U**k through power, apply, apply_sum and power_sum.
     assert internal_reads(path.read_text(encoding="utf-8")) == []
+
+
+#: The four operations by which other modules reach U**k.
+OPERATIONS = ("power", "apply", "apply_sum", "power_sum")
+
+
+def operation_checks(source: str) -> tuple[list[str], list[str]]:
+    """The ``Class.method`` of each method named in :data:`OPERATIONS`, in
+    source order, and ``where: callee`` for each call of ``_block``, of
+    ``_weights`` or of ``check_int`` on the name ``k``, sorted, ``where`` its
+    enclosing ``Class.method`` or module-level function."""
+    defined, checks = [], []
+    for top in ast.parse(source).body:
+        methods = top.body if isinstance(top, ast.ClassDef) else [top]
+        for fn in methods:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            where = fn.name if fn is top else f"{top.name}.{fn.name}"
+            if fn is not top and fn.name in OPERATIONS:
+                defined.append(where)
+            for node in ast.walk(fn):
+                callee = getattr(node, "func", None)
+                callee = getattr(callee, "attr", getattr(callee, "id", None))
+                if callee in ("_block", "_weights") or callee == "check_int" and any(
+                        isinstance(a, ast.Name) and a.id == "k" for a in node.args):
+                    checks.append(f"{where}: {callee}")
+    return defined, sorted(checks)
+
+
+def test_checker_catches_an_operation_and_its_checks():
+    source = ("class A:\n    def apply(self, x, k):\n        k = linalg.check_int('k', k)\n"
+              "        return self._apply(self._block('apply', x), k)\n"
+              "class B(A):\n    def power_sum(self, w):\n        return self._weights('w', w)\n"
+              "def f(k, n):\n    return check_int('n', n), _block(k)\n")
+    assert operation_checks(source) == (
+        ["A.apply", "B.power_sum"],
+        ["A.apply: _block", "A.apply: check_int", "B.power_sum: _weights", "f: _block"])
+    assert operation_checks("def power(k):\n    return k\napply = 1\n") == ([], [])
+
+
+def test_only_base_transform_defines_and_checks_the_operations():
+    # A subclass overrides the kernels (_power, _apply, _apply_sum and
+    # _power_sum), so each argument check is written once, at one boundary.
+    defined, checks = operation_checks((SRC / "base_transforms.py").read_text(encoding="utf-8"))
+    assert defined == [f"BaseTransform.{name}" for name in OPERATIONS]
+    assert checks == ["BaseTransform.apply: _block", "BaseTransform.apply: check_int",
+                      "BaseTransform.apply_sum: _block", "BaseTransform.apply_sum: _weights",
+                      "BaseTransform.power: check_int", "BaseTransform.power_sum: _weights"]
 
 
 def integer_rule_reads(source: str) -> list[str]:
