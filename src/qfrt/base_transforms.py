@@ -353,18 +353,25 @@ class BaseTransform:
         return self._power_sum(self._weights("power_sum", weights))
 
     def _weights(self, caller: str, weights) -> np.ndarray:
-        """weights as an array of exactly ``order`` entries, else a
-        :class:`DimensionError` naming the transform and their shape."""
+        """weights as an array of exactly ``order`` numbers (bool, integer,
+        float or complex), else a :class:`QfrtError` naming the transform and
+        their dtype, or a :class:`DimensionError` naming it and their shape."""
         weights = np.asarray(weights)
+        if weights.dtype.kind not in "biufc":
+            raise QfrtError(f"{self.id!r}: {caller} needs numeric weights, got dtype {weights.dtype}")
         if weights.shape != (self.order,):
             raise DimensionError(f"{self.id!r}: {caller} needs {self.order} weights, "
                                  f"got shape {weights.shape}")
         return weights
 
     def _block(self, caller: str, x) -> np.ndarray:
-        """x as a complex (N, cols) block, else a :class:`DimensionError`
-        naming the transform and x's shape."""
-        x = np.asarray(x, dtype=complex)
+        """x, of numbers, as a complex (N, cols) block, else a :class:`QfrtError`
+        naming the transform and x's dtype, or a :class:`DimensionError`
+        naming it and x's shape."""
+        x = np.asarray(x)
+        if x.dtype.kind not in "biufc":
+            raise QfrtError(f"{self.id!r}: {caller} needs a numeric block x, got dtype {x.dtype}")
+        x = x.astype(complex, copy=False)
         if x.ndim != 2 or len(x) != 1 << self.data_qubits:
             raise DimensionError(f"{self.id!r}: {caller} needs a ({1 << self.data_qubits}, "
                                  f"cols) block, got shape {x.shape}")

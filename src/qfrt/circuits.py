@@ -131,6 +131,10 @@ class GateOp:
         for i, p in enumerate(self.params):
             if isinstance(p, bool) or not isinstance(p, numbers.Real):
                 raise ValueError(f"params[{i}] must be a real number, got {p!r}")
+            try:
+                float(p)
+            except OverflowError:
+                raise ValueError(f"params[{i}] must fit a float, got {p!r}") from None
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         wires = self.targets + self.controls
         if not self.targets:

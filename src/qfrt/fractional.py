@@ -39,13 +39,20 @@ from .errors import DimensionError
 
 
 def _reduce_alpha(alpha: float, order: int) -> float:
-    """alpha mod order, exactly (``math.fmod``), so that the phases keep full
-    precision at large |alpha|; rejects a bool or an alpha not a finite real."""
+    """alpha mod order with alpha's sign, ``math.fmod``'s rule, exactly, so
+    that the phases keep full precision at large |alpha|: an integer, numpy's
+    included, in integers (fmod would round it to a float first), any other
+    real by fmod; rejects a bool or an alpha not a finite real."""
     if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
         raise ValueError(f"alpha must be a real number, got {alpha!r}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    return math.fmod(alpha, order)
+    try:
+        whole = linalg.check_int("alpha", alpha)
+    except DimensionError:
+        if not math.isfinite(alpha):
+            raise ValueError(f"alpha must be finite, got {alpha!r}") from None
+        return math.fmod(alpha, order)
+    reduced = float(abs(whole) % order)
+    return -reduced if whole < 0 else reduced
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +128,9 @@ _COLUMN_BLOCK = 1 << 14
 
 
 def column_blocks(n: int) -> list[slice]:
-    """The column slices of an (n, n) matrix in blocks of ``max(1,
+    """The column slices of an (n, n) matrix, n >= 1, in blocks of ``max(1,
     _COLUMN_BLOCK // n)`` columns, the last one short if n needs it."""
+    n = linalg.check_int("n", n, 1)
     width = max(1, _COLUMN_BLOCK // n)
     return [slice(start, min(start + width, n)) for start in range(0, n, width)]
 

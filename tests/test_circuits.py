@@ -198,10 +198,12 @@ class TestGateOpValidation:
          (lambda: GateOp("p", targets=(0,), params=(1j,)),
           "params[0] must be a real number, got 1j"),
          (lambda: GateOp("p", targets=(0,), params=(None,)),
-          "params[0] must be a real number, got None")],
+          "params[0] must be a real number, got None"),
+         (lambda: GateOp("p", targets=(0,), params=(10**400,)),
+          f"params[0] must fit a float, got {10**400}")],
         ids=["no_targets", "controls_only", "unitary_without_payload", "h_with_angle",
              "swap_with_angles", "array_as_op", "name_as_op", "power_without_pair",
-             "complex_angle", "none_angle"],
+             "complex_angle", "none_angle", "angle_beyond_float_range"],
     )
     def test_malformed_op_names_what_is_wrong(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

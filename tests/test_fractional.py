@@ -339,6 +339,31 @@ def test_periodic_at_large_alpha(shift):
     assert linalg.max_norm_diff(*blocks) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha", [2**60 + 1, -(2**60 + 1), np.int64(2**60 + 1), 10**400],
+                         ids=["2**60+1", "-(2**60+1)", "int64", "10**400"])
+def test_an_integer_alpha_is_reduced_in_integers(alpha):
+    # As a float, 2**60 + 1 is 2**60, a multiple of every order, and 10**400
+    # overflows: an integer alpha names U**(alpha mod order) only when it is
+    # reduced before any float conversion.
+    for t in (fourier_transform(2), hartley_transform(2)):
+        spec = FractionalSpec(t, alpha)
+        want = t.power(int(alpha) % t.order)
+        assert linalg.max_norm_diff(fractional_oracle(spec), want) <= 1e-12
+        full = circuit_unitary(build_qfru_circuit(spec))
+        assert linalg.max_norm_diff(extract_data_block(full, t.order_exponent, 2)[0], want) <= 1e-12
+    full = circuit_unitary(build_qfrin_circuit(hartley_transform(2), alpha))
+    assert linalg.max_norm_diff(extract_data_block(full, 1, 2)[0],
+                                hartley_transform(2).power(int(alpha) % 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0, 3, -5, -8, 2**53, -(2**53), np.int64(-7)])
+def test_an_integer_alpha_in_float_range_gives_the_floats_weights(alpha):
+    # Up to 2**53 a float holds every integer, and fmod reduced it exactly.
+    for order in (2, 4, 16):
+        assert (shih_coefficients(order, alpha).weights.tobytes()
+                == shih_coefficients(order, float(alpha)).weights.tobytes())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     q=st.integers(1, 6),

@@ -28,7 +28,7 @@ from qfrt.circuits import (
     qft_circuit,
 )
 from qfrt.errors import DimensionError, QfrtError
-from qfrt.fractional import FractionalSpec, extract_data_block, shih_coefficients
+from qfrt.fractional import FractionalSpec, column_blocks, extract_data_block, shih_coefficients
 from qfrt.simulator import ancilla_restoration_probability, basis_state
 
 
@@ -93,6 +93,7 @@ ENTRY_POINTS = [
     ("extract_data_block_data_qubits", lambda v: extract_data_block(_EIGHT, 1, v),
      "data_qubits", 2, -1),
     ("shih_coefficients", lambda v: shih_coefficients(v, 0.3), "order", 4, 1),
+    ("column_blocks", column_blocks, "n", 4, 0),
     ("qct4_gate_level", lambda v: qct4_gate("l", v, 2), "j", 1, 3),
     ("qct4_gate_n", lambda v: qct4_gate("c", n=v), "n", 2, 0),
     ("matrix_power", lambda v: linalg.matrix_power(np.eye(2), v), "k", 2, None),
@@ -172,8 +173,16 @@ def test_apply_reads_a_real_block_as_complex(t):
 @pytest.mark.parametrize("t", [fourier_transform(2), hartley_transform(2),
                                BaseTransform("hand", 2, 1, hartley_transform(2).dense)],
                          ids=["fourier", "hartley", "hand_built"])
-@pytest.mark.parametrize("shape", [(3, 1), (8, 1), (4,), (1, 4, 1)])
+@pytest.mark.parametrize("shape", [(3, 1), (8, 1), (4,), (1, 4, 1), "strings", "objects"])
 def test_apply_takes_only_a_block_with_one_row_per_basis_state(t, shape):
+    if isinstance(shape, str):  # numbers of the right shape, but not of a numeric dtype
+        x = np.full((4, 1), "1") if shape == "strings" else np.ones((4, 1), object)
+        for name, call in (("apply", lambda: t.apply(x, 1)),
+                           ("apply_sum", lambda: t.apply_sum(np.ones(t.order), x))):
+            with pytest.raises(QfrtError, match=rf"^'{t.id}': {name} needs a numeric block x, "
+                                                rf"got dtype {re.escape(str(x.dtype))}$"):
+                call()
+        return
     with pytest.raises(DimensionError, match=rf"^'{t.id}': apply needs a \(4, cols\) block, "
                                              rf"got shape {re.escape(str(shape))}$"):
         t.apply(np.ones(shape, complex), 1)
@@ -182,8 +191,17 @@ def test_apply_takes_only_a_block_with_one_row_per_basis_state(t, shape):
 @pytest.mark.parametrize("t", [fourier_transform(2), hartley_transform(2),
                                BaseTransform("hand", 2, 2, fourier_transform(2).dense)],
                          ids=["fourier", "hartley", "hand_built"])
-@pytest.mark.parametrize("shape", ["one_short", "one_over", "a_column"])
+@pytest.mark.parametrize("shape", ["one_short", "one_over", "a_column", "strings", "objects"])
 def test_power_sum_takes_exactly_order_weights(t, shape):
+    if shape in ("strings", "objects"):  # order entries, but not of a numeric dtype
+        w = ["a"] * t.order if shape == "strings" else np.eye(t.order, dtype=object)[0]
+        dtype = re.escape(str(np.asarray(w).dtype))
+        for name, call in (("power_sum", lambda: t.power_sum(w)),
+                           ("apply_sum", lambda: t.apply_sum(w, np.eye(4, 1)))):
+            with pytest.raises(QfrtError, match=rf"^'{t.id}': {name} needs numeric weights, "
+                                                rf"got dtype {dtype}$"):
+                call()
+        return
     shape = {"one_short": (t.order - 1,), "one_over": (t.order + 1,),
              "a_column": (t.order, 1)}[shape]
     with pytest.raises(DimensionError, match=rf"^'{t.id}': power_sum needs {t.order} weights, "
