@@ -330,8 +330,9 @@ def multiplexed_powers(t: BaseTransform, inverse: bool = False) -> Circuit:
 def phase_block(n: int, alpha: float) -> Circuit:
     """Diagonal modulation diag(1, w**alpha, ..., w**((2**n - 1) alpha)) with
     w = exp(i theta0), theta0 = -2 pi / 2**n: qubit j gets a phase gate of
-    angle 2**j * alpha * theta0."""
+    angle 2**j * alpha * theta0, alpha reduced mod 2**n first, exactly."""
     n = linalg.check_int("n", n, 1)
+    alpha = linalg.reduce_alpha(alpha, 1 << n)
     theta0 = -2.0 * math.pi / (1 << n)
     ops = tuple(
         GateOp("p", targets=(j,), params=(2**j * alpha * theta0,)) for j in range(n)

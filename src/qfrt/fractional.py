@@ -26,7 +26,6 @@ O(N**2) comparison of U**(N-1) with U^dagger.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -36,23 +35,6 @@ from . import linalg
 from .base_transforms import BaseTransform
 from .circuits import Circuit, GateOp, multiplexed_powers, phase_block, qft_circuit
 from .errors import DimensionError
-
-
-def _reduce_alpha(alpha: float, order: int) -> float:
-    """alpha mod order with alpha's sign, ``math.fmod``'s rule, exactly, so
-    that the phases keep full precision at large |alpha|: an integer, numpy's
-    included, in integers (fmod would round it to a float first), any other
-    real by fmod; rejects a bool or an alpha not a finite real."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise ValueError(f"alpha must be a real number, got {alpha!r}")
-    try:
-        whole = linalg.check_int("alpha", alpha)
-    except DimensionError:
-        if not math.isfinite(alpha):
-            raise ValueError(f"alpha must be finite, got {alpha!r}") from None
-        return math.fmod(alpha, order)
-    reduced = float(abs(whole) % order)
-    return -reduced if whole < 0 else reduced
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +52,7 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
     order = linalg.check_int("order", order, 2, 1 << linalg.max_qubits())
     if order & (order - 1):
         raise ValueError(f"order must be a power of two >= 2, got {order}")
-    reduced = _reduce_alpha(alpha, order)
+    reduced = linalg.reduce_alpha(alpha, order)
     whole, m = math.floor(reduced), np.arange(order)
     turns = (np.fmod(m * whole, order) + m * (reduced - whole)) / order
     return ShihCoefficients(np.fft.ifft(np.exp(-2j * np.pi * turns)))
@@ -88,7 +70,7 @@ class FractionalSpec:
     def __post_init__(self):
         if not isinstance(self.base, BaseTransform):
             raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
-        _reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
+        linalg.reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
         linalg.check_qubit_budget(self.num_ancillas + self.data_qubits)
         self.base.check()
 
@@ -199,13 +181,12 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     FrU(alpha)|u>; the stage boundaries are marked psi0..psi7 for tracing.
     """
     n, q, t = spec.num_ancillas, spec.data_qubits, spec.base
-    alpha = _reduce_alpha(spec.alpha, spec.order)
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (
         hadamards,
         multiplexed_powers(t).ops,
         _shifted(qft_circuit(n, inverse=True).ops, q),
-        _shifted(phase_block(n, alpha).ops, q),
+        _shifted(phase_block(n, spec.alpha).ops, q),
         _shifted(qft_circuit(n).ops, q),
         multiplexed_powers(t, inverse=True).ops,
         hadamards,

@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 from collections.abc import Iterator
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,6 +72,20 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
         return int(value)
     bound = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
     raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def reduce_alpha(alpha, period: int) -> float:
+    """alpha mod period, exactly, with ``math.fmod``'s sign rule (-0.0 too): a rational
+    as it is, any other real as a float; rejects a bool or an alpha not a finite real."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"alpha must be a real number, got {alpha!r}")
+    if not isinstance(alpha, numbers.Rational) and not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    # A rational's parts as ints: numpy integer arithmetic would wrap.
+    exact = (Fraction(int(alpha.numerator), int(alpha.denominator))
+             if isinstance(alpha, numbers.Rational) else Fraction(float(alpha)))
+    reduced = float(abs(exact) % period)
+    return -reduced if exact < 0 or (exact == 0 and math.copysign(1, alpha) < 0) else reduced
 
 
 def as_matrix(m) -> np.ndarray:
