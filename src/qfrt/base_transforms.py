@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, NotDyadicOrderError, QfrtError, QubitBudgetError
+from .errors import DimensionError, NotDyadicOrderError, QfrtError
 from .linalg import GATE_TOL
 
 #: Tolerance for the order check U**(2**n) = I.
@@ -252,9 +252,9 @@ class BaseTransform:
         for name in ("data_qubits", "order_exponent"):
             object.__setattr__(self, name, linalg.check_int(f"{self.id!r}: {name}",
                                                             getattr(self, name), 1))
-        if self.order_exponent + self.data_qubits > linalg.max_qubits():
-            raise QubitBudgetError(f"{self.id!r}: order_exponent {self.order_exponent} on "
-                                   f"{self.data_qubits} data qubits exceeds the qubit budget")
+        linalg.check_qubit_budget(
+            f"{self.id!r}: {self.order_exponent} ancilla + {self.data_qubits} data qubits",
+            self.order_exponent + self.data_qubits)
         dense = np.asarray(kernel)
         dim = 1 << self.data_qubits
         if dense.shape != (dim, dim):
@@ -505,7 +505,7 @@ def fourier_transform(q: int) -> BaseTransform:
     """The 2**q-point Fourier transform, order 4; F**2 is the parity
     permutation j -> -j mod 2**q."""
     q = linalg.check_int("q", q, 1)
-    linalg.check_qubit_budget(q)
+    linalg.check_qubit_budget(f"fourier q={q}", q)
     n_points = 1 << q
     parity = -np.arange(n_points) % n_points
     return _TableTransform("fourier", q, 2, _layout=lambda: _mod_layout(n_points),
@@ -516,7 +516,7 @@ def fourier_transform(q: int) -> BaseTransform:
 def hartley_transform(q: int) -> BaseTransform:
     """The 2**q-point Hartley transform (cas kernel), an involution."""
     q = linalg.check_int("q", q, 1)
-    linalg.check_qubit_budget(q)
+    linalg.check_qubit_budget(f"hartley q={q}", q)
     n_points = 1 << q
     return _TableTransform("hartley", q, 1, _layout=lambda: _mod_layout(n_points),
                            _values=partial(_hartley_table, n_points), _fft=_hartley_apply)
@@ -525,7 +525,7 @@ def hartley_transform(q: int) -> BaseTransform:
 def cst1_transform(n: int) -> BaseTransform:
     """Type-I cosine-sine block DCT-I(N+1) (+) DST-I(N-1) on n+1 qubits."""
     n = linalg.check_int("n", n, 1)
-    linalg.check_qubit_budget(n + 1)
+    linalg.check_qubit_budget(f"cst1 n={n}", n + 1)
     big_n = 1 << n
     return _TableTransform("cst1", n + 1, 1, _layout=lambda: _cst1_layout(big_n),
                            _values=partial(_cst1_values, big_n), _fft=_cst1_apply)
@@ -535,7 +535,7 @@ def cst4_transform(n: int) -> BaseTransform:
     """Type-IV cosine-sine block DCT-IV(N) (+) DST-IV(N) on n+1 qubits; the
     top qubit selects the cosine (|0>) or sine (|1>) block."""
     n = linalg.check_int("n", n, 1)
-    linalg.check_qubit_budget(n + 1)
+    linalg.check_qubit_budget(f"cst4 n={n}", n + 1)
     big_n = 1 << n
     m = np.arange(big_n // 2)[:, None]
     pre = np.exp(-1j * np.pi * m / big_n)

@@ -453,7 +453,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     equals ``circuit_unitary(c)[:, :k]`` at about k / 2**num_qubits of the
     cost.
     """
-    linalg.check_qubit_budget(c.num_qubits)
+    linalg.check_qubit_budget("circuit_unitary", c.num_qubits)
     dim = 1 << c.num_qubits
     columns = dim if columns is None else linalg.check_int("columns", columns, 1, dim)
     acc = np.eye(dim, columns, dtype=complex)

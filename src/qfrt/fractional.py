@@ -71,7 +71,9 @@ class FractionalSpec:
         if not isinstance(self.base, BaseTransform):
             raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
         linalg.reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
-        linalg.check_qubit_budget(self.num_ancillas + self.data_qubits)
+        linalg.check_qubit_budget(
+            f"{self.base.id!r}: {self.num_ancillas} ancilla + {self.data_qubits} data qubits",
+            self.num_ancillas + self.data_qubits)
         self.base.check()
 
     @property

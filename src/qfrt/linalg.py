@@ -55,11 +55,12 @@ def max_qubits() -> int:
     return value
 
 
-def check_qubit_budget(num_qubits: int) -> None:
-    """Raise :class:`QubitBudgetError` if ``num_qubits`` is over the budget."""
+def check_qubit_budget(what: str, num_qubits: int) -> None:
+    """Raise :class:`QubitBudgetError` if ``num_qubits`` is over the budget, by
+    the one message, ``{what}: {num_qubits} qubits exceed the {budget}-qubit budget``."""
     budget = max_qubits()
     if num_qubits > budget:
-        raise QubitBudgetError(f"{num_qubits} qubits exceed the {budget}-qubit budget")
+        raise QubitBudgetError(f"{what}: {num_qubits} qubits exceed the {budget}-qubit budget")
 
 
 def check_int(name: str, value, low: int | None = None, high: int | None = None) -> int:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import linalg
 from .circuits import Circuit
-from .errors import QubitBudgetError
 
 #: Amplitudes below this modulus are dropped from state dumps.
 DUMP_EPS = 1e-14
@@ -44,8 +43,7 @@ class TraceRecord:
 def basis_state(num_qubits: int, index: int = 0) -> np.ndarray:
     """|index> on num_qubits qubits, at most :func:`qfrt.linalg.max_qubits`."""
     num_qubits = linalg.check_int("num_qubits", num_qubits, 0)
-    if num_qubits > (budget := linalg.max_qubits()):
-        raise QubitBudgetError(f"num_qubits {num_qubits} exceeds the {budget}-qubit budget")
+    linalg.check_qubit_budget("basis_state", num_qubits)
     index = linalg.check_int("index", index, 0, (1 << num_qubits) - 1)
     state = np.zeros(1 << num_qubits, dtype=complex)
     state[index] = 1.0

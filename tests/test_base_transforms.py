@@ -401,7 +401,7 @@ class TestTwoClasses:
          "order_exponent must be an integer >= 1, got True$"),
         # Once a products table of 2**30 - 2 entries, built by check().
         (1, 30, np.eye(2), QubitBudgetError,
-         "order_exponent 30 on 1 data qubits exceeds the qubit budget$"),
+         r"30 ancilla \+ 1 data qubits: 31 qubits exceed the 14-qubit budget$"),
     ],
     ids=["nan", "real_inf", "text", "eye3", "eye8", "vector", "none", "no_data_qubits",
          "bool_data_qubits", "float_data_qubits", "order_one", "negative_order_exponent",
@@ -425,7 +425,9 @@ def test_accepts_numpy_integer_sizes():
 )
 def test_builders_check_the_qubit_budget(transform_id, size, qubits, monkeypatch):
     monkeypatch.setenv(linalg.BUDGET_ENV_VAR, str(qubits - 1))
-    with pytest.raises(QubitBudgetError, match=f"^{qubits} qubits exceed"):
+    flag = "q" if transform_id in ("fourier", "hartley") else "n"
+    with pytest.raises(QubitBudgetError, match=f"^{transform_id} {flag}={size}: {qubits} qubits "
+                                               f"exceed the {qubits - 1}-qubit budget$"):
         make_transform(transform_id, size)
     monkeypatch.setenv(linalg.BUDGET_ENV_VAR, str(qubits))
     assert make_transform(transform_id, size).data_qubits == qubits

@@ -407,9 +407,10 @@ class TestCircuitUnitary:
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
-        with pytest.raises(QubitBudgetError):
+        message = "^circuit_unitary: 4 qubits exceed the 3-qubit budget$"
+        with pytest.raises(QubitBudgetError, match=message):
             circuit_unitary(Circuit(4, (GateOp("h", targets=(0,)),)))
-        with pytest.raises(QubitBudgetError):
+        with pytest.raises(QubitBudgetError, match=message):
             circuit_unitary(Circuit(4, (GateOp("h", targets=(0,)),)), columns=1)
 
     @pytest.mark.parametrize(

@@ -309,17 +309,26 @@ def test_dump_flags_the_output_ignores_are_rejected(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["dump", "--transform", "fourier", "--qubits", "6"],
-     ["verify", "--suite", "order", "--transform", "hartley", "--qubits", "6"]],
+    "argv,what",
+    [(["dump", "--transform", "fourier", "--qubits", "6"], "fourier q=6"),
+     (["verify", "--suite", "order", "--transform", "hartley", "--qubits", "6"], "hartley q=6")],
     ids=["dump_kernel", "verify_order"],
 )
-def test_kernel_only_commands_check_the_budget(argv, monkeypatch, capsys):
+def test_kernel_only_commands_check_the_budget(argv, what, monkeypatch, capsys):
     monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: 6 qubits exceed the 3-qubit budget"]
+    assert captured.err.splitlines() == [f"error: {what}: 6 qubits exceed the 3-qubit budget"]
+
+
+def test_a_budget_error_names_the_ancillas(monkeypatch, capsys):
+    # The kernel fits 13 qubits; its circuit needs 2 ancillas on top.
+    monkeypatch.delenv(linalg.BUDGET_ENV_VAR, raising=False)
+    assert main(["verify", "--suite", "unitarity", "--transform", "fourier", "--qubits", "13",
+                 "--alpha", "0.3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 'fourier': 2 ancilla + 13 data qubits: 15 qubits exceed the 14-qubit budget"]
 
 
 @pytest.mark.parametrize(
@@ -503,6 +512,25 @@ class TestVerify:
                      "--qubits", "3", "--alpha", "0.37"]) == 1
         row = csv_rows(capsys.readouterr().out)[0]
         assert (row["pass"], row["deviation"]) == ("false", "nan")
+
+    def test_additivity_fails_a_nan_in_the_last_block(self, monkeypatch, capsys):
+        # One NaN in FrU(a) FrU(b) for the last of the 3, 3 and 2-column
+        # blocks: every row fails rather than drop it.
+        apply = cli.fractional_apply
+
+        def nan_apply(spec, x):
+            out = apply(spec, x)
+            if x.shape[1] == 2:
+                out[0, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "fractional_apply", nan_apply)
+        monkeypatch.setattr(fractional, "_COLUMN_BLOCK", 3 << 3)
+        assert main(["verify", "--suite", "additivity", "--transform", "fourier",
+                     "--qubits", "3"]) == 1
+        rows = csv_rows(capsys.readouterr().out)
+        assert len(rows) == 25
+        assert {(r["pass"], r["deviation"]) for r in rows} == {("false", "nan")}
 
     @pytest.mark.parametrize("command", [
         ["verify", "--suite", "unitarity", "--alpha-range=-1,3,0.7"],

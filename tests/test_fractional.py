@@ -533,7 +533,8 @@ class TestQfruCircuit:
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "4")
-        with pytest.raises(QubitBudgetError):
+        with pytest.raises(QubitBudgetError, match="^'hartley': 1 ancilla \\+ 4 data qubits: "
+                                                   "5 qubits exceed the 4-qubit budget$"):
             FractionalSpec(hartley_transform(4), 0.5)
 
     def test_theta0(self):

@@ -97,9 +97,10 @@ class TestMaxQubits:
 class TestCheckQubitBudget:
     def test_at_and_over_budget(self, monkeypatch):
         monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
-        linalg.check_qubit_budget(3)
-        with pytest.raises(QubitBudgetError, match="^4 qubits exceed the 3-qubit budget$"):
-            linalg.check_qubit_budget(4)
+        linalg.check_qubit_budget("a register", 3)
+        with pytest.raises(QubitBudgetError,
+                           match="^a register: 4 qubits exceed the 3-qubit budget$"):
+            linalg.check_qubit_budget("a register", 4)
 
 
 class TestIsUnitary:

@@ -394,7 +394,7 @@ def test_basis_state_refuses_a_register_over_the_qubit_budget(monkeypatch, budge
     top = linalg.max_qubits()
     assert basis_state(top, 1)[1] == 1
     for num_qubits in (top + 1, 64):
-        with pytest.raises(QubitBudgetError, match=f"^num_qubits {num_qubits} exceeds "
+        with pytest.raises(QubitBudgetError, match=f"^basis_state: {num_qubits} qubits exceed "
                                                    f"the {top}-qubit budget$"):
             basis_state(num_qubits)
 
