@@ -313,6 +313,17 @@ class TestPhaseBlock:
         got = circuit_unitary(phase_block(1, 1.0))
         assert linalg.max_norm_diff(got, Z) <= 1e-15
 
+    def test_a_large_alpha_keeps_its_phase(self):
+        # alpha is reduced mod 8 before 2**j alpha theta0 is formed; the
+        # product of the unreduced 1e9 + 0.37 was once 9.0e-8 off.
+        alpha = 1e9 + 0.37
+        reduced = math.fmod(alpha, 8)
+        got = circuit_unitary(phase_block(3, alpha))
+        assert linalg.max_norm_diff(got, circuit_unitary(phase_block(3, reduced))) <= 1e-15
+        k = np.arange(8)
+        expected = np.diag(np.exp(-2j * math.pi * k * reduced / 8))
+        assert linalg.max_norm_diff(got, expected) <= 1e-13
+
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(-8, 8, allow_nan=False), n=st.integers(1, 3))
     def test_diagonal_entries(self, alpha, n):

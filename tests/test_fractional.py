@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -339,21 +340,30 @@ def test_periodic_at_large_alpha(shift):
     assert linalg.max_norm_diff(*blocks) <= 1e-10
 
 
-@pytest.mark.parametrize("alpha", [2**60 + 1, -(2**60 + 1), np.int64(2**60 + 1), 10**400],
-                         ids=["2**60+1", "-(2**60+1)", "int64", "10**400"])
+@pytest.mark.parametrize("alpha", [2**60 + 1, -(2**60 + 1), np.int64(2**60 + 1), 10**400,
+                                   Fraction(2**62 + 1, 2), -Fraction(2**62 + 1, 2)],
+                         ids=["2**60+1", "-(2**60+1)", "int64", "10**400",
+                              "(2**62+1)/2", "-(2**62+1)/2"])
 def test_an_integer_alpha_is_reduced_in_integers(alpha):
-    # As a float, 2**60 + 1 is 2**60, a multiple of every order, and 10**400
-    # overflows: an integer alpha names U**(alpha mod order) only when it is
-    # reduced before any float conversion.
+    # As a float, 2**60 + 1 is 2**60, a multiple of every order, 10**400
+    # overflows, and (2**62 + 1)/2, which is 1/2 mod 4, is 2**61: a rational
+    # alpha names FrU(alpha mod order) only when it is reduced before any
+    # float conversion. An integer's is U**(alpha mod order).
+    def want(t):
+        residue = alpha % t.order
+        if residue.denominator == 1:
+            return t.power(int(residue))
+        return fractional_oracle(FractionalSpec(t, float(residue)))
+
     for t in (fourier_transform(2), hartley_transform(2)):
         spec = FractionalSpec(t, alpha)
-        want = t.power(int(alpha) % t.order)
-        assert linalg.max_norm_diff(fractional_oracle(spec), want) <= 1e-12
+        assert linalg.max_norm_diff(fractional_oracle(spec), want(t)) <= 1e-12
         full = circuit_unitary(build_qfru_circuit(spec))
-        assert linalg.max_norm_diff(extract_data_block(full, t.order_exponent, 2)[0], want) <= 1e-12
+        block = extract_data_block(full, t.order_exponent, 2)[0]
+        assert linalg.max_norm_diff(block, want(t)) <= 1e-12
     full = circuit_unitary(build_qfrin_circuit(hartley_transform(2), alpha))
     assert linalg.max_norm_diff(extract_data_block(full, 1, 2)[0],
-                                hartley_transform(2).power(int(alpha) % 2)) <= 1e-12
+                                want(hartley_transform(2))) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0, 3, -5, -8, 2**53, -(2**53), np.int64(-7)])
@@ -715,8 +725,11 @@ SMALL = [("fourier", q) for q in (1, 2, 3, 5, 8)] + [
 ALPHAS = (-4.6, -1.0, 0.0, 0.37, 1.5, 2.0, 3.3, 7.9, 1e6 + 0.37, -3e7 - 0.5, 4e12 + 0.5)
 
 
-@pytest.mark.parametrize("transform_id,size", SMALL)
+@pytest.mark.parametrize("transform_id,size", [
+    (t, s) for t, s in SMALL if make_transform(t, s).data_qubits > 2])
 def test_fractional_apply_matches_the_dense_product(transform_id, size):
+    # The whole oracle as the block: test_fractional_apply_matches_the_oracle
+    # draws at most 5 columns, all of 1 or 2 data qubits, and no size above 7.
     t = make_transform(transform_id, size)
     rng = np.random.default_rng(size)
     for _ in range(4):

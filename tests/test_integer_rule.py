@@ -224,6 +224,20 @@ class TestFractionalSpecFields:
     def test_any_real_alpha_is_taken(self, alpha):
         assert FractionalSpec(hartley_transform(1), alpha).alpha == alpha
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("-inf"), float("nan"),
+                                       np.float64(np.inf)])
+    def test_alpha_must_be_finite(self, alpha):
+        message = f"^alpha must be finite, got {re.escape(repr(alpha))}$"
+        with pytest.raises(ValueError, match=message):
+            FractionalSpec(hartley_transform(1), alpha)
+
     def test_shih_coefficients_check_alpha_too(self):
         with pytest.raises(ValueError, match="^alpha must be a real number, got '0.3'$"):
             shih_coefficients(4, "0.3")
+
+    def test_phase_block_checks_alpha_too(self):
+        # Once a TypeError, and a ValueError about "phase gate 'p'".
+        with pytest.raises(ValueError, match="^alpha must be a real number, got 'a'$"):
+            phase_block(2, "a")
+        with pytest.raises(ValueError, match="^alpha must be finite, got inf$"):
+            phase_block(2, float("inf"))

@@ -1,8 +1,14 @@
+import math
 import re
+import struct
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dft_matrix, parse_matrix, random_unitary
 from qfrt import linalg
@@ -92,6 +98,53 @@ class TestMaxQubits:
             linalg.max_qubits()
         assert isinstance(info.value, QfrtError)
         assert str(info.value) == f"QFRT_MAX_QUBITS must be an integer >= 1, got {raw!r}"
+
+
+#: Periods: every order a transform of the default budget can have, 2 to 2**14.
+PERIODS = st.integers(1, 14).map(lambda e: 1 << e)
+#: Floats with their edges: signed zeros, subnormals and the largest finite values.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.min,
+                               sys.float_info.max, -sys.float_info.max])
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestReduceAlpha:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(alpha=st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False),
+                           st.floats(width=32, allow_nan=False,
+                                     allow_infinity=False).map(np.float32)),
+           period=PERIODS)
+    def test_a_float_is_reduced_as_fmod_reduces_it(self, alpha, period):
+        assert _bits(linalg.reduce_alpha(alpha, period)) == _bits(math.fmod(alpha, period))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(alpha=st.one_of(
+        st.integers(), st.integers(-10**400, 10**400),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.fractions(),
+        st.sampled_from([np.int64(-2**63), np.int64(2**63 - 1), np.uint64(2**64 - 1)]),
+        st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**40))),
+        period=PERIODS)
+    def test_a_rational_is_reduced_exactly(self, alpha, period):
+        # fmod's sign rule on the exact residue, so a negative multiple gives -0.0.
+        exact = Fraction(int(alpha)) if isinstance(alpha, np.integer) else Fraction(alpha)
+        residue = float(abs(exact) % period)
+        want = -residue if exact < 0 else residue
+        assert _bits(linalg.reduce_alpha(alpha, period)) == _bits(want)
+
+    @pytest.mark.parametrize("alpha,message", [
+        (True, "alpha must be a real number, got True"),
+        ("0.5", "alpha must be a real number, got '0.5'"),
+        (1j, "alpha must be a real number, got 1j"),
+        (math.inf, "alpha must be finite, got inf"),
+        (np.float64(-np.inf), "alpha must be finite, got np.float64(-inf)"),
+        (math.nan, "alpha must be finite, got nan"),
+    ], ids=["bool", "text", "complex", "inf", "numpy_minus_inf", "nan"])
+    def test_refuses_an_alpha_that_is_no_finite_real(self, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            linalg.reduce_alpha(alpha, 4)
 
 
 class TestCheckQubitBudget:
