@@ -293,17 +293,13 @@ def _build_plan(c: Circuit, traced: bool) -> tuple[Step, ...]:
 
 def _fused(ops) -> GateOp:
     """One ``"unitary"`` op for ops in turn, on the wires they touch in
-    ascending order: its matrix is the dense kernel's image of the identity
-    on those wires, checked unitary and sealed like any payload."""
+    ascending order: its matrix, :func:`circuit_unitary` of the ops re-homed
+    to those wires (so under the budget), is checked unitary and sealed."""
     wires = sorted({w for op in ops for w in op.targets + op.controls})
     local = {w: i for i, w in enumerate(wires)}
-    acc = np.eye(1 << len(wires), dtype=complex)
-    reg = acc.reshape([2] * len(wires) + [len(acc)])
-    for op in ops:
-        moved = replace(op, targets=[local[w] for w in op.targets],
-                        controls=[local[w] for w in op.controls])
-        _op_step(moved, len(wires), matrix_free=False)(reg)
-    return GateOp("unitary", targets=wires, matrix=acc)
+    group = Circuit(len(wires), [replace(op, targets=[local[w] for w in op.targets],
+                                         controls=[local[w] for w in op.controls]) for op in ops])
+    return GateOp("unitary", targets=wires, matrix=circuit_unitary(group))
 
 
 def multiplexed_powers(t: BaseTransform, inverse: bool = False) -> Circuit:

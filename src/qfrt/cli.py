@@ -362,10 +362,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "tol", None) is not None and not 0.0 < args.tol <= 1e-2:
-        print("error: --tol must be in (0, 1e-2]", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "tol", None) is not None and not 0.0 < args.tol <= 1e-2:
+            raise ValueError("--tol must be in (0, 1e-2]")
         linalg.max_qubits()  # a malformed QFRT_MAX_QUBITS fails here, on every command
         if getattr(args, "alpha", None) is not None and not math.isfinite(args.alpha):
             raise ValueError(f"--alpha must be finite, got {args.alpha}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -61,8 +60,9 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
 @dataclass(frozen=True)
 class FractionalSpec:
     """One fractional-transform instance: a base operator plus exponent alpha.
-    Making one proves the base by :meth:`BaseTransform.check`, so it raises
-    :class:`NotDyadicOrderError` unless that check passes."""
+    Making one sets its weights, ``coefficients`` (not a field), by one call
+    of :func:`shih_coefficients`, then proves the base by
+    :meth:`BaseTransform.check`, raising :class:`NotDyadicOrderError` unless it passes."""
 
     base: BaseTransform
     alpha: float
@@ -70,10 +70,10 @@ class FractionalSpec:
     def __post_init__(self):
         if not isinstance(self.base, BaseTransform):
             raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
-        linalg.reduce_alpha(self.alpha, self.order)  # rejects an alpha that is not a finite real
         linalg.check_qubit_budget(
             f"{self.base.id!r}: {self.num_ancillas} ancilla + {self.data_qubits} data qubits",
             self.num_ancillas + self.data_qubits)
+        object.__setattr__(self, "coefficients", shih_coefficients(self.order, self.alpha))
         self.base.check()
 
     @property
@@ -87,11 +87,6 @@ class FractionalSpec:
     @property
     def order(self) -> int:
         return self.base.order
-
-    @cached_property
-    def coefficients(self) -> ShihCoefficients:
-        """The interpolation weights, :func:`shih_coefficients`, made once."""
-        return shih_coefficients(self.order, self.alpha)
 
 
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
