@@ -262,7 +262,8 @@ class BaseTransform:
                 f"{self.id!r}: kernel of shape {dense.shape} on {self.data_qubits} "
                 f"data qubits, expected ({dim}, {dim})"
             )
-        if dense.dtype.kind not in "biufc" or not np.all(np.isfinite(dense)):
+        if not np.all(np.isfinite(linalg.check_numbers(
+                f"{self.id!r}: kernel entries must be finite numbers", dense))):
             raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
         object.__setattr__(self, "dense", linalg.frozen(dense))
 
@@ -356,9 +357,7 @@ class BaseTransform:
         """weights as an array of exactly ``order`` numbers (bool, integer,
         float or complex), else a :class:`QfrtError` naming the transform and
         their dtype, or a :class:`DimensionError` naming it and their shape."""
-        weights = np.asarray(weights)
-        if weights.dtype.kind not in "biufc":
-            raise QfrtError(f"{self.id!r}: {caller} needs numeric weights, got dtype {weights.dtype}")
+        weights = linalg.check_numbers(f"{self.id!r}: {caller} needs numeric weights", weights)
         if weights.shape != (self.order,):
             raise DimensionError(f"{self.id!r}: {caller} needs {self.order} weights, "
                                  f"got shape {weights.shape}")
@@ -368,9 +367,7 @@ class BaseTransform:
         """x, of numbers, as a complex (N, cols) block, else a :class:`QfrtError`
         naming the transform and x's dtype, or a :class:`DimensionError`
         naming it and x's shape."""
-        x = np.asarray(x)
-        if x.dtype.kind not in "biufc":
-            raise QfrtError(f"{self.id!r}: {caller} needs a numeric block x, got dtype {x.dtype}")
+        x = linalg.check_numbers(f"{self.id!r}: {caller} needs a numeric block x", x)
         x = x.astype(complex, copy=False)
         if x.ndim != 2 or len(x) != 1 << self.data_qubits:
             raise DimensionError(f"{self.id!r}: {caller} needs a ({1 << self.data_qubits}, "

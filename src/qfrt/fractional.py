@@ -38,7 +38,7 @@ from .errors import DimensionError
 
 @dataclass(frozen=True, eq=False)
 class ShihCoefficients:
-    """The N interpolation weights c_k for one (order, alpha) pair."""
+    """The N interpolation weights c_k for one (order, alpha) pair, frozen."""
 
     weights: np.ndarray
 
@@ -54,7 +54,7 @@ def shih_coefficients(order: int, alpha: float) -> ShihCoefficients:
     reduced = linalg.reduce_alpha(alpha, order)
     whole, m = math.floor(reduced), np.arange(order)
     turns = (np.fmod(m * whole, order) + m * (reduced - whole)) / order
-    return ShihCoefficients(np.fft.ifft(np.exp(-2j * np.pi * turns)))
+    return ShihCoefficients(linalg.frozen(np.fft.ifft(np.exp(-2j * np.pi * turns))))
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ def extract_data_block(full, num_ancillas: int, data_qubits: int):
     amplitude norm any of them places outside it, 0 for a correct circuit;
     unscanned, a NaN in ``full`` reaches the block or the leakage.
     """
-    full = np.asarray(full)
+    full = linalg.check_numbers("extract_data_block needs a numeric matrix or block", full)
     num_ancillas = linalg.check_int("num_ancillas", num_ancillas, 0)
     data_qubits = linalg.check_int("data_qubits", data_qubits, 0)
     dim = 1 << (num_ancillas + data_qubits)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionError, QubitBudgetError
+from .errors import DimensionError, QfrtError, QubitBudgetError
 
 #: Unitarity tolerance for a transform's kernel and gate payloads, and the
 #: default of :func:`is_unitary` and of the CLI's ``verify`` rows.
@@ -89,10 +89,19 @@ def reduce_alpha(alpha, period: int) -> float:
     return -reduced if exact < 0 or (exact == 0 and math.copysign(1, alpha) < 0) else reduced
 
 
+def check_numbers(what: str, value) -> np.ndarray:
+    """np.asarray(value) if its dtype is bool, integer, float or complex, the one
+    numeric-array rule; else a :class:`QfrtError`, ``{what}, got dtype {dtype}``."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biufc":
+        raise QfrtError(f"{what}, got dtype {a.dtype}")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a non-empty 2-D array with finite entries: ``float64`` for
-    bool, integer and floating input, ``complex128`` for anything else."""
-    a = np.asarray(m)
+    """Coerce to a non-empty 2-D array with finite entries: ``float64`` for bool,
+    integer and floating input, ``complex128`` for complex (:func:`check_numbers`)."""
+    a = check_numbers("matrix entries must be numbers", m)
     a = np.asarray(a, dtype=float if a.dtype.kind in "biuf" else complex)
     if a.ndim != 2 or a.size == 0:
         raise DimensionError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
@@ -181,5 +190,6 @@ def format_matrix(m) -> Iterator[str]:
     ``rows cols`` header, then one line per row of space-separated ``re,im``
     entries with 17 significant digits. ``m`` is checked on the call."""
     m = as_matrix(m)
-    rows = (" ".join(f"{v.real:.17g},{v.imag:.17g}" for v in row) for row in m)
+    template = " ".join(["%.17g,%.17g"] * m.shape[1])  # filled per row from its float64 view
+    rows = (template % tuple(np.ascontiguousarray(r, complex).view(float).tolist()) for r in m)
     return itertools.chain([f"{m.shape[0]} {m.shape[1]}"], rows)

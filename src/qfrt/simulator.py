@@ -73,7 +73,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     states are the rows of one array allocated per run, so each is its own
     copy of the state at its mark.
     """
-    state = np.asarray(state, dtype=complex)
+    state = linalg.check_numbers("run needs a numeric state", state).astype(complex, copy=False)
     dim = 1 << circuit.num_qubits
     if state.ndim not in (1, 2) or state.shape[0] != dim or state.size == 0:
         raise ValueError(f"state must be a ({dim},) state or a ({dim}, cols) block with "
@@ -108,7 +108,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
 def ancilla_restoration_probability(state: np.ndarray, num_ancillas: int) -> float:
     """Total probability of the ancillas (the top num_ancillas qubits)
     reading all zeros."""
-    state = np.asarray(state)
+    state = linalg.check_numbers("ancilla_restoration_probability needs a numeric state", state)
     num_ancillas = linalg.check_int("num_ancillas", num_ancillas, 0, _num_qubits(state))
     block = state.size >> num_ancillas
     return float(np.sum(np.abs(state[:block]) ** 2))
@@ -119,7 +119,7 @@ def format_state(state: np.ndarray, full: bool = False) -> Iterator[str]:
     basis index as an MSB-first bit string plus ``re,im``; amplitudes with
     modulus <= DUMP_EPS are skipped unless full, so a state with none above
     it has no lines. ``state`` is checked on the call."""
-    state = np.asarray(state, dtype=complex)
+    state = linalg.check_numbers("format_state needs a numeric state", state).astype(complex)
     n = _num_qubits(state)
     return (f"{i:0{n}b} {a.real:.17g},{a.imag:.17g}"
             for i, a in enumerate(state) if full or abs(a) > DUMP_EPS)

@@ -569,6 +569,7 @@ class TestVerify:
     def test_tolerance_range_enforced(self, capsys):
         assert main(["verify", "--suite", "unitarity", "--transform", "hartley",
                      "--qubits", "1", "--tol", "0.5"]) == 2
+        assert capsys.readouterr() == ("", "error: --tol must be in (0, 1e-2]\n")
 
     def test_seed_recorded_and_deterministic(self, tmp_path):
         a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))

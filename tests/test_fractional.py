@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -103,6 +104,45 @@ class TestShihCoefficients:
         for bad in (0, 1, 3, 6, 12, 2**40):
             with pytest.raises(ValueError):
                 shih_coefficients(bad, 0.5)
+
+
+class TestSpecWeights:
+    """A spec makes its one set of weights when it is made, and shares them."""
+
+    def test_a_spec_its_oracle_and_its_circuit_reduce_alpha_twice(self, monkeypatch):
+        # Once for the weights, once in phase_block: the spec keeps no second reduction.
+        reduced = count_calls(monkeypatch, linalg, "reduce_alpha")
+        spec = FractionalSpec(fourier_transform(3), 0.37)
+        fractional_oracle(spec)
+        build_qfru_circuit(spec)
+        assert reduced == [(0.37, 4), (0.37, 4)]
+
+    def test_the_weights_are_made_once_with_the_spec(self, monkeypatch):
+        made = count_calls(monkeypatch, fractional, "shih_coefficients")
+        spec = FractionalSpec(hartley_transform(3), 0.37)
+        assert made == [(2, 0.37)]
+        m = fractional_oracle(spec)
+        fractional_apply(spec, m)
+        unitarity_bound(spec, m)
+        assert made == [(2, 0.37)]
+        assert cli.main(["sweep", "--transform", "hartley", "--qubits", "3",
+                         "--alpha-range", "0,2,0.5"]) == 0
+        assert [alpha for _, alpha in made[1:]] == [0.0, 0.5, 1.0, 1.5]
+
+    def test_the_weights_are_read_only(self):
+        spec = FractionalSpec(fourier_transform(2), 0.3)
+        for weights in (spec.coefficients.weights, shih_coefficients(4, 0.3).weights):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0] = 1
+            with pytest.raises(ValueError):
+                weights.setflags(write=True)
+        assert spec.coefficients is spec.coefficients
+
+    def test_the_weights_are_no_field(self):
+        spec = FractionalSpec(fourier_transform(2), 0.3)
+        assert [f.name for f in dataclasses.fields(spec)] == ["base", "alpha"]
+        assert repr(spec).endswith(", alpha=0.3)") and "coefficients" not in repr(spec)
+        assert spec == FractionalSpec(spec.base, 0.3)
 
 
 def test_oracle_rejects_operator_of_wrong_order():
@@ -546,6 +586,14 @@ class TestQfruCircuit:
         with pytest.raises(QubitBudgetError, match="^'hartley': 1 ancilla \\+ 4 data qubits: "
                                                    "5 qubits exceed the 4-qubit budget$"):
             FractionalSpec(hartley_transform(4), 0.5)
+
+    def test_budget_comes_before_alpha(self, monkeypatch):
+        # The weights are made after the budget check, so shih_coefficients
+        # never refuses the order of a spec that fits the budget.
+        monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "4")
+        with pytest.raises(QubitBudgetError, match="^'hartley': 1 ancilla \\+ 4 data qubits: "
+                                                   "5 qubits exceed the 4-qubit budget$"):
+            FractionalSpec(hartley_transform(4), "x")
 
     def test_theta0(self):
         # The phase block (psi3..psi4) on ancilla j has angle 2**j alpha

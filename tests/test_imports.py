@@ -265,6 +265,25 @@ def test_only_linalg_decides_what_is_an_integer(path):
     assert integer_rule_reads(path.read_text(encoding="utf-8")) == []
 
 
+def dtype_kind_reads(source: str) -> list[int]:
+    """The lines that read ``<expr>.dtype.kind``: a dtype test of their own."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "kind"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"]
+
+
+def test_checker_catches_a_dtype_test_of_its_own():
+    source = ("def f(x):\n    if x.dtype.kind not in 'biufc':\n        pass\n"
+              "    return np.asarray(x).dtype.kind, x.kind, dtype.kind\n")
+    assert dtype_kind_reads(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", NOT_LINALG, ids=[p.name for p in NOT_LINALG])
+def test_only_linalg_decides_what_is_a_numeric_array(path):
+    # linalg.check_numbers is the one numeric-array rule for every array an entry point takes.
+    assert dtype_kind_reads(path.read_text(encoding="utf-8")) == []
+
+
 def power_op_calls(source: str) -> list[tuple[int, str]]:
     """(line, enclosing module-level definition, "" at module level) of each
     call of ``GateOp`` or ``<module>.GateOp`` that passes ``power=``."""

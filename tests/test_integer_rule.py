@@ -2,7 +2,8 @@
 exponent an entry point takes: a numpy integer is one, a float, a bool or a
 string is not, and a value outside its range is refused too, each by a
 ``DimensionError`` that names the argument and shows its repr. Also what
-``apply`` and ``power_sum`` accept, and ``FractionalSpec``'s fields."""
+``apply`` and ``power_sum`` accept, the one numeric-array rule,
+``linalg.check_numbers``, and ``FractionalSpec``'s fields."""
 import re
 
 import numpy as np
@@ -28,8 +29,14 @@ from qfrt.circuits import (
     qft_circuit,
 )
 from qfrt.errors import DimensionError, QfrtError
-from qfrt.fractional import FractionalSpec, column_blocks, extract_data_block, shih_coefficients
-from qfrt.simulator import ancilla_restoration_probability, basis_state
+from qfrt.fractional import (
+    FractionalSpec,
+    column_blocks,
+    extract_data_block,
+    shih_coefficients,
+    unitarity_bound,
+)
+from qfrt.simulator import ancilla_restoration_probability, basis_state, format_state, run
 
 
 class TestCheckInt:
@@ -207,6 +214,58 @@ def test_power_sum_takes_exactly_order_weights(t, shape):
     with pytest.raises(DimensionError, match=rf"^'{t.id}': power_sum needs {t.order} weights, "
                                              rf"got shape {re.escape(str(shape))}$"):
         t.power_sum(np.ones(shape))
+
+
+# (id, call with the array under test, the message before ", got dtype", its shape).
+NUMERIC_ENTRY_POINTS = [
+    ("kernel", lambda v: BaseTransform("bad", 1, 1, v),
+     "'bad': kernel entries must be finite numbers", (2, 2)),
+    ("power_sum", fourier_transform(1).power_sum,
+     "'fourier': power_sum needs numeric weights", (4,)),
+    ("apply", lambda v: fourier_transform(2).apply(v, 1),
+     "'fourier': apply needs a numeric block x", (4, 1)),
+    ("as_matrix", linalg.as_matrix, "matrix entries must be numbers", (2, 2)),
+    ("GateOp", lambda v: GateOp("unitary", (0,), matrix=v), "matrix entries must be numbers",
+     (2, 2)),
+    ("unitarity_bound", lambda v: unitarity_bound(FractionalSpec(hartley_transform(1), 0.3), v),
+     "matrix entries must be numbers", (2, 2)),
+    ("format_matrix", linalg.format_matrix, "matrix entries must be numbers", (2, 2)),
+    ("run", lambda v: run(qft_circuit(2), v), "run needs a numeric state", (4,)),
+    ("format_state", format_state, "format_state needs a numeric state", (4,)),
+    ("ancilla_restoration_probability", lambda v: ancilla_restoration_probability(v, 1),
+     "ancilla_restoration_probability needs a numeric state", (4,)),
+    ("extract_data_block", lambda v: extract_data_block(v, 1, 1),
+     "extract_data_block needs a numeric matrix or block", (4, 4)),
+]
+
+
+def _not_numbers(kind, shape):
+    """Strings, strings that read as numbers, or objects, the last one None."""
+    if kind == "objects":
+        a = np.ones(shape, dtype=object)
+        a.flat[-1] = None
+        return a
+    return np.full(shape, "a" if kind == "strings" else "1")
+
+
+@pytest.mark.parametrize("kind", ["strings", "numeric_strings", "objects"])
+@pytest.mark.parametrize("call,message,shape",
+                         [pytest.param(call, message, shape, id=entry)
+                          for entry, call, message, shape in NUMERIC_ENTRY_POINTS])
+def test_entry_point_refuses_an_array_that_is_not_numbers(call, message, shape, kind):
+    # Once numeric strings went through, objects slipped past, and strings
+    # failed with numpy's text, where they failed at all.
+    value = _not_numbers(kind, shape)
+    with pytest.raises(QfrtError, match=f"^{re.escape(message)}, got dtype "
+                                        f"{re.escape(str(value.dtype))}$"):
+        call(value)
+
+
+def test_check_numbers_returns_a_numeric_array_as_it_is():
+    for value in (np.arange(3), np.ones(2, bool), np.eye(2, dtype=np.float32), [1j, 2]):
+        got = linalg.check_numbers("x", value)
+        assert got.dtype == np.asarray(value).dtype
+        assert got is value or not isinstance(value, np.ndarray)
 
 
 class TestFractionalSpecFields:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import dft_matrix, parse_matrix, random_unitary
 from qfrt import linalg
@@ -221,6 +222,26 @@ class TestMatrixText:
         rng = np.random.default_rng(42)
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
         assert np.array_equal(parse_matrix("\n".join(linalg.format_matrix(m))), m)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), shape=hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+           dtype=st.sampled_from([np.float64, np.float32, np.complex128, np.int64, np.bool_]),
+           strided=st.booleans())
+    def test_each_row_is_its_entries_formatted_one_by_one(self, data, shape, dtype, strided):
+        # format_matrix fills one "%.17g,%.17g" template per row; each row must
+        # read as the per-entry f-string join, on signed zeros, subnormals and
+        # +-max too, and on a strided view.
+        floats = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+        elements = {np.float64: floats,
+                    np.float32: st.floats(width=32, allow_nan=False, allow_infinity=False),
+                    np.complex128: st.builds(complex, floats, floats),
+                    np.int64: st.integers(-2**63, 2**63 - 1), np.bool_: st.booleans()}[dtype]
+        wide = (shape[0], 2 * shape[1]) if strided else shape
+        m = data.draw(hnp.arrays(dtype, wide, elements=elements))
+        m = m[:, ::2] if strided else m
+        want = [" ".join(f"{v.real:.17g},{v.imag:.17g}" for v in row)
+                for row in linalg.as_matrix(m)]
+        assert list(linalg.format_matrix(m)) == [f"{shape[0]} {shape[1]}"] + want
 
     def test_header_and_entry_layout(self):
         lines = linalg.format_matrix(np.array([[1.0, 0.5j]]))

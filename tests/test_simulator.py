@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,6 +321,12 @@ class TestPlan:
                 assert s.op.name == "unitary" and s.op.power is None
                 assert s.op.targets == tuple(sorted(_wires(group)))
                 assert len(s.op.targets) <= FUSE_WIRES
+                # the payload is circuit_unitary of the group on its sorted wires
+                local = {w: i for i, w in enumerate(s.op.targets)}
+                rehomed = Circuit(len(local), [
+                    replace(op, targets=[local[w] for w in op.targets],
+                            controls=[local[w] for w in op.controls]) for op in group])
+                assert s.op.matrix.tobytes() == circuit_unitary(rehomed).tobytes()
             # each fused run is maximal: the next step could not have joined it
             for a, b in zip(plan, plan[1:]):
                 if all(small[a.start:b.stop]) and b.start not in cuts:
@@ -384,6 +391,19 @@ def test_a_state_length_must_be_a_power_of_two(read, size):
 def test_a_block_or_scalar_is_not_a_state(read, shape):
     with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
         read(np.ones(shape, dtype=complex))
+
+
+def test_a_fused_payload_is_under_the_budget(monkeypatch):
+    # A fused payload is a dense operator: circuit_unitary of its group checks
+    # the budget, so a 3-wire run fails under a 2-qubit one.
+    c = Circuit(3, [GateOp("h", (0,)), GateOp("x", (1,), (0,)), GateOp("x", (2,), (1,))])
+    state = np.eye(8, 1).ravel()
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "2")
+    with pytest.raises(QubitBudgetError,
+                       match="^circuit_unitary: 3 qubits exceed the 2-qubit budget$"):
+        run(c, state)
+    monkeypatch.setenv(linalg.BUDGET_ENV_VAR, "3")
+    assert np.allclose(run(c, state)[0], _S2 * (np.eye(8)[0] + np.eye(8)[7]))
 
 
 @pytest.mark.parametrize("budget", [None, "3"], ids=["default", "QFRT_MAX_QUBITS"])
