@@ -262,9 +262,9 @@ class BaseTransform:
                 f"{self.id!r}: kernel of shape {dense.shape} on {self.data_qubits} "
                 f"data qubits, expected ({dim}, {dim})"
             )
-        if not np.all(np.isfinite(linalg.check_numbers(
-                f"{self.id!r}: kernel entries must be finite numbers", dense))):
-            raise QfrtError(f"{self.id!r}: kernel entries must be finite numbers")
+        what = f"{self.id!r}: kernel entries must be finite numbers"
+        if not np.all(np.isfinite(linalg.check_numbers(what, dense))):
+            raise QfrtError(what)
         object.__setattr__(self, "dense", linalg.frozen(dense))
 
     @property

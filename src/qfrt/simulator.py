@@ -119,7 +119,7 @@ def format_state(state: np.ndarray, full: bool = False) -> Iterator[str]:
     basis index as an MSB-first bit string plus ``re,im``; amplitudes with
     modulus <= DUMP_EPS are skipped unless full, so a state with none above
     it has no lines. ``state`` is checked on the call."""
-    state = linalg.check_numbers("format_state needs a numeric state", state).astype(complex)
+    state = np.asarray(linalg.check_numbers("format_state needs a numeric state", state), complex)
     n = _num_qubits(state)
     return (f"{i:0{n}b} {a.real:.17g},{a.imag:.17g}"
             for i, a in enumerate(state) if full or abs(a) > DUMP_EPS)
