@@ -144,43 +144,41 @@ def _cst4_values(big_n: int, dtype=np.float64) -> np.ndarray:
 _REFERENCE_ULPS = 64
 
 
-def _entry_dev(values: Callable) -> float:
+def _entry_dev(stored: np.ndarray, values: Callable) -> float:
     """delta >= max|stored - exact| over a built-in kernel's distinct entries.
 
-    ``values(dtype)`` evaluates them by the builder's own formulas: in float64
-    they are the stored entries, bit for bit; in np.longdouble (64-bit
-    mantissa) they are the exact ones to within a few longdouble ulps, which
-    the margin covers. O(N): no kernel is built.
+    ``stored`` is ``values(np.float64)``, the builder's formulas in float64;
+    ``values(np.longdouble)`` (64-bit mantissa) is exact to within a few
+    longdouble ulps, which the margin covers. O(N): no kernel is built.
     """
     exact = values(np.longdouble)
-    dev = np.max(np.abs(values(np.float64) - exact))
+    dev = np.max(np.abs(stored - exact))
     margin = _REFERENCE_ULPS * np.finfo(np.longdouble).eps * np.max(np.abs(exact))
     return float(dev + margin)
 
 
 # Matrix-free kernels: U x along axis 0 of a complex (N, cols) block, by
 # numpy.fft only; BaseTransform.apply makes every other power from them. The
-# real kernels act on the float64 view of x, its real and imaginary parts as
-# separate columns.
+# cosine-sine kernels act on the float64 view of x, its real and imaginary
+# parts as separate columns.
 
 
 def _hartley_apply(x: np.ndarray) -> np.ndarray:
-    """H by one real FFT of x's float64 view y: for a real y, H y = Re(F y)
-    - Im(F y), and bin j > N/2 of F y is the conjugate of bin N - j, so rfft's
-    N/2 + 1 bins give every row."""
-    half = x.shape[0] // 2
-    f = np.fft.rfft(np.ascontiguousarray(x).view(np.float64), axis=0, norm="ortho")
-    out = np.empty((2 * half, 2 * x.shape[1]))
-    np.subtract(f.real, f.imag, out=out[: half + 1])
-    np.add(f.real[half - 1:0:-1], f.imag[half - 1:0:-1], out=out[half + 1:])
-    return out.view(complex)
+    """H by one complex FFT (Bracewell, Proc. IEEE 1984): cas = Re((1 + i)
+    e^(-i theta)), so for y = F x, H x = ((1 + i) y + (1 - i) y[-j mod N]) / 2,
+    where y[-j mod N] is y[0] followed by y reversed."""
+    y = np.fft.fft(x, axis=0, norm="ortho")
+    mirror = (0.5 - 0.5j) * np.concatenate([y[:1], y[:0:-1]])
+    y *= 0.5 + 0.5j
+    y += mirror
+    return y
 
 
 def _cst1_apply(x: np.ndarray) -> np.ndarray:
-    """DCT-I(N+1) (+) DST-I(N-1) by one real 2N-point FFT of the sum of the
-    even extension of the cosine block and the odd extension of the sine
+    """DCT-I(N+1) (+) DST-I(N-1) by one orthonormal real 2N-point FFT of the
+    even extension of the cosine block plus the odd extension of the sine
     block: the first's transform is real and the second's imaginary, so the
-    real part gives DCT-I and the imaginary part -DST-I."""
+    real part gives DCT-I and the imaginary part -DST-I, each written in place."""
     big_n = x.shape[0] // 2
     y = np.ascontiguousarray(x).view(np.float64)
     ext = np.empty((2 * big_n, y.shape[1]))
@@ -189,11 +187,11 @@ def _cst1_apply(x: np.ndarray) -> np.ndarray:
     ext[big_n + 1:] = ext[big_n - 1:0:-1]
     ext[1:big_n] += y[big_n + 1:]
     ext[big_n + 1:] -= y[:big_n:-1]
-    spec = np.fft.rfft(ext, axis=0) / np.sqrt(2.0 * big_n)
+    spec = np.fft.rfft(ext, axis=0, norm="ortho")
     out = np.empty_like(y)
     out[: big_n + 1] = spec.real
-    out[[0, big_n]] /= np.sqrt(2.0)
-    out[big_n + 1:] = -spec[1:big_n].imag
+    out[[0, big_n]] *= np.sqrt(0.5)
+    np.negative(spec.imag[1:big_n], out=out[big_n + 1:])
     return out.view(complex)
 
 
@@ -432,9 +430,14 @@ class _TableTransform(BaseTransform):
         """Nothing to check: the builder checked the sizes and the qubit budget."""
 
     @cached_property
+    def _table(self) -> np.ndarray:
+        """The stored entries, ``_values(np.float64)``, made once and frozen."""
+        return linalg.frozen(self._values(np.float64))
+
+    @cached_property
     def dense(self) -> np.ndarray:
         """The table gathered through the layout, sealed."""
-        return linalg.sealed(self._values(np.float64)[self._layout()])
+        return linalg.sealed(self._table[self._layout()])
 
     @cached_property
     def table_dev(self) -> float | None:
@@ -444,7 +447,7 @@ class _TableTransform(BaseTransform):
         reference to measure against."""
         if np.finfo(np.longdouble).eps > 1e-18:
             return None
-        return _entry_dev(self._values)
+        return _entry_dev(self._table, self._values)
 
     def _power(self, k: int) -> np.ndarray:
         """U**1 is ``dense`` itself, U**0 and U**2 are I and I[p], built with
@@ -453,7 +456,7 @@ class _TableTransform(BaseTransform):
             return self.dense
         if k == 3:
             return linalg.sealed(self.dense[self._perm])
-        eye = np.eye(1 << self.data_qubits, dtype=self._values(np.float64).dtype)
+        eye = np.eye(1 << self.data_qubits, dtype=self._table.dtype)
         return linalg.sealed(eye[self._perm] if k else eye)
 
     def _apply(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -487,7 +490,7 @@ class _TableTransform(BaseTransform):
         for the DFT w_3 T[p], as F**3 = F[p] and (-j l) mod N = p((j l) mod
         N); then w_0 on the diagonal and, for the DFT, w_2 at [j, p_j] (F**2
         = I[p])."""
-        p, table = self._perm, self._values(np.float64)
+        p, table = self._perm, self._table
         weighted = weights[1] * table
         if p is not None:
             weighted += weights[3] * table[p]
@@ -574,9 +577,7 @@ def order_and_residue(t: BaseTransform) -> tuple[int, float]:
     """:func:`verify_order`'s checks; returns its exponent e, found by
     squaring U until U**(2**e) = I, and the largest distance from an
     eigenvalue of the kernel to a 2**e-th root of unity."""
-    if not isinstance(t, BaseTransform):
-        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
-    power, found = t.dense, 0
+    power, found = linalg.check_instance("t", t, BaseTransform).dense, 0
     while not _identity_dev(power) <= ORDER_TOL:  # a NaN squares on, to the cap
         if found == MAX_ORDER_EXPONENT:
             raise NotDyadicOrderError(

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .base_transforms import GATE_TOL, BaseTransform
+from .errors import DimensionError
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -173,13 +174,10 @@ class GateOp:
     def _check_power(self) -> None:
         if self.matrix is not None:
             raise ValueError("a 'power' op takes no matrix payload")
-        try:
-            t, k = self.power
-        except (TypeError, ValueError):
-            raise ValueError(f"a power payload is a (transform, k) pair, "
-                             f"got {self.power!r}") from None
-        if not isinstance(t, BaseTransform):
-            raise ValueError(f"a power payload needs a BaseTransform, got {type(t).__name__}")
+        if not isinstance(self.power, Sequence) or len(self.power) != 2:
+            raise ValueError(f"a power payload is a (transform, k) pair, got {self.power!r}")
+        t, k = self.power
+        linalg.check_instance("a power payload's transform", t, BaseTransform)
         k = linalg.check_int(f"power of {t.id!r}", k, 1, t.order - 1)
         if len(self.targets) != t.data_qubits:
             raise ValueError(
@@ -238,16 +236,17 @@ class Circuit:
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
+        object.__setattr__(self, "ops", tuple(linalg.check_instance("ops", self.ops, Sequence)))
         object.__setattr__(self, "num_qubits", linalg.check_int("num_qubits", self.num_qubits, 1))
         for i, op in enumerate(self.ops):
-            if not isinstance(op, GateOp):
-                raise ValueError(f"op {i} must be a GateOp, got {type(op).__name__}")
-            if op.span > self.num_qubits:
+            if linalg.check_instance(f"op {i}", op, GateOp).span > self.num_qubits:
                 raise ValueError(
                     f"op {op.name!r} touches qubit {op.span - 1}, register has "
                     f"{self.num_qubits}"
                 )
+        for i, mark in enumerate(linalg.check_instance("marks", self.marks, Sequence)):
+            if not isinstance(mark, Sequence) or len(mark) != 2:
+                raise DimensionError(f"marks[{i}] must be a (label, index) pair, got {mark!r}")
         object.__setattr__(self, "marks", tuple(
             (label, linalg.check_int(f"mark {label!r}", idx, 0, len(self.ops)))
             for label, idx in self.marks))
@@ -312,8 +311,7 @@ def multiplexed_powers(t: BaseTransform, inverse: bool = False) -> Circuit:
     s 2**j mod 2**n) (see :class:`GateOp`), so selector value m applies
     u**(s m). Every payload op of the fractionalization circuits is made here.
     """
-    if not isinstance(t, BaseTransform):
-        raise ValueError(f"t must be a BaseTransform, got {type(t).__name__}")
+    linalg.check_instance("t", t, BaseTransform)
     n, q, sign = t.order_exponent, t.data_qubits, -1 if inverse else 1
     data = tuple(range(q))
     ops = [
@@ -420,23 +418,29 @@ _PIECE = 1 << 14
 
 
 def _mix_halves(g: np.ndarray, a0: np.ndarray, a1: np.ndarray) -> None:
-    """(a0, a1) <- (g00 a0 + g01 a1, g10 a0 + g11 a1) in place. A diagonal
-    g only scales a half whose entry is not 1, and allocates nothing."""
+    """(a0, a1) <- (g00 a0 + g01 a1, g10 a0 + g11 a1) in place: a diagonal g scales
+    a half whose entry is not 1, r [[1, 1], [1, -1]] (r real) takes two passes."""
     if a0.size > _PIECE and a0.ndim > 1:
         for b0, b1 in zip(a0, a1):
             _mix_halves(g, b0, b1)
         return
+    r = g[0, 0].real
     if g[0, 1] == 0 and g[1, 0] == 0:
         if g[0, 0] != 1:
             a0 *= g[0, 0]
         if g[1, 1] != 1:
             a1 *= g[1, 1]
-        return
-    new0 = a0 * g[0, 0]
-    new0 += a1 * g[0, 1]
-    a1 *= g[1, 1]
-    a1 += a0 * g[1, 0]
-    a0[...] = new0
+    elif g[0, 0] == g[0, 1] == g[1, 0] == -g[1, 1] == r:
+        diff = a0 - a1
+        a0 += a1
+        a0 *= r
+        np.multiply(diff, r, out=a1)
+    else:
+        new0 = a0 * g[0, 0]
+        new0 += a1 * g[0, 1]
+        a1 *= g[1, 1]
+        a1 += a0 * g[1, 0]
+        a0[...] = new0
 
 
 def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
@@ -449,7 +453,7 @@ def circuit_unitary(c: Circuit, columns: int | None = None) -> np.ndarray:
     equals ``circuit_unitary(c)[:, :k]`` at about k / 2**num_qubits of the
     cost.
     """
-    linalg.check_qubit_budget("circuit_unitary", c.num_qubits)
+    linalg.check_qubit_budget("circuit_unitary", linalg.check_instance("c", c, Circuit).num_qubits)
     dim = 1 << c.num_qubits
     columns = dim if columns is None else linalg.check_int("columns", columns, 1, dim)
     acc = np.eye(dim, columns, dtype=complex)

@@ -6,8 +6,8 @@ class QfrtError(Exception):
 
 
 class DimensionError(QfrtError, ValueError):
-    """Operands have incompatible or malformed shapes, or a size, wire,
-    index or exponent is not an integer in its range."""
+    """An argument is of the wrong kind or shape, or a size, wire, index or
+    exponent is not an integer in its range."""
 
 
 class QubitBudgetError(QfrtError, ValueError):

@@ -68,8 +68,7 @@ class FractionalSpec:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.base, BaseTransform):
-            raise ValueError(f"base must be a BaseTransform, got {type(self.base).__name__}")
+        linalg.check_instance("base", self.base, BaseTransform)
         linalg.check_qubit_budget(
             f"{self.base.id!r}: {self.num_ancillas} ancilla + {self.data_qubits} data qubits",
             self.num_ancillas + self.data_qubits)

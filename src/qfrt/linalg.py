@@ -75,6 +75,14 @@ def check_int(name: str, value, low: int | None = None, high: int | None = None)
     raise DimensionError(f"{name} must be an integer{bound}, got {value!r}")
 
 
+def check_instance(name: str, value, kind: type):
+    """value if it is a ``kind``, the one rule for an argument's class; else a
+    :class:`DimensionError`, ``{name} must be a {kind}, got {value's type}``."""
+    if isinstance(value, kind):
+        return value
+    raise DimensionError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def reduce_alpha(alpha, period: int) -> float:
     """alpha mod period, exactly, with ``math.fmod``'s sign rule (-0.0 too): a rational
     as it is, any other real as a float; rejects a bool or an alpha not a finite real."""

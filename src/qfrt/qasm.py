@@ -18,6 +18,7 @@ import re
 
 import numpy as np
 
+from . import linalg
 from .circuits import Circuit, GateOp
 from .errors import ExportError
 
@@ -36,6 +37,7 @@ _DECL_RE = re.compile(r"^qubit\[(\d+)\]\s+q;$")
 
 def export_circuit(c: Circuit) -> str:
     """Render a circuit in the text dialect."""
+    linalg.check_instance("c", c, Circuit)
     wide = [f"op {i}: unitary on {len(op.targets)} qubits {op.targets}"
             for i, op in enumerate(c.ops) if op.name == "unitary" and len(op.targets) > 2]
     if wide:
@@ -101,6 +103,7 @@ def _parse_op(line: str, num_qubits: int | None) -> GateOp:
 def import_circuit(text: str) -> Circuit:
     """Parse the text dialect back into a circuit; every error in a statement
     is a ValueError that starts with ``line N:``."""
+    linalg.check_instance("text", text, str)
     num_qubits = None
     ops = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

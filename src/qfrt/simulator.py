@@ -7,15 +7,15 @@ once per circuit and trace setting and applied in place through strided
 views of the state tensor. It takes one state or a (2**n, cols) block of
 states, which the steps carry along the register's last axis, so a block of
 basis columns gives those columns of the circuit's unitary by the fast path;
-``verify --suite equivalence`` runs its blocks so. Between two traced
-marks, each run of small gates on at most
-:data:`qfrt.circuits.FUSE_WIRES` wires is one fused dense step; a ``power``
-payload is never fused, and goes to its transform's ``apply``
-(``numpy.fft``, O(N log N) per column, for a built-in; its power's matrix
-for a hand-built kernel), so ``circuit_unitary`` stays the independent
-op-by-op dense reference. A traced run copies the state at each mark into
-a row of one array it allocates up front. Probabilities are computed
-exactly from amplitudes; there is no shot sampling.
+``verify --suite equivalence`` runs its blocks so. The input is checked finite
+on the float64 view of its C-ordered copy. Between two traced marks, each run
+of small gates on at most :data:`qfrt.circuits.FUSE_WIRES` wires is one fused
+dense step; a ``power`` payload is never fused, and goes to its transform's
+``apply`` (``numpy.fft``, O(N log N) per column, for a built-in; its power's
+matrix for a hand-built kernel), so ``circuit_unitary`` stays the independent
+op-by-op dense reference. A traced run copies the state at each mark into a
+row of one array it allocates up front. Probabilities are computed exactly
+from amplitudes; there is no shot sampling.
 """
 from __future__ import annotations
 
@@ -73,12 +73,13 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     states are the rows of one array allocated per run, so each is its own
     copy of the state at its mark.
     """
+    dim = 1 << linalg.check_instance("circuit", circuit, Circuit).num_qubits
     state = linalg.check_numbers("run needs a numeric state", state).astype(complex, copy=False)
-    dim = 1 << circuit.num_qubits
     if state.ndim not in (1, 2) or state.shape[0] != dim or state.size == 0:
         raise ValueError(f"state must be a ({dim},) state or a ({dim}, cols) block with "
                          f"cols >= 1 for {circuit.num_qubits} qubits, got shape {state.shape}")
-    if not np.isfinite(state).all():
+    psi = state.reshape([2] * circuit.num_qubits + [-1]).copy()
+    if not np.isfinite(psi.view(np.float64)).all():
         raise ValueError("state has a NaN or Inf amplitude")
     if trace is not None and not isinstance(trace, (bool, np.bool_)):
         raise ValueError(f"trace takes None, False or True, not {trace!r}")
@@ -89,7 +90,6 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
 
     snapshots = np.empty((len(marks),) + state.shape, dtype=complex)
     records: list[TraceRecord] = []
-    psi = state.reshape([2] * circuit.num_qubits + [-1]).copy()
     flat = psi.reshape(state.shape)
 
     def snapshot(idx: int):

@@ -15,7 +15,7 @@ from helpers import (
     random_unitary,
     reference_circuit_unitary,
 )
-from qfrt import linalg
+from qfrt import circuits, linalg
 from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
@@ -552,6 +552,21 @@ def test_circuit_unitary_matches_basis_column_embedding(seed):
     state = random_state(circuit.num_qubits, rng)
     final, _ = run(circuit, state)
     assert np.max(np.abs(final - expected @ state)) <= 1e-14
+
+
+@pytest.mark.parametrize("width", [5, circuits._PIECE], ids=["below_piece", "above_piece"])
+@pytest.mark.parametrize("g", [H, -H, 2 * H, 1j * H], ids=["h", "minus_h", "two_h", "i_h"])
+def test_hadamard_mixing_matches_the_general_formula(g, width):
+    # Strided halves of a (3, 2, width) register, as a one-qubit step gets
+    # them; above _PIECE amplitudes they are mixed a row at a time. i H is
+    # no real multiple of [[1, 1], [1, -1]], so it takes the general path.
+    rng = np.random.default_rng(width)
+    reg = rng.uniform(-0.5, 0.5, (3, 2, width)) + 1j * rng.uniform(-0.5, 0.5, (3, 2, width))
+    a0, a1 = reg[:, 0], reg[:, 1]
+    expected = (g[0, 0] * a0 + g[0, 1] * a1, g[1, 0] * a0 + g[1, 1] * a1)
+    circuits._mix_halves(g, a0, a1)
+    assert np.max(np.abs(a0 - expected[0])) <= 1e-15
+    assert np.max(np.abs(a1 - expected[1])) <= 1e-15
 
 
 def test_kernel_allocates_at_most_one_accumulator_per_op():

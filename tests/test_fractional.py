@@ -266,7 +266,7 @@ def test_additivity_suite_proves_the_kernel_once(monkeypatch, capsys):
         assert len(transforms) == 1
         t = transforms[0]
         assert (len(proved), len(certified), len(compared), len(tables)) == counts
-        assert all(args == (t._values,) for args in certified)
+        assert all(args[0] is t._table and args[1:] == (t._values,) for args in certified)
         assert all(args[0] is t.dense for args in proved)
         assert tables == [t] * len(tables)
 

@@ -139,7 +139,7 @@ def test_only_linalg_sets_array_flags(path):
 #: A transform's internals: what it stores to answer power, apply,
 #: apply_sum and power_sum, its proof's working, and the builders' private
 #: class. Only base_transforms may read them.
-TRANSFORM_INTERNALS = frozenset({"_perm", "table_dev", "_values", "_layout", "_fft",
+TRANSFORM_INTERNALS = frozenset({"_perm", "table_dev", "_table", "_values", "_layout", "_fft",
                                  "_products", "_fault", "_TableTransform",
                                  "_power", "_apply", "_apply_sum", "_power_sum"})
 

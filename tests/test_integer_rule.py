@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import random_state
-from qfrt import linalg
+from qfrt import linalg, qasm
 from qfrt.base_transforms import (
     BaseTransform,
     cst1_transform,
@@ -259,6 +259,30 @@ def test_entry_point_refuses_an_array_that_is_not_numbers(call, message, shape, 
     with pytest.raises(QfrtError, match=f"^{re.escape(message)}, got dtype "
                                         f"{re.escape(str(value.dtype))}$"):
         call(value)
+
+
+#: (entry, call, message): one argument of the wrong kind per call.
+WRONG_KIND = [
+    ("import_circuit", lambda: qasm.import_circuit(123), "text must be a str, got int"),
+    ("export_circuit", lambda: qasm.export_circuit("x"), "c must be a Circuit, got str"),
+    ("circuit_ops", lambda: Circuit(2, None), "ops must be a Sequence, got NoneType"),
+    ("circuit_marks", lambda: Circuit(2, (), None), "marks must be a Sequence, got NoneType"),
+    ("one_element_mark", lambda: Circuit(1, (GateOp("h", (0,)),), (("psi0",),)),
+     "marks[0] must be a (label, index) pair, got ('psi0',)"),
+    ("mark_not_a_pair", lambda: Circuit(1, (), (("psi0", 0), 0)),
+     "marks[1] must be a (label, index) pair, got 0"),
+    ("run", lambda: run("x", basis_state(1)), "circuit must be a Circuit, got str"),
+    ("circuit_unitary", lambda: circuit_unitary("x"), "c must be a Circuit, got str"),
+]
+
+
+@pytest.mark.parametrize("call,message", [pytest.param(call, message, id=entry)
+                                          for entry, call, message in WRONG_KIND])
+def test_entry_point_names_an_argument_of_the_wrong_kind(call, message):
+    # Each once failed inside the function, with an AttributeError, a
+    # TypeError or a bare unpacking ValueError that named no argument.
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_check_numbers_returns_a_numeric_array_as_it_is():

@@ -71,6 +71,24 @@ def test_apply_reads_a_strided_block_without_writing_it():
     assert np.array_equal(wide, before)
 
 
+@pytest.mark.parametrize("transform_id,size",
+                         [(t, s) for t in ("hartley", "cst1") for s in range(1, 9)])
+def test_fft_kernels_match_dense_on_every_block_layout(transform_id, size):
+    # Hartley by one complex FFT and cst1 by an orthonormal real one read a
+    # C-ordered, a strided or an F-ordered block alike, and write none.
+    t = make_transform(transform_id, size)
+    rng = np.random.default_rng(size)
+    dim = 1 << t.data_qubits
+    for cols in (1, 3, 32):
+        wide = rng.standard_normal((dim, 2 * cols)) + 1j * rng.standard_normal((dim, 2 * cols))
+        x = wide[:, ::2]
+        expected = t.dense @ x
+        for block in (np.ascontiguousarray(x), x, np.asfortranarray(x)):
+            before = block.copy()
+            assert np.max(np.abs(t.apply(block, 1) - expected)) <= 1e-13
+            assert np.array_equal(block, before)
+
+
 #: (transform id, size) up to 8 data qubits, for apply_sum.
 SUM_KERNELS = [("fourier", q) for q in (1, 2, 3, 5, 8)] + [
     ("hartley", q) for q in (1, 2, 3, 8)] + [
@@ -369,7 +387,8 @@ class TestPowerOp:
             assert op.power == (t, k) and op.matrix is None and op.base_matrix() is t.power(k)
 
     def test_rejects_a_power_of_something_else(self):
-        with pytest.raises(ValueError, match="needs a BaseTransform, got ndarray"):
+        with pytest.raises(ValueError, match="^a power payload's transform must be a "
+                                             "BaseTransform, got ndarray$"):
             GateOp("unitary", targets=(0, 1), power=(dft_matrix(4), 1))
 
     @pytest.mark.parametrize("k", [0, 4, -1, 1.0, True])

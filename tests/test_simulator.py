@@ -80,6 +80,18 @@ class TestRun:
         with pytest.raises(ValueError, match="state"):
             run(Circuit(3, (GateOp("h", targets=(0,)),)), state)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+    @pytest.mark.parametrize("layout", ["strided_state", "strided_block", "fortran_block"])
+    def test_non_finite_amplitude_rejected_in_any_layout(self, layout, bad):
+        # run checks the float64 view of its own C-ordered copy of the input.
+        block = np.full((8, 4), 8 ** -0.5, dtype=complex)
+        block[5, 2] = bad
+        state = {"strided_state": block[:, 2], "strided_block": block[:, ::2],
+                 "fortran_block": np.asfortranarray(block)}[layout]
+        assert not state.flags.c_contiguous
+        with pytest.raises(ValueError, match="^state has a NaN or Inf amplitude$"):
+            run(Circuit(3, (GateOp("h", targets=(0,)),)), state)
+
     @pytest.mark.parametrize("trace", ["psi1", ["psi2"], {"psi2"}, 1, 2.5],
                              ids=["string", "list", "set", "int", "float"])
     def test_trace_labels_must_be_marks(self, trace):
