@@ -30,7 +30,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +59,9 @@ from .fractional import (
 SUITES = ("additivity", "unitarity", "equivalence", "restoration", "order",
           "coefficients")
 
-_SUITE_DEFAULT_TOL = {"order": EIGEN_RESIDUE_TOL}
-
 #: Most rows an ``--alpha-range`` may expand to; each row is at least one
 #: dense oracle, so a larger range is a typo, not a workload.
 MAX_ALPHA_ROWS = 100_000
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    case_id: str
-    alpha: float | None
-    beta: float | None
-    deviation: float
 
 
 def _fmt(x: float | None) -> str:
@@ -124,28 +113,38 @@ def _resolve_transform(args) -> BaseTransform:
     return make_transform(args.transform, size)
 
 
-def _alpha_list(args, default: np.ndarray) -> np.ndarray:
-    if args.alpha is not None:
-        return np.array([args.alpha])
-    if args.alpha_range is None:
-        return default
-    return _parse_alpha_range(args.alpha_range, "verify")
-
-
-def _equivalence_dev(spec: FractionalSpec) -> float:
-    """The largest deviation max|data rows - oracle columns| or leakage, by
-    :func:`extract_data_block`, of ``simulator.run`` on the 2**q
-    ancilla-|0...0> basis columns, in the blocks of ``column_blocks(2**q)``;
-    NaN if any block's output holds a NaN."""
-    circuit, oracle = build_qfru_circuit(spec), fractional_oracle(spec)
+def _alpha_dev(suite: str, transform: BaseTransform, alpha: float, rng) -> float:
+    """The deviation of one row of a per-alpha suite: |sum c_k - 1| or |sum
+    |c_k|**2 - 1| of the Shih weights, with no spec, so no ancilla budget
+    (coefficients); :func:`unitarity_bound` of the oracle (unitarity); the
+    largest max|data rows - oracle columns| or leakage, by
+    :func:`extract_data_block`, of ``simulator.run`` on the ancilla-|0...0>
+    basis columns in the blocks of :func:`column_blocks`, NaN if any block's
+    output holds a NaN (equivalence); or 1 - the ancillas' |0...0>
+    probability after the circuit runs on a seeded random data state
+    (restoration)."""
+    if suite == "coefficients":
+        c = shih_coefficients(transform.order, alpha).weights
+        return float(max(abs(c.sum() - 1.0), abs(np.sum(np.abs(c) ** 2) - 1.0)))
+    spec = FractionalSpec(transform, alpha)
+    if suite == "unitarity":
+        return unitarity_bound(spec, fractional_oracle(spec))
+    circuit, data_dim = build_qfru_circuit(spec), 1 << spec.data_qubits
     dim = 1 << circuit.num_qubits
-    devs = []
-    for block in column_blocks(1 << spec.data_qubits):
-        columns = np.eye(dim, block.stop - block.start, -block.start, dtype=complex)
-        final, _ = simulator.run(circuit, columns)
-        rows, leakage = extract_data_block(final, spec.num_ancillas, spec.data_qubits)
-        devs += [np.abs(rows - oracle[:, block]).max(), leakage]
-    return float(np.max(devs))
+    if suite == "equivalence":
+        oracle, devs = fractional_oracle(spec), []
+        for block in column_blocks(data_dim):
+            columns = np.eye(dim, block.stop - block.start, -block.start, dtype=complex)
+            final, _ = simulator.run(circuit, columns)
+            rows, leakage = extract_data_block(final, spec.num_ancillas, spec.data_qubits)
+            devs += [np.abs(rows - oracle[:, block]).max(), leakage]
+        return float(np.max(devs))
+    # "restoration", the one per-alpha suite left
+    data = rng.standard_normal(data_dim) + 1j * rng.standard_normal(data_dim)
+    state = np.zeros(dim, dtype=complex)
+    state[:data_dim] = data / np.linalg.norm(data)
+    final, _ = simulator.run(circuit, state)
+    return abs(1.0 - simulator.ancilla_restoration_probability(final, spec.num_ancillas))
 
 
 # ---------------------------------------------------------------- commands
@@ -185,76 +184,55 @@ def cmd_dump(args) -> tuple[int, Iterable[str]]:
     return 0, linalg.format_matrix(payload)
 
 
-def _suite_rows(args, transform: BaseTransform, rng) -> list[ReportRow]:
-    suite = args.suite
+def _suite_rows(args, transform: BaseTransform, rng) -> list[tuple]:
+    """The suite's (case_id, alpha, beta, deviation) rows."""
+    suite, order = args.suite, transform.order
     if suite in ("additivity", "order") and (args.alpha, args.alpha_range) != (None, None):
         flag = "--alpha" if args.alpha is not None else "--alpha-range"
         raise ValueError(f"{flag} does not apply to --suite {suite}")
-    order = transform.order
-    rows = []
-
-    def oracle(alpha):
-        return fractional_oracle(FractionalSpec(transform, alpha))
-
-    if suite == "additivity":
-        for i in range(25):
-            a, b = rng.uniform(0.0, order, size=2)
-            spec, ob, oab = FractionalSpec(transform, a), oracle(b), oracle(a + b)
-            # np.max, not max: the built-in would drop a NaN after the first block.
-            devs = [np.abs(fractional_apply(spec, ob[:, block]) - oab[:, block]).max()
-                    for block in column_blocks(len(ob))]
-            rows.append(ReportRow(f"pair{i:02d}", a, b, float(np.max(devs))))
-    elif suite == "unitarity":
-        for alpha in _alpha_list(args, np.arange(0.0, order, 0.1)):
-            spec = FractionalSpec(transform, alpha)
-            dev = unitarity_bound(spec, fractional_oracle(spec))
-            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, dev))
-    elif suite == "equivalence":
-        for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
-            dev = _equivalence_dev(FractionalSpec(transform, alpha))
-            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, dev))
-    elif suite == "restoration":
-        for alpha in _alpha_list(args, np.arange(0.0, order, 0.5)):
-            spec = FractionalSpec(transform, alpha)
-            circuit = build_qfru_circuit(spec)
-            data = rng.standard_normal(1 << spec.data_qubits) + 1j * rng.standard_normal(
-                1 << spec.data_qubits
-            )
-            data /= np.linalg.norm(data)
-            state = np.zeros(1 << circuit.num_qubits, dtype=complex)
-            state[: data.size] = data
-            final, _ = simulator.run(circuit, state)
-            prob = simulator.ancilla_restoration_probability(final, spec.num_ancillas)
-            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, abs(1.0 - prob)))
-    elif suite == "order":
+    if suite == "order":
         exponent, residue = order_and_residue(transform)
         if exponent > transform.order_exponent:
             raise NotDyadicOrderError(f"base {transform.id!r} does not satisfy U**{order} = I")
-        rows.append(ReportRow(f"exponent{exponent}", None, None, residue))
-    else:  # "coefficients", the last of SUITES, which --suite is one of
-        for alpha in _alpha_list(args, np.linspace(0.0, order, 100, endpoint=False)):
-            c = shih_coefficients(order, alpha).weights
-            dev = max(abs(c.sum() - 1.0), abs(np.sum(np.abs(c) ** 2) - 1.0))
-            rows.append(ReportRow("alpha" + _fmt(alpha), alpha, None, float(dev)))
-    return rows
+        return [(f"exponent{exponent}", None, None, residue)]
+    if suite == "additivity":
+        rows = []
+        for i in range(25):
+            a, b = rng.uniform(0.0, order, size=2)
+            spec = FractionalSpec(transform, a)
+            ob, oab = (fractional_oracle(FractionalSpec(transform, x)) for x in (b, a + b))
+            # np.max, not max: the built-in would drop a NaN after the first block.
+            devs = [np.abs(fractional_apply(spec, ob[:, block]) - oab[:, block]).max()
+                    for block in column_blocks(len(ob))]
+            rows.append((f"pair{i:02d}", a, b, float(np.max(devs))))
+        return rows
+    if args.alpha is not None:
+        alphas = [args.alpha]
+    elif args.alpha_range is not None:
+        alphas = _parse_alpha_range(args.alpha_range, "verify")
+    else:  # the suite's default grid
+        alphas = (np.linspace(0.0, order, 100, endpoint=False) if suite == "coefficients"
+                  else np.arange(0.0, order, 0.1 if suite == "unitarity" else 0.5))
+    return [("alpha" + _fmt(alpha), alpha, None, _alpha_dev(suite, transform, alpha, rng))
+            for alpha in alphas]
 
 
 def cmd_verify(args) -> tuple[int, list[str]]:
     transform = _resolve_transform(args)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    rows = _suite_rows(args, transform, rng)
-    tol = args.tol if args.tol is not None else _SUITE_DEFAULT_TOL.get(args.suite, GATE_TOL)
+    rows = _suite_rows(args, transform, np.random.default_rng(args.seed))
+    tol = args.tol if args.tol is not None else (
+        EIGEN_RESIDUE_TOL if args.suite == "order" else GATE_TOL)
     lines = [
         f"# suite={args.suite} transform={transform.id} data_qubits="
         f"{transform.data_qubits} seed={args.seed} tolerance={tol:.17g}",
         "suite,case_id,alpha,beta,deviation,tolerance,pass",
     ]
-    for r in rows:
-        lines.append(f"{args.suite},{r.case_id},{_fmt(r.alpha)},{_fmt(r.beta)},{r.deviation:.17g},"
-                     f"{tol:.17g},{'true' if r.deviation <= tol else 'false'}")
-    return (0 if all(r.deviation <= tol for r in rows) else 1), lines
+    for case_id, alpha, beta, dev in rows:
+        lines.append(f"{args.suite},{case_id},{_fmt(alpha)},{_fmt(beta)},{dev:.17g},"
+                     f"{tol:.17g},{'true' if dev <= tol else 'false'}")
+    return (0 if all(dev <= tol for *_, dev in rows) else 1), lines
 
 
 def cmd_sweep(args) -> tuple[int, list[str]]:
