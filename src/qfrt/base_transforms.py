@@ -247,6 +247,7 @@ class BaseTransform:
     table_dev = None  # not a field: a hand-built kernel has no certificate
 
     def __post_init__(self, kernel):
+        linalg.check_instance("id", self.id, str)
         for name in ("data_qubits", "order_exponent"):
             object.__setattr__(self, name, linalg.check_int(f"{self.id!r}: {name}",
                                                             getattr(self, name), 1))

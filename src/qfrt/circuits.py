@@ -84,7 +84,7 @@ def qct4_gate(name: str, j: int | None = None, n: int = 1) -> np.ndarray:
     ``c``: diag(1, exp(i pi / 2N)).
     ``m``: the global-phase factor exp(-i pi / 4N) times the identity.
     """
-    key = name.lower()
+    key = linalg.check_instance("name", name, str).lower()
     n = linalg.check_int("n", n, 1)
     big_n = 1 << n
     if key in ("l", "k"):
@@ -104,7 +104,8 @@ class GateOp:
 
     ``name`` picks a fixed gate from the library, the parameterized phase
     gate ``"p"`` (angle in ``params[0]``), or a dense payload under the name
-    ``"unitary"``. A ``"unitary"`` op takes one of two payload forms:
+    ``"unitary"``; only ``"p"`` takes ``params``, and any other op, a payload
+    op too, refuses them. A ``"unitary"`` op takes one of two payload forms:
 
     * ``matrix``: a literal matrix, checked unitary within ``GATE_TOL`` and
       kept as a sealed copy (:func:`linalg.frozen`), real when it is real;
@@ -127,9 +128,10 @@ class GateOp:
 
     def __post_init__(self):
         for name in ("targets", "controls"):
+            wires = linalg.check_instance(name, getattr(self, name), Sequence)
             object.__setattr__(self, name, tuple(
-                linalg.check_int(f"{name}[{i}]", w, 0) for i, w in enumerate(getattr(self, name))))
-        for i, p in enumerate(self.params):
+                linalg.check_int(f"{name}[{i}]", w, 0) for i, w in enumerate(wires)))
+        for i, p in enumerate(linalg.check_instance("params", self.params, Sequence)):
             if isinstance(p, bool) or not isinstance(p, numbers.Real):
                 raise ValueError(f"params[{i}] must be a real number, got {p!r}")
             try:
@@ -165,11 +167,10 @@ class GateOp:
                     f"gate {self.name!r} needs {GATE_ARITY[self.name]} targets, "
                     f"got {len(self.targets)}"
                 )
-            if self.name == "p":
-                if len(self.params) != 1 or not math.isfinite(self.params[0]):
-                    raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
-            elif self.params:
-                raise ValueError(f"gate {self.name!r} takes no parameters")
+            if self.name == "p" and (len(self.params) != 1 or not math.isfinite(self.params[0])):
+                raise ValueError(f"phase gate 'p' needs one finite angle, got {self.params}")
+        if self.params and self.name != "p":
+            raise ValueError(f"gate {self.name!r} takes no parameters")
 
     def _check_power(self) -> None:
         if self.matrix is not None:
@@ -251,9 +252,11 @@ class Circuit:
             (label, linalg.check_int(f"mark {label!r}", idx, 0, len(self.ops)))
             for label, idx in self.marks))
 
-    def plan(self, traced: bool = False) -> tuple[Step, ...]:
+    def plan(self, traced=None) -> tuple[Step, ...]:
         """The steps :func:`qfrt.simulator.run` executes, stopping at every
         mark's boundary if ``traced``, else at none; each built once.
+        ``traced`` is None, False or True, numpy bools too: anything else is
+        a ValueError, the one rule for :func:`qfrt.simulator.run`'s ``trace``.
 
         Each maximal run of consecutive ops that are not ``power`` ops and
         touch at most :data:`FUSE_WIRES` wires between them, and that no
@@ -261,6 +264,8 @@ class Circuit:
         (:func:`_fused`); any other op is its own step. ``power`` payloads
         go to their transform's :meth:`BaseTransform.apply`.
         """
+        if traced is not None and not isinstance(traced, (bool, np.bool_)):
+            raise ValueError(f"trace takes None, False or True, not {traced!r}")
         traced = bool(traced)
         plan = self._plans.get(traced)
         if plan is None:

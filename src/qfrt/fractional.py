@@ -91,13 +91,15 @@ class FractionalSpec:
 def fractional_oracle(spec: FractionalSpec) -> np.ndarray:
     """Dense FrU(alpha) on the data register: sum_k c_k(alpha) U**k, by
     :meth:`BaseTransform.power_sum`."""
-    return spec.base.power_sum(spec.coefficients.weights)
+    return linalg.check_instance("spec", spec, FractionalSpec).base.power_sum(
+        spec.coefficients.weights)
 
 
 def fractional_apply(spec: FractionalSpec, x: np.ndarray) -> np.ndarray:
     """FrU(alpha) x along axis 0 of an (N, cols) block x, matrix-free, by
     :meth:`BaseTransform.apply_sum` of the Shih weights."""
-    return spec.base.apply_sum(spec.coefficients.weights, x)
+    return linalg.check_instance("spec", spec, FractionalSpec).base.apply_sum(
+        spec.coefficients.weights, x)
 
 
 #: Data amplitudes (256 KiB) of one block of ``max(1, _COLUMN_BLOCK // 2**q)``
@@ -131,7 +133,7 @@ def unitarity_bound(spec: FractionalSpec, m) -> float:
     1.3e-15 at hartley q=5, 1.7e-15 at cst1 n=7), it is never below the
     dense value; it also fails an m that is unitary but not FrU(alpha).
     """
-    t = spec.base
+    t = linalg.check_instance("spec", spec, FractionalSpec).base
     m = linalg.as_matrix(m)
     dim = 1 << t.data_qubits
     if m.shape != (dim, dim):
@@ -176,6 +178,7 @@ def build_qfru_circuit(spec: FractionalSpec) -> Circuit:
     kernel stays unbuilt. Acting on |0...0>|u> the result is |0...0>
     FrU(alpha)|u>; the stage boundaries are marked psi0..psi7 for tracing.
     """
+    linalg.check_instance("spec", spec, FractionalSpec)
     n, q, t = spec.num_ancillas, spec.data_qubits, spec.base
     hadamards = [GateOp("h", targets=(q + a,)) for a in range(n)]
     stages = (

@@ -8,10 +8,12 @@ BLAS. State vectors are complex 1-D arrays of length ``2**num_qubits``;
 carries bit value ``2**j`` of the basis index, so kets print most-significant
 qubit first: ``|u>`` = ``|u_{n-1} ... u_0>``.
 
-Equality checks use the max entrywise modulus (:func:`max_norm_diff`) with a
-default tolerance of 1e-10. Dense operators are capped at a total-qubit
-budget (default 14, overridable through the ``QFRT_MAX_QUBITS`` environment
-variable); exceeding it raises instead of silently truncating.
+Checks compare the max entrywise modulus with a default tolerance of 1e-10,
+:data:`GATE_TOL`. Nothing in the package calls :func:`max_norm_diff`; it
+stays only because the benchmark's tracer, ``bench/tracer.py``, names it.
+Dense operators are capped at a total-qubit budget (default 14, overridable
+through the ``QFRT_MAX_QUBITS`` environment variable); exceeding it raises
+instead of silently truncating.
 """
 from __future__ import annotations
 

@@ -66,12 +66,12 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     (2**num_qubits, cols) block of cols >= 1 such columns, each run as its
     own state; it is copied, not changed, and the final state and every
     record's state have its shape. ``trace`` is None, False or True, numpy
-    bools too (anything else, a set of labels included, is a ValueError): a
-    traced run records the state at every mark, in boundary order, and a
-    caller that wants some picks them from the records. The run executes
-    the circuit's plan for that setting (:meth:`Circuit.plan`). The records'
-    states are the rows of one array allocated per run, so each is its own
-    copy of the state at its mark.
+    bools too (anything else, a set of labels included, is a ValueError, by
+    :meth:`Circuit.plan`'s rule): a traced run records the state at every
+    mark, in boundary order, and a caller that wants some picks them from
+    the records. The run executes the circuit's plan for that setting. The
+    records' states are the rows of one array allocated per run, so each is
+    its own copy of the state at its mark.
     """
     dim = 1 << linalg.check_instance("circuit", circuit, Circuit).num_qubits
     state = linalg.check_numbers("run needs a numeric state", state).astype(complex, copy=False)
@@ -81,8 +81,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
     psi = state.reshape([2] * circuit.num_qubits + [-1]).copy()
     if not np.isfinite(psi.view(np.float64)).all():
         raise ValueError("state has a NaN or Inf amplitude")
-    if trace is not None and not isinstance(trace, (bool, np.bool_)):
-        raise ValueError(f"trace takes None, False or True, not {trace!r}")
+    steps = circuit.plan(trace)
     marks = circuit.marks if trace else ()
     boundaries: dict[int, list[str]] = {}
     for label, idx in marks:
@@ -99,7 +98,7 @@ def run(circuit: Circuit, state: np.ndarray, trace=None):
             records.append(TraceRecord(label, row, idx))
 
     snapshot(0)
-    for step in circuit.plan(bool(trace)):
+    for step in steps:
         step.apply(psi)
         snapshot(step.stop)
     return flat, records

@@ -190,6 +190,11 @@ class TestGateOpValidation:
          (lambda: GateOp("h", targets=(0,), params=(0.5,)), "gate 'h' takes no parameters"),
          (lambda: GateOp("swap", targets=(0, 1), params=(0.0, 1.0)),
           "gate 'swap' takes no parameters"),
+         (lambda: GateOp("unitary", targets=(0,), params=(1.0,), matrix=X),
+          "gate 'unitary' takes no parameters"),
+         (lambda: GateOp("unitary", targets=(0,), params=(1.0,),
+                         power=(fourier_transform(1), 1)),
+          "gate 'unitary' takes no parameters"),
          (lambda: Circuit(1, (X,)), "op 0 must be a GateOp, got ndarray"),
          (lambda: Circuit(2, (GateOp("h", (0,)), "h")), "op 1 must be a GateOp, got str"),
          (lambda: GateOp("unitary", targets=(0,), power=fourier_transform(1)),
@@ -202,7 +207,7 @@ class TestGateOpValidation:
          (lambda: GateOp("p", targets=(0,), params=(10**400,)),
           f"params[0] must fit a float, got {10**400}")],
         ids=["no_targets", "controls_only", "unitary_without_payload", "h_with_angle",
-             "swap_with_angles", "array_as_op", "name_as_op", "power_without_pair",
+             "swap_with_angles", "matrix_with_angle", "power_with_angle", "array_as_op", "name_as_op", "power_without_pair",
              "complex_angle", "none_angle", "angle_beyond_float_range"],
     )
     def test_malformed_op_names_what_is_wrong(self, make, message):

@@ -331,6 +331,16 @@ def test_a_budget_error_names_the_ancillas(monkeypatch, capsys):
         "error: 'fourier': 2 ancilla + 13 data qubits: 15 qubits exceed the 14-qubit budget"]
 
 
+def test_coefficients_rows_need_no_spec(monkeypatch, capsys):
+    # The weights read only the order: no circuit, so no ancilla budget, at
+    # the size where the unitarity suite above is refused.
+    monkeypatch.delenv(linalg.BUDGET_ENV_VAR, raising=False)
+    assert main(["verify", "--suite", "coefficients", "--transform", "fourier", "--qubits", "13",
+                 "--alpha", "0.37"]) == 0
+    rows = csv_rows(capsys.readouterr().out)
+    assert [(r["case_id"], r["pass"]) for r in rows] == [("alpha0.37", "true")]
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [(["dump", "--transform", "fourier", "--qubits", "0"], "--qubits must be >= 1, got 0"),

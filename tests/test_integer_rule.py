@@ -31,8 +31,11 @@ from qfrt.circuits import (
 from qfrt.errors import DimensionError, QfrtError
 from qfrt.fractional import (
     FractionalSpec,
+    build_qfru_circuit,
     column_blocks,
     extract_data_block,
+    fractional_apply,
+    fractional_oracle,
     shih_coefficients,
     unitarity_bound,
 )
@@ -273,6 +276,20 @@ WRONG_KIND = [
      "marks[1] must be a (label, index) pair, got 0"),
     ("run", lambda: run("x", basis_state(1)), "circuit must be a Circuit, got str"),
     ("circuit_unitary", lambda: circuit_unitary("x"), "c must be a Circuit, got str"),
+    ("fractional_oracle", lambda: fractional_oracle("x"), "spec must be a FractionalSpec, got str"),
+    ("fractional_apply", lambda: fractional_apply("x", np.eye(2)),
+     "spec must be a FractionalSpec, got str"),
+    ("unitarity_bound", lambda: unitarity_bound("x", np.eye(2)),
+     "spec must be a FractionalSpec, got str"),
+    ("build_qfru_circuit", lambda: build_qfru_circuit("x"),
+     "spec must be a FractionalSpec, got str"),
+    ("qct4_gate", lambda: qct4_gate(5), "name must be a str, got int"),
+    ("gate_targets_none", lambda: GateOp("h", None), "targets must be a Sequence, got NoneType"),
+    ("gate_targets_int", lambda: GateOp("h", 0), "targets must be a Sequence, got int"),
+    ("gate_controls_int", lambda: GateOp("x", (0,), 1), "controls must be a Sequence, got int"),
+    ("gate_params_float", lambda: GateOp("p", (0,), params=0.3),
+     "params must be a Sequence, got float"),
+    ("transform_id", lambda: BaseTransform(5, 1, 1, np.eye(2)), "id must be a str, got int"),
 ]
 
 

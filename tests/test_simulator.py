@@ -100,6 +100,18 @@ class TestRun:
         with pytest.raises(ValueError, match=f"not {re.escape(repr(trace))}$"):
             run(c, basis_state(c.num_qubits), trace=trace)
 
+    @pytest.mark.parametrize("trace", ["yes", ["psi2"], 1, 2.5], ids=["string", "list", "int",
+                                                                     "float"])
+    def test_plan_takes_the_trace_rule_of_run(self, trace):
+        # One rule: plan refuses what run refuses, and run still checks the
+        # state's finiteness before its trace.
+        c = build_qfru_circuit(FractionalSpec(fourier_transform(1), 0.5))
+        with pytest.raises(ValueError, match=f"^trace takes None, False or True, not "
+                                             f"{re.escape(repr(trace))}$"):
+            c.plan(trace)
+        with pytest.raises(ValueError, match="^state has a NaN or Inf amplitude$"):
+            run(c, np.full(1 << c.num_qubits, np.nan), trace=trace)
+
     @pytest.mark.parametrize("trace,count", [(np.True_, 8), (np.False_, 0)],
                              ids=["true", "false"])
     def test_numpy_bool_trace(self, trace, count):
