@@ -200,7 +200,8 @@ def _suite_rows(args, transform: BaseTransform, rng) -> list[tuple]:
         for i in range(25):
             a, b = rng.uniform(0.0, order, size=2)
             spec = FractionalSpec(transform, a)
-            ob, oab = (fractional_oracle(FractionalSpec(transform, x)) for x in (b, a + b))
+            ob = fractional_oracle(FractionalSpec(transform, b))
+            oab = fractional_oracle(FractionalSpec(transform, a + b))
             # np.max, not max: the built-in would drop a NaN after the first block.
             devs = [np.abs(fractional_apply(spec, ob[:, block]) - oab[:, block]).max()
                     for block in column_blocks(len(ob))]
